@@ -262,7 +262,11 @@ def horizontal_lift(phi, x, E, jet=None):
     """Horizontal vector X with dphi(X) = E (submersions only)."""
     jet = _submersion_jet(phi, x, jet)
     adj = adjoint_differential(phi, x, jet=jet)
-    q = jet.dphi @ adj
+    return _lift(adj, jet.dphi @ adj, E)
+
+
+def _lift(adj, q, E):
+    """dphi^t q^-1 E from the adjoint and q = dphi dphi^t (shared by a family of E)."""
     sol = np.linalg.solve(q, np.asarray(E, float)[..., None])[..., 0]
     return np.einsum("...ia,...a->...i", adj, sol)
 

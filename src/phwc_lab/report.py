@@ -341,13 +341,7 @@ def _check_weyl(sc, cfg, pts):
 
 
 def _check_hessian(sc, cfg, pts):
-    from .stability import (
-        hessian_suite,
-        killing_fields_sphere,
-        killing_reduced_hessian,
-        sasakian_hessian,
-        variation_from_killing,
-    )
+    from .stability import killing_fields_sphere, killing_hessian_family, variation_from_killing
 
     res, verd = {}, {}
     if sc.contact is None:
@@ -360,8 +354,8 @@ def _check_hessian(sc, cfg, pts):
     if cfg.hessian_generators:
         gens = gens[: cfg.hessian_generators]
     fields = [variation_from_killing(sc.map, A) for A in gens]
-    suite = hessian_suite(sc.map, sc.J, fields)
-    ratios = [hv / n2 for hv, n2 in suite]
+    family = killing_hessian_family(sc.map, sc.contact, sc.J, fields)
+    ratios = [f.hessian / f.norm2 for f in family]
     verd["killing_hessian_ratios"] = [float(r) for r in ratios]
     neutral = max(abs(r) for r in ratios) if ratios else 0.0
     res["killing_hessian_neutrality"] = {
@@ -369,8 +363,7 @@ def _check_hessian(sc, cfg, pts):
         "pass": bool(neutral < 2e-2),
     }
     target = 4.0 * (1 - n)
-    red = [killing_reduced_hessian(sc.map, sc.contact, sc.J, v) / n2
-           for v, (_, n2) in zip(fields, suite)]
+    red = [f.reduced / f.norm2 for f in family]
     verd["reduced_integrand_ratios"] = [float(r) for r in red]
     if n >= 2:
         gap = max(abs(r - target) / abs(target) for r in red)
@@ -378,9 +371,8 @@ def _check_hessian(sc, cfg, pts):
             "max": float(gap), "argmax_point": [], "tolerance": 1e-2,
             "pass": bool(gap < 1e-2),
         }
-    hv0, n20 = suite[0]
-    hs0 = sasakian_hessian(sc.map, sc.contact, sc.J, fields[0])
-    agreement = abs(hs0 - hv0) / max(abs(hv0), 0.01 * n20)
+    first = family[0]
+    agreement = abs(first.sasakian - first.hessian) / max(abs(first.hessian), 0.01 * first.norm2)
     res["sasakian_vs_general"] = {
         "max": float(agreement), "argmax_point": [], "tolerance": 1e-2,
         "pass": bool(agreement < 1e-2),

@@ -9,6 +9,7 @@ which is the object the Sasakian expansion uses.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -20,6 +21,9 @@ from .geometry import (
     two_form_norm2,
 )
 from .maps import (
+    _lift,
+    _submersion_jet,
+    adjoint_differential,
     horizontal_frame,
     horizontal_lift,
     horizontal_projector,
@@ -36,6 +40,8 @@ __all__ = [
     "variation_l2_norm2",
     "hessian",
     "hessian_suite",
+    "KillingSecondVariation",
+    "killing_hessian_family",
     "criticality_gate",
     "sasakian_hessian",
     "killing_reduced_hessian",
@@ -99,11 +105,15 @@ def ambient_killing_field(M, A):
 
     def X(x):
         e, Je = tensor_jet(M.embedding, x, M.diff)
-        g = M.metric_at(x, check=False)
-        rhs = np.einsum("...ei,...e->...i", Je, e @ A.T)
-        return np.linalg.solve(g, rhs[..., None])[..., 0]
+        return _killing_components(e, Je, M.metric_at(x, check=False), A)
 
     return X
+
+
+def _killing_components(e, Je, g, A):
+    """Chart components of p -> A p from the embedding jet (e, Je) and the metric g."""
+    rhs = np.einsum("...ei,...e->...i", Je, e @ A.T)
+    return np.linalg.solve(g, rhs[..., None])[..., 0]
 
 
 def killing_lie_residual(M, A, x):
@@ -178,7 +188,7 @@ def variation_l2_norm2(phi, v):
 # the Hessian
 
 
-def criticality_gate(phi, J, z_nodes=None, tol=1e-4):
+def criticality_gate(phi, J, z_nodes=None):
     """Max criticality residual over quadrature nodes (reusing Z if given)."""
     nodes = phi.domain.quadrature.nodes
     if z_nodes is None:
@@ -187,6 +197,26 @@ def criticality_gate(phi, J, z_nodes=None, tol=1e-4):
     zh = np.einsum("...ij,...j->...i", ph, z_nodes)
     g = phi.domain.metric_at(nodes, check=False)
     return float(np.max(np.sqrt(np.einsum("...i,...ij,...j->...", zh, g, zh))))
+
+
+def _require_critical(phi, J, z_nodes, tol):
+    crit = criticality_gate(phi, J, z_nodes=z_nodes)
+    if crit > tol:
+        raise NotCritical(
+            f"map {phi.name!r}: criticality residual {crit:.3e} exceeds "
+            f"{tol:g}; pass allow_noncritical=True for diagnostics"
+        )
+
+
+def _hessian_density(M, x, om, dphi, gammaN, z, vv, dv, dA):
+    """Hess(v, v) integrand: |d(phi* iota_v Omega)|^2 + Omega(v, nabla_Z v)."""
+    term1 = two_form_norm2(M, x, dA)
+    dphiZ = np.einsum("...ai,...i->...a", dphi, z)
+    nabla_v = np.einsum("...gi,...i->...g", dv, z) + np.einsum(
+        "...gab,...a,...b->...g", gammaN, dphiZ, vv, optimize=True
+    )
+    term2 = np.einsum("...a,...ab,...b->...", vv, om, nabla_v, optimize=True)
+    return term1 + term2
 
 
 def hessian(phi, J, v, *, criticality_tol=1e-4, allow_noncritical=False, z_nodes=None, gate=True):
@@ -229,31 +259,20 @@ def hessian(phi, J, v, *, criticality_tol=1e-4, allow_noncritical=False, z_nodes
             M, None, nodes, omega_values=pb0, omega_partials=dpb
         )
         z_nodes = M.sharp(nodes, delta)
-    if gate:
-        crit = criticality_gate(phi, J, z_nodes=z_nodes, tol=criticality_tol)
-        if crit > criticality_tol and not allow_noncritical:
-            raise NotCritical(
-                f"map {phi.name!r}: criticality residual {crit:.3e} exceeds "
-                f"{criticality_tol:g}; pass allow_noncritical=True for diagnostics"
-            )
+    if gate and not allow_noncritical:
+        _require_critical(phi, J, z_nodes, criticality_tol)
 
-    term1 = two_form_norm2(M, nodes, dA)
     gammaN = phi.codomain.christoffel_at(jet.y)
-    dphiZ = np.einsum("...ai,...i->...a", jet.dphi, z_nodes)
-    nabla_v = np.einsum("...gi,...i->...g", dv, z_nodes) + np.einsum(
-        "...gab,...a,...b->...g", gammaN, dphiZ, vv, optimize=True
+    return M.integrate(
+        _hessian_density(M, nodes, om, jet.dphi, gammaN, z_nodes, vv, dv, dA)
     )
-    term2 = np.einsum("...a,...ab,...b->...", vv, om, nabla_v, optimize=True)
-    return M.integrate(term1 + term2)
 
 
 def hessian_suite(phi, J, v_fields, criticality_tol=1e-4):
     """Hessians and L2 norms for a family of fields, sharing the Z field."""
     nodes = phi.domain.quadrature.nodes
     z_nodes = z_field(phi, J, nodes)
-    crit = criticality_gate(phi, J, z_nodes=z_nodes, tol=criticality_tol)
-    if crit > criticality_tol:
-        raise NotCritical(f"map {phi.name!r}: criticality residual {crit:.3e}")
+    _require_critical(phi, J, z_nodes, criticality_tol)
     out = []
     for v in v_fields:
         hv = hessian(phi, J, v, z_nodes=z_nodes, gate=False)
@@ -263,6 +282,48 @@ def hessian_suite(phi, J, v_fields, criticality_tol=1e-4):
 
 # ---------------------------------------------------------------------------
 # Sasakian expansion of the Hessian
+
+
+def _reeb_context(phi, contact, nodes):
+    """Field-independent node values of the Reeb terms: (Gamma, xi, d xi, g, phi)."""
+    M = phi.domain
+    return (
+        M.christoffel_at(nodes),
+        contact.xi_at(nodes),
+        field_partials(lambda p: contact.xi_at(p), nodes, phi.diff.fd_step),
+        M.metric_at(nodes, check=False),
+        contact.phi_at(nodes),
+    )
+
+
+def _reeb_terms(ctx, Xv, dX):
+    """(div X)^2, |[xi, X]|^2 and g(phi X, [xi, X]) from X, its partials and the context."""
+    gamma, xi, dxi, g, ph_tensor = ctx
+    divX = np.einsum("...kk->...", dX) + np.einsum("...kkj,...j->...", gamma, Xv)
+    br = np.einsum("...i,...ki->...k", xi, dX) - np.einsum("...i,...ki->...k", Xv, dxi)
+    phiX = np.einsum("...ij,...j->...i", ph_tensor, Xv)
+    br2 = np.einsum("...i,...ij,...j->...", br, g, br)
+    cross = np.einsum("...i,...ij,...j->...", phiX, g, br)
+    return divX**2, br2, cross
+
+
+def _contact_frame(phi, ctx, nodes, jet):
+    """The J-adapted frame (e_1, phi e_1, ...) of the horizontal space at the nodes."""
+    n = phi.codomain.dim // 2
+    _, _, _, g, ph_tensor = ctx
+    H = horizontal_frame(phi, nodes, jet=jet)
+    rng = np.random.default_rng(777)
+    mix = rng.normal(size=(2 * n, n)) + np.eye(2 * n)[:, :n]
+    seeds = np.einsum("...ia,ab->...ib", H, mix)
+    return j_adapted_frame(g, ph_tensor, n, seeds=seeds)
+
+
+def _contact_pair_density(frame, dA, n):
+    """Half the squared frame components of dA over |I| != |J| index pairs."""
+    D = np.einsum("...iI,...ij,...jJ->...IJ", frame, dA, frame, optimize=True)
+    pair = np.arange(2 * n) // 2
+    mask = pair[:, None] != pair[None, :]
+    return 0.5 * np.einsum("...IJ,IJ->...", D**2, mask.astype(float))
 
 
 def sasakian_hessian(phi, contact, J, v):
@@ -292,31 +353,12 @@ def sasakian_hessian(phi, contact, J, v):
     dX = parts[:, m:, :]
     dA = np.swapaxes(dA_part, -1, -2) - dA_part
 
-    g = M.metric_at(nodes, check=False)
+    ctx = _reeb_context(phi, contact, nodes)
     jet0 = phi.jet(nodes)
-    H = horizontal_frame(phi, nodes, jet=jet0)
-    rng = np.random.default_rng(777)
-    mix = rng.normal(size=(2 * n, n)) + np.eye(2 * n)[:, :n]
-    seeds = np.einsum("...ia,ab->...ib", H, mix)
-    ph_tensor = contact.phi_at(nodes)
-    frame = j_adapted_frame(g, ph_tensor, n, seeds=seeds)  # (e_1, phi e_1, ...)
-
-    D = np.einsum("...iI,...ij,...jJ->...IJ", frame, dA, frame, optimize=True)
-    pair = np.arange(2 * n) // 2
-    mask = pair[:, None] != pair[None, :]
-    term1 = 0.5 * np.einsum("...IJ,IJ->...", D**2, mask.astype(float))
-
+    term1 = _contact_pair_density(_contact_frame(phi, ctx, nodes, jet0), dA, n)
     Xv = horizontal_lift(phi, nodes, v.eval(nodes, jet=jet0), jet=jet0)
-    gamma = M.christoffel_at(nodes)
-    divX = np.einsum("...kk->...", dX) + np.einsum("...kkj,...j->...", gamma, Xv)
-    xi = contact.xi_at(nodes)
-    dxi = field_partials(lambda p: contact.xi_at(p), nodes, h)
-    br = np.einsum("...i,...ki->...k", xi, dX) - np.einsum("...i,...ki->...k", Xv, dxi)
-    phiX = np.einsum("...ij,...j->...i", ph_tensor, Xv)
-    br2 = np.einsum("...i,...ij,...j->...", br, g, br)
-    cross = np.einsum("...i,...ij,...j->...", phiX, g, br)
-    integrand = term1 + divX**2 + br2 - 2.0 * n * cross
-    return M.integrate(integrand)
+    div2, br2, cross = _reeb_terms(ctx, Xv, dX)
+    return M.integrate(term1 + div2 + br2 - 2.0 * n * cross)
 
 
 def killing_reduced_hessian(phi, contact, J, v):
@@ -340,17 +382,97 @@ def killing_reduced_hessian(phi, contact, J, v):
 
     # one stencil serves both the divergence and the bracket with xi
     dX = field_partials(Xv_field, nodes, phi.diff.fd_step)
-    Xv = Xv_field(nodes)
-    gamma = M.christoffel_at(nodes)
-    divX = np.einsum("...kk->...", dX) + np.einsum("...kkj,...j->...", gamma, Xv)
-    xi = contact.xi_at(nodes)
-    dxi = field_partials(lambda p: contact.xi_at(p), nodes, phi.diff.fd_step)
-    br = np.einsum("...i,...ki->...k", xi, dX) - np.einsum("...i,...ki->...k", Xv, dxi)
-    g = M.metric_at(nodes, check=False)
-    phiX = np.einsum("...ij,...j->...i", contact.phi_at(nodes), Xv)
-    br2 = np.einsum("...i,...ij,...j->...", br, g, br)
-    cross = np.einsum("...i,...ij,...j->...", phiX, g, br)
-    return M.integrate(divX**2 + br2 - 2.0 * n * cross)
+    div2, br2, cross = _reeb_terms(_reeb_context(phi, contact, nodes), Xv_field(nodes), dX)
+    return M.integrate(div2 + br2 - 2.0 * n * cross)
+
+
+# ---------------------------------------------------------------------------
+# the Killing family in one stencil
+
+
+class KillingSecondVariation(NamedTuple):
+    """Second-variation quantities of one Killing-generated field v = dphi(X_A)."""
+
+    hessian: float  # hessian(v)
+    norm2: float  # variation_l2_norm2(v)
+    reduced: float  # killing_reduced_hessian(v)
+    sasakian: float  # sasakian_hessian(v)
+
+
+def _killing_pieces(phi, J, gens, p, jet=None):
+    """[v, iota_v Omega . dphi, X_v] for every generator at the points p: (N, G, n + 2m).
+
+    The map jet, its SVD submersion guard, omega, the embedding jet, the
+    metric and the adjoint do not depend on the generator and are computed
+    once per call.
+    """
+    M = phi.domain
+    jet = _submersion_jet(phi, p, jet)
+    om_dphi = J.omega_at(jet.y) @ jet.dphi
+    e, Je = tensor_jet(M.embedding, p, M.diff)
+    g = M.metric_at(p, check=False)
+    adj = adjoint_differential(phi, p, jet=jet)
+    q = jet.dphi @ adj
+    out = []
+    for A in gens:
+        vv = np.einsum("...ai,...i->...a", jet.dphi, _killing_components(e, Je, g, A))
+        Av = (vv[..., None, :] @ om_dphi)[..., 0, :]
+        out.append(np.concatenate([vv, Av, _lift(adj, q, vv)], axis=-1))
+    return np.stack(out, axis=1)
+
+
+def killing_hessian_family(phi, contact, J, fields, criticality_tol=1e-4):
+    """Hessian, L2 norm, reduced integrand and Sasakian expansion of Killing fields.
+
+    One field_partials stencil of ``_killing_pieces`` serves every field and
+    every quantity; each value equals what hessian_suite,
+    killing_reduced_hessian and sasakian_hessian give for that field alone.
+    Nodes go in blocks of ceil(N / G), stencil and node values alike, so
+    the stacked (block, G, n + 2m, m) partials are no larger than one
+    field's.  A non-critical map is refused first, like in hessian_suite.
+    """
+    M = phi.domain
+    nodes = M.quadrature.nodes
+    z_nodes = z_field(phi, J, nodes)
+    _require_critical(phi, J, z_nodes, criticality_tol)
+    if contact is None:
+        raise NotSasakianScenario("scenario carries no contact metric structure")
+    gens = [v.generator for v in fields]
+    if any(A is None for A in gens):
+        raise ValueError("killing_hessian_family needs Killing fields (with a generator)")
+    m, dn = M.dim, phi.codomain.dim
+    n = dn // 2
+    if not gens:
+        return []
+
+    G = len(gens)
+    dens = np.empty((4, G, len(nodes)))  # hessian, norm2, reduced, sasakian
+    size = -(-len(nodes) // G)
+    for start in range(0, len(nodes), size):
+        sl = slice(start, start + size)
+        x = nodes[sl]
+        parts = field_partials(lambda p: _killing_pieces(phi, J, gens, p), x, phi.diff.fd_step)
+        jet = phi.jet(x)
+        centre = _killing_pieces(phi, J, gens, x, jet=jet)
+        om = J.omega_at(jet.y)
+        gammaN = phi.codomain.christoffel_at(jet.y)
+        h_y = phi.codomain.metric_at(phi.value(x), check=False)
+        ctx = _reeb_context(phi, contact, x)
+        frame = _contact_frame(phi, ctx, x, jet)
+        for k in range(G):
+            vv, Xv = centre[:, k, :dn], centre[:, k, dn + m :]
+            dv = parts[:, k, :dn]
+            dA_part = parts[:, k, dn : dn + m]
+            dA = np.swapaxes(dA_part, -1, -2) - dA_part
+            div2, br2, cross = _reeb_terms(ctx, Xv, parts[:, k, dn + m :])
+            dens[0, k, sl] = _hessian_density(
+                M, x, om, jet.dphi, gammaN, z_nodes[sl], vv, dv, dA
+            )
+            dens[1, k, sl] = np.einsum("...a,...ab,...b->...", vv, h_y, vv)
+            dens[2, k, sl] = div2 + br2 - 2.0 * n * cross
+            term1 = _contact_pair_density(frame, dA, n)
+            dens[3, k, sl] = term1 + div2 + br2 - 2.0 * n * cross
+    return [KillingSecondVariation(*(M.integrate(d[k]) for d in dens)) for k in range(G)]
 
 
 def bracket_identity_sasakian(contact, X, x):

@@ -147,6 +147,7 @@ def _probe_stability(sc, problems):
     from .stability import (
         hessian_suite,
         killing_fields_sphere,
+        killing_hessian_family,
         random_variation_fields,
         stability_conditions,
         variation_from_killing,
@@ -176,18 +177,15 @@ def _probe_stability(sc, problems):
                 problems.append(f"sampled Hessian {hv:.3e} < -{floor:g} * |v|^2 ({n2:.3e})")
                 break
     elif cls == "killing-neutral":
-        from .stability import killing_reduced_hessian
-
         fam = killing_fields_sphere(reduced.n_complex)
         if not fam.perp_indices:
             problems.append("no Killing generator orthogonal to xi found")
             return
         v = variation_from_killing(reduced.map, fam.perpendicular()[0])
-        (hv, n2), = hessian_suite(reduced.map, reduced.J, [v])
+        (hv, n2, red, _), = killing_hessian_family(reduced.map, reduced.contact, reduced.J, [v])
         target = 4.0 * (1 - reduced.n_complex)
         if abs(hv) > NEUTRAL_FRACTION * abs(target) * n2:
             problems.append(f"Killing Hessian {hv:.3e} not neutral at scale {n2:.3e}")
-        red = killing_reduced_hessian(reduced.map, reduced.contact, reduced.J, v)
         if abs(red / n2 - target) > 0.01 * abs(target):
             problems.append(f"reduced integrand ratio {red / n2:.4f} != {target:g}")
     else:

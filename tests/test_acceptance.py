@@ -25,9 +25,8 @@ from phwc_lab.scenarios import build_scenario
 from phwc_lab.stability import (
     hessian_suite,
     killing_fields_sphere,
-    killing_reduced_hessian,
+    killing_hessian_family,
     random_variation_fields,
-    sasakian_hessian,
     variation_from_killing,
 )
 from phwc_lab.structures import phwc_residual
@@ -102,22 +101,19 @@ def test_criterion_2_z_field_vertical_value():
 
 @pytest.fixture(scope="module")
 def killing_hessians():
+    # one stencil per scenario gives the Hessian, |v|^2, the reduced
+    # integrand and the Sasakian expansion of every filtered generator
     out = {}
-    for sid, n, order, n_sasakian in (("hopf-s5", 2, 6, 6), ("hopf-s7", 3, 4, 2)):
+    for sid, n, order in (("hopf-s5", 2, 6), ("hopf-s7", 3, 4)):
         sc = build_scenario(sid, quad_order=order, validate=False)
         fam = killing_fields_sphere(n)
         fields = [variation_from_killing(sc.map, A) for A in fam.perpendicular()]
-        suite = hessian_suite(sc.map, sc.J, fields)
-        sas = [
-            sasakian_hessian(sc.map, sc.contact, sc.J, v) for v in fields[:n_sasakian]
-        ]
-        red = [
-            killing_reduced_hessian(sc.map, sc.contact, sc.J, v) / n2
-            for v, (_, n2) in zip(fields, suite)
-        ]
+        family = killing_hessian_family(sc.map, sc.contact, sc.J, fields)
         out[sid] = {
             "n": n, "scenario": sc, "fields": fields,
-            "suite": suite, "sasakian": sas, "reduced": red,
+            "suite": [(f.hessian, f.norm2) for f in family],
+            "sasakian": [f.sasakian for f in family],
+            "reduced": [f.reduced / f.norm2 for f in family],
         }
     return out
 

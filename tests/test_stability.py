@@ -13,6 +13,7 @@ from phwc_lab.stability import (
     hessian,
     hessian_suite,
     killing_fields_sphere,
+    killing_hessian_family,
     killing_lie_residual,
     killing_reduced_hessian,
     random_variation_fields,
@@ -212,6 +213,49 @@ class TestSasakianHessian:
             red = killing_reduced_hessian(s5.map, s5.contact, s5.J, v)
             n2 = variation_l2_norm2(s5.map, v)
             assert abs(red / n2 + 4.0) < 0.04
+
+
+class TestKillingHessianFamily:
+    """One stencil for the family, exactly the single-field values."""
+
+    @pytest.mark.parametrize("sid, n, order, count", [("hopf-s3", 1, 10, None), ("hopf-s5", 2, 4, 2)])
+    def test_equals_single_field_routines(self, sid, n, order, count):
+        sc = build_scenario(sid, quad_order=order, validate=False)
+        gens = killing_fields_sphere(n).perpendicular()[:count]
+        fields = [variation_from_killing(sc.map, A) for A in gens]
+        family = killing_hessian_family(sc.map, sc.contact, sc.J, fields)
+        suite = hessian_suite(sc.map, sc.J, fields)
+        assert len(family) == len(fields) == len(suite)
+        for got, v, (hv, n2) in zip(family, fields, suite):
+            assert got.hessian == hv
+            assert got.norm2 == n2
+            assert got.reduced == killing_reduced_hessian(sc.map, sc.contact, sc.J, v)
+            assert got.sasakian == sasakian_hessian(sc.map, sc.contact, sc.J, v)
+
+    def test_block_partition_does_not_change_values(self, s5, fam2):
+        # G = 1 runs the stencil on all nodes at once, G = 6 in six blocks
+        fields = [variation_from_killing(s5.map, A) for A in fam2.perpendicular()]
+        assert len(fields) == 6
+        alone = killing_hessian_family(s5.map, s5.contact, s5.J, fields[:1])
+        together = killing_hessian_family(s5.map, s5.contact, s5.J, fields)
+        assert alone[0] == together[0]
+
+    def test_not_critical_refuses(self, rng):
+        warped = build_scenario("warped-hopf", quad_order=8, validate=False)
+        v = random_variation_fields(warped.map, 1, rng)[0]
+        with pytest.raises(NotCritical, match="exceeds 0.0001"):
+            killing_hessian_family(warped.map, warped.contact, warped.J, [v])
+
+    def test_suite_refusal_names_the_tolerance(self, rng):
+        warped = build_scenario("warped-hopf", quad_order=8, validate=False)
+        v = random_variation_fields(warped.map, 1, rng)[0]
+        with pytest.raises(NotCritical, match="exceeds 0.0001"):
+            hessian_suite(warped.map, warped.J, [v])
+
+    def test_requires_killing_fields(self, hopf, rng):
+        v = random_variation_fields(hopf.map, 1, rng)[0]
+        with pytest.raises(ValueError):
+            killing_hessian_family(hopf.map, hopf.contact, hopf.J, [v])
 
 
 class TestVerticalCodifferential:
