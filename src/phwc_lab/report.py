@@ -341,7 +341,7 @@ def _check_weyl(sc, cfg, pts):
 
 
 def _check_hessian(sc, cfg, pts):
-    from .stability import killing_fields_sphere, killing_hessian_family, variation_from_killing
+    from .stability import killing_fields_sphere, killing_hessian_family
 
     res, verd = {}, {}
     if sc.contact is None:
@@ -353,8 +353,7 @@ def _check_hessian(sc, cfg, pts):
     verd["killing_perp_count"] = len(gens)
     if cfg.hessian_generators:
         gens = gens[: cfg.hessian_generators]
-    fields = [variation_from_killing(sc.map, A) for A in gens]
-    family = killing_hessian_family(sc.map, sc.contact, sc.J, fields)
+    family = killing_hessian_family(sc.map, sc.contact, sc.J, gens)
     ratios = [f.hessian / f.norm2 for f in family]
     verd["killing_hessian_ratios"] = [float(r) for r in ratios]
     neutral = max(abs(r) for r in ratios) if ratios else 0.0

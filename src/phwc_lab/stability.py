@@ -116,6 +116,11 @@ def _killing_components(e, Je, g, A):
     return np.linalg.solve(g, rhs[..., None])[..., 0]
 
 
+def _killing_variation(dphi, e, Je, g, A):
+    """v = dphi(X_A) from the map differential, the embedding jet and the metric."""
+    return np.einsum("...ai,...i->...a", dphi, _killing_components(e, Je, g, A))
+
+
 def killing_lie_residual(M, A, x):
     """max |(L_X g)_ij| for X = Ap; zero for isometry generators."""
     X = ambient_killing_field(M, A)
@@ -133,11 +138,13 @@ def killing_lie_residual(M, A, x):
 
 def variation_from_killing(phi, A):
     """v = dphi(X_A) for the ambient Killing field X_A(p) = A p."""
-    X = ambient_killing_field(phi.domain, A)
+    M = phi.domain
+    A = np.asarray(A, dtype=float)
 
     def v_fn(p, jet=None):
         jet = jet or phi.jet(p)
-        return np.einsum("...ai,...i->...a", jet.dphi, np.asarray(X(p), float))
+        e, Je = tensor_jet(M.embedding, p, M.diff)
+        return _killing_variation(jet.dphi, e, Je, M.metric_at(p, check=False), A)
 
     return VariationField(map_id=phi.name, v_fn=v_fn, generator=A)
 
@@ -187,6 +194,9 @@ def variation_l2_norm2(phi, v):
 # ---------------------------------------------------------------------------
 # the Hessian
 
+# largest criticality residual at which the Hessian is the second variation
+CRITICALITY_TOL = 1e-4
+
 
 def criticality_gate(phi, J, z_nodes=None):
     """Max criticality residual over quadrature nodes (reusing Z if given)."""
@@ -219,7 +229,7 @@ def _hessian_density(M, x, om, dphi, gammaN, z, vv, dv, dA):
     return term1 + term2
 
 
-def hessian(phi, J, v, *, criticality_tol=1e-4, allow_noncritical=False, z_nodes=None, gate=True):
+def hessian(phi, J, v, *, criticality_tol=CRITICALITY_TOL, allow_noncritical=False, z_nodes=None, gate=True):
     """Second variation of the strong-coupling energy at a critical map.
 
     One shared finite-difference stencil supplies d(phi* iota_v Omega), the
@@ -268,7 +278,7 @@ def hessian(phi, J, v, *, criticality_tol=1e-4, allow_noncritical=False, z_nodes
     )
 
 
-def hessian_suite(phi, J, v_fields, criticality_tol=1e-4):
+def hessian_suite(phi, J, v_fields, criticality_tol=CRITICALITY_TOL):
     """Hessians and L2 norms for a family of fields, sharing the Z field."""
     nodes = phi.domain.quadrature.nodes
     z_nodes = z_field(phi, J, nodes)
@@ -415,35 +425,36 @@ def _killing_pieces(phi, J, gens, p, jet=None):
     q = jet.dphi @ adj
     out = []
     for A in gens:
-        vv = np.einsum("...ai,...i->...a", jet.dphi, _killing_components(e, Je, g, A))
+        vv = _killing_variation(jet.dphi, e, Je, g, A)
         Av = (vv[..., None, :] @ om_dphi)[..., 0, :]
         out.append(np.concatenate([vv, Av, _lift(adj, q, vv)], axis=-1))
     return np.stack(out, axis=1)
 
 
-def killing_hessian_family(phi, contact, J, fields, criticality_tol=1e-4):
+def killing_hessian_family(phi, contact, J, gens):
     """Hessian, L2 norm, reduced integrand and Sasakian expansion of Killing fields.
 
+    ``gens`` are the skew ambient generators A of the fields v = dphi(X_A).
     One field_partials stencil of ``_killing_pieces`` serves every field and
     every quantity; each value equals what hessian_suite,
-    killing_reduced_hessian and sasakian_hessian give for that field alone.
-    Nodes go in blocks of ceil(N / G), stencil and node values alike, so
-    the stacked (block, G, n + 2m, m) partials are no larger than one
-    field's.  A non-critical map is refused first, like in hessian_suite.
+    killing_reduced_hessian and sasakian_hessian give for
+    variation_from_killing(phi, A) alone.  Nodes go in blocks of ceil(N / G),
+    stencil and node values alike, so the stacked (block, G, n + 2m, m)
+    partials are no larger than one field's.  A scenario without a contact
+    structure is refused before any work, a non-critical map before the
+    stencil.
     """
+    if contact is None:
+        raise NotSasakianScenario("scenario carries no contact metric structure")
+    gens = [np.asarray(A, dtype=float) for A in gens]
+    if not gens:
+        return []
     M = phi.domain
     nodes = M.quadrature.nodes
     z_nodes = z_field(phi, J, nodes)
-    _require_critical(phi, J, z_nodes, criticality_tol)
-    if contact is None:
-        raise NotSasakianScenario("scenario carries no contact metric structure")
-    gens = [v.generator for v in fields]
-    if any(A is None for A in gens):
-        raise ValueError("killing_hessian_family needs Killing fields (with a generator)")
+    _require_critical(phi, J, z_nodes, CRITICALITY_TOL)
     m, dn = M.dim, phi.codomain.dim
     n = dn // 2
-    if not gens:
-        return []
 
     G = len(gens)
     dens = np.empty((4, G, len(nodes)))  # hessian, norm2, reduced, sasakian

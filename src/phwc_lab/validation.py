@@ -150,7 +150,6 @@ def _probe_stability(sc, problems):
         killing_hessian_family,
         random_variation_fields,
         stability_conditions,
-        variation_from_killing,
     )
 
     cls = sc.expected.get("stability_class")
@@ -181,8 +180,8 @@ def _probe_stability(sc, problems):
         if not fam.perp_indices:
             problems.append("no Killing generator orthogonal to xi found")
             return
-        v = variation_from_killing(reduced.map, fam.perpendicular()[0])
-        (hv, n2, red, _), = killing_hessian_family(reduced.map, reduced.contact, reduced.J, [v])
+        gens = fam.perpendicular()[:1]
+        (hv, n2, red, _), = killing_hessian_family(reduced.map, reduced.contact, reduced.J, gens)
         target = 4.0 * (1 - reduced.n_complex)
         if abs(hv) > NEUTRAL_FRACTION * abs(target) * n2:
             problems.append(f"Killing Hessian {hv:.3e} not neutral at scale {n2:.3e}")

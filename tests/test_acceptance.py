@@ -107,8 +107,9 @@ def killing_hessians():
     for sid, n, order in (("hopf-s5", 2, 6), ("hopf-s7", 3, 4)):
         sc = build_scenario(sid, quad_order=order, validate=False)
         fam = killing_fields_sphere(n)
-        fields = [variation_from_killing(sc.map, A) for A in fam.perpendicular()]
-        family = killing_hessian_family(sc.map, sc.contact, sc.J, fields)
+        gens = fam.perpendicular()
+        fields = [variation_from_killing(sc.map, A) for A in gens]
+        family = killing_hessian_family(sc.map, sc.contact, sc.J, gens)
         out[sid] = {
             "n": n, "scenario": sc, "fields": fields,
             "suite": [(f.hessian, f.norm2) for f in family],

@@ -223,7 +223,7 @@ class TestKillingHessianFamily:
         sc = build_scenario(sid, quad_order=order, validate=False)
         gens = killing_fields_sphere(n).perpendicular()[:count]
         fields = [variation_from_killing(sc.map, A) for A in gens]
-        family = killing_hessian_family(sc.map, sc.contact, sc.J, fields)
+        family = killing_hessian_family(sc.map, sc.contact, sc.J, gens)
         suite = hessian_suite(sc.map, sc.J, fields)
         assert len(family) == len(fields) == len(suite)
         for got, v, (hv, n2) in zip(family, fields, suite):
@@ -234,17 +234,17 @@ class TestKillingHessianFamily:
 
     def test_block_partition_does_not_change_values(self, s5, fam2):
         # G = 1 runs the stencil on all nodes at once, G = 6 in six blocks
-        fields = [variation_from_killing(s5.map, A) for A in fam2.perpendicular()]
-        assert len(fields) == 6
-        alone = killing_hessian_family(s5.map, s5.contact, s5.J, fields[:1])
-        together = killing_hessian_family(s5.map, s5.contact, s5.J, fields)
+        gens = fam2.perpendicular()
+        assert len(gens) == 6
+        alone = killing_hessian_family(s5.map, s5.contact, s5.J, gens[:1])
+        together = killing_hessian_family(s5.map, s5.contact, s5.J, gens)
         assert alone[0] == together[0]
 
-    def test_not_critical_refuses(self, rng):
+    def test_not_critical_refuses(self, hopf, fam1):
         warped = build_scenario("warped-hopf", quad_order=8, validate=False)
-        v = random_variation_fields(warped.map, 1, rng)[0]
+        # warped-hopf carries no contact structure; lend it that of the round S^3
         with pytest.raises(NotCritical, match="exceeds 0.0001"):
-            killing_hessian_family(warped.map, warped.contact, warped.J, [v])
+            killing_hessian_family(warped.map, hopf.contact, warped.J, fam1.perpendicular())
 
     def test_suite_refusal_names_the_tolerance(self, rng):
         warped = build_scenario("warped-hopf", quad_order=8, validate=False)
@@ -252,10 +252,11 @@ class TestKillingHessianFamily:
         with pytest.raises(NotCritical, match="exceeds 0.0001"):
             hessian_suite(warped.map, warped.J, [v])
 
-    def test_requires_killing_fields(self, hopf, rng):
-        v = random_variation_fields(hopf.map, 1, rng)[0]
-        with pytest.raises(ValueError):
-            killing_hessian_family(hopf.map, hopf.contact, hopf.J, [v])
+    def test_requires_contact_before_any_work(self, fam1):
+        # the map is not critical either, but the missing structure is named first
+        warped = build_scenario("warped-hopf", quad_order=8, validate=False)
+        with pytest.raises(NotSasakianScenario):
+            killing_hessian_family(warped.map, warped.contact, warped.J, fam1.perpendicular())
 
 
 class TestVerticalCodifferential:
