@@ -1,0 +1,65 @@
+"""Identity-suite rows pinned to their recorded values.
+
+The rows of ``run_identities`` for the five small catalog scenarios at seed 1
+and 100 points, as the per-point ``vertical_codifferential`` loop produced
+them.  A change to how a suite evaluates its points must keep every verdict,
+point count and note, and every ``max_residual`` within 1e-13 absolute.
+"""
+
+import pytest
+
+from phwc_lab.report import run_identities
+
+# (suite, scenario, points, max_residual, tolerance, passed, note)
+GOLDEN_ROWS = [
+    ("pullback_metric_derivative", "flat-holo", 100, 0.0, 0.0001, True, ""),
+    ("pushforward_parallelism", "flat-holo", 100, 0.0, 0.0001, True, ""),
+    ("semiconformal_divergence", "flat-holo", 100, 0.0, 0.0001, True, ""),
+    ("codifferential_expansion", "flat-holo", 100, 0.0, 0.0001, True, ""),
+    ("vertical_codifferential", "flat-holo", 60, 0.0, 0.0001, True, ""),
+    ("tension_agreement", "flat-holo", 100, 0.0, 0.0001, True, ""),
+    ("stress_energy", "flat-holo", 100, 0.0, 0.0001, True, ""),
+    ("pullback_metric_derivative", "hopf-s3", 100, 4.187240515318713e-06, 0.0001, True, ""),
+    ("pushforward_parallelism", "hopf-s3", 100, 6.83287656437654e-07, 0.0001, True, ""),
+    ("semiconformal_divergence", "hopf-s3", 100, 1.9516539414646517e-07, 0.0001, True, ""),
+    ("codifferential_expansion", "hopf-s3", 100, 2.924246918866664e-07, 0.0001, True, ""),
+    ("vertical_codifferential", "hopf-s3", 60, 1.4162353512148229e-08, 0.0001, True, ""),
+    ("sasakian_bracket", "hopf-s3", 100, 1.7763568394002505e-15, 0.0001, True, ""),
+    ("tension_agreement", "hopf-s3", 100, 5.871395000470755e-07, 0.0001, True, ""),
+    ("stress_energy", "hopf-s3", 100, 5.072890293936303e-07, 0.0001, True, ""),
+    ("pullback_metric_derivative", "hopf-s3-s2", 100, 9.090697083991017e-10, 0.0001, True, ""),
+    ("pushforward_parallelism", "hopf-s3-s2", 100, 1.945561973355667e-07, 0.0001, True, ""),
+    ("semiconformal_divergence", "hopf-s3-s2", 100, 1.9516569824129526e-07, 0.0001, True, ""),
+    ("codifferential_expansion", "hopf-s3-s2", 100, 1.944292537659513e-07, 0.0001, True, ""),
+    ("vertical_codifferential", "hopf-s3-s2", 60, 1.4169645456973967e-08, 0.0001, True, ""),
+    ("sasakian_bracket", "hopf-s3-s2", 100, 1.7763568394002505e-15, 0.0001, True, ""),
+    ("tension_agreement", "hopf-s3-s2", 100, 1.9516569890742907e-07, 0.0001, True, ""),
+    ("stress_energy", "hopf-s3-s2", 100, 3.099946335003176e-11, 0.0001, True, ""),
+    ("pullback_metric_derivative", "product-proj", 100, 9.896010237934178e-11, 0.0001, True, ""),
+    ("pushforward_parallelism", "product-proj", 100, 3.2006408449775064e-10, 0.0001, True, ""),
+    ("semiconformal_divergence", "product-proj", 100, 3.7394402838862054e-10, 0.0001, True, ""),
+    ("codifferential_expansion", "product-proj", 100, 9.655734165912157e-10, 0.0001, True, ""),
+    ("vertical_codifferential", "product-proj", 60, 0.0, 0.0001, True, ""),
+    ("tension_agreement", "product-proj", 100, 3.7394402838862054e-10, 0.0001, True, ""),
+    ("stress_energy", "product-proj", 100, 4.694853147218209e-10, 0.0001, True, ""),
+    ("pullback_metric_derivative", "warped-hopf", 100, 4.187240506020595e-06, 0.0001, True, ""),
+    ("pushforward_parallelism", "warped-hopf", 100, 1.2355396315166538e-06, 0.0001, True, ""),
+    ("semiconformal_divergence", "warped-hopf", 100, 2.6244989749586984e-07, 0.0001, True, ""),
+    ("codifferential_expansion", "warped-hopf", 100, 7.110620096178785e-07, 0.0001, True, ""),
+    ("vertical_codifferential", "warped-hopf", 60, 3.4411897331665386e-08, 0.0001, True, ""),
+    ("tension_agreement", "warped-hopf", 100, 1.0616747470618399e-06, 0.0001, True, ""),
+    ("stress_energy", "warped-hopf", 100, 4.6590588724526594e-07, 0.0001, True, ""),
+]
+
+SCENARIOS = ("flat-holo", "hopf-s3", "hopf-s3-s2", "product-proj", "warped-hopf")
+
+
+@pytest.mark.parametrize("sid", SCENARIOS)
+def test_identity_rows_match_golden(sid):
+    rows = run_identities(sid, n_points=100, seed=1)
+    want = [g for g in GOLDEN_ROWS if g[1] == sid]
+    assert [r["suite"] for r in rows] == [g[0] for g in want]
+    for r, (suite, scenario, points, max_residual, tol, passed, note) in zip(rows, want):
+        assert (r["suite"], r["scenario"], r["points"]) == (suite, scenario, points)
+        assert (r["tolerance"], r["passed"], r["note"]) == (tol, passed, note)
+        assert abs(r["max_residual"] - max_residual) <= 1e-13, (suite, r["max_residual"])
