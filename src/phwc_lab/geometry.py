@@ -412,11 +412,13 @@ def lie_bracket(M, X, Y, x):
     return out[0] if squeeze else out
 
 
-def two_form_norm2(M, x, omega):
+def two_form_norm2(M, x, omega, ginv=None):
     """Squared norm of a 2-form value under the a<b convention.
 
     sum_{a<b} w(e_a, e_b)^2 = (1/2) tr(g^-1 w g^-1 w^T), frame independent.
+    ``ginv`` is M.inverse_metric_at(x) when the caller already has it.
     """
-    ginv = M.inverse_metric_at(x)
+    if ginv is None:
+        ginv = M.inverse_metric_at(x)
     w = np.asarray(omega, dtype=float)
     return 0.5 * np.einsum("...ij,...jk,...kl,...li->...", ginv, w, ginv, -w)

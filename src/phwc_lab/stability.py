@@ -218,9 +218,9 @@ def _require_critical(phi, J, z_nodes, tol):
         )
 
 
-def _hessian_density(M, x, om, dphi, gammaN, z, vv, dv, dA):
+def _hessian_density(M, x, om, dphi, gammaN, z, vv, dv, dA, ginv=None):
     """Hess(v, v) integrand: |d(phi* iota_v Omega)|^2 + Omega(v, nabla_Z v)."""
-    term1 = two_form_norm2(M, x, dA)
+    term1 = two_form_norm2(M, x, dA, ginv=ginv)
     dphiZ = np.einsum("...ai,...i->...a", dphi, z)
     nabla_v = np.einsum("...gi,...i->...g", dv, z) + np.einsum(
         "...gab,...a,...b->...g", gammaN, dphiZ, vv, optimize=True
@@ -470,6 +470,7 @@ def killing_hessian_family(phi, contact, J, gens):
         h_y = phi.codomain.metric_at(phi.value(x), check=False)
         ctx = _reeb_context(phi, contact, x)
         frame = _contact_frame(phi, ctx, x, jet)
+        ginv = M.inverse_metric_at(x)
         for k in range(G):
             vv, Xv = centre[:, k, :dn], centre[:, k, dn + m :]
             dv = parts[:, k, :dn]
@@ -477,7 +478,7 @@ def killing_hessian_family(phi, contact, J, gens):
             dA = np.swapaxes(dA_part, -1, -2) - dA_part
             div2, br2, cross = _reeb_terms(ctx, Xv, parts[:, k, dn + m :])
             dens[0, k, sl] = _hessian_density(
-                M, x, om, jet.dphi, gammaN, z_nodes[sl], vv, dv, dA
+                M, x, om, jet.dphi, gammaN, z_nodes[sl], vv, dv, dA, ginv=ginv
             )
             dens[1, k, sl] = np.einsum("...a,...ab,...b->...", vv, h_y, vv)
             dens[2, k, sl] = div2 + br2 - 2.0 * n * cross
@@ -511,76 +512,95 @@ def vertical_codifferential_formula(phi, J, V, x, F=None, cluster_tol=1e-6):
 
     {E_i, F E_i} is an eigenframe of phi^*h restricted to the horizontal
     space; eigenvalue clusters are handled through their (smooth) spectral
-    projectors, and a cluster that is odd-dimensional or not F-invariant
-    raises EigenframeDegenerate.
+    projectors.  A point is degenerate if one of its clusters is
+    odd-dimensional or not F-invariant.
+
+    ``x`` and ``V`` are one point and vector (m,), or a batch (N, m); a single
+    ``V`` (m,) serves every point of a batch.  A single point returns two
+    floats and raises EigenframeDegenerate if it is degenerate.  A batch
+    returns ``lhs``, ``rhs`` of shape (N,), NaN at degenerate points, and
+    raises nothing for them.  The batch shares every node evaluation: points
+    are grouped by their cluster layout, degenerate points are found before
+    any frame stencil runs, and each cluster of a group costs one
+    field_partials stencil over the group's remaining points.
     """
     x = np.asarray(x, dtype=float)
-    if x.ndim != 1:
-        raise ValueError("vertical_codifferential_formula expects a single point")
+    if x.ndim not in (1, 2):
+        raise ValueError("vertical_codifferential_formula expects a point (m,) or points (N, m)")
+    single = x.ndim == 1
+    xb = np.atleast_2d(x)
+    Vb = np.broadcast_to(np.asarray(V, dtype=float), xb.shape)
     M = phi.domain
     F = F or induced_f_structure(phi, J)
-    xb = x[None, :]
 
-    delta = codifferential_two_form(M, pullback_two_form_field(phi, J), xb)[0]
-    lhs = -float(delta @ np.asarray(V, float))
+    delta = codifferential_two_form(M, pullback_two_form_field(phi, J), xb)
+    lhs = -np.einsum("...i,...i->...", delta, Vb)
+    rhs = np.zeros(len(xb))
 
-    g0 = M.metric_at(xb, check=False)[0]
-    H0 = horizontal_frame(phi, xb)[0]
-    T0 = pullback_metric(phi, xb)[0]
-    Mh = H0.T @ T0 @ H0
-    vals, _ = np.linalg.eigh(Mh)
-    scale = max(1.0, float(np.max(np.abs(vals))))
-    clusters = []
-    start = 0
-    for i in range(1, len(vals) + 1):
-        if i == len(vals) or vals[i] - vals[i - 1] > cluster_tol * scale:
-            clusters.append((start, i))
-            start = i
-    Fv0 = np.asarray(F.F_at(xb), float)[0]
+    g0 = M.metric_at(xb, check=False)
+    H0 = horizontal_frame(phi, xb)
+    T0 = pullback_metric(phi, xb)
+    vals, _ = np.linalg.eigh(np.swapaxes(H0, -1, -2) @ T0 @ H0)
+    scale = np.maximum(1.0, np.max(np.abs(vals), axis=-1))
+    # one row per cluster layout: True where a cluster ends after eigenvalue i
+    layouts, group = np.unique(np.diff(vals, axis=-1) > cluster_tol * scale[:, None], axis=0, return_inverse=True)
+    Fv0 = np.asarray(F.F_at(xb), float)
+    F_scale = np.maximum(1.0, np.max(np.abs(Fv0), axis=(-2, -1)))
 
     rng = np.random.default_rng(4242)
     generic = rng.normal(size=(M.dim, M.dim)) + np.eye(M.dim) * M.dim
 
-    rhs = 0.0
+    def cluster_projector(p, i0, i1):
+        Hp = horizontal_frame(phi, p)
+        Tp = pullback_metric(phi, p)
+        Mp = np.einsum("...ia,...ij,...jb->...ab", Hp, Tp, Hp)
+        w, vec = np.linalg.eigh(Mp)
+        cols = np.einsum("...ia,...ab->...ib", Hp, vec[..., i0:i1])
+        gp = M.metric_at(p, check=False)
+        return np.einsum("...ia,...ja,...jk->...ik", cols, cols, gp)
+
+    def frame_field(p, i0, i1):
+        Pp = cluster_projector(p, i0, i1)
+        gp = M.metric_at(p, check=False)
+        Fp = np.asarray(F.F_at(p), float)
+        seeds = np.einsum("...ij,jk->...ik", Pp, generic[:, : (i1 - i0) // 2])
+        return j_adapted_frame(gp, Fp, (i1 - i0) // 2, seeds=seeds)
+
+    why = {}  # degenerate point -> reason, from its first failing cluster
     h = phi.diff.fd_step
-    for i0, i1 in clusters:
-        k = i1 - i0
-        if k % 2:
-            raise EigenframeDegenerate(
-                f"odd eigenvalue cluster (size {k}) of the pullback metric"
-            )
-        lam2 = float(np.mean(vals[i0:i1]))
-
-        def cluster_projector(p, i0=i0, i1=i1):
-            Hp = horizontal_frame(phi, p)
-            Tp = pullback_metric(phi, p)
-            Mp = np.einsum("...ia,...ij,...jb->...ab", Hp, Tp, Hp)
-            w, vec = np.linalg.eigh(Mp)
-            cols = np.einsum("...ia,...ab->...ib", Hp, vec[..., i0:i1])
-            gp = M.metric_at(p, check=False)
-            return np.einsum("...ia,...ja,...jk->...ik", cols, cols, gp)
-
-        P0 = cluster_projector(xb)[0]
-        comm = P0 @ Fv0 - Fv0 @ P0
-        if np.max(np.abs(comm)) > 1e-6 * max(1.0, np.max(np.abs(Fv0))):
-            raise EigenframeDegenerate("eigenvalue cluster is not F-invariant")
-
-        def frame_field(p, i0=i0, i1=i1, k=k):
-            Pp = cluster_projector(p)
-            gp = M.metric_at(p, check=False)
-            Fp = np.asarray(F.F_at(p), float)
-            seeds = np.einsum("...ij,jk->...ik", Pp, generic[:, : k // 2])
-            return j_adapted_frame(gp, Fp, k // 2, seeds=seeds)
-
-        fr0 = frame_field(xb)[0]
-        dfr = field_partials(frame_field, xb, h)[0]  # (m, k, m)
-        for j in range(k // 2):
-            E = fr0[:, 2 * j]
-            FE = fr0[:, 2 * j + 1]
-            dE = dfr[:, 2 * j, :]
-            dFE = dfr[:, 2 * j + 1, :]
-            br = dFE @ E - dE @ FE
-            rhs += lam2 * float(br @ g0 @ np.asarray(V, float))
+    for gi, ends in enumerate(layouts):
+        bounds = [0, *(np.flatnonzero(ends) + 1), len(ends) + 1]
+        clusters = list(zip(bounds[:-1], bounds[1:]))
+        keep = np.flatnonzero(group.ravel() == gi)
+        for i0, i1 in clusters:
+            if (i1 - i0) % 2:
+                why.update(dict.fromkeys(keep.tolist(), f"odd eigenvalue cluster (size {i1 - i0}) of the pullback metric"))
+                keep = keep[:0]
+                break
+            P0 = cluster_projector(xb[keep], i0, i1)
+            comm = P0 @ Fv0[keep] - Fv0[keep] @ P0
+            bad = np.max(np.abs(comm), axis=(-2, -1)) > 1e-6 * F_scale[keep]
+            why.update(dict.fromkeys(keep[bad].tolist(), "eigenvalue cluster is not F-invariant"))
+            keep = keep[~bad]
+        if not len(keep):
+            continue
+        xk, gk, Vk = xb[keep], g0[keep], Vb[keep]
+        for i0, i1 in clusters:
+            lam2 = np.mean(vals[keep, i0:i1], axis=-1)
+            fr0 = frame_field(xk, i0, i1)
+            dfr = field_partials(lambda p: frame_field(p, i0, i1), xk, h)  # (K, m, k, m)
+            for j in range(0, i1 - i0, 2):
+                E, FE = fr0[:, :, j], fr0[:, :, j + 1]
+                dE, dFE = dfr[:, :, j, :], dfr[:, :, j + 1, :]
+                br = np.einsum("...ij,...j->...i", dFE, E) - np.einsum("...ij,...j->...i", dE, FE)
+                rhs[keep] += lam2 * np.einsum("...i,...ij,...j->...", br, gk, Vk)
+    if single:
+        if why:
+            raise EigenframeDegenerate(why[0])
+        return float(lhs[0]), float(rhs[0])
+    bad = list(why)
+    lhs[bad] = np.nan
+    rhs[bad] = np.nan
     return lhs, rhs
 
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from phwc_lab.errors import NotCritical, NotSasakianScenario
+from phwc_lab.errors import EigenframeDegenerate, NotCritical, NotSasakianScenario
 from phwc_lab.geometry import covariant_derivative_vector
 from phwc_lab.scenarios import build_scenario
 from phwc_lab.stability import (
@@ -286,6 +286,31 @@ class TestVerticalCodifferential:
             V = fibre_splitting(sc.map, p).vertical[:, 0]
             lhs, rhs = vertical_codifferential_formula(sc.map, sc.J, V, p)
             assert abs(lhs) < 1e-4 and abs(rhs) < 1e-4
+
+    @pytest.mark.parametrize("sid", ["hopf-s3", "warped-hopf"])
+    def test_batch_matches_single_points(self, sid, rng):
+        from phwc_lab.maps import fibre_splitting
+
+        sc = build_scenario(sid, validate=False)
+        pts = sc.domain.random_points(rng, 20, margin=0.05)
+        Vs = np.array([fibre_splitting(sc.map, p).vertical[:, 0] for p in pts])
+        lhs, rhs = vertical_codifferential_formula(sc.map, sc.J, Vs, pts)
+        assert lhs.shape == rhs.shape == (20,)
+        single = np.array(
+            [vertical_codifferential_formula(sc.map, sc.J, V, p) for V, p in zip(Vs, pts)]
+        )
+        assert np.max(np.abs(lhs - single[:, 0])) <= 1e-14
+        assert np.max(np.abs(rhs - single[:, 1])) <= 1e-14
+
+    def test_degenerate_points_nan_in_batch_raise_alone(self, hopf, rng):
+        # a negative cluster tolerance splits every cluster into odd singletons
+        pts = hopf.domain.random_points(rng, 5, margin=0.05)
+        xi = hopf.contact.xi_at(pts)
+        lhs, rhs = vertical_codifferential_formula(hopf.map, hopf.J, xi, pts, cluster_tol=-1.0)
+        assert lhs.shape == rhs.shape == (5,)
+        assert np.all(np.isnan(lhs)) and np.all(np.isnan(rhs))
+        with pytest.raises(EigenframeDegenerate, match="odd eigenvalue cluster"):
+            vertical_codifferential_formula(hopf.map, hopf.J, xi[0], pts[0], cluster_tol=-1.0)
 
 
 class TestStabilityConditions:
