@@ -515,9 +515,9 @@ def vertical_codifferential_formula(phi, J, V, x, F=None, cluster_tol=1e-6):
     projectors.  A point is degenerate if one of its clusters is
     odd-dimensional or not F-invariant.
 
-    ``x`` and ``V`` are one point and vector (m,), or a batch (N, m); a single
-    ``V`` (m,) serves every point of a batch.  A single point returns two
-    floats and raises EigenframeDegenerate if it is degenerate.  A batch
+    ``x`` and ``V`` are one point and its vector (m,), or N points and their
+    vectors (N, m).  A single point returns two floats and raises
+    EigenframeDegenerate if it is degenerate.  A batch
     returns ``lhs``, ``rhs`` of shape (N,), NaN at degenerate points, and
     raises nothing for them.  The batch shares every node evaluation: points
     are grouped by their cluster layout, degenerate points are found before
@@ -529,7 +529,7 @@ def vertical_codifferential_formula(phi, J, V, x, F=None, cluster_tol=1e-6):
         raise ValueError("vertical_codifferential_formula expects a point (m,) or points (N, m)")
     single = x.ndim == 1
     xb = np.atleast_2d(x)
-    Vb = np.broadcast_to(np.asarray(V, dtype=float), xb.shape)
+    Vb = np.atleast_2d(np.asarray(V, dtype=float))
     M = phi.domain
     F = F or induced_f_structure(phi, J)
 
@@ -543,7 +543,8 @@ def vertical_codifferential_formula(phi, J, V, x, F=None, cluster_tol=1e-6):
     vals, _ = np.linalg.eigh(np.swapaxes(H0, -1, -2) @ T0 @ H0)
     scale = np.maximum(1.0, np.max(np.abs(vals), axis=-1))
     # one row per cluster layout: True where a cluster ends after eigenvalue i
-    layouts, group = np.unique(np.diff(vals, axis=-1) > cluster_tol * scale[:, None], axis=0, return_inverse=True)
+    ends = np.diff(vals, axis=-1) > cluster_tol * scale[:, None]
+    layouts, group = np.unique(ends, axis=0, return_inverse=True)
     Fv0 = np.asarray(F.F_at(xb), float)
     F_scale = np.maximum(1.0, np.max(np.abs(Fv0), axis=(-2, -1)))
 
@@ -568,13 +569,16 @@ def vertical_codifferential_formula(phi, J, V, x, F=None, cluster_tol=1e-6):
 
     why = {}  # degenerate point -> reason, from its first failing cluster
     h = phi.diff.fd_step
-    for gi, ends in enumerate(layouts):
-        bounds = [0, *(np.flatnonzero(ends) + 1), len(ends) + 1]
+    for gi, layout in enumerate(layouts):
+        bounds = [0, *(np.flatnonzero(layout) + 1), len(layout) + 1]
         clusters = list(zip(bounds[:-1], bounds[1:]))
         keep = np.flatnonzero(group.ravel() == gi)
         for i0, i1 in clusters:
+            if not len(keep):
+                break
             if (i1 - i0) % 2:
-                why.update(dict.fromkeys(keep.tolist(), f"odd eigenvalue cluster (size {i1 - i0}) of the pullback metric"))
+                odd = f"odd eigenvalue cluster (size {i1 - i0}) of the pullback metric"
+                why.update(dict.fromkeys(keep.tolist(), odd))
                 keep = keep[:0]
                 break
             P0 = cluster_projector(xb[keep], i0, i1)

@@ -124,7 +124,9 @@ def identity_suites(sc, n_points=100, seed=0, margin=0.05, suites=None):
             Vs.append(split.vertical[:, 0])
         worst, used, skipped = 0.0, 0, 0
         if used_pts:
-            lhs, rhs = vertical_codifferential_formula(phi, sc.J, np.array(Vs), np.array(used_pts), F=F)
+            lhs, rhs = vertical_codifferential_formula(
+                phi, sc.J, np.array(Vs), np.array(used_pts), F=F
+            )
             resid = np.abs(lhs - rhs)
             kept = ~np.isnan(resid)
             used, skipped = int(kept.sum()), int((~kept).sum())
