@@ -517,16 +517,16 @@ def vertical_codifferential_formula(phi, J, V, x, F=None, cluster_tol=1e-6):
 
     ``x`` and ``V`` are one point and its vector (m,), or N points and their
     vectors (N, m).  A single point returns two floats and raises
-    EigenframeDegenerate if it is degenerate.  A batch
-    returns ``lhs``, ``rhs`` of shape (N,), NaN at degenerate points, and
-    raises nothing for them.  The batch shares every node evaluation: points
-    are grouped by their cluster layout, degenerate points are found before
-    any frame stencil runs, and each cluster of a group costs one
-    field_partials stencil over the group's remaining points.
+    EigenframeDegenerate if it is degenerate.  A batch returns ``lhs``,
+    ``rhs`` of shape (N,), NaN at degenerate points, and raises nothing for
+    them.  The batch shares every node evaluation: points are grouped by
+    their cluster layout, degenerate points are found before any frame
+    stencil runs, and each cluster of a group costs one field_partials
+    stencil over the group's remaining points.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim not in (1, 2):
-        raise ValueError("vertical_codifferential_formula expects a point (m,) or points (N, m)")
+        raise ValueError("vertical_codifferential_formula expects points (m,) or (N, m)")
     single = x.ndim == 1
     xb = np.atleast_2d(x)
     Vb = np.atleast_2d(np.asarray(V, dtype=float))
@@ -584,7 +584,8 @@ def vertical_codifferential_formula(phi, J, V, x, F=None, cluster_tol=1e-6):
             P0 = cluster_projector(xb[keep], i0, i1)
             comm = P0 @ Fv0[keep] - Fv0[keep] @ P0
             bad = np.max(np.abs(comm), axis=(-2, -1)) > 1e-6 * F_scale[keep]
-            why.update(dict.fromkeys(keep[bad].tolist(), "eigenvalue cluster is not F-invariant"))
+            not_inv = "eigenvalue cluster is not F-invariant"
+            why.update(dict.fromkeys(keep[bad].tolist(), not_inv))
             keep = keep[~bad]
         if not len(keep):
             continue
@@ -596,7 +597,8 @@ def vertical_codifferential_formula(phi, J, V, x, F=None, cluster_tol=1e-6):
             for j in range(0, i1 - i0, 2):
                 E, FE = fr0[:, :, j], fr0[:, :, j + 1]
                 dE, dFE = dfr[:, :, j, :], dfr[:, :, j + 1, :]
-                br = np.einsum("...ij,...j->...i", dFE, E) - np.einsum("...ij,...j->...i", dE, FE)
+                br = np.einsum("...ij,...j->...i", dFE, E)
+                br -= np.einsum("...ij,...j->...i", dE, FE)
                 rhs[keep] += lam2 * np.einsum("...i,...ij,...j->...", br, gk, Vk)
     if single:
         if why:
