@@ -260,6 +260,11 @@ class ChartManifold:
         return np.einsum("...ij,...j->...i", g, np.asarray(vec, float))
 
     # -- integration -----------------------------------------------------------
+    @property
+    def node_measure(self):
+        """Quadrature weight times volume density at each node: (K,)."""
+        return self.quadrature.weights * self._node_volw
+
     def integrate(self, f):
         """Quadrature of a scalar field against the volume form.
 

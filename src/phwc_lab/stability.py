@@ -14,7 +14,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .autodiff import field_partials, tensor_jet
-from .errors import EigenframeDegenerate, NotCritical, NotSasakianScenario
+from .errors import EigenframeDegenerate, NonFiniteIntegrand, NotCritical, NotSasakianScenario
 from .geometry import (
     codifferential_two_form,
     lie_bracket,
@@ -36,10 +36,15 @@ from .variational import pullback_two_form_field, z_field
 __all__ = [
     "VariationField",
     "variation_from_killing",
+    "VariationSpan",
+    "polynomial_span",
     "random_variation_fields",
     "variation_l2_norm2",
     "hessian",
     "hessian_suite",
+    "hessian_matrix",
+    "rayleigh_quotients",
+    "span_spectrum",
     "KillingSecondVariation",
     "killing_hessian_family",
     "criticality_gate",
@@ -149,11 +154,40 @@ def variation_from_killing(phi, A):
     return VariationField(map_id=phi.name, v_fn=v_fn, generator=A)
 
 
-def random_variation_fields(phi, count, rng, degree=2):
-    """Seeded random sections: ambient-coordinate polynomials of degree <= 2
-    through the codomain chart coordinate frame (bump-free on the chart)."""
+@dataclass(frozen=True)
+class VariationSpan:
+    """The linear span of the sections b_(a,f) = feature_f(p) e_a along a map.
+
+    A coefficient matrix c of shape (dim N, F) names the section
+    v(p) = features(p) @ c.T; the flat basis index of b_(a,f) is k = a * F + f.
+    """
+
+    map_id: str
+    features: object  # batch callable (N, m) -> (N, F)
+    n_out: int
+    n_feat: int
+
+    @property
+    def dim(self):
+        return self.n_out * self.n_feat
+
+    def field(self, c):
+        """The section with coefficient matrix c (dim N, F)."""
+
+        def v_fn(p, c=np.asarray(c, dtype=float)):
+            return self.features(p) @ c.T
+
+        return VariationField(map_id=self.map_id, v_fn=v_fn)
+
+    def random_coefficients(self, count, rng):
+        """Seeded coefficient matrices (count, dim N, F), entries N(0, 1/F)."""
+        return rng.normal(size=(count, self.n_out, self.n_feat)) / np.sqrt(self.n_feat)
+
+
+def polynomial_span(phi, degree=2):
+    """Ambient-coordinate polynomials of degree <= 2 through the codomain chart
+    coordinate frame (bump-free on the chart)."""
     M = phi.domain
-    n_out = phi.codomain.dim
     embedding = M.embedding or (lambda x: list(x))  # flat charts are ambient
 
     def features(p):
@@ -168,15 +202,13 @@ def random_variation_fields(phi, count, rng, degree=2):
         return np.stack(cols, axis=1)
 
     n_feat = features(M.quadrature.nodes[:1]).shape[1]
-    fields = []
-    for k in range(count):
-        coeff = rng.normal(size=(n_out, n_feat)) / np.sqrt(n_feat)
+    return VariationSpan(phi.name, features, phi.codomain.dim, n_feat)
 
-        def v_fn(p, c=coeff):
-            return features(p) @ c.T
 
-        fields.append(VariationField(map_id=phi.name, v_fn=v_fn))
-    return fields
+def random_variation_fields(phi, count, rng, degree=2):
+    """Seeded random sections of polynomial_span(phi, degree)."""
+    span = polynomial_span(phi, degree)
+    return [span.field(c) for c in span.random_coefficients(count, rng)]
 
 
 def variation_l2_norm2(phi, v):
@@ -288,6 +320,100 @@ def hessian_suite(phi, J, v_fields, criticality_tol=CRITICALITY_TOL):
         hv = hessian(phi, J, v, z_nodes=z_nodes, gate=False)
         out.append((hv, variation_l2_norm2(phi, v)))
     return out
+
+
+# largest node block of hessian_matrix: bounds its stacked stencil values
+SPAN_BLOCK = 512
+# eigenvalues of the Gram matrix below this fraction of its largest are null
+GRAM_RANK_CUT = 1e-10
+
+
+def _span_pieces(phi, J, span, p, jet=None):
+    """[b_k, iota_(b_k) Omega . dphi] for every basis section at the points p: (N, K, n + m)."""
+    jet = jet or phi.jet(p)
+    om_dphi = J.omega_at(jet.y) @ jet.dphi  # (N, n, m)
+    feats = span.features(p)  # (N, F)
+    N, n, F = len(p), span.n_out, span.n_feat
+    vv = np.zeros((N, n, F, n))
+    for a in range(n):
+        vv[:, a, :, a] = feats
+    A = feats[:, None, :, None] * om_dphi[:, :, None, :]
+    return np.concatenate([vv, A], axis=-1).reshape(N, n * F, -1)
+
+
+def _weighted_gram(left, right, w):
+    """sum over nodes of w * <left_k, right_l>: (B, K, ...) twice -> (K, K) by one matmul."""
+    K = left.shape[1]
+    lw = (left * w.reshape((-1,) + (1,) * (left.ndim - 1))).swapaxes(0, 1).reshape(K, -1)
+    return lw @ right.swapaxes(0, 1).reshape(K, -1).T
+
+
+def hessian_matrix(phi, J, span):
+    """Hessian and L2 Gram matrices over the basis of a variation span.
+
+    Returns (H, G), both (K, K) and symmetric, with H_kl = B(b_k, b_l) the
+    polarized second variation and G_kl = integral h(b_k, b_l), so that the
+    section with flat coefficients c has Hess = c.H.c and |v|^2 = c.G.c.
+    One field_partials stencil of the stacked basis pieces runs per block of
+    at most SPAN_BLOCK nodes; the map jet, omega.dphi and the features are
+    computed once per stencil point set.  Z and the criticality gate are
+    those of hessian_suite.
+    """
+    M = phi.domain
+    nodes = M.quadrature.nodes
+    z_nodes = z_field(phi, J, nodes)
+    _require_critical(phi, J, z_nodes, CRITICALITY_TOL)
+    n, K = span.n_out, span.dim
+    weights = M.node_measure
+
+    H = np.zeros((K, K))
+    G = np.zeros((K, K))
+    for start in range(0, len(nodes), SPAN_BLOCK):
+        sl = slice(start, start + SPAN_BLOCK)
+        x, w, z = nodes[sl], weights[sl], z_nodes[sl]
+        parts = field_partials(lambda p: _span_pieces(phi, J, span, p), x, phi.diff.fd_step)
+        dv = parts[:, :, :n]  # (B, K, n, m)
+        dA_part = parts[:, :, n:]  # (..., j, i) = d_i A_j
+        dA = np.swapaxes(dA_part, -1, -2) - dA_part
+        jet = phi.jet(x)
+        vv = _span_pieces(phi, J, span, x, jet=jet)[:, :, :n]
+        om = J.omega_at(jet.y)
+        gammaN = phi.codomain.christoffel_at(jet.y)
+        h_y = phi.codomain.metric_at(phi.value(x), check=False)
+        ginv = M.inverse_metric_at(x)[:, None]
+        # |d(phi* iota_v Omega)|^2 = (1/2) tr(g^-1 dA g^-1 dA^T), polarized
+        H += 0.5 * _weighted_gram(ginv @ dA @ ginv, dA, w)
+        # Omega(b_k, nabla_Z b_l), symmetrized with H below
+        dphiZ = np.einsum("...ai,...i->...a", jet.dphi, z)
+        nabla_v = np.einsum("bkgi,bi->bkg", dv, z) + np.einsum(
+            "bgac,ba,bkc->bkg", gammaN, dphiZ, vv, optimize=True
+        )
+        H += _weighted_gram(vv @ om, nabla_v, w)
+        G += _weighted_gram(vv, vv @ h_y, w)
+    if not (np.all(np.isfinite(H)) and np.all(np.isfinite(G))):
+        raise NonFiniteIntegrand(f"span Hessian non-finite on {M.name!r}")
+    return 0.5 * (H + H.T), 0.5 * (G + G.T)
+
+
+def rayleigh_quotients(H, G, coeffs):
+    """c.H.c / c.G.c for each coefficient matrix c of coeffs (S, dim N, F) or (S, K)."""
+    coeffs = np.asarray(coeffs, dtype=float).reshape(len(coeffs), -1)
+    hv = np.einsum("sk,kl,sl->s", coeffs, H, coeffs)
+    n2 = np.einsum("sk,kl,sl->s", coeffs, G, coeffs)
+    return hv / n2
+
+
+def span_spectrum(H, G):
+    """Ascending generalized eigenvalues of (H, G) on the range of G.
+
+    Directions whose Gram eigenvalue is below GRAM_RANK_CUT times the largest
+    are null sections of the span and are cut; the first value returned is
+    the minimum of c.H.c / c.G.c over the whole span.
+    """
+    gw, U = np.linalg.eigh(G)
+    keep = gw > GRAM_RANK_CUT * gw[-1]
+    W = U[:, keep] / np.sqrt(gw[keep])
+    return np.linalg.eigvalsh(W.T @ H @ W)
 
 
 # ---------------------------------------------------------------------------

@@ -145,10 +145,11 @@ def _check_sasakian(sc, pts, problems):
 def _probe_stability(sc, problems):
     from .scenarios import build_scenario
     from .stability import (
-        hessian_suite,
+        hessian_matrix,
         killing_fields_sphere,
         killing_hessian_family,
-        random_variation_fields,
+        polynomial_span,
+        rayleigh_quotients,
         stability_conditions,
     )
 
@@ -169,12 +170,13 @@ def _probe_stability(sc, problems):
     reduced = build_scenario(sc.id, quad_order=PROBE_ORDERS.get(sc.id, 6), validate=False)
     if cls == "stable-sampled":
         rng = np.random.default_rng(0)
-        fields = random_variation_fields(reduced.map, PROBE_FIELDS, rng)
+        span = polynomial_span(reduced.map)
+        H, G = hessian_matrix(reduced.map, reduced.J, span)
         floor = sc.tolerances.get("hessian_floor", 1e-3)
-        for hv, n2 in hessian_suite(reduced.map, reduced.J, fields):
-            if hv < -floor * n2:
-                problems.append(f"sampled Hessian {hv:.3e} < -{floor:g} * |v|^2 ({n2:.3e})")
-                break
+        coeffs = span.random_coefficients(PROBE_FIELDS, rng)
+        worst = float(np.min(rayleigh_quotients(H, G, coeffs)))
+        if worst < -floor:
+            problems.append(f"sampled Hess/|v|^2 {worst:.3e} < -{floor:g}")
     elif cls == "killing-neutral":
         fam = killing_fields_sphere(reduced.n_complex)
         if not fam.perp_indices:

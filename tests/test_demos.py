@@ -1,7 +1,7 @@
 """Smoke test: the quick demos run to completion.
 
 Each demo runs in its own interpreter, as a user would start it, and must
-exit with code 0.  Demo 04 (~9 s) and demo 06 (~70 s) are left out to keep
+exit with code 0.  Demo 04 (~9 s) and demo 06 (~44 s) are left out to keep
 tier-1 short; 06 repeats second-variation work the acceptance tests cover.
 """
 

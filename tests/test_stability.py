@@ -6,18 +6,23 @@ import pytest
 from phwc_lab.errors import EigenframeDegenerate, NotCritical, NotSasakianScenario
 from phwc_lab.geometry import covariant_derivative_vector
 from phwc_lab.scenarios import build_scenario
+from phwc_lab import stability
 from phwc_lab.stability import (
     VariationField,
     ambient_killing_field,
     bracket_identity_sasakian,
     hessian,
+    hessian_matrix,
     hessian_suite,
     killing_fields_sphere,
     killing_hessian_family,
     killing_lie_residual,
     killing_reduced_hessian,
+    polynomial_span,
     random_variation_fields,
+    rayleigh_quotients,
     sasakian_hessian,
+    span_spectrum,
     stability_conditions,
     variation_from_killing,
     variation_l2_norm2,
@@ -257,6 +262,69 @@ class TestKillingHessianFamily:
         warped = build_scenario("warped-hopf", quad_order=8, validate=False)
         with pytest.raises(NotSasakianScenario):
             killing_hessian_family(warped.map, warped.contact, warped.J, fam1.perpendicular())
+
+
+class TestHessianMatrix:
+    """The span matrices against the field-by-field oracle."""
+
+    @pytest.fixture(scope="class")
+    def span_matrices(self, hopf):
+        span = polynomial_span(hopf.map)
+        return span, *hessian_matrix(hopf.map, hopf.J, span)
+
+    def test_quadratic_forms_match_single_fields(self, hopf, span_matrices):
+        span, H, G = span_matrices
+        for c in span.random_coefficients(3, np.random.default_rng(11)):
+            v = span.field(c)
+            hv, n2 = hessian(hopf.map, hopf.J, v), variation_l2_norm2(hopf.map, v)
+            flat = c.ravel()
+            assert abs(flat @ H @ flat - hv) <= 1e-10 * abs(hv)
+            assert abs(flat @ G @ flat - n2) <= 1e-10 * n2
+            assert rayleigh_quotients(H, G, flat[None])[0] == pytest.approx(hv / n2, rel=1e-10)
+
+    def test_symmetric(self, span_matrices):
+        _, H, G = span_matrices
+        assert H.shape == G.shape == (30, 30)
+        assert np.array_equal(H, H.T) and np.array_equal(G, G.T)
+
+    def test_block_partition_does_not_change_values(self, hopf, span_matrices, monkeypatch):
+        span, H, G = span_matrices
+        assert len(hopf.domain.quadrature.nodes) == 1000
+        monkeypatch.setattr(stability, "SPAN_BLOCK", 1000)
+        H1, G1 = hessian_matrix(hopf.map, hopf.J, span)
+        monkeypatch.setattr(stability, "SPAN_BLOCK", 96)
+        H11, G11 = hessian_matrix(hopf.map, hopf.J, span)
+        for a, b in ((H1, H), (H11, H), (G1, G), (G11, G)):
+            assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
+
+    def test_not_critical_refuses(self):
+        warped = build_scenario("warped-hopf", quad_order=8, validate=False)
+        with pytest.raises(NotCritical, match="exceeds 0.0001"):
+            hessian_matrix(warped.map, warped.J, polynomial_span(warped.map))
+
+    def test_gram_rank_and_span_bound(self, span_matrices):
+        # |e|^2 = 1 on S^3 makes one feature combination vanish per output
+        _, H, G = span_matrices
+        spec = span_spectrum(H, G)
+        assert len(spec) == 28
+        assert np.all(np.diff(spec) >= 0)
+        assert abs(spec[0]) < 1e-6  # a neutral direction, not a negative one
+        assert spec[1] > 1.0
+
+    def test_random_fields_unchanged(self):
+        # values of the third field drawn from seed 5, recorded before the
+        # fields became images of coefficient matrices over the span
+        want = {
+            "hopf-s3": [[0.21415741320445844, -0.38363897090094423],
+                        [-0.13375167842006547, -0.6399585059717441]],
+            "flat-holo": [[0.602368840260229, -0.5607629768548187],
+                          [0.47629532574749367, -1.1688375466397605]],
+        }
+        for sid, values in want.items():
+            sc = build_scenario(sid, validate=False)
+            field = random_variation_fields(sc.map, 3, np.random.default_rng(5))[2]
+            pts = sc.domain.random_points(np.random.default_rng(9), 2, margin=0.05)
+            np.testing.assert_allclose(field.v_at(pts), values, rtol=1e-14, atol=0)
 
 
 class TestVerticalCodifferential:

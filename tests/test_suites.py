@@ -6,9 +6,13 @@ them.  A change to how a suite evaluates its points must keep every verdict,
 point count and note, and every ``max_residual`` within 1e-13 absolute.
 """
 
+import numpy as np
 import pytest
 
+from phwc_lab.maps import fibre_splitting
 from phwc_lab.report import run_identities
+from phwc_lab.scenarios import build_scenario
+from phwc_lab.stability import vertical_codifferential_formula
 
 # (suite, scenario, points, max_residual, tolerance, passed, note)
 GOLDEN_ROWS = [
@@ -63,3 +67,21 @@ def test_identity_rows_match_golden(sid):
         assert (r["suite"], r["scenario"], r["points"]) == (suite, scenario, points)
         assert (r["tolerance"], r["passed"], r["note"]) == (tol, passed, note)
         assert abs(r["max_residual"] - max_residual) <= 1e-13, (suite, r["max_residual"])
+
+
+@pytest.mark.parametrize("sid, certifies", [
+    ("hopf-s3", True), ("warped-hopf", True), ("flat-holo", False), ("product-proj", False),
+])
+def test_vertical_codifferential_rows_that_certify(sid, certifies):
+    # the first 20 of the suite's points at seed 1, with its vertical vectors:
+    # only a non-zero left side tests the eigenframe formula; on an integrable
+    # horizontal distribution both sides vanish and the row passes vacuously
+    sc = build_scenario(sid, validate=False)
+    pts = sc.domain.random_points(np.random.default_rng(1), 20, margin=0.05)
+    Vs = np.array([fibre_splitting(sc.map, p).vertical[:, 0] for p in pts])
+    lhs, rhs = vertical_codifferential_formula(sc.map, sc.J, Vs, pts)
+    if certifies:
+        assert np.min(np.abs(lhs)) > 0.5
+        assert np.max(np.abs(lhs - rhs)) < 1e-4
+    else:
+        assert np.all(lhs == 0.0) and np.all(rhs == 0.0)
