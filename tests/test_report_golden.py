@@ -1,18 +1,36 @@
 """Report bodies pinned to their recorded values.
 
-Every check's ``run_checks`` body on hopf-s3 at seed 1, recorded in
-``golden/run_checks_hopf-s3_seed1.json``.  Keys, strings, booleans and
-integers must match exactly; floats within 1e-10 relative, which admits a
-change of summation order and nothing more.
+Every check's ``run_checks`` body on each catalog scenario at seed 1,
+recorded in ``golden/run_checks_<scenario>[_order<k>]_seed1.json``.  Keys,
+strings, booleans and integers must match exactly; floats within 1e-10
+relative, which admits a change of summation order and nothing more.
+
+hopf-s7 runs at quadrature order 3 to keep the suite short.  At that order
+its ``hessian`` check does not match its expected verdict: the fixed
+neutrality tolerance (2e-2) is below the order-3 quadrature error, so the
+recorded body has ``all_verdicts_match: false``.  The file pins that
+mismatch as it stands; it does not hide it.
 """
 
 import json
 from pathlib import Path
 
+import pytest
+
 from phwc_lab.report import RunConfig, run_checks
 
-GOLDEN = Path(__file__).parent / "golden" / "run_checks_hopf-s3_seed1.json"
+GOLDEN = Path(__file__).parent / "golden"
 REL_TOL = 1e-10
+# scenario -> quadrature order (None: the catalog order)
+CASES = {
+    "flat-holo": None,
+    "hopf-s3": None,
+    "hopf-s3-s2": None,
+    "hopf-s5": None,
+    "hopf-s7": 3,
+    "product-proj": None,
+    "warped-hopf": None,
+}
 
 
 def _mismatches(got, want, path="body"):
@@ -34,7 +52,11 @@ def _mismatches(got, want, path="body"):
     return []
 
 
-def test_hopf_s3_bodies_match_golden():
-    body = json.loads(json.dumps(run_checks(RunConfig(scenario_id="hopf-s3", seed=1))))
-    want = json.loads(GOLDEN.read_text())
+@pytest.mark.parametrize("scenario", sorted(CASES))
+def test_bodies_match_golden(scenario):
+    order = CASES[scenario]
+    stem = scenario if order is None else f"{scenario}_order{order}"
+    cfg = RunConfig(scenario_id=scenario, seed=1, quadrature_order=order)
+    body = json.loads(json.dumps(run_checks(cfg)))
+    want = json.loads((GOLDEN / f"run_checks_{stem}_seed1.json").read_text())
     assert _mismatches(body, want) == []
