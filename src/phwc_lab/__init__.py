@@ -38,7 +38,7 @@ from .structures import (
     MetricFStructure,
 )
 from .stability import VariationField
-from .variational import CriticalityReport, EnergyReport
+from .variational import EnergyReport
 
 __all__ = [
     "DiffConfig",
@@ -56,7 +56,6 @@ __all__ = [
     "ContactMetricStructure",
     "VariationField",
     "EnergyReport",
-    "CriticalityReport",
     "Scenario",
     "build_scenario",
     "scenario_ids",

@@ -16,18 +16,13 @@ import numpy as np
 
 from .errors import ConfigError
 from .geometry import TWO_FORM_CONVENTION
-from .maps import dilation_hwc, mean_curvature_fibres, tension_field_direct
+from .maps import tension_field_direct
 from .scenarios import build_scenario, scenario_ids
-from .structures import (
-    f_div_f,
-    induced_f_structure,
-    phwc_residual,
-    phwc_residual_coordinates,
-)
+from .structures import f_div_f, induced_f_structure, phwc_residual_coordinates
 from .suites import identity_suites
+from .validation import RESIDUALS, RUN_TOLERANCES, metric_norms, tolerance
 from .variational import (
     compatible_weyl_theta,
-    criticality_residual,
     fh_energy,
     criticality_equivalence,
     semiconformal_criticality,
@@ -72,12 +67,14 @@ class RunConfig:
     hessian_generators: int = 2  # Killing generators per hessian check; 0 = all
 
     def __post_init__(self):
-        if self.scenario_id not in scenario_ids():
-            # defer to build_scenario's UnknownScenario for the canonical error
-            pass
         bad = [c for c in self.checks if c not in CHECK_NAMES]
         if bad:
             raise ConfigError(f"unknown checks: {', '.join(bad)}")
+        bad = sorted(set(self.tolerances) - set(RUN_TOLERANCES))
+        if bad:
+            raise ConfigError(
+                f"unknown tolerances: {', '.join(bad)}; known: {', '.join(RUN_TOLERANCES)}"
+            )
         if self.quadrature_order is not None and not (2 <= self.quadrature_order <= 64):
             raise ConfigError("quadrature_order must be in [2, 64]")
         if not (1e-8 <= self.fd_step <= 1e-2):
@@ -123,28 +120,25 @@ class RunConfig:
         }
 
 
-def _norms(M, x, v):
-    g = M.metric_at(x, check=False)
-    return np.sqrt(np.einsum("...i,...ij,...j->...", v, g, v))
+def _residual_entry(sc, cfg, name, values, points=(), scale=1.0, inclusive=False):
+    """Largest of ``values`` against tolerance ``name`` times ``scale``.
 
-
-def _residual_entry(values, points, tol):
-    values = np.asarray(values, dtype=float)
+    ``inclusive``: the entry passes at equality with the tolerance.
+    """
+    tol = tolerance(name, sc, cfg.tolerances) * scale
+    values = np.atleast_1d(np.asarray(values, dtype=float))
     k = int(np.argmax(values))
     return {
         "max": float(values[k]),
         "argmax_point": [float(c) for c in np.atleast_2d(points)[k]],
         "tolerance": float(tol),
-        "pass": bool(values[k] < tol),
+        "pass": bool(values[k] <= tol if inclusive else values[k] < tol),
     }
 
 
-def _tol(sc, cfg, name, default=None):
-    if name in cfg.tolerances:
-        return float(cfg.tolerances[name])
-    if name in sc.tolerances:
-        return float(sc.tolerances[name])
-    return default
+def _row_entry(sc, cfg, name, x):
+    """Residual entry of the shared residual ``RESIDUALS[name]`` over ``x``."""
+    return _residual_entry(sc, cfg, name, RESIDUALS[name].values(sc, x), x)
 
 
 # --------------------------------------------------------------------------
@@ -153,12 +147,10 @@ def _tol(sc, cfg, name, default=None):
 
 def _check_phwc(sc, cfg, pts):
     nodes = sc.domain.quadrature.nodes
-    tol = _tol(sc, cfg, "phwc")
-    res = {"phwc_commutator_nodes": _residual_entry(
-        phwc_residual(sc.map, sc.J, nodes), nodes, tol)}
+    res = {"phwc_commutator_nodes": _row_entry(sc, cfg, "phwc", nodes)}
     if sc.codomain.complex_pairs:
         res["phwc_coordinates_samples"] = _residual_entry(
-            phwc_residual_coordinates(sc.map, pts), pts, tol * 10
+            sc, cfg, "phwc", phwc_residual_coordinates(sc.map, pts), pts, scale=10
         )
     ok = res["phwc_commutator_nodes"]["pass"]
     return res, {"is_phwc": ok, "matches_expected": ok == sc.expected.get("is_phwc")}
@@ -167,14 +159,20 @@ def _check_phwc(sc, cfg, pts):
 def _check_structure(sc, cfg, pts):
     res, verd = {}, {}
     images = sc.map.value(pts)
-    res["J_invariants"] = _residual_entry([sc.J.check_invariants(images)], pts[:1], 1e-10)
-    res["J_kaehler_nabla"] = _residual_entry([sc.J.check_kaehler(images)], pts[:1], 1e-8)
+    first = pts[:1]
+    res["J_invariants"] = _residual_entry(
+        sc, cfg, "structure_invariants", sc.J.check_invariants(images), first
+    )
+    res["J_kaehler_nabla"] = _residual_entry(sc, cfg, "kaehler", sc.J.check_kaehler(images), first)
     if sc.contact is not None:
         res["contact_invariants"] = _residual_entry(
-            [sc.contact.check_invariants(pts)], pts[:1], 1e-10
+            sc, cfg, "structure_invariants", sc.contact.check_invariants(pts), first
         )
     F = induced_f_structure(sc.map, sc.J)
-    res["induced_f_invariants"] = _residual_entry([F.check_invariants(pts, tol=1e-8)], pts[:1], 1e-8)
+    f_tol = tolerance("f_structure", sc, cfg.tolerances)
+    res["induced_f_invariants"] = _residual_entry(
+        sc, cfg, "f_structure", F.check_invariants(pts, tol=f_tol), first
+    )
     rank_dphi, _ = sc.map.rank_profile()
     rank_formula = sc.J.rank + rank_dphi - sc.codomain.dim
     verd["rank_formula_holds"] = F.rank == rank_formula
@@ -185,19 +183,14 @@ def _check_structure(sc, cfg, pts):
 
 
 def _check_tension(sc, cfg, pts):
-    nodes = sc.domain.quadrature.nodes
-    jet = sc.map.second_jet(nodes)
-    tau = tension_field_direct(sc.map, nodes, jet=jet)
-    tnorm = _norms(sc.codomain, jet.y, tau)
-    tol = _tol(sc, cfg, "tension")
-    res = {"tension_nodes": _residual_entry(tnorm, nodes, tol)}
+    res = {"tension_nodes": _row_entry(sc, cfg, "tension", sc.domain.quadrature.nodes)}
     tau_a = tension_field_direct(sc.map, pts)
     tau_b = tension_phwc(sc.map, sc.J, pts)
     res["tension_two_routes"] = _residual_entry(
-        _norms(sc.codomain, sc.map.value(pts), tau_a - tau_b), pts, 1e-4
+        sc, cfg, "identity", metric_norms(sc.codomain, sc.map.value(pts), tau_a - tau_b), pts
     )
-    expected = sc.expected.get("is_harmonic", sc.expected.get("minimal_fibres"))
     harmonic = res["tension_nodes"]["pass"]
+    expected = sc.expected.get(RESIDUALS["tension"].expected)
     return res, {"is_harmonic": harmonic, "matches_expected": harmonic == expected}
 
 
@@ -205,12 +198,9 @@ def _check_energy(sc, cfg, pts):
     rep = fh_energy(sc.map, sc.J, cfg.alpha, p_exponent=cfg.p)
     limit_gap = abs(rep.fh_alpha / cfg.alpha - rep.fh_infinity - rep.dirichlet / cfg.alpha)
     res = {
-        "alpha_limit_identity": {
-            "max": float(limit_gap),
-            "argmax_point": [],
-            "tolerance": 1e-12 * max(1.0, rep.dirichlet),
-            "pass": bool(limit_gap < 1e-12 * max(1.0, rep.dirichlet)),
-        }
+        "alpha_limit_identity": _residual_entry(
+            sc, cfg, "alpha_limit", limit_gap, scale=max(1.0, rep.dirichlet)
+        )
     }
     verd = {
         "dirichlet": rep.dirichlet,
@@ -220,27 +210,21 @@ def _check_energy(sc, cfg, pts):
         "p_energy": rep.p_energy,
         "p": rep.p,
     }
-    matches = res["alpha_limit_identity"]["pass"]
     if sc.id in ("hopf-s3", "hopf-s3-s2"):
         dir_ref, inf_ref = 2 * np.pi**2, np.pi**2
-        dgap = abs(rep.dirichlet - dir_ref) / dir_ref
-        igap = abs(rep.fh_infinity - inf_ref) / inf_ref
-        res["dirichlet_closed_form"] = {
-            "max": float(dgap), "argmax_point": [], "tolerance": 1e-3, "pass": bool(dgap < 1e-3)
-        }
-        res["fh_infinity_closed_form"] = {
-            "max": float(igap), "argmax_point": [], "tolerance": 1e-3, "pass": bool(igap < 1e-3)
-        }
-        matches = matches and dgap < 1e-3 and igap < 1e-3
-    verd["matches_expected"] = bool(matches)
+        res["dirichlet_closed_form"] = _residual_entry(
+            sc, cfg, "closed_form", abs(rep.dirichlet - dir_ref) / dir_ref
+        )
+        res["fh_infinity_closed_form"] = _residual_entry(
+            sc, cfg, "closed_form", abs(rep.fh_infinity - inf_ref) / inf_ref
+        )
+    verd["matches_expected"] = all(r["pass"] for r in res.values())
     return res, verd
 
 
 def _check_criticality(sc, cfg, pts):
-    nodes = sc.domain.quadrature.nodes
-    tol = _tol(sc, cfg, "criticality")
-    crit = criticality_residual(sc.map, sc.J, nodes)
-    res = {"criticality_nodes": _residual_entry(crit, nodes, tol)}
+    row = RESIDUALS["criticality"]
+    res = {"criticality_nodes": _row_entry(sc, cfg, "criticality", sc.domain.quadrature.nodes)}
     verd = {}
     if sc.contact is not None:
         z = z_field(sc.map, sc.J, pts)
@@ -248,12 +232,14 @@ def _check_criticality(sc, cfg, pts):
         g = sc.domain.metric_at(pts, check=False)
         vert = np.einsum("...i,...ij,...j->...", z, g, xi)
         n = sc.n_complex
-        res["z_vertical_component"] = _residual_entry(np.abs(vert + 2 * n), pts, 1e-3)
+        res["z_vertical_component"] = _residual_entry(
+            sc, cfg, "z_vertical", np.abs(vert + 2 * n), pts
+        )
         verd["z_vertical_target"] = -2.0 * n
     critical = res["criticality_nodes"]["pass"]
-    expected = sc.expected.get("is_critical")
+    expected = sc.expected.get(row.expected)
     if expected is False:
-        witness = _tol(sc, cfg, "criticality_witness", 1e-2)
+        witness = tolerance(row.witness, sc, cfg.tolerances)
         verd["noncritical_witness"] = bool(res["criticality_nodes"]["max"] > witness)
         match = (not critical) and verd["noncritical_witness"]
     else:
@@ -266,13 +252,11 @@ def _check_criticality(sc, cfg, pts):
 
 def _check_equivalence(sc, cfg, pts):
     rep = criticality_equivalence(sc.map, sc.J, pts)
-    tol = 1e-4
     res = {
-        "cosymplectic": _residual_entry(rep["cosymplectic"], pts, tol),
-        "criticality": _residual_entry(rep["criticality"], pts, tol),
-        "pullback_sum": _residual_entry(rep["pullback_sum"], pts, tol),
-        "proof_identity": _residual_entry(rep["proof_identity"], pts, tol),
+        key: _residual_entry(sc, cfg, "condition", rep[key], pts)
+        for key in ("cosymplectic", "criticality", "pullback_sum")
     }
+    res["proof_identity"] = _residual_entry(sc, cfg, "identity", rep["proof_identity"], pts)
     holds = [res[k]["pass"] for k in ("cosymplectic", "criticality", "pullback_sum")]
     verd = {
         "proof_identity_holds": res["proof_identity"]["pass"],
@@ -291,23 +275,20 @@ def _check_equivalence(sc, cfg, pts):
 
 
 def _check_semiconformal(sc, cfg, pts):
-    _, dilation_resid = dilation_hwc(sc.map, pts)
     crit, divergence_identity = semiconformal_criticality(sc.map, sc.J, pts)
     res = {
-        "dilation": _residual_entry(dilation_resid, pts, _tol(sc, cfg, "semiconformal")),
-        "criticality_combination": _residual_entry(crit, pts, 1e-4),
-        "divergence_identity": _residual_entry(divergence_identity, pts, 1e-4),
+        "dilation": _row_entry(sc, cfg, "semiconformal", pts),
+        "criticality_combination": _residual_entry(sc, cfg, "condition", crit, pts),
+        "divergence_identity": _residual_entry(sc, cfg, "identity", divergence_identity, pts),
+        "mean_curvature": _row_entry(sc, cfg, "mean_curvature", pts),
     }
-    mu = mean_curvature_fibres(sc.map, pts)
-    res["mean_curvature"] = _residual_entry(
-        _norms(sc.domain, pts, mu), pts, _tol(sc, cfg, "mean_curvature")
-    )
     expected = sc.expected.get("is_critical")
+    minimal = sc.expected.get(RESIDUALS["mean_curvature"].expected)
     ok = (
         res["dilation"]["pass"]
         and res["divergence_identity"]["pass"]
         and (res["criticality_combination"]["pass"] == bool(expected))
-        and res["mean_curvature"]["pass"] == sc.expected.get("minimal_fibres")
+        and res["mean_curvature"]["pass"] == minimal
     )
     return res, {
         "is_semiconformal": res["dilation"]["pass"],
@@ -320,20 +301,16 @@ def _check_weyl(sc, cfg, pts):
     F = induced_f_structure(sc.map, sc.J)
     theta = compatible_weyl_theta(sc.domain, F)
     compat = weyl_compat_residual(sc.domain, F, pts, theta=theta)
-    fdf = f_div_f(F, pts)
-    lc_norm = _norms(sc.domain, pts, fdf)
+    lc_norm = metric_norms(sc.domain, pts, f_div_f(F, pts))
     res = {
-        "weyl_compatible_divergence": {
-            "max": float(compat), "argmax_point": [], "tolerance": 1e-4,
-            "pass": bool(compat < 1e-4),
-        },
-        "levi_civita_divergence": _residual_entry(lc_norm, pts, 1e-4),
+        "weyl_compatible_divergence": _residual_entry(sc, cfg, "identity", compat),
+        "levi_civita_divergence": _residual_entry(sc, cfg, "condition", lc_norm, pts),
     }
-    cosymplectic_expected = bool(sc.expected.get("is_critical"))
     ok = res["weyl_compatible_divergence"]["pass"]
-    if not cosymplectic_expected:
+    if not sc.expected.get("is_critical"):
         # the negative control must show a genuinely non-cosymplectic structure
-        ok = ok and float(np.max(lc_norm)) > 1e-2
+        witness = tolerance("cosymplectic_witness", sc, cfg.tolerances)
+        ok = ok and float(np.max(lc_norm)) > witness
     return res, {
         "levi_civita_max": float(np.max(lc_norm)),
         "matches_expected": bool(ok),
@@ -357,27 +334,20 @@ def _check_hessian(sc, cfg, pts):
     ratios = [f.hessian / f.norm2 for f in family]
     verd["killing_hessian_ratios"] = [float(r) for r in ratios]
     neutral = max(abs(r) for r in ratios) if ratios else 0.0
-    res["killing_hessian_neutrality"] = {
-        "max": float(neutral), "argmax_point": [], "tolerance": 2e-2,
-        "pass": bool(neutral < 2e-2),
-    }
+    res["killing_hessian_neutrality"] = _residual_entry(sc, cfg, "killing_neutrality", neutral)
     target = 4.0 * (1 - n)
     red = [f.reduced / f.norm2 for f in family]
     verd["reduced_integrand_ratios"] = [float(r) for r in red]
     if n >= 2:
         gap = max(abs(r - target) / abs(target) for r in red)
-        res["reduced_ratio_vs_4(1-n)"] = {
-            "max": float(gap), "argmax_point": [], "tolerance": 1e-2,
-            "pass": bool(gap < 1e-2),
-        }
+        res["reduced_ratio_vs_4(1-n)"] = _residual_entry(sc, cfg, "reduced_ratio", gap)
     first = family[0]
+    # relative to the Hessian, or to 1 % of |X|^2 where the Hessian is neutral
     agreement = abs(first.sasakian - first.hessian) / max(abs(first.hessian), 0.01 * first.norm2)
-    res["sasakian_vs_general"] = {
-        "max": float(agreement), "argmax_point": [], "tolerance": 1e-2,
-        "pass": bool(agreement < 1e-2),
-    }
+    res["sasakian_vs_general"] = _residual_entry(sc, cfg, "sasakian_agreement", agreement)
+    ratio_tol = tolerance("reduced_ratio", sc, cfg.tolerances)
     verd["reported_instability_reproduced"] = bool(
-        n >= 2 and all(abs(r - target) / abs(target) < 1e-2 for r in ratios)
+        n >= 2 and all(abs(r - target) / abs(target) < ratio_tol for r in ratios)
     )
     verd["matches_expected"] = all(r["pass"] for r in res.values())
     return res, verd
@@ -405,19 +375,16 @@ def _check_stability(sc, cfg, pts):
         span = polynomial_span(reduced.map)
         coeffs = span.random_coefficients(cfg.stability_fields, rng)
         H, G = hessian_matrix(reduced.map, reduced.J, span)
-        floor = _tol(sc, cfg, "hessian_floor", 1e-3)
         worst = float(np.min(rayleigh_quotients(H, G, coeffs)))
-        res["sampled_nonnegativity"] = {
-            "max": float(-worst), "argmax_point": [], "tolerance": floor,
-            "pass": bool(worst >= -floor),
-        }
-        bound = float(span_spectrum(H, G)[0])
-        res["span_nonnegativity"] = {
-            "max": -bound, "argmax_point": [], "tolerance": floor,
-            "pass": bool(bound >= -floor),
-        }
+        res["sampled_nonnegativity"] = _residual_entry(
+            sc, cfg, "hessian_floor", -worst, inclusive=True
+        )
+        res["span_nonnegativity"] = _residual_entry(
+            sc, cfg, "hessian_floor", -float(span_spectrum(H, G)[0]), inclusive=True
+        )
+        sampled = res["sampled_nonnegativity"]["pass"]
         verd["sampled_fields"] = len(coeffs)
-        verd["verdict"] = "sampled nonnegativity: " + ("pass" if worst >= -floor else "fail")
+        verd["verdict"] = "sampled nonnegativity: " + ("pass" if sampled else "fail")
         verd["matches_expected"] = all(r["pass"] for r in res.values())
     elif cls == "stable-conditions":
         verd["verdict"] = "weakly stable (sufficient condition)"

@@ -55,7 +55,7 @@ class Scenario:
     J: AlmostHermitianStructure | None = None
     contact: ContactMetricStructure | None = None
     expected: dict = dc_field(default_factory=dict)
-    tolerances: dict = dc_field(default_factory=dict)
+    tolerances: dict = dc_field(default_factory=dict)  # overrides of validation.TOLERANCES
     n_complex: int = 1  # complex dimension of the codomain
 
     def map_with(self, diff):
@@ -312,7 +312,6 @@ def _build_hopf(n, quad_order):
             "minimal_fibres": True,
             "stability_class": stability,
         },
-        tolerances=_default_tols(),
         n_complex=n,
     )
 
@@ -337,7 +336,7 @@ def _build_warped_hopf(quad_order):
             "minimal_fibres": False,
             "stability_class": None,
         },
-        tolerances=_default_tols(phwc=1e-8),
+        tolerances={"phwc": 1e-8},
         n_complex=1,
     )
 
@@ -368,7 +367,6 @@ def _build_flat_holo(quad_order):
             "minimal_fibres": True,
             "stability_class": "stable-conditions",
         },
-        tolerances=_default_tols(),
         n_complex=1,
     )
     sc.domain_J = AlmostHermitianStructure(dom, constant_endomorphism(JM), name="J-C2")
@@ -415,7 +413,6 @@ def _build_product_proj(quad_order):
             "minimal_fibres": True,
             "stability_class": "stable-conditions",
         },
-        tolerances=_default_tols(),
         n_complex=1,
     )
 
@@ -444,22 +441,8 @@ def _build_hopf_s3_s2(quad_order):
             "minimal_fibres": True,
             "stability_class": None,
         },
-        tolerances=_default_tols(),
         n_complex=1,
     )
-
-
-def _default_tols(phwc=1e-9):
-    return {
-        "phwc": phwc,
-        "semiconformal": 1e-9,
-        "tension": 1e-5,
-        "criticality": 1e-4,
-        "mean_curvature": 1e-6,
-        "criticality_witness": 1e-2,
-        "mean_curvature_witness": 1e-3,
-        "hessian_floor": 1e-3,  # Hess >= -floor * |v|^2_L2 for stable verdicts
-    }
 
 
 _DEFAULT_ORDERS = {

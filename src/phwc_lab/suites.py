@@ -26,6 +26,7 @@ from .stability import (
     vertical_codifferential_formula,
 )
 from .structures import induced_f_structure
+from .validation import SUITE_TOLERANCES, metric_norms
 from .variational import (
     cond_1_1_residual,
     criticality_equivalence,
@@ -34,17 +35,6 @@ from .variational import (
 )
 
 __all__ = ["SuiteResult", "identity_suites", "SUITE_TOLERANCES"]
-
-SUITE_TOLERANCES = {
-    "pullback_metric_derivative": 1e-4,
-    "pushforward_parallelism": 1e-4,
-    "semiconformal_divergence": 1e-4,
-    "codifferential_expansion": 1e-4,
-    "vertical_codifferential": 1e-4,
-    "sasakian_bracket": 1e-4,
-    "tension_agreement": 1e-4,
-    "stress_energy": 1e-4,
-}
 
 
 @dataclass
@@ -147,11 +137,8 @@ def identity_suites(sc, n_points=100, seed=0, margin=0.05, suites=None):
     if wanted("tension_agreement"):
         tau_a = tension_field_direct(phi, pts)
         tau_b = tension_phwc(phi, sc.J, pts, F=F)
-        y = phi.value(pts)
-        h = phi.codomain.metric_at(y, check=False)
-        diff = tau_a - tau_b
-        val = np.max(np.sqrt(np.einsum("...a,...ab,...b->...", diff, h, diff)))
-        emit("tension_agreement", val)
+        diff = metric_norms(phi.codomain, phi.value(pts), tau_a - tau_b)
+        emit("tension_agreement", np.max(diff))
 
     if wanted("stress_energy"):
         Z = rng.normal(size=pts.shape)

@@ -38,8 +38,6 @@ from .autodiff import field_partials
 
 __all__ = [
     "EnergyReport",
-    "CriticalityReport",
-    "criticality_report",
     "pullback_two_form",
     "pullback_two_form_field",
     "dirichlet_energy",
@@ -51,7 +49,6 @@ __all__ = [
     "criticality_equivalence",
     "semiconformal_criticality",
     "WeylConnection",
-    "weyl_connection",
     "compatible_weyl_theta",
     "weyl_compat_residual",
     "tension_phwc",
@@ -71,76 +68,6 @@ class EnergyReport:
     p: float
     conventions: dict = field(
         default_factory=lambda: {"two_form_inner_product": TWO_FORM_CONVENTION}
-    )
-
-
-@dataclass
-class CriticalityReport:
-    """Named residual maxima over a sample with verdicts at stated tolerances."""
-
-    map_id: str
-    phwc_max_residual: float
-    tension_max_norm: float
-    criticality_max_residual: float
-    semiconformal_divergence_max_residual: float
-    pullback_sum_max_residual: float
-    semiconformal_4harmonic_max_residual: float
-    weyl_compat_residual: float
-    tolerances: dict
-    verdicts: dict
-    conventions: dict = field(
-        default_factory=lambda: {"two_form_inner_product": TWO_FORM_CONVENTION}
-    )
-
-
-def criticality_report(phi, J, x, tolerances=None):
-    """Assemble the named residual maxima of one map over sample points.
-
-    Verdicts are the residuals compared against their tolerances, which are
-    always carried along in the report.
-    """
-    from .maps import tension_field_direct
-    from .structures import induced_f_structure
-
-    tol = {
-        "phwc": 1e-9,
-        "tension": 1e-5,
-        "criticality": 1e-4,
-        "semiconformal_divergence": 1e-4,
-        "pullback_sum": 1e-4,
-        "semiconformal_4harmonic": 1e-4,
-        "weyl_compat": 1e-4,
-    }
-    tol.update(tolerances or {})
-    xb = np.atleast_2d(np.asarray(x, dtype=float))
-    F = induced_f_structure(phi, J)
-    jet = phi.second_jet(xb)
-    tau = tension_field_direct(phi, xb, jet=jet)
-    h = phi.codomain.metric_at(jet.y, check=False)
-    tau_n = float(np.max(np.sqrt(np.einsum("...a,...ab,...b->...", tau, h, tau))))
-    trio = criticality_equivalence(phi, J, xb, F=F)
-    crit, divergence_identity = semiconformal_criticality(phi, J, xb, F=F)
-    values = {
-        "phwc": float(np.max(phwc_residual(phi, J, xb, jet=jet))),
-        "tension": tau_n,
-        "criticality": float(np.max(trio["criticality"])),
-        "semiconformal_divergence": float(np.max(divergence_identity)),
-        "pullback_sum": float(np.max(trio["pullback_sum"])),
-        "semiconformal_4harmonic": float(np.max(crit)),
-        "weyl_compat": weyl_compat_residual(phi.domain, F, xb),
-    }
-    verdicts = {k: bool(values[k] < tol[k]) for k in values}
-    return CriticalityReport(
-        map_id=phi.name,
-        phwc_max_residual=values["phwc"],
-        tension_max_norm=values["tension"],
-        criticality_max_residual=values["criticality"],
-        semiconformal_divergence_max_residual=values["semiconformal_divergence"],
-        pullback_sum_max_residual=values["pullback_sum"],
-        semiconformal_4harmonic_max_residual=values["semiconformal_4harmonic"],
-        weyl_compat_residual=values["weyl_compat"],
-        tolerances=tol,
-        verdicts=verdicts,
     )
 
 
@@ -357,10 +284,6 @@ class WeylConnection:
         if np.asarray(x).ndim == 1:
             Xv, Yv = Xv[0], Yv[0]
         return base + np.einsum("...kij,...i,...j->...k", c, Xv, Yv)
-
-
-def weyl_connection(M, theta):
-    return WeylConnection(M, theta)
 
 
 def compatible_weyl_theta(M, F):

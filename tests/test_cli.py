@@ -51,6 +51,9 @@ class TestRun:
 
     def test_bad_tol_exit_2(self, capsys):
         assert run_cli(["run", "--scenario", "flat-holo", "--tol", "phwc"]) == 2
+        # a name no check reads would be recorded in the body and do nothing
+        assert run_cli(["run", "--scenario", "flat-holo", "--checks", "phwc",
+                        "--tol", "phwcc=1e-30"]) == 2
 
     def test_out_of_range_flag_exit_2(self, capsys):
         assert run_cli(["run", "--scenario", "flat-holo", "--fd-step", "1.0"]) == 2
@@ -124,3 +127,41 @@ class TestRunConfig:
     def test_range_validation(self, key, value):
         with pytest.raises(ConfigError):
             RunConfig(scenario_id="flat-holo", **{key: value})
+
+
+class TestToleranceOverrides:
+    """Each name a run may override reaches the residual entries that read it."""
+
+    # name -> (scenario, check, {residual entry: tolerance / override})
+    CASES = {
+        # warped-hopf declares its own phwc tolerance; the run's wins
+        "phwc": ("warped-hopf", "phwc",
+                 {"phwc_commutator_nodes": 1, "phwc_coordinates_samples": 10}),
+        "semiconformal": ("flat-holo", "semiconformal", {"dilation": 1}),
+        "tension": ("flat-holo", "tension", {"tension_nodes": 1}),
+        "criticality": ("flat-holo", "criticality", {"criticality_nodes": 1}),
+        "mean_curvature": ("flat-holo", "semiconformal", {"mean_curvature": 1}),
+        "hessian_floor": ("hopf-s3", "stability",
+                          {"sampled_nonnegativity": 1, "span_nonnegativity": 1}),
+        "criticality_witness": ("warped-hopf", "criticality", {}),
+    }
+
+    def test_cases_cover_run_tolerances(self):
+        from phwc_lab.validation import RUN_TOLERANCES
+
+        assert sorted(self.CASES) == sorted(RUN_TOLERANCES)
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_override_reaches_body(self, name):
+        scenario, check, entries = self.CASES[name]
+        value = 1e6 if name == "criticality_witness" else 0.125
+        cfg = RunConfig(scenario_id=scenario, checks=(check,), tolerances={name: value},
+                        stability_order=6, stability_fields=4)
+        out = run_checks(cfg)["checks"][check]
+        assert out["residuals"] and out["verdicts"]
+        for entry, scale in entries.items():
+            assert out["residuals"][entry]["tolerance"] == value * scale, entry
+        if name == "criticality_witness":
+            # the witness is a verdict threshold: no criticality residual reaches 1e6
+            assert out["verdicts"]["noncritical_witness"] is False
+            assert out["verdicts"]["matches_expected"] is False

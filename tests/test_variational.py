@@ -258,26 +258,6 @@ class TestTensionPHWC:
         assert np.max(np.abs(tau)) < 1e-12
 
 
-class TestCriticalityReport:
-    def test_hopf_all_verdicts(self, hopf, pts):
-        from phwc_lab.variational import criticality_report
-
-        rep = criticality_report(hopf.map, hopf.J, pts[:40])
-        assert rep.map_id == "hopf-s3"
-        assert all(rep.verdicts.values()), rep.verdicts
-        assert rep.tolerances["criticality"] == 1e-4
-        assert "a<b" in rep.conventions["two_form_inner_product"]
-
-    def test_warped_verdicts_split(self, warped, rng):
-        from phwc_lab.variational import criticality_report
-
-        p = warped.domain.random_points(rng, 40, margin=0.05)
-        rep = criticality_report(warped.map, warped.J, p)
-        assert not rep.verdicts["criticality"]
-        assert not rep.verdicts["semiconformal_4harmonic"]
-        assert rep.verdicts["semiconformal_divergence"] and rep.verdicts["phwc"] and rep.verdicts["weyl_compat"]
-
-
 class TestCond11:
     def test_flat_totally_geodesic(self, rng):
         sc = build_scenario("flat-holo", validate=False)
