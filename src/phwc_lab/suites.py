@@ -137,8 +137,8 @@ def identity_suites(sc, n_points=100, seed=0, margin=0.05, suites=None):
     if wanted("tension_agreement"):
         tau_a = tension_field_direct(phi, pts)
         tau_b = tension_phwc(phi, sc.J, pts, F=F)
-        diff = metric_norms(phi.codomain, phi.value(pts), tau_a - tau_b)
-        emit("tension_agreement", np.max(diff))
+        gap = metric_norms(phi.codomain, phi.value(pts), tau_a - tau_b)
+        emit("tension_agreement", np.max(gap))
 
     if wanted("stress_energy"):
         Z = rng.normal(size=pts.shape)
