@@ -35,7 +35,7 @@ def main():
     rank_dphi, _ = sc.map.rank_profile()
     print(f"rank F^phi = {F.rank} = rank F ({sc.J.rank}) + rank dphi ({rank_dphi}) "
           f"- dim N ({sc.codomain.dim})")
-    print("F^3 + F and skewness residual:", F.check_invariants(pts, tol=1e-8))
+    print("F^3 + F and skewness residual:", F.check_invariants(pts))
     print("holomorphy with respect to F^phi:",
           np.max(holomorphy_residual(sc.map, F, sc.J, pts)))
     print("it matches the Sasakian phi-tensor:",

@@ -27,6 +27,7 @@ from .report import (
     run_identities,
 )
 from .scenarios import build_scenario, scenario_ids
+from .validation import ScenarioValidationError
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -188,7 +189,13 @@ def main(argv=None):
             return _cmd_run(args)
         if args.command == "identities":
             return _cmd_identities(args)
-    except (ConfigError, UnknownScenario, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (
+        ConfigError,
+        UnknownScenario,
+        ScenarioValidationError,
+        FileNotFoundError,
+        json.JSONDecodeError,
+    ) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except PhwcLabError as exc:

@@ -77,11 +77,16 @@ class Box:
 
 @dataclass
 class QuadratureRule:
-    """Explicit nodes/weights realizing integrals against the volume form."""
+    """Explicit nodes/weights realizing integrals against the volume form.
+
+    ``density`` (sqrt det g at the nodes) and ``total_measure`` are filled in
+    by the chart that owns the rule.
+    """
 
     nodes: np.ndarray  # (K, m)
     weights: np.ndarray  # (K,)
     total_measure: float = float("nan")
+    density: np.ndarray | None = None  # (K,)
 
 
 def _gauss_axis(lo, hi, order, axis_map=None):
@@ -103,14 +108,24 @@ def tensor_gauss_legendre(param_box, orders, axis_maps=None):
     boundaries need no special handling.
     """
     m = len(param_box.lower)
-    if np.isscalar(orders):
-        orders = [int(orders)] * m
+    orders = _axis_orders(orders, m)
     axis_maps = axis_maps or [None] * m
-    pts, wts = [], []
-    for i in range(m):
-        t, w = _gauss_axis(param_box.lower[i], param_box.upper[i], orders[i], axis_maps[i])
-        pts.append(t)
-        wts.append(w)
+    return _tensor_rule(
+        [
+            _gauss_axis(param_box.lower[i], param_box.upper[i], orders[i], axis_maps[i])
+            for i in range(m)
+        ]
+    )
+
+
+def _axis_orders(orders, m):
+    return [int(orders)] * m if np.isscalar(orders) else list(orders)
+
+
+def _tensor_rule(axes):
+    """Tensor product of per-axis (nodes, weights) pairs."""
+    pts = [t for t, _ in axes]
+    wts = [w for _, w in axes]
     grids = np.meshgrid(*pts, indexing="ij")
     nodes = np.stack([g.ravel() for g in grids], axis=1)
     weight = wts[0]
@@ -183,11 +198,40 @@ class ChartManifold:
         self.param_box = param_box or box
         self.axis_maps = axis_maps
         self.quad_orders = quad_orders
-        self.quadrature = tensor_gauss_legendre(self.param_box, quad_orders, axis_maps)
-        self._node_volw = self.volume_weight(self.quadrature.nodes)
-        self.quadrature.total_measure = float(
-            np.sum(self.quadrature.weights * self._node_volw)
+        self.quadrature = self._owned(
+            tensor_gauss_legendre(self.param_box, quad_orders, axis_maps)
         )
+
+    def _owned(self, rule):
+        """``rule`` with this chart's volume density and total measure filled in."""
+        rule.density = self.volume_weight(rule.nodes)
+        rule.total_measure = float(np.sum(rule.weights * rule.density))
+        return rule
+
+    def torus_rule(self, offsets):
+        """Gauss-Legendre on the non-periodic axes, one node per periodic axis.
+
+        Every non-periodic axis keeps the nodes and weights of
+        ``self.quadrature``.  Periodic axis k (the k-th of ``box.periodic``)
+        gets the single node lower + offsets[k] * period with weight the
+        period: the 1-node trapezoid rule, exact for an integrand that does
+        not depend on that axis and for no other (Trefethen & Weideman,
+        SIAM Review 56, 2014).  A caller that uses it must show the
+        invariance, e.g. by comparing two offsets.
+        """
+        periodic = tuple(self.box.periodic)
+        offsets = np.broadcast_to(np.asarray(offsets, dtype=float), (len(periodic),))
+        orders = _axis_orders(self.quad_orders, self.dim)
+        axis_maps = self.axis_maps or [None] * self.dim
+        axes = []
+        for i in range(self.dim):
+            lo, hi = self.param_box.lower[i], self.param_box.upper[i]
+            if i in periodic:
+                t = lo + offsets[periodic.index(i)] * (hi - lo)
+                axes.append((np.array([t]), np.array([hi - lo])))
+            else:
+                axes.append(_gauss_axis(lo, hi, orders[i], axis_maps[i]))
+        return self._owned(_tensor_rule(axes))
 
     # -- basic fields --------------------------------------------------------
     def require_inside(self, x):
@@ -263,20 +307,22 @@ class ChartManifold:
     @property
     def node_measure(self):
         """Quadrature weight times volume density at each node: (K,)."""
-        return self.quadrature.weights * self._node_volw
+        return self.quadrature.weights * self.quadrature.density
 
-    def integrate(self, f):
+    def integrate(self, f, rule=None):
         """Quadrature of a scalar field against the volume form.
 
         ``f`` is a batch callable on nodes (K, m) -> (K,), or an array of
-        node values.  Summation uses numpy's fixed pairwise order, so results
-        are reproducible.
+        node values.  ``rule`` is a rule of this chart (``self.quadrature``
+        by default, or a ``torus_rule``).  Summation uses numpy's fixed
+        pairwise order, so results are reproducible.
         """
-        vals = f(self.quadrature.nodes) if callable(f) else np.asarray(f, dtype=float)
-        vals = np.broadcast_to(vals, self.quadrature.weights.shape)
+        rule = self.quadrature if rule is None else rule
+        vals = f(rule.nodes) if callable(f) else np.asarray(f, dtype=float)
+        vals = np.broadcast_to(vals, rule.weights.shape)
         if not np.all(np.isfinite(vals)):
             raise NonFiniteIntegrand(f"integrand non-finite on {self.name!r}")
-        return float(np.sum(self.quadrature.weights * vals * self._node_volw))
+        return float(np.sum(rule.weights * vals * rule.density))
 
     def random_points(self, rng, count, margin=0.02):
         """Seeded interior samples, margin-fraction away from the box boundary."""

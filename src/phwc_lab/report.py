@@ -169,9 +169,8 @@ def _check_structure(sc, cfg, pts):
             sc, cfg, "structure_invariants", sc.contact.check_invariants(pts), first
         )
     F = induced_f_structure(sc.map, sc.J)
-    f_tol = tolerance("f_structure", sc, cfg.tolerances)
     res["induced_f_invariants"] = _residual_entry(
-        sc, cfg, "f_structure", F.check_invariants(pts, tol=f_tol), first
+        sc, cfg, "f_structure", F.check_invariants(pts), first
     )
     rank_dphi, _ = sc.map.rank_profile()
     rank_formula = sc.J.rank + rank_dphi - sc.codomain.dim
@@ -318,7 +317,7 @@ def _check_weyl(sc, cfg, pts):
 
 
 def _check_hessian(sc, cfg, pts):
-    from .stability import killing_fields_sphere, killing_hessian_family
+    from .stability import killing_fields_sphere, killing_hessian_family, torus_rules
 
     res, verd = {}, {}
     if sc.contact is None:
@@ -330,11 +329,18 @@ def _check_hessian(sc, cfg, pts):
     verd["killing_perp_count"] = len(gens)
     if cfg.hessian_generators:
         gens = gens[: cfg.hessian_generators]
-    family = killing_hessian_family(sc.map, sc.contact, sc.J, gens)
+    # one theta node per periodic axis, at two offsets whose agreement is
+    # the evidence that the integrands do not depend on theta
+    family, shifted = (
+        killing_hessian_family(sc.map, sc.contact, sc.J, gens, rule=rule)
+        for rule in torus_rules(sc.domain)
+    )
     ratios = [f.hessian / f.norm2 for f in family]
     verd["killing_hessian_ratios"] = [float(r) for r in ratios]
     neutral = max(abs(r) for r in ratios) if ratios else 0.0
     res["killing_hessian_neutrality"] = _residual_entry(sc, cfg, "killing_neutrality", neutral)
+    drift = max(abs(a - b) / f.norm2 for f, g in zip(family, shifted) for a, b in zip(f, g))
+    res["torus_invariance"] = _residual_entry(sc, cfg, "torus_invariance", drift)
     target = 4.0 * (1 - n)
     red = [f.reduced / f.norm2 for f in family]
     verd["reduced_integrand_ratios"] = [float(r) for r in red]

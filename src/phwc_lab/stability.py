@@ -47,6 +47,8 @@ __all__ = [
     "span_spectrum",
     "KillingSecondVariation",
     "killing_hessian_family",
+    "TORUS_OFFSETS",
+    "torus_rules",
     "criticality_gate",
     "sasakian_hessian",
     "killing_reduced_hessian",
@@ -230,9 +232,11 @@ def variation_l2_norm2(phi, v):
 CRITICALITY_TOL = 1e-4
 
 
-def criticality_gate(phi, J, z_nodes=None):
-    """Max criticality residual over quadrature nodes (reusing Z if given)."""
-    nodes = phi.domain.quadrature.nodes
+def criticality_gate(phi, J, z_nodes=None, nodes=None):
+    """Max criticality residual over the nodes (the quadrature's by default),
+    reusing Z at them if given."""
+    if nodes is None:
+        nodes = phi.domain.quadrature.nodes
     if z_nodes is None:
         z_nodes = z_field(phi, J, nodes)
     ph = horizontal_projector(phi, nodes)
@@ -241,8 +245,8 @@ def criticality_gate(phi, J, z_nodes=None):
     return float(np.max(np.sqrt(np.einsum("...i,...ij,...j->...", zh, g, zh))))
 
 
-def _require_critical(phi, J, z_nodes, tol):
-    crit = criticality_gate(phi, J, z_nodes=z_nodes)
+def _require_critical(phi, J, z_nodes, tol, nodes=None):
+    crit = criticality_gate(phi, J, z_nodes=z_nodes, nodes=nodes)
     if crit > tol:
         raise NotCritical(
             f"map {phi.name!r}: criticality residual {crit:.3e} exceeds "
@@ -557,16 +561,19 @@ def _killing_pieces(phi, J, gens, p, jet=None):
     return np.stack(out, axis=1)
 
 
-def killing_hessian_family(phi, contact, J, gens):
+def killing_hessian_family(phi, contact, J, gens, rule=None):
     """Hessian, L2 norm, reduced integrand and Sasakian expansion of Killing fields.
 
     ``gens`` are the skew ambient generators A of the fields v = dphi(X_A).
     One field_partials stencil of ``_killing_pieces`` serves every field and
-    every quantity; each value equals what hessian_suite,
-    killing_reduced_hessian and sasakian_hessian give for
-    variation_from_killing(phi, A) alone.  Nodes go in blocks of ceil(N / G),
-    stencil and node values alike, so the stacked (block, G, n + 2m, m)
-    partials are no larger than one field's.  A scenario without a contact
+    every quantity; on the default rule (the domain's quadrature) each value
+    equals what hessian_suite, killing_reduced_hessian and sasakian_hessian
+    give for variation_from_killing(phi, A) alone.  ``rule`` replaces the
+    nodes, the criticality gate's Z and the weights, e.g. by a torus rule of
+    the domain (see torus_rules).  Nodes go in blocks of
+    max(ceil(N / G), SPAN_BLOCK), stencil and node values alike, so the
+    stacked (block, G, n + 2m, m) partials are no larger than one field's
+    unless the rule is small.  A scenario without a contact
     structure is refused before any work, a non-critical map before the
     stencil.
     """
@@ -576,15 +583,16 @@ def killing_hessian_family(phi, contact, J, gens):
     if not gens:
         return []
     M = phi.domain
-    nodes = M.quadrature.nodes
+    rule = M.quadrature if rule is None else rule
+    nodes = rule.nodes
     z_nodes = z_field(phi, J, nodes)
-    _require_critical(phi, J, z_nodes, CRITICALITY_TOL)
+    _require_critical(phi, J, z_nodes, CRITICALITY_TOL, nodes=nodes)
     m, dn = M.dim, phi.codomain.dim
     n = dn // 2
 
     G = len(gens)
     dens = np.empty((4, G, len(nodes)))  # hessian, norm2, reduced, sasakian
-    size = -(-len(nodes) // G)
+    size = max(-(-len(nodes) // G), SPAN_BLOCK)
     for start in range(0, len(nodes), size):
         sl = slice(start, start + size)
         x = nodes[sl]
@@ -610,7 +618,23 @@ def killing_hessian_family(phi, contact, J, gens):
             dens[2, k, sl] = div2 + br2 - 2.0 * n * cross
             term1 = _contact_pair_density(frame, dA, n)
             dens[3, k, sl] = term1 + div2 + br2 - 2.0 * n * cross
-    return [KillingSecondVariation(*(M.integrate(d[k]) for d in dens)) for k in range(G)]
+    return [
+        KillingSecondVariation(*(M.integrate(d[k], rule=rule) for d in dens)) for k in range(G)
+    ]
+
+
+# Offsets of the two torus rules of the hessian check, as fractions of the
+# period: (start + k * step) mod 1 on the k-th periodic axis.  The steps
+# differ, so the two rules differ by a shift that is not the same on every
+# axis.  A shift that is the same on every axis moves along the Reeb flow,
+# which is central in U(n+1) and so would prove nothing about invariance.
+TORUS_OFFSETS = ((0.5, np.sqrt(2.0) - 1.0), (0.25, np.sqrt(3.0) - 1.0))
+
+
+def torus_rules(M):
+    """The torus rules of chart M at the offsets of TORUS_OFFSETS, in order."""
+    k = np.arange(len(M.box.periodic))
+    return [M.torus_rule((start + k * step) % 1.0) for start, step in TORUS_OFFSETS]
 
 
 def bracket_identity_sasakian(contact, X, x):

@@ -88,7 +88,8 @@ class AlmostHermitianStructure:
         J = self.J_at(y)
         return np.einsum("...ki,...kj->...ij", J, h)
 
-    def check_invariants(self, points, tol=1e-10):
+    def check_invariants(self, points):
+        """max |J^2 + I|, |J^T h J - h|, |Omega + Omega^T| at the points."""
         J = self.J_at(points)
         h = self.base.metric_at(points, check=False)
         eye = np.eye(self.base.dim)
@@ -96,10 +97,7 @@ class AlmostHermitianStructure:
         r2 = np.max(np.abs(np.einsum("...ki,...kl,...lj->...ij", J, h, J) - h))
         om = self.omega_at(points)
         r3 = np.max(np.abs(om + np.swapaxes(om, -1, -2)))
-        worst = max(r1, r2, r3)
-        if worst > tol:
-            raise ValueError(f"{self.name}: almost Hermitian invariants fail ({worst:.2e})")
-        return worst
+        return max(r1, r2, r3)
 
     def check_kaehler(self, points, tol=1e-8):
         """Verify nabla J = 0 at the sample points; caches the verdict."""
@@ -129,7 +127,11 @@ class MetricFStructure:
     def F_at(self, x):
         return _field(self.F_fn, x)
 
-    def check_invariants(self, points, tol=1e-10):
+    def check_invariants(self, points):
+        """max |F^3 + F| and |F^T g + g F| at the points; inf if the rank varies.
+
+        An odd rank raises ValueError: no f-structure has one.
+        """
         F = np.asarray(self.F_at(points), dtype=float)
         g = self.base.metric_at(points, check=False)
         F3 = np.einsum("...ij,...jk,...kl->...il", F, F, F)
@@ -142,10 +144,7 @@ class MetricFStructure:
         r3 = 0.0 if np.all(ranks == self.rank) else np.inf
         if self.rank % 2:
             raise ValueError(f"{self.name}: rank {self.rank} is odd")
-        worst = max(r1, r2, r3)
-        if worst > tol:
-            raise ValueError(f"{self.name}: f-structure invariants fail ({worst:.2e})")
-        return worst
+        return max(r1, r2, r3)
 
 
 class ContactMetricStructure:
@@ -172,7 +171,8 @@ class ContactMetricStructure:
             self.base, lambda x: self.phi_at(x), rank=self.base.dim - 1, name="phi-tensor"
         )
 
-    def check_invariants(self, points, tol=1e-10):
+    def check_invariants(self, points):
+        """max |phi^2 + I - xi (x) eta|, |eta(xi) - 1|, |phi^T g phi - g + eta (x) eta|."""
         ph = self.phi_at(points)
         xi = self.xi_at(points)
         eta = self.eta_at(points)
@@ -183,10 +183,7 @@ class ContactMetricStructure:
         r2 = np.max(np.abs(np.einsum("...i,...i->...", eta, xi) - 1.0))
         gphi = np.einsum("...ki,...kl,...lj->...ij", ph, g, ph)
         r3 = np.max(np.abs(gphi - g + np.einsum("...i,...j->...ij", eta, eta)))
-        worst = max(r1, r2, r3)
-        if worst > tol:
-            raise ValueError(f"{self.name}: contact metric invariants fail ({worst:.2e})")
-        return worst
+        return max(r1, r2, r3)
 
 
 # ---------------------------------------------------------------------------

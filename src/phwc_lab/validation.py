@@ -15,7 +15,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .maps import dilation_hwc, mean_curvature_fibres, tension_field_direct
-from .structures import phwc_residual
+from .structures import induced_f_structure, phwc_residual
 from .variational import criticality_residual
 from .geometry import covariant_derivative_vector
 
@@ -68,6 +68,8 @@ TOLERANCES = {
     "killing_neutrality": 2e-2,
     "reduced_ratio": 1e-2,  # relative to 4(1-n)
     "sasakian_agreement": 1e-2,
+    # the hessian check's two torus rules, relative to |v|^2_L2
+    "torus_invariance": 1e-6,
     # registration only
     "sasakian_identity": 1e-5,
     "metric_split": 1e-9,
@@ -161,12 +163,17 @@ def validate_scenario(sc, samples=40, seed=0):
     sc.map.validate_on_quadrature()
     rank, _ = sc.map.rank_profile()
 
-    # structure invariants
+    # structure invariants, against the tolerances of the run's structure check
     if sc.J is not None:
-        sc.J.check_invariants(images)
+        invariants = sc.J.check_invariants(images)
+        _require_below(sc, "structure_invariants", invariants, sc.J.name, problems)
         sc.J.check_kaehler(images)
+        if sc.expected.get("is_phwc"):
+            F = induced_f_structure(sc.map, sc.J)
+            _require_below(sc, "f_structure", F.check_invariants(pts), F.name, problems)
     if sc.contact is not None:
-        sc.contact.check_invariants(pts)
+        invariants = sc.contact.check_invariants(pts)
+        _require_below(sc, "structure_invariants", invariants, sc.contact.name, problems)
         _check_sasakian(sc, pts, problems)
 
     for row in RESIDUALS.values():
@@ -192,6 +199,13 @@ def validate_scenario(sc, samples=40, seed=0):
             f"scenario {sc.id!r} failed registration validation: " + "; ".join(problems)
         )
     return True
+
+
+def _require_below(sc, name, r, what, problems):
+    """A problem if residual ``r`` of ``what`` exceeds tolerance ``name``."""
+    tol = tolerance(name, sc)
+    if r > tol:
+        problems.append(f"{what}: {name} residual {r:.3e} > {tol:g}")
 
 
 def _check_sasakian(sc, pts, problems):
@@ -226,6 +240,7 @@ def _probe_stability(sc, problems):
         polynomial_span,
         rayleigh_quotients,
         stability_conditions,
+        torus_rules,
     )
 
     cls = sc.expected.get("stability_class")
@@ -258,7 +273,10 @@ def _probe_stability(sc, problems):
             problems.append("no Killing generator orthogonal to xi found")
             return
         gens = fam.perpendicular()[:1]
-        (hv, n2, red, _), = killing_hessian_family(reduced.map, reduced.contact, reduced.J, gens)
+        rule = torus_rules(reduced.domain)[0]
+        (hv, n2, red, _), = killing_hessian_family(
+            reduced.map, reduced.contact, reduced.J, gens, rule=rule
+        )
         target = 4.0 * (1 - reduced.n_complex)
         if abs(hv) > tolerance("probe_neutrality", sc) * abs(target) * n2:
             problems.append(f"Killing Hessian {hv:.3e} not neutral at scale {n2:.3e}")

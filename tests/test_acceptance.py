@@ -27,6 +27,7 @@ from phwc_lab.stability import (
     killing_fields_sphere,
     killing_hessian_family,
     random_variation_fields,
+    torus_rules,
     variation_from_killing,
 )
 from phwc_lab.structures import phwc_residual
@@ -102,14 +103,17 @@ def test_criterion_2_z_field_vertical_value():
 @pytest.fixture(scope="module")
 def killing_hessians():
     # one stencil per scenario gives the Hessian, |v|^2, the reduced
-    # integrand and the Sasakian expansion of every filtered generator
+    # integrand and the Sasakian expansion of every filtered generator, on
+    # the hessian check's first torus rule (one node per theta axis); the
+    # energy second-difference oracle keeps the full rule
     out = {}
     for sid, n, order in (("hopf-s5", 2, 6), ("hopf-s7", 3, 4)):
         sc = build_scenario(sid, quad_order=order, validate=False)
         fam = killing_fields_sphere(n)
         gens = fam.perpendicular()
         fields = [variation_from_killing(sc.map, A) for A in gens]
-        family = killing_hessian_family(sc.map, sc.contact, sc.J, gens)
+        rule = torus_rules(sc.domain)[0]
+        family = killing_hessian_family(sc.map, sc.contact, sc.J, gens, rule=rule)
         out[sid] = {
             "n": n, "scenario": sc, "fields": fields,
             "suite": [(f.hessian, f.norm2) for f in family],

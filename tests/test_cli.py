@@ -58,6 +58,12 @@ class TestRun:
     def test_out_of_range_flag_exit_2(self, capsys):
         assert run_cli(["run", "--scenario", "flat-holo", "--fd-step", "1.0"]) == 2
 
+    def test_registration_failure_exit_2(self, capsys):
+        # a coarse step breaks the criticality expectation at registration
+        code = run_cli(["run", "--scenario", "hopf-s3", "--checks", "phwc", "--fd-step", "1e-2"])
+        assert code == 2
+        assert "failed registration validation" in capsys.readouterr().err
+
     def test_verdict_mismatch_exit_1(self, capsys):
         # impossible witness threshold turns the negative control into a mismatch
         code = run_cli(

@@ -97,6 +97,13 @@ class TestScenarioValidationCatchesLies:
         with pytest.raises(ScenarioValidationError):
             validate_scenario(sc)
 
+    def test_structure_invariants_fail_registration(self, monkeypatch):
+        sc = build_scenario("flat-holo", validate=False)
+        J_at = sc.J.J_at
+        monkeypatch.setattr(sc.J, "J_at", lambda y: (1 + 1e-9) * J_at(y))
+        with pytest.raises(ScenarioValidationError, match="structure_invariants residual"):
+            validate_scenario(sc)
+
     def test_map_leaving_codomain_detected(self):
         dom = flat_chart(2)
         cod = flat_chart(2, half=0.5)

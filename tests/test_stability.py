@@ -24,6 +24,7 @@ from phwc_lab.stability import (
     sasakian_hessian,
     span_spectrum,
     stability_conditions,
+    torus_rules,
     variation_from_killing,
     variation_l2_norm2,
     vertical_codifferential_formula,
@@ -236,6 +237,17 @@ class TestKillingHessianFamily:
             assert got.norm2 == n2
             assert got.reduced == killing_reduced_hessian(sc.map, sc.contact, sc.J, v)
             assert got.sasakian == sasakian_hessian(sc.map, sc.contact, sc.J, v)
+
+    @pytest.mark.parametrize("sid, n, order", [("hopf-s3", 1, 8), ("hopf-s5", 2, 4)])
+    def test_torus_rule_matches_the_full_rule(self, sid, n, order):
+        sc = build_scenario(sid, quad_order=order, validate=False)
+        gens = killing_fields_sphere(n).perpendicular()
+        full = killing_hessian_family(sc.map, sc.contact, sc.J, gens)
+        for rule in torus_rules(sc.domain):
+            assert len(rule.nodes) == order**n
+            torus = killing_hessian_family(sc.map, sc.contact, sc.J, gens, rule=rule)
+            for got, want in zip(torus, full):
+                assert max(abs(a - b) for a, b in zip(got, want)) <= 1e-8 * want.norm2
 
     def test_block_partition_does_not_change_values(self, s5, fam2):
         # G = 1 runs the stencil on all nodes at once, G = 6 in six blocks

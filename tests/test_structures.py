@@ -6,9 +6,11 @@ import pytest
 from phwc_lab.errors import ComplexChartMissing, NotPHWC
 from phwc_lab.geometry import Box, ChartManifold
 from phwc_lab.maps import SmoothMap
+from phwc_lab.report import RunConfig, run_checks
 from phwc_lab.scenarios import build_scenario, flat_chart, standard_complex_structure
 from phwc_lab.structures import (
     AlmostHermitianStructure,
+    MetricFStructure,
     cond_b_residual,
     cond_div_residual,
     f_div_f,
@@ -18,6 +20,11 @@ from phwc_lab.structures import (
     phwc_residual,
     phwc_residual_coordinates,
 )
+
+
+# the complex structure of flat-holo's domain C^2: z^1 = x0 + i x2, z^2 = x1 + i x3
+JM4 = np.zeros((4, 4))
+JM4[0, 2], JM4[1, 3], JM4[2, 0], JM4[3, 1] = -1.0, -1.0, 1.0, 1.0
 
 
 @pytest.fixture(scope="module")
@@ -48,8 +55,26 @@ class TestStructureInvariants:
 
     def test_induced_f_is_metric_f_structure(self, hopf, pts):
         F = induced_f_structure(hopf.map, hopf.J)
-        assert F.check_invariants(pts, tol=1e-8) < 1e-8
+        assert F.check_invariants(pts) < 1e-8
         assert F.rank == 2
+
+    def test_failure_reads_pass_false_in_the_report(self, monkeypatch):
+        # a scenario that passed registration, then broken by one part in 1e9
+        sc = build_scenario("flat-holo")
+        J_at = sc.J.J_at
+        monkeypatch.setattr(sc.J, "J_at", lambda y: (1 + 1e-9) * J_at(y))
+        body = run_checks(RunConfig(scenario_id="flat-holo", checks=("structure",)))
+        check = body["checks"]["structure"]
+        entry = check["residuals"]["J_invariants"]
+        assert entry["max"] > entry["tolerance"] and entry["pass"] is False
+        assert check["verdicts"]["matches_expected"] is False
+
+    def test_f_structure_returns_its_residual(self, flat4):
+        F = MetricFStructure(flat4.domain, lambda x: np.broadcast_to(2 * JM4, (len(x), 4, 4)))
+        assert F.check_invariants(flat4.domain.quadrature.nodes[:3]) == pytest.approx(6.0)
+        odd = MetricFStructure(flat4.domain, lambda x: np.zeros((len(x), 4, 4)), rank=1)
+        with pytest.raises(ValueError, match="odd"):
+            odd.check_invariants(flat4.domain.quadrature.nodes[:3])
 
     def test_contact_phi_equals_induced(self, hopf, pts):
         # for the Hopf map the induced structure is the Sasakian phi-tensor
