@@ -15,7 +15,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .maps import dilation_hwc, mean_curvature_fibres, tension_field_direct
-from .structures import induced_f_structure, phwc_residual
+from .structures import phwc_residual
 from .variational import criticality_residual
 from .geometry import covariant_derivative_vector
 
@@ -168,9 +168,6 @@ def validate_scenario(sc, samples=40, seed=0):
         invariants = sc.J.check_invariants(images)
         _require_below(sc, "structure_invariants", invariants, sc.J.name, problems)
         sc.J.check_kaehler(images)
-        if sc.expected.get("is_phwc"):
-            F = induced_f_structure(sc.map, sc.J)
-            _require_below(sc, "f_structure", F.check_invariants(pts), F.name, problems)
     if sc.contact is not None:
         invariants = sc.contact.check_invariants(pts)
         _require_below(sc, "structure_invariants", invariants, sc.contact.name, problems)
@@ -220,15 +217,13 @@ def _check_sasakian(sc, pts, problems):
     nab = covariant_derivative_vector(M, X, lambda p: contact.xi_at(p), pts)
     phiX = np.einsum("...ij,...j->...i", contact.phi_at(pts), Xc)
     r = float(np.max(metric_norms(M, pts, phiX + nab)))
-    if r > tolerance("sasakian_identity", sc):
-        problems.append(f"sasakian identity phi X = -nabla_X xi fails ({r:.2e})")
+    _require_below(sc, "sasakian_identity", r, "phi X = -nabla_X xi", problems)
 
     T = pullback_metric(sc.map, pts)
     eta = contact.eta_at(pts)
     g = M.metric_at(pts, check=False)
     r = float(np.max(np.abs(g - T - np.einsum("...i,...j->...ij", eta, eta))))
-    if r > tolerance("metric_split", sc):
-        problems.append(f"metric split g = phi^*h + eta@eta fails ({r:.2e})")
+    _require_below(sc, "metric_split", r, "g = phi^*h + eta@eta", problems)
 
 
 def _probe_stability(sc, problems):
