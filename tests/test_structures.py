@@ -22,11 +22,6 @@ from phwc_lab.structures import (
 )
 
 
-# the complex structure of flat-holo's domain C^2: z^1 = x0 + i x2, z^2 = x1 + i x3
-JM4 = np.zeros((4, 4))
-JM4[0, 2], JM4[1, 3], JM4[2, 0], JM4[3, 1] = -1.0, -1.0, 1.0, 1.0
-
-
 @pytest.fixture(scope="module")
 def hopf():
     return build_scenario("hopf-s3", quad_order=8, validate=False)
@@ -70,7 +65,8 @@ class TestStructureInvariants:
         assert check["verdicts"]["matches_expected"] is False
 
     def test_f_structure_returns_its_residual(self, flat4):
-        F = MetricFStructure(flat4.domain, lambda x: np.broadcast_to(2 * JM4, (len(x), 4, 4)))
+        # F = 2J on C^2: |F^3 + F| = |-6J| = 6, and F stays skew
+        F = MetricFStructure(flat4.domain, lambda x: 2 * flat4.domain_J.J_at(x))
         assert F.check_invariants(flat4.domain.quadrature.nodes[:3]) == pytest.approx(6.0)
         odd = MetricFStructure(flat4.domain, lambda x: np.zeros((len(x), 4, 4)), rank=1)
         with pytest.raises(ValueError, match="odd"):
