@@ -201,6 +201,10 @@ def main(argv=None):
     except PhwcLabError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except MemoryError as exc:
+        # e.g. a full quadrature rule too large for this machine (--order)
+        print(f"numerical failure: out of memory: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
     return EXIT_CONFIG
 
 

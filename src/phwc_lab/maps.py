@@ -67,6 +67,7 @@ class SmoothMap:
         self.codomain = codomain
         self.expr = expr
         self.diff = diff or domain.diff
+        self._rank_profile = None
 
     def value(self, x):
         return tensor_value(self.expr, x)
@@ -88,15 +89,21 @@ class SmoothMap:
             )
 
     def rank_profile(self):
-        """Singular values on quadrature nodes; raises if the rank varies."""
-        jet = self.jet(self.domain.quadrature.nodes)
-        sv = np.linalg.svd(jet.dphi, compute_uv=False)
-        ranks = np.sum(sv > SVD_RANK_RTOL * sv[..., :1], axis=-1)
-        if np.min(ranks) != np.max(ranks):
-            raise RankDeficient(
-                f"map {self.name!r} does not have constant rank on the chart"
-            )
-        return int(ranks.flat[0]), sv
+        """Rank and singular values on quadrature nodes; raises if the rank varies.
+
+        Computed on the first call and kept: registration and the structure
+        check read the same profile.
+        """
+        if self._rank_profile is None:
+            jet = self.jet(self.domain.quadrature.nodes)
+            sv = np.linalg.svd(jet.dphi, compute_uv=False)
+            ranks = np.sum(sv > SVD_RANK_RTOL * sv[..., :1], axis=-1)
+            if np.min(ranks) != np.max(ranks):
+                raise RankDeficient(
+                    f"map {self.name!r} does not have constant rank on the chart"
+                )
+            self._rank_profile = int(ranks.flat[0]), sv
+        return self._rank_profile
 
     def __repr__(self):
         return f"SmoothMap({self.name!r}: {self.domain.name} -> {self.codomain.name})"

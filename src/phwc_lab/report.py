@@ -141,19 +141,56 @@ def _row_entry(sc, cfg, name, x):
     return _residual_entry(sc, cfg, name, RESIDUALS[name].values(sc, x), x)
 
 
+def _node_rules(sc):
+    """The rules of the node residuals and the energies.
+
+    On a domain with periodic axes: its two torus rules
+    (``stability.torus_rules``), one node per periodic axis at two offsets.
+    That rule is exact only for what does not depend on theta, so each
+    check reports the two rules' agreement as ``torus_invariance``.  A
+    domain without periodic axes keeps its full rule.
+    """
+    from .stability import torus_rules
+
+    M = sc.domain
+    return torus_rules(M) if M.box.periodic else [M.quadrature]
+
+
+def _node_entries(sc, cfg, name, key):
+    """Entry ``key`` of ``RESIDUALS[name]`` over every node of the node rules.
+
+    With two rules, adds ``torus_invariance``: the largest absolute gap
+    between the rules at nodes that share their non-periodic coordinates.
+    """
+    rules = _node_rules(sc)
+    nodes = np.concatenate([r.nodes for r in rules])
+    values = RESIDUALS[name].values(sc, nodes)
+    res = {key: _residual_entry(sc, cfg, name, values, nodes)}
+    if len(rules) == 2:
+        first, second = np.split(values, 2)
+        res["torus_invariance"] = _residual_entry(
+            sc, cfg, "torus_invariance", np.abs(first - second), rules[0].nodes
+        )
+    return res
+
+
+def _torus_invariant(res):
+    return res.get("torus_invariance", {"pass": True})["pass"]
+
+
 # --------------------------------------------------------------------------
 # individual checks; each returns (residuals: dict, verdicts: dict)
 
 
 def _check_phwc(sc, cfg, pts):
-    nodes = sc.domain.quadrature.nodes
-    res = {"phwc_commutator_nodes": _row_entry(sc, cfg, "phwc", nodes)}
+    res = _node_entries(sc, cfg, "phwc", "phwc_commutator_nodes")
     if sc.codomain.complex_pairs:
         res["phwc_coordinates_samples"] = _residual_entry(
             sc, cfg, "phwc", phwc_residual_coordinates(sc.map, pts), pts, scale=10
         )
     ok = res["phwc_commutator_nodes"]["pass"]
-    return res, {"is_phwc": ok, "matches_expected": ok == sc.expected.get("is_phwc")}
+    match = ok == sc.expected.get("is_phwc") and _torus_invariant(res)
+    return res, {"is_phwc": ok, "matches_expected": match}
 
 
 def _check_structure(sc, cfg, pts):
@@ -182,7 +219,7 @@ def _check_structure(sc, cfg, pts):
 
 
 def _check_tension(sc, cfg, pts):
-    res = {"tension_nodes": _row_entry(sc, cfg, "tension", sc.domain.quadrature.nodes)}
+    res = _node_entries(sc, cfg, "tension", "tension_nodes")
     tau_a = tension_field_direct(sc.map, pts)
     tau_b = tension_phwc(sc.map, sc.J, pts)
     res["tension_two_routes"] = _residual_entry(
@@ -190,17 +227,29 @@ def _check_tension(sc, cfg, pts):
     )
     harmonic = res["tension_nodes"]["pass"]
     expected = sc.expected.get(RESIDUALS["tension"].expected)
-    return res, {"is_harmonic": harmonic, "matches_expected": harmonic == expected}
+    match = harmonic == expected and _torus_invariant(res)
+    return res, {"is_harmonic": harmonic, "matches_expected": match}
+
+
+# the energies the energy check compares between its two torus rules
+ENERGIES = ("dirichlet", "fh_infinity", "p_energy")
 
 
 def _check_energy(sc, cfg, pts):
-    rep = fh_energy(sc.map, sc.J, cfg.alpha, p_exponent=cfg.p)
+    rep, *other = (
+        fh_energy(sc.map, sc.J, cfg.alpha, p_exponent=cfg.p, rule=rule)
+        for rule in _node_rules(sc)
+    )
     limit_gap = abs(rep.fh_alpha / cfg.alpha - rep.fh_infinity - rep.dirichlet / cfg.alpha)
     res = {
         "alpha_limit_identity": _residual_entry(
             sc, cfg, "alpha_limit", limit_gap, scale=max(1.0, rep.dirichlet)
         )
     }
+    if other:
+        pairs = [(getattr(rep, k), getattr(other[0], k)) for k in ENERGIES]
+        drift = max(abs(a - b) / max(abs(a), abs(b), np.finfo(float).tiny) for a, b in pairs)
+        res["torus_invariance"] = _residual_entry(sc, cfg, "torus_invariance", drift)
     verd = {
         "dirichlet": rep.dirichlet,
         "fh_alpha": rep.fh_alpha,
@@ -223,7 +272,7 @@ def _check_energy(sc, cfg, pts):
 
 def _check_criticality(sc, cfg, pts):
     row = RESIDUALS["criticality"]
-    res = {"criticality_nodes": _row_entry(sc, cfg, "criticality", sc.domain.quadrature.nodes)}
+    res = _node_entries(sc, cfg, "criticality", "criticality_nodes")
     verd = {}
     if sc.contact is not None:
         z = z_field(sc.map, sc.J, pts)
@@ -245,6 +294,7 @@ def _check_criticality(sc, cfg, pts):
         match = critical == expected
     if sc.contact is not None:
         match = match and res["z_vertical_component"]["pass"]
+    match = match and _torus_invariant(res)
     verd.update({"is_critical": critical, "matches_expected": bool(match)})
     return res, verd
 

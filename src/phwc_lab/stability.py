@@ -623,11 +623,12 @@ def killing_hessian_family(phi, contact, J, gens, rule=None):
     ]
 
 
-# Offsets of the two torus rules of the hessian check, as fractions of the
-# period: (start + k * step) mod 1 on the k-th periodic axis.  The steps
-# differ, so the two rules differ by a shift that is not the same on every
-# axis.  A shift that is the same on every axis moves along the Reeb flow,
-# which is central in U(n+1) and so would prove nothing about invariance.
+# Offsets of the two torus rules of the hessian, node-residual and energy
+# checks, as fractions of the period: (start + k * step) mod 1 on the k-th
+# periodic axis.  The steps differ, so the two rules differ by a shift that
+# is not the same on every axis.  A shift that is the same on every axis
+# moves along the Reeb flow, which is central in U(n+1) and so would prove
+# nothing about invariance.
 TORUS_OFFSETS = ((0.5, np.sqrt(2.0) - 1.0), (0.25, np.sqrt(3.0) - 1.0))
 
 

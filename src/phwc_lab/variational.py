@@ -82,35 +82,39 @@ def pullback_two_form_field(phi, J):
     return lambda p: pullback_two_form(phi, J, p)
 
 
-def dirichlet_energy(phi):
-    return 0.5 * phi.domain.integrate(lambda p: energy_density(phi, p))
+def dirichlet_energy(phi, rule=None):
+    return 0.5 * phi.domain.integrate(lambda p: energy_density(phi, p), rule=rule)
 
 
-def fh_infinity_energy(phi, J):
+def fh_infinity_energy(phi, J, rule=None):
     M = phi.domain
 
     def dens(p):
         return two_form_norm2(M, p, pullback_two_form(phi, J, p))
 
-    return 0.5 * M.integrate(dens)
+    return 0.5 * M.integrate(dens, rule=rule)
 
 
-def p_energy(phi, p_exponent):
+def p_energy(phi, p_exponent, rule=None):
     return (1.0 / p_exponent) * phi.domain.integrate(
-        lambda q: energy_density(phi, q) ** (p_exponent / 2.0)
+        lambda q: energy_density(phi, q) ** (p_exponent / 2.0), rule=rule
     )
 
 
-def fh_energy(phi, J, alpha, p_exponent=4.0):
-    """Full Faddeev-Hopf energy and companions at coupling alpha >= 0."""
-    dir_e = dirichlet_energy(phi)
-    inf_e = fh_infinity_energy(phi, J)
+def fh_energy(phi, J, alpha, p_exponent=4.0, rule=None):
+    """Full Faddeev-Hopf energy and companions at coupling alpha >= 0.
+
+    Every energy integrates over ``rule``, a rule of the domain: its full
+    quadrature by default, or a torus rule (ChartManifold.torus_rule).
+    """
+    dir_e = dirichlet_energy(phi, rule=rule)
+    inf_e = fh_infinity_energy(phi, J, rule=rule)
     return EnergyReport(
         dirichlet=dir_e,
         fh_alpha=dir_e + alpha * inf_e,
         alpha=alpha,
         fh_infinity=inf_e,
-        p_energy=p_energy(phi, p_exponent),
+        p_energy=p_energy(phi, p_exponent, rule=rule),
         p=p_exponent,
     )
 

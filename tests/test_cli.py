@@ -81,6 +81,15 @@ class TestRun:
         monkeypatch.setattr(cli, "run_checks", boom)
         assert run_cli(["run", "--scenario", "flat-holo"]) == 3
 
+    def test_out_of_memory_exit_3(self, capsys, monkeypatch):
+        def boom(cfg):
+            raise MemoryError("Unable to allocate 13.1 GiB")
+
+        monkeypatch.setattr(cli, "run_checks", boom)
+        assert run_cli(["run", "--scenario", "flat-holo"]) == 3
+        err = capsys.readouterr().err
+        assert err == "numerical failure: out of memory: Unable to allocate 13.1 GiB\n"
+
     def test_config_file_and_flag_override(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"checks": ["phwc"], "seed": 3}))

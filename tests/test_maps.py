@@ -295,3 +295,10 @@ class TestDilationAndEnergy:
     def test_rank_profile_constant(self, hopf):
         rank, _ = hopf.map.rank_profile()
         assert rank == 2
+
+    def test_rank_profile_is_computed_once(self, monkeypatch):
+        # registration computes it; the structure check reads the same result
+        sc = build_scenario("hopf-s3")
+        profile = sc.map.rank_profile()
+        monkeypatch.setattr(sc.map, "jet", None)
+        assert sc.map.rank_profile() is profile
