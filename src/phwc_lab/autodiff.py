@@ -10,6 +10,11 @@ gradients and Hessians (the flattened form of nested dual numbers).
 First derivatives default to dual numbers; second derivatives default to
 central differences of dual-computed first derivatives, which keeps the
 roundoff error near eps/h instead of eps/h^2.
+
+A central-difference stencil is one batched evaluation: the 2m shifted
+copies of the N points are stacked shift-major into one (2m*N, m) batch, the
+field or expression runs once on it, and the differences come from the
+reshaped result.
 """
 
 from __future__ import annotations
@@ -446,18 +451,9 @@ def tensor_jet(fn, x, cfg=None):
     if cfg.mode == "dual_number_forward":
         shape, val, der = _dual_eval(fn, x)
     else:
-        h = cfg.fd_step
-        shape, flats = _flatten(fn([x[:, i] for i in range(m)]))
-        val = np.empty((n, len(flats)))
-        for j, entry in enumerate(flats):
-            val[:, j] = np.broadcast_to(np.asarray(entry, dtype=float), (n,))
-        der = np.zeros((n, len(flats), m))
-        for i in range(m):
-            step = np.zeros(m)
-            step[i] = h
-            vp = tensor_value(fn, x + step).reshape(n, -1)
-            vm = tensor_value(fn, x - step).reshape(n, -1)
-            der[:, :, i] = (vp - vm) / (2.0 * h)
+        val = tensor_value(fn, x)
+        shape = val.shape[1:]
+        der = _stencil(lambda p: tensor_value(fn, p), x, cfg.fd_step)
     _check_finite(val, der)
     val = val.reshape((n,) + shape)
     der = der.reshape((n,) + shape + (m,))
@@ -493,19 +489,9 @@ def tensor_second(fn, x, cfg=None):
     if cfg.second_derivative_mode == "nested_dual":
         shape, val, der, sec = _jet2_eval(fn, x)
     else:
-        h = cfg.fd_step
-        valf, derf = tensor_jet(fn, x, cfg)
-        k = int(np.prod(valf.shape[1:], dtype=int)) if valf.ndim > 1 else 1
-        shape = valf.shape[1:]
-        val = valf.reshape(n, k)
-        der = derf.reshape(n, k, m)
-        sec = np.zeros((n, k, m, m))
-        for i in range(m):
-            step = np.zeros(m)
-            step[i] = h
-            _, dp = tensor_jet(fn, x + step, cfg)
-            _, dm = tensor_jet(fn, x - step, cfg)
-            sec[:, :, :, i] = (dp - dm).reshape(n, k, m) / (2.0 * h)
+        val, der = tensor_jet(fn, x, cfg)
+        shape = val.shape[1:]
+        sec = _stencil(lambda p: tensor_jet(fn, p, cfg)[1], x, cfg.fd_step)
         sec = 0.5 * (sec + np.swapaxes(sec, -1, -2))
     _check_finite(val, der, sec)
     val = val.reshape((n,) + shape)
@@ -514,23 +500,42 @@ def tensor_second(fn, x, cfg=None):
     return (val[0], der[0], sec[0]) if squeeze else (val, der, sec)
 
 
+def _stencil(field, x, h):
+    """Central differences of a batch field at x (N, m) from one field call: (N, *s, m).
+
+    The field receives the 2m shifted copies of x stacked shift-major, (2m*N, m):
+    x + h e_0, ..., x + h e_(m-1), then x - h e_0, ..., x - h e_(m-1).  It must
+    return one row per point; any other first axis raises DifferentiationFailure.
+    """
+    n, m = x.shape
+    shifts = (h * np.eye(m))[:, None, :]
+    rows = 2 * m * n
+    vals = np.asarray(field(np.concatenate([x + shifts, x - shifts]).reshape(rows, m)), dtype=float)
+    if vals.shape[:1] != (rows,):
+        raise DifferentiationFailure(
+            f"stencil field returned shape {vals.shape}; expected {rows} = 2m*N rows "
+            f"(m = {m}, N = {n}), one per shifted point: per-point data must repeat "
+            "for every shift"
+        )
+    vals = vals.reshape((2, m, n) + vals.shape[1:])
+    out = np.empty(vals.shape[2:] + (m,))
+    diff = np.moveaxis(out, -1, 0)  # (m, N, *s) view of the result
+    np.subtract(vals[0], vals[1], out=diff)
+    diff /= 2.0 * h
+    return out
+
+
 def field_partials(field, x, h):
     """Central-difference partial derivatives of a black-box batch field.
 
-    field maps (N, m) points to an array (N, *s); returns (N, *s, m).
-    Used wherever a quantity is only available through numerical constructions
-    (pullback tensors, frames, induced structures).
+    field maps (K, m) points to an array (K, *s), row by row; returns (N, *s, m)
+    for x (N, m).  The stencil calls it once, on the 2m shifted copies of x
+    stacked shift-major (K = 2m*N), so a field that carries per-point data
+    must repeat that data for every shift.  Used wherever a quantity is only
+    available through numerical constructions (pullback tensors, frames,
+    induced structures).
     """
     x, squeeze = _points(x)
-    n, m = x.shape
-    out = None
-    for i in range(m):
-        step = np.zeros(m)
-        step[i] = h
-        vp = np.asarray(field(x + step), dtype=float)
-        vm = np.asarray(field(x - step), dtype=float)
-        if out is None:
-            out = np.zeros(vp.shape + (m,))
-        out[..., i] = (vp - vm) / (2.0 * h)
+    out = _stencil(field, x, h)
     _check_finite(out)
     return out[0] if squeeze else out

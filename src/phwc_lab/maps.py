@@ -318,7 +318,9 @@ def mean_curvature_fibres(phi, x):
     def vert_frame(p):
         pvp = vertical_projector(phi, p)
         gp = phi.domain.metric_at(p, check=False)
-        cols = np.take_along_axis(pvp, sel[:, None, :], axis=2)
+        # stencil rows are shifted copies of the points, stacked shift-major
+        sel_p = sel[np.arange(len(p)) % len(sel)]
+        cols = np.take_along_axis(pvp, sel_p[:, None, :], axis=2)
         return gram_schmidt(cols, gp)
 
     h = phi.diff.fd_step

@@ -326,10 +326,17 @@ def hessian_suite(phi, J, v_fields, criticality_tol=CRITICALITY_TOL):
     return out
 
 
-# largest node block of hessian_matrix: bounds its stacked stencil values
+# stencil rows (2m per node) of one hessian_matrix block, and the least of
+# killing_hessian_family's: bounds their stacked stencil values
 SPAN_BLOCK = 512
 # eigenvalues of the Gram matrix below this fraction of its largest are null
 GRAM_RANK_CUT = 1e-10
+
+
+def _stencil_blocks(count, m, rows):
+    """Slices of ``count`` nodes whose stacked stencils (2m rows a node) hold at most ``rows`` rows."""
+    size = max(1, rows // (2 * m))
+    return [slice(start, start + size) for start in range(0, count, size)]
 
 
 def _span_pieces(phi, J, span, p, jet=None):
@@ -359,9 +366,10 @@ def hessian_matrix(phi, J, span):
     polarized second variation and G_kl = integral h(b_k, b_l), so that the
     section with flat coefficients c has Hess = c.H.c and |v|^2 = c.G.c.
     One field_partials stencil of the stacked basis pieces runs per block of
-    at most SPAN_BLOCK nodes; the map jet, omega.dphi and the features are
-    computed once per stencil point set.  Z and the criticality gate are
-    those of hessian_suite.
+    nodes whose 2m shifted copies hold at most SPAN_BLOCK rows, so one block's
+    stacked call is no larger than one SPAN_BLOCK-row evaluation; the map
+    jet, omega.dphi and the features are computed once per stencil batch.
+    Z and the criticality gate are those of hessian_suite.
     """
     M = phi.domain
     nodes = M.quadrature.nodes
@@ -372,8 +380,7 @@ def hessian_matrix(phi, J, span):
 
     H = np.zeros((K, K))
     G = np.zeros((K, K))
-    for start in range(0, len(nodes), SPAN_BLOCK):
-        sl = slice(start, start + SPAN_BLOCK)
+    for sl in _stencil_blocks(len(nodes), M.dim, SPAN_BLOCK):
         x, w, z = nodes[sl], weights[sl], z_nodes[sl]
         parts = field_partials(lambda p: _span_pieces(phi, J, span, p), x, phi.diff.fd_step)
         dv = parts[:, :, :n]  # (B, K, n, m)
@@ -570,12 +577,12 @@ def killing_hessian_family(phi, contact, J, gens, rule=None):
     equals what hessian_suite, killing_reduced_hessian and sasakian_hessian
     give for variation_from_killing(phi, A) alone.  ``rule`` replaces the
     nodes, the criticality gate's Z and the weights, e.g. by a torus rule of
-    the domain (see torus_rules).  Nodes go in blocks of
-    max(ceil(N / G), SPAN_BLOCK), stencil and node values alike, so the
-    stacked (block, G, n + 2m, m) partials are no larger than one field's
-    unless the rule is small.  A scenario without a contact
-    structure is refused before any work, a non-critical map before the
-    stencil.
+    the domain (see torus_rules).  Nodes go in blocks whose 2m shifted
+    copies hold at most max(ceil(N / G), SPAN_BLOCK) stencil rows, stencil
+    and node values alike, so one block's stacked evaluation of the G
+    fields holds no more field values than one field over all N nodes,
+    unless the rule is small.  A scenario without a contact structure is
+    refused before any work, a non-critical map before the stencil.
     """
     if contact is None:
         raise NotSasakianScenario("scenario carries no contact metric structure")
@@ -592,9 +599,7 @@ def killing_hessian_family(phi, contact, J, gens, rule=None):
 
     G = len(gens)
     dens = np.empty((4, G, len(nodes)))  # hessian, norm2, reduced, sasakian
-    size = max(-(-len(nodes) // G), SPAN_BLOCK)
-    for start in range(0, len(nodes), size):
-        sl = slice(start, start + size)
+    for sl in _stencil_blocks(len(nodes), m, max(-(-len(nodes) // G), SPAN_BLOCK)):
         x = nodes[sl]
         parts = field_partials(lambda p: _killing_pieces(phi, J, gens, p), x, phi.diff.fd_step)
         jet = phi.jet(x)

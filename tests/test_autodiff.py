@@ -130,6 +130,81 @@ class TestFieldPartials:
             field_partials(f, X, 1e-5)
 
 
+def _per_shift_partials(field, x, h):
+    """Reference stencil: 2m separate field calls, one per shifted copy of x."""
+    m = x.shape[1]
+    out = None
+    for i in range(m):
+        step = np.zeros(m)
+        step[i] = h
+        vp = np.asarray(field(x + step), dtype=float)
+        vm = np.asarray(field(x - step), dtype=float)
+        if out is None:
+            out = np.zeros(vp.shape + (m,))
+        out[..., i] = (vp - vm) / (2.0 * h)
+    return out
+
+
+class TestStackedStencil:
+    """A stencil is one field call on the 2m shifted copies, stacked shift-major."""
+
+    def test_field_partials_equals_per_shift_loop(self):
+        f = lambda P: np.stack([np.sin(P[:, 0]) * np.exp(P[:, 1]), P[:, 0] ** 3 / (1.0 + P[:, 1] ** 2)], axis=1)
+        assert np.array_equal(field_partials(f, X, 1e-5), _per_shift_partials(f, X, 1e-5))
+
+    def test_tensor_second_equals_per_shift_loop(self):
+        from phwc_lab.scenarios import build_scenario
+
+        M = build_scenario("hopf-s3", validate=False).domain
+        x = M.random_points(np.random.default_rng(3), 7, margin=0.05)
+        cfg = DiffConfig()  # the chart's own config takes nested duals
+        val, der, sec = tensor_second(M.metric_fn, x, cfg)
+        ref = _per_shift_partials(lambda p: tensor_jet(M.metric_fn, p, cfg)[1], x, cfg.fd_step)
+        v0, d0 = tensor_jet(M.metric_fn, x, cfg)
+        assert np.array_equal(val, v0) and np.array_equal(der, d0)
+        assert np.array_equal(sec, 0.5 * (ref + np.swapaxes(ref, -1, -2)))
+
+    def test_shift_major_order(self):
+        seen = []
+        field_partials(lambda P: seen.append(P.copy()) or P[:, 0], X, 1e-3)
+        (P,) = seen
+        want = [X + s * 1e-3 * np.eye(2)[i] for s in (1, -1) for i in range(2)]
+        assert np.array_equal(P, np.concatenate(want))
+
+    def test_one_field_call_per_field_partials(self):
+        calls = []
+        field_partials(lambda P: calls.append(len(P)) or np.sin(P), X, 1e-5)
+        assert calls == [2 * 2 * len(X)]
+
+    def test_tensor_second_is_two_jet_calls(self, monkeypatch):
+        from phwc_lab import autodiff
+
+        calls = []
+        real = autodiff.tensor_jet
+
+        def counting(fn, x, cfg=None):
+            calls.append(len(x))
+            return real(fn, x, cfg)
+
+        monkeypatch.setattr(autodiff, "tensor_jet", counting)
+        tensor_second(expr_hard, X)
+        assert calls == [len(X), 2 * 2 * len(X)]  # centre, then the whole stencil
+
+    def test_central_difference_jet_is_two_value_calls(self, monkeypatch):
+        from phwc_lab import autodiff
+
+        calls = []
+        real = autodiff.tensor_value
+        monkeypatch.setattr(autodiff, "tensor_value", lambda fn, x: calls.append(len(x)) or real(fn, x))
+        tensor_jet(expr_hard, X, DiffConfig(mode="central_difference"))
+        assert calls == [len(X), 2 * 2 * len(X)]
+
+    def test_unrepeated_per_point_data_is_refused(self):
+        data = np.arange(len(X), dtype=float)
+        with pytest.raises(DifferentiationFailure, match=r"expected 12 = 2m\*N rows \(m = 2, N = 3\)"):
+            field_partials(lambda P: data, X, 1e-5)
+
+
 def test_tensor_value_broadcasts_constants():
     out = tensor_value(lambda x: [1.0, x[0]], X)
     assert out.shape == (3, 2)

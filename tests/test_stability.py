@@ -31,6 +31,19 @@ from phwc_lab.stability import (
 )
 
 
+def _stencil_rows(monkeypatch):
+    """Record the stacked stencil rows (2m per node) of each stability-module stencil."""
+    rows = []
+    real = stability.field_partials
+
+    def counting(field, x, h):
+        rows.append(2 * x.shape[1] * len(x))
+        return real(field, x, h)
+
+    monkeypatch.setattr(stability, "field_partials", counting)
+    return rows
+
+
 @pytest.fixture(scope="module")
 def hopf():
     return build_scenario("hopf-s3", quad_order=10, validate=False)
@@ -249,12 +262,18 @@ class TestKillingHessianFamily:
             for got, want in zip(torus, full):
                 assert max(abs(a - b) for a, b in zip(got, want)) <= 1e-8 * want.norm2
 
-    def test_block_partition_does_not_change_values(self, s5, fam2):
-        # G = 1 runs the stencil on all nodes at once, G = 6 in six blocks
+    def test_block_partition_does_not_change_values(self, s5, fam2, monkeypatch):
+        # blocks hold max(ceil(N / G), SPAN_BLOCK) stencil rows: 2m = 10 rows a
+        # node, so G = 1 cuts the 3125 nodes into blocks of 312, G = 6 of 52
         gens = fam2.perpendicular()
         assert len(gens) == 6
+        rows = _stencil_rows(monkeypatch)
         alone = killing_hessian_family(s5.map, s5.contact, s5.J, gens[:1])
+        assert max(rows) == 3120
+        rows.clear()
         together = killing_hessian_family(s5.map, s5.contact, s5.J, gens)
+        # two stencils a block: the fields' pieces and the Reeb field's
+        assert max(rows) == 520 and sum(rows) == 2 * 10 * 3125
         assert alone[0] == together[0]
 
     def test_not_critical_refuses(self, hopf, fam1):
@@ -302,12 +321,18 @@ class TestHessianMatrix:
     def test_block_partition_does_not_change_values(self, hopf, span_matrices, monkeypatch):
         span, H, G = span_matrices
         assert len(hopf.domain.quadrature.nodes) == 1000
-        monkeypatch.setattr(stability, "SPAN_BLOCK", 1000)
+        monkeypatch.setattr(stability, "SPAN_BLOCK", 6 * 1000)  # 2m = 6 rows a node: one block
         H1, G1 = hessian_matrix(hopf.map, hopf.J, span)
-        monkeypatch.setattr(stability, "SPAN_BLOCK", 96)
-        H11, G11 = hessian_matrix(hopf.map, hopf.J, span)
-        for a, b in ((H1, H), (H11, H), (G1, G), (G11, G)):
+        monkeypatch.setattr(stability, "SPAN_BLOCK", 96)  # 63 blocks of 16 nodes
+        Hn, Gn = hessian_matrix(hopf.map, hopf.J, span)
+        for a, b in ((H1, H), (Hn, H), (G1, G), (Gn, G)):
             assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
+
+    def test_blocks_hold_at_most_span_block_stencil_rows(self, hopf, span_matrices, monkeypatch):
+        rows = _stencil_rows(monkeypatch)
+        hessian_matrix(hopf.map, hopf.J, span_matrices[0])
+        assert max(rows) <= stability.SPAN_BLOCK
+        assert sum(rows) == 2 * hopf.domain.dim * len(hopf.domain.quadrature.nodes)
 
     def test_not_critical_refuses(self):
         warped = build_scenario("warped-hopf", quad_order=8, validate=False)
