@@ -79,14 +79,14 @@ class Box:
 class QuadratureRule:
     """Explicit nodes/weights realizing integrals against the volume form.
 
-    ``density`` (sqrt det g at the nodes) and ``total_measure`` are filled in
-    by the chart that owns the rule.
+    ``density`` (sqrt det g at the nodes) and ``total_measure`` are those of
+    the chart that made the rule (``ChartManifold.rule``).
     """
 
     nodes: np.ndarray  # (K, m)
     weights: np.ndarray  # (K,)
-    total_measure: float = float("nan")
-    density: np.ndarray | None = None  # (K,)
+    total_measure: float
+    density: np.ndarray  # (K,)
 
 
 def _gauss_axis(lo, hi, order, axis_map=None):
@@ -98,40 +98,6 @@ def _gauss_axis(lo, hi, order, axis_map=None):
         w = w * jac_fn(t)
         t = map_fn(t)
     return t, w
-
-
-def tensor_gauss_legendre(param_box, orders, axis_maps=None):
-    """Tensor-product Gauss-Legendre nodes on a finite parameter box.
-
-    ``axis_maps[i]`` may remap axis i through (map, jacobian) for charts of
-    infinite extent.  Gauss nodes avoid endpoints, so excluded slices at box
-    boundaries need no special handling.
-    """
-    m = len(param_box.lower)
-    orders = _axis_orders(orders, m)
-    axis_maps = axis_maps or [None] * m
-    return _tensor_rule(
-        [
-            _gauss_axis(param_box.lower[i], param_box.upper[i], orders[i], axis_maps[i])
-            for i in range(m)
-        ]
-    )
-
-
-def _axis_orders(orders, m):
-    return [int(orders)] * m if np.isscalar(orders) else list(orders)
-
-
-def _tensor_rule(axes):
-    """Tensor product of per-axis (nodes, weights) pairs."""
-    pts = [t for t, _ in axes]
-    wts = [w for _, w in axes]
-    grids = np.meshgrid(*pts, indexing="ij")
-    nodes = np.stack([g.ravel() for g in grids], axis=1)
-    weight = wts[0]
-    for w in wts[1:]:
-        weight = np.multiply.outer(weight, w)
-    return QuadratureRule(nodes=nodes, weights=weight.ravel())
 
 
 @dataclass
@@ -198,30 +164,26 @@ class ChartManifold:
         self.param_box = param_box or box
         self.axis_maps = axis_maps
         self.quad_orders = quad_orders
-        self.quadrature = self._owned(
-            tensor_gauss_legendre(self.param_box, quad_orders, axis_maps)
-        )
+        self.quadrature = self.rule()
 
-    def _owned(self, rule):
-        """``rule`` with this chart's volume density and total measure filled in."""
-        rule.density = self.volume_weight(rule.nodes)
-        rule.total_measure = float(np.sum(rule.weights * rule.density))
-        return rule
+    def rule(self, orders=None, offsets=None):
+        """A tensor-product rule of this chart, with its volume density.
 
-    def torus_rule(self, offsets):
-        """Gauss-Legendre on the non-periodic axes, one node per periodic axis.
-
-        Every non-periodic axis keeps the nodes and weights of
-        ``self.quadrature``.  Periodic axis k (the k-th of ``box.periodic``)
-        gets the single node lower + offsets[k] * period with weight the
-        period: the 1-node trapezoid rule, exact for an integrand that does
-        not depend on that axis and for no other (Trefethen & Weideman,
-        SIAM Review 56, 2014).  A caller that uses it must show the
-        invariance, e.g. by comparing two offsets.
+        Gauss-Legendre at ``orders`` (one order, or one per axis; default
+        ``quad_orders``) on every axis, remapped through ``axis_maps`` for
+        charts of infinite extent.  Gauss nodes avoid endpoints, so excluded
+        slices at box boundaries need no special handling.  With ``offsets``,
+        periodic axis k (the k-th of ``box.periodic``) gets instead the single
+        node lower + offsets[k] * period with weight the period: the 1-node
+        trapezoid rule, exact for an integrand that does not depend on that
+        axis and for no other (Trefethen & Weideman, SIAM Review 56, 2014).
+        A caller that uses it must show the invariance, e.g. by comparing two
+        offsets.
         """
-        periodic = tuple(self.box.periodic)
+        orders = self.quad_orders if orders is None else orders
+        orders = [int(orders)] * self.dim if np.isscalar(orders) else list(orders)
+        periodic = tuple(self.box.periodic) if offsets is not None else ()
         offsets = np.broadcast_to(np.asarray(offsets, dtype=float), (len(periodic),))
-        orders = _axis_orders(self.quad_orders, self.dim)
         axis_maps = self.axis_maps or [None] * self.dim
         axes = []
         for i in range(self.dim):
@@ -231,7 +193,14 @@ class ChartManifold:
                 axes.append((np.array([t]), np.array([hi - lo])))
             else:
                 axes.append(_gauss_axis(lo, hi, orders[i], axis_maps[i]))
-        return self._owned(_tensor_rule(axes))
+        pts, wts = zip(*axes)
+        nodes = np.stack([g.ravel() for g in np.meshgrid(*pts, indexing="ij")], axis=1)
+        weights = wts[0]
+        for w in wts[1:]:
+            weights = np.multiply.outer(weights, w)
+        weights = weights.ravel()
+        density = self.volume_weight(nodes)
+        return QuadratureRule(nodes, weights, float(np.sum(weights * density)), density)
 
     # -- basic fields --------------------------------------------------------
     def require_inside(self, x):
@@ -304,17 +273,12 @@ class ChartManifold:
         return np.einsum("...ij,...j->...i", g, np.asarray(vec, float))
 
     # -- integration -----------------------------------------------------------
-    @property
-    def node_measure(self):
-        """Quadrature weight times volume density at each node: (K,)."""
-        return self.quadrature.weights * self.quadrature.density
-
     def integrate(self, f, rule=None):
         """Quadrature of a scalar field against the volume form.
 
         ``f`` is a batch callable on nodes (K, m) -> (K,), or an array of
         node values.  ``rule`` is a rule of this chart (``self.quadrature``
-        by default, or a ``torus_rule``).  Summation uses numpy's fixed
+        by default, or one from ``rule``).  Summation uses numpy's fixed
         pairwise order, so results are reproducible.
         """
         rule = self.quadrature if rule is None else rule

@@ -30,6 +30,7 @@ from .maps import (
     pullback_metric,
     vertical_projector,
 )
+from .scenarios import ambient_complex_rotation
 from .structures import cond_b_residual, induced_f_structure, j_adapted_frame
 from .variational import pullback_two_form_field, z_field
 
@@ -359,7 +360,7 @@ def _weighted_gram(left, right, w):
     return lw @ right.swapaxes(0, 1).reshape(K, -1).T
 
 
-def hessian_matrix(phi, J, span):
+def hessian_matrix(phi, J, span, rule=None):
     """Hessian and L2 Gram matrices over the basis of a variation span.
 
     Returns (H, G), both (K, K) and symmetric, with H_kl = B(b_k, b_l) the
@@ -369,14 +370,17 @@ def hessian_matrix(phi, J, span):
     nodes whose 2m shifted copies hold at most SPAN_BLOCK rows, so one block's
     stacked call is no larger than one SPAN_BLOCK-row evaluation; the map
     jet, omega.dphi and the features are computed once per stencil batch.
-    Z and the criticality gate are those of hessian_suite.
+    ``rule`` is a rule of the domain (its quadrature by default, or one from
+    ChartManifold.rule); its nodes carry Z, the criticality gate of
+    hessian_suite and the weights.
     """
     M = phi.domain
-    nodes = M.quadrature.nodes
+    rule = M.quadrature if rule is None else rule
+    nodes = rule.nodes
     z_nodes = z_field(phi, J, nodes)
-    _require_critical(phi, J, z_nodes, CRITICALITY_TOL)
+    _require_critical(phi, J, z_nodes, CRITICALITY_TOL, nodes=nodes)
     n, K = span.n_out, span.dim
-    weights = M.node_measure
+    weights = rule.weights * rule.density
 
     H = np.zeros((K, K))
     G = np.zeros((K, K))
@@ -637,10 +641,14 @@ def killing_hessian_family(phi, contact, J, gens, rule=None):
 TORUS_OFFSETS = ((0.5, np.sqrt(2.0) - 1.0), (0.25, np.sqrt(3.0) - 1.0))
 
 
-def torus_rules(M):
-    """The torus rules of chart M at the offsets of TORUS_OFFSETS, in order."""
+def torus_rules(M, orders=None):
+    """The torus rules of chart M at the offsets of TORUS_OFFSETS, in order.
+
+    ``orders`` are the Gauss-Legendre orders of the other axes (default: the
+    chart's own), as in ChartManifold.rule.
+    """
     k = np.arange(len(M.box.periodic))
-    return [M.torus_rule((start + k * step) % 1.0) for start, step in TORUS_OFFSETS]
+    return [M.rule(orders, offsets=(start + k * step) % 1.0) for start, step in TORUS_OFFSETS]
 
 
 def bracket_identity_sasakian(contact, X, x):
@@ -803,16 +811,15 @@ def _sym_basis(k):
     return out
 
 
-def killing_fields_sphere(n, samples=48, seed=0, filter_tol=1e-8):
+def killing_fields_sphere(n):
     """Basis of so(2n+2) (J0-adapted) with the sub-family orthogonal to xi.
 
-    The commuting (unitary) part never satisfies g(X, xi) = 0; the filter
-    keeps the generators anticommuting with the ambient rotation, which mix
-    conjugate complex coordinate pairs.  Filtering is numeric, at seeded
-    sample points of the built-in chart.
+    On the sphere g(Ap, xi) = -(Ap).(J0 p) = p.(A J0 p), a quadratic form
+    that vanishes for every p exactly when A J0 is skew, i.e. A J0 = -J0 A.
+    The commuting (unitary) part never satisfies it; the generators that
+    anticommute with the ambient rotation, which mix conjugate complex
+    coordinate pairs, are selected by that identity, exactly.
     """
-    from .scenarios import hopf_sphere_chart, sasakian_structure
-
     k = n + 1
     gens = []
     for P in _skew_basis(k):  # u(n+1): [[P, 0], [0, P]]
@@ -835,19 +842,8 @@ def killing_fields_sphere(n, samples=48, seed=0, filter_tol=1e-8):
         A[:k, k:] = Q
         A[k:, :k] = Q
         gens.append(A)
-
-    chart = hopf_sphere_chart(n, quad_orders=4)
-    contact = sasakian_structure(chart, n)
-    rng = np.random.default_rng(seed)
-    pts = chart.random_points(rng, samples, margin=0.05)
-    g = chart.metric_at(pts, check=False)
-    xi = contact.xi_at(pts)
-    perp = []
-    for idx, A in enumerate(gens):
-        X = ambient_killing_field(chart, A)(pts)
-        inner = np.einsum("...i,...ij,...j->...", X, g, xi)
-        if np.max(np.abs(inner)) < filter_tol:
-            perp.append(idx)
+    J0 = ambient_complex_rotation(n)
+    perp = [i for i, A in enumerate(gens) if np.array_equal(A @ J0, -(J0 @ A))]
     return KillingFamily(n=n, generators=gens, perp_indices=perp)
 
 

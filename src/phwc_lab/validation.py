@@ -1,11 +1,11 @@
 """Registration-time validation, the tolerance table and the shared residuals.
 
 Pointwise expectations run at seeded interior samples; the stability class
-is probed on a reduced-order rebuild so construction stays cheap.  The
-residuals behind the scenario expectations (``RESIDUALS``) are the same
-functions the ``run`` checks evaluate on their node sets, and every
-tolerance either side compares against is declared once, in
-``TOLERANCES``.
+is probed over a reduced-order rule (``PROBE_ORDERS``) of the scenario's
+own domain so construction stays cheap.  The residuals behind the scenario
+expectations (``RESIDUALS``) are the same functions the ``run`` checks
+evaluate on their node sets, and every tolerance either side compares
+against is declared once, in ``TOLERANCES``.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+from .errors import NotCritical
 from .maps import dilation_hwc, mean_curvature_fibres, tension_field_direct
 from .structures import phwc_residual
 from .variational import criticality_residual
@@ -189,7 +190,10 @@ def validate_scenario(sc, samples=40, seed=0):
                     f"{row.expected}=False but {row.tol} residual {r:.3e} < witness {witness:g}"
                 )
 
-    _probe_stability(sc, problems)
+    try:
+        _probe_stability(sc, problems)
+    except NotCritical as exc:
+        problems.append(f"stability probe: {exc}")
 
     if problems:
         raise ScenarioValidationError(
@@ -227,7 +231,6 @@ def _check_sasakian(sc, pts, problems):
 
 
 def _probe_stability(sc, problems):
-    from .scenarios import build_scenario
     from .stability import (
         hessian_matrix,
         killing_fields_sphere,
@@ -252,27 +255,21 @@ def _probe_stability(sc, problems):
             )
         return
 
-    reduced = build_scenario(sc.id, quad_order=PROBE_ORDERS.get(sc.id, 6), validate=False)
+    order = PROBE_ORDERS.get(sc.id, 6)
     if cls == "stable-sampled":
         rng = np.random.default_rng(0)
-        span = polynomial_span(reduced.map)
-        H, G = hessian_matrix(reduced.map, reduced.J, span)
+        span = polynomial_span(sc.map)
+        H, G = hessian_matrix(sc.map, sc.J, span, rule=sc.domain.rule(orders=order))
         floor = tolerance("hessian_floor", sc)
         coeffs = span.random_coefficients(PROBE_FIELDS, rng)
         worst = float(np.min(rayleigh_quotients(H, G, coeffs)))
         if worst < -floor:
             problems.append(f"sampled Hess/|v|^2 {worst:.3e} < -{floor:g}")
     elif cls == "killing-neutral":
-        fam = killing_fields_sphere(reduced.n_complex)
-        if not fam.perp_indices:
-            problems.append("no Killing generator orthogonal to xi found")
-            return
-        gens = fam.perpendicular()[:1]
-        rule = torus_rules(reduced.domain)[0]
-        (hv, n2, red, _), = killing_hessian_family(
-            reduced.map, reduced.contact, reduced.J, gens, rule=rule
-        )
-        target = 4.0 * (1 - reduced.n_complex)
+        gens = killing_fields_sphere(sc.n_complex).perpendicular()[:1]
+        rule = torus_rules(sc.domain, order)[0]
+        (hv, n2, red, _), = killing_hessian_family(sc.map, sc.contact, sc.J, gens, rule=rule)
+        target = 4.0 * (1 - sc.n_complex)
         if abs(hv) > tolerance("probe_neutrality", sc) * abs(target) * n2:
             problems.append(f"Killing Hessian {hv:.3e} not neutral at scale {n2:.3e}")
         if abs(red / n2 - target) > tolerance("reduced_ratio", sc) * abs(target):

@@ -105,7 +105,7 @@ def fh_energy(phi, J, alpha, p_exponent=4.0, rule=None):
     """Full Faddeev-Hopf energy and companions at coupling alpha >= 0.
 
     Every energy integrates over ``rule``, a rule of the domain: its full
-    quadrature by default, or a torus rule (ChartManifold.torus_rule).
+    quadrature by default, or one from ChartManifold.rule.
     """
     dir_e = dirichlet_energy(phi, rule=rule)
     inf_e = fh_infinity_energy(phi, J, rule=rule)

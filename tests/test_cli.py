@@ -96,6 +96,12 @@ class TestRun:
         code = run_cli(["run", "--scenario", "flat-holo", "--config", str(cfg), "--seed", "4"])
         assert code == 0
 
+    @pytest.mark.parametrize("order", [-2, "6"])
+    def test_config_bad_stability_order_exit_2(self, tmp_path, capsys, order):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"checks": ["stability"], "stability_order": order}))
+        assert run_cli(["run", "--scenario", "flat-holo", "--config", str(cfg)]) == 2
+
     def test_config_unknown_key_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"quadrture_order": 5}))
@@ -137,7 +143,9 @@ class TestRunConfig:
     @pytest.mark.parametrize(
         "key,value",
         [("quadrature_order", 1), ("fd_step", 1.0), ("alpha", -1.0), ("p", 0.5),
-         ("sample_points", 1), ("stability_fields", 0)],
+         ("sample_points", 1), ("stability_fields", 0), ("stability_order", 0),
+         ("stability_order", 1), ("stability_order", 2.5), ("stability_order", -2),
+         ("stability_order", 65)],
     )
     def test_range_validation(self, key, value):
         with pytest.raises(ConfigError):

@@ -17,7 +17,7 @@ from phwc_lab.geometry import (
     gram_schmidt,
     two_form_norm2,
 )
-from phwc_lab.scenarios import hopf_sphere_chart
+from phwc_lab.scenarios import fs_chart, hopf_sphere_chart
 from phwc_lab.stability import torus_rules
 
 from conftest import sphere2_chart
@@ -236,6 +236,22 @@ class TestIntegration:
     def test_total_measure_cached(self, s2):
         assert abs(s2.quadrature.total_measure - 4 * np.pi) / (4 * np.pi) < 1e-3
 
+    # fs_chart remaps its infinite axes through axis_maps
+    CHARTS = {
+        "S5": lambda order: hopf_sphere_chart(2, order),
+        "CP1": lambda order: fs_chart(1, order),
+    }
+
+    @pytest.mark.parametrize("chart, orders", [("S5", 4), ("CP1", 6), ("CP1", [3, 5])])
+    @pytest.mark.parametrize("offsets", [None, 0.5])
+    def test_rule_orders_match_a_chart_built_at_them(self, chart, orders, offsets):
+        build = self.CHARTS[chart]
+        got = build(8).rule(orders=orders, offsets=offsets)
+        want = build(orders).rule(offsets=offsets)
+        for attr in ("nodes", "weights", "density"):
+            assert np.array_equal(getattr(got, attr), getattr(want, attr)), attr
+        assert got.total_measure == want.total_measure
+
 
 class TestTorusRule:
     """Gauss-Legendre on the polar axes, one node per theta axis."""
@@ -258,7 +274,7 @@ class TestTorusRule:
 
     def test_nodes_and_weights(self):
         M = hopf_sphere_chart(2, 4)
-        rule = M.torus_rule([0.0, 0.25, 0.5])
+        rule = M.rule(offsets=[0.0, 0.25, 0.5])
         assert np.array_equal(np.unique(rule.nodes[:, :2]), np.unique(M.quadrature.nodes[:, :2]))
         assert np.array_equal(rule.nodes[:, 2:], np.tile([0.0, 0.5 * np.pi, np.pi], (16, 1)))
         polar = M.quadrature.weights.reshape(16, 64).sum(axis=1)

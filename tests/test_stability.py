@@ -5,6 +5,7 @@ import pytest
 
 from phwc_lab.errors import EigenframeDegenerate, NotCritical, NotSasakianScenario
 from phwc_lab.geometry import covariant_derivative_vector
+from phwc_lab.report import RunConfig, run_checks
 from phwc_lab.scenarios import build_scenario
 from phwc_lab import stability
 from phwc_lab.stability import (
@@ -98,12 +99,18 @@ class TestKillingFamilies:
             assert np.max(np.abs(n2 - n3)) < 1e-8
 
     def test_perp_filter(self, s5, fam2, rng):
+        # the algebraic selection against g(X_A, xi) on the chart, both ways:
+        # measured max |g(X_A, xi)| is <= 1.2e-16 selected, >= 0.63 not
         pts = s5.domain.random_points(rng, 30, margin=0.05)
         g = s5.domain.metric_at(pts, check=False)
         xi = s5.contact.xi_at(pts)
-        for A in fam2.perpendicular():
+        for idx, A in enumerate(fam2.generators):
             X = ambient_killing_field(s5.domain, A)(pts)
-            assert np.max(np.abs(np.einsum("ni,nij,nj->n", X, g, xi))) < 1e-8
+            inner = np.max(np.abs(np.einsum("ni,nij,nj->n", X, g, xi)))
+            if idx in fam2.perp_indices:
+                assert inner < 1e-8, idx
+            else:
+                assert inner > 0.1, idx
 
 
 class TestBracketIdentity:
@@ -338,6 +345,26 @@ class TestHessianMatrix:
         warped = build_scenario("warped-hopf", quad_order=8, validate=False)
         with pytest.raises(NotCritical, match="exceeds 0.0001"):
             hessian_matrix(warped.map, warped.J, polynomial_span(warped.map))
+
+    def test_rule_of_another_order_equals_a_rebuild(self, hopf, span_matrices):
+        # the catalog chart (order 24) at order 10 against the order-10 build
+        catalog = build_scenario("hopf-s3", validate=False)
+        rule = catalog.domain.rule(orders=10)
+        H, G = hessian_matrix(catalog.map, catalog.J, span_matrices[0], rule=rule)
+        assert np.array_equal(H, span_matrices[1]) and np.array_equal(G, span_matrices[2])
+
+    def test_stability_check_honours_fd_step(self):
+        # the check's span Hessian runs on the run's own scenario, so the
+        # run's central-difference step reaches it
+        def span_bound(fd_step):
+            cfg = RunConfig("hopf-s3", checks=("stability",), seed=1, fd_step=fd_step)
+            residuals = run_checks(cfg)["checks"]["stability"]["residuals"]
+            return residuals["span_nonnegativity"]["max"]
+
+        sc = build_scenario("hopf-s3", quad_order=12, validate=False, fd_step=1e-4)
+        H, G = hessian_matrix(sc.map, sc.J, polynomial_span(sc.map))
+        assert span_bound(1e-4) == -float(span_spectrum(H, G)[0])
+        assert span_bound(1e-4) != span_bound(1e-5)
 
     def test_gram_rank_and_span_bound(self, span_matrices):
         # |e|^2 = 1 on S^3 makes one feature combination vanish per output
