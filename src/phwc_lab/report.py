@@ -370,7 +370,7 @@ def _check_weyl(sc, cfg, pts):
 
 
 def _check_hessian(sc, cfg, pts):
-    from .stability import killing_fields_sphere, killing_hessian_family, torus_rules
+    from .stability import hessian_matrix, killing_fields_sphere, killing_span, torus_rules
 
     res, verd = {}, {}
     if sc.contact is None:
@@ -383,26 +383,28 @@ def _check_hessian(sc, cfg, pts):
     if cfg.hessian_generators:
         gens = gens[: cfg.hessian_generators]
     # one theta node per periodic axis, at two offsets whose agreement is
-    # the evidence that the integrands do not depend on theta
+    # the evidence that the integrands do not depend on theta; each
+    # generator's values are the diagonals of the span's forms
+    span = killing_span(sc.map, gens)
     family, shifted = (
-        killing_hessian_family(sc.map, sc.contact, sc.J, gens, rule=rule)
+        np.array([np.diag(f) for f in hessian_matrix(sc.map, sc.J, span, rule, sc.contact)])
         for rule in torus_rules(sc.domain)
     )
-    ratios = [f.hessian / f.norm2 for f in family]
+    hess, norm2, reduced, sasakian = family
+    ratios = hess / norm2
     verd["killing_hessian_ratios"] = [float(r) for r in ratios]
-    neutral = max(abs(r) for r in ratios) if ratios else 0.0
+    neutral = np.max(np.abs(ratios))
     res["killing_hessian_neutrality"] = _residual_entry(sc, cfg, "killing_neutrality", neutral)
-    drift = max(abs(a - b) / f.norm2 for f, g in zip(family, shifted) for a, b in zip(f, g))
+    drift = np.max(np.abs(family - shifted) / norm2)
     res["torus_invariance"] = _residual_entry(sc, cfg, "torus_invariance", drift)
     target = 4.0 * (1 - n)
-    red = [f.reduced / f.norm2 for f in family]
+    red = reduced / norm2
     verd["reduced_integrand_ratios"] = [float(r) for r in red]
     if n >= 2:
-        gap = max(abs(r - target) / abs(target) for r in red)
+        gap = np.max(np.abs(red - target) / abs(target))
         res["reduced_ratio_vs_4(1-n)"] = _residual_entry(sc, cfg, "reduced_ratio", gap)
-    first = family[0]
     # relative to the Hessian, or to 1 % of |X|^2 where the Hessian is neutral
-    agreement = abs(first.sasakian - first.hessian) / max(abs(first.hessian), 0.01 * first.norm2)
+    agreement = abs(sasakian[0] - hess[0]) / max(abs(hess[0]), 0.01 * norm2[0])
     res["sasakian_vs_general"] = _residual_entry(sc, cfg, "sasakian_agreement", agreement)
     ratio_tol = tolerance("reduced_ratio", sc, cfg.tolerances)
     verd["reported_instability_reproduced"] = bool(
@@ -432,7 +434,7 @@ def _check_stability(sc, cfg, pts):
         rng = np.random.default_rng(cfg.seed)
         span = polynomial_span(sc.map)
         coeffs = span.random_coefficients(cfg.stability_fields, rng)
-        H, G = hessian_matrix(sc.map, sc.J, span, rule=sc.domain.rule(orders=order))
+        H, G, _, _ = hessian_matrix(sc.map, sc.J, span, rule=sc.domain.rule(orders=order))
         worst = float(np.min(rayleigh_quotients(H, G, coeffs)))
         res["sampled_nonnegativity"] = _residual_entry(
             sc, cfg, "hessian_floor", -worst, inclusive=True

@@ -39,15 +39,15 @@ __all__ = [
     "variation_from_killing",
     "VariationSpan",
     "polynomial_span",
+    "killing_span",
     "random_variation_fields",
     "variation_l2_norm2",
     "hessian",
     "hessian_suite",
+    "SpanForms",
     "hessian_matrix",
     "rayleigh_quotients",
     "span_spectrum",
-    "KillingSecondVariation",
-    "killing_hessian_family",
     "TORUS_OFFSETS",
     "torus_rules",
     "criticality_gate",
@@ -119,8 +119,13 @@ def ambient_killing_field(M, A):
 
 
 def _killing_components(e, Je, g, A):
-    """Chart components of p -> A p from the embedding jet (e, Je) and the metric g."""
-    rhs = np.einsum("...ei,...e->...i", Je, e @ A.T)
+    """Chart components of p -> A p from the embedding jet (e, Je) and the metric g.
+
+    A is one generator (d, d), or a stack of them against operands with a
+    broadcast axis for the stack.
+    """
+    Ap = np.einsum("...ef,...f->...e", A, e)
+    rhs = np.einsum("...ei,...e->...i", Je, Ap)
     return np.linalg.solve(g, rhs[..., None])[..., 0]
 
 
@@ -159,39 +164,45 @@ def variation_from_killing(phi, A):
 
 @dataclass(frozen=True)
 class VariationSpan:
-    """The linear span of the sections b_(a,f) = feature_f(p) e_a along a map.
+    """The linear span of K basis sections b_k along a map.
 
-    A coefficient matrix c of shape (dim N, F) names the section
-    v(p) = features(p) @ c.T; the flat basis index of b_(a,f) is k = a * F + f.
+    ``sections(p, jet)`` gives every b_k at the points p, (N, K, dim N);
+    ``jet`` is the map jet at p, or None to compute it.  A coefficient array
+    c of ``shape`` (K entries, flat index k) names the section sum_k c_k b_k.
     """
 
     map_id: str
-    features: object  # batch callable (N, m) -> (N, F)
-    n_out: int
-    n_feat: int
+    sections: object
+    shape: tuple
 
     @property
     def dim(self):
-        return self.n_out * self.n_feat
+        return int(np.prod(self.shape))
 
     def field(self, c):
-        """The section with coefficient matrix c (dim N, F)."""
+        """The section with coefficients c."""
+        c = np.asarray(c, dtype=float).reshape(self.dim)
 
-        def v_fn(p, c=np.asarray(c, dtype=float)):
-            return self.features(p) @ c.T
+        def v_fn(p, jet=None):
+            return np.einsum("k,nka->na", c, self.sections(p, jet))
 
         return VariationField(map_id=self.map_id, v_fn=v_fn)
 
     def random_coefficients(self, count, rng):
-        """Seeded coefficient matrices (count, dim N, F), entries N(0, 1/F)."""
-        return rng.normal(size=(count, self.n_out, self.n_feat)) / np.sqrt(self.n_feat)
+        """Seeded coefficient arrays (count, *shape), entries N(0, 1/shape[-1])."""
+        return rng.normal(size=(count, *self.shape)) / np.sqrt(self.shape[-1])
 
 
 def polynomial_span(phi, degree=2):
     """Ambient-coordinate polynomials of degree <= 2 through the codomain chart
-    coordinate frame (bump-free on the chart)."""
+    coordinate frame (bump-free on the chart).
+
+    The sections are b_(a,f) = feature_f(p) e_a, coefficient shape (dim N, F),
+    flat index k = a * F + f.
+    """
     M = phi.domain
     embedding = M.embedding or (lambda x: list(x))  # flat charts are ambient
+    n = phi.codomain.dim
 
     def features(p):
         e = np.asarray(tensor_jet(embedding, p, M.diff)[0], dtype=float)
@@ -204,8 +215,34 @@ def polynomial_span(phi, degree=2):
                     cols.append(e[:, i] * e[:, j])
         return np.stack(cols, axis=1)
 
+    def sections(p, jet=None):
+        feats = features(p)
+        N, F = feats.shape
+        out = np.zeros((N, n, F, n))
+        for a in range(n):
+            out[:, a, :, a] = feats
+        return out.reshape(N, n * F, n)
+
     n_feat = features(M.quadrature.nodes[:1]).shape[1]
-    return VariationSpan(phi.name, features, phi.codomain.dim, n_feat)
+    return VariationSpan(phi.name, sections, (n, n_feat))
+
+
+def killing_span(phi, gens):
+    """The span of v_A = dphi(X_A) over the skew ambient generators A of gens.
+
+    The flat index is the generator's position.  The embedding jet and the
+    metric are computed once per call for every generator.
+    """
+    M = phi.domain
+    gens = np.asarray(gens, dtype=float)
+
+    def sections(p, jet=None):
+        jet = jet or phi.jet(p)
+        e, Je = tensor_jet(M.embedding, p, M.diff)
+        g = M.metric_at(p, check=False)
+        return _killing_variation(jet.dphi[:, None], e[:, None], Je[:, None], g[:, None], gens)
+
+    return VariationSpan(phi.name, sections, (len(gens),))
 
 
 def random_variation_fields(phi, count, rng, degree=2):
@@ -249,21 +286,7 @@ def criticality_gate(phi, J, z_nodes=None, nodes=None):
 def _require_critical(phi, J, z_nodes, tol, nodes=None):
     crit = criticality_gate(phi, J, z_nodes=z_nodes, nodes=nodes)
     if crit > tol:
-        raise NotCritical(
-            f"map {phi.name!r}: criticality residual {crit:.3e} exceeds "
-            f"{tol:g}; pass allow_noncritical=True for diagnostics"
-        )
-
-
-def _hessian_density(M, x, om, dphi, gammaN, z, vv, dv, dA, ginv=None):
-    """Hess(v, v) integrand: |d(phi* iota_v Omega)|^2 + Omega(v, nabla_Z v)."""
-    term1 = two_form_norm2(M, x, dA, ginv=ginv)
-    dphiZ = np.einsum("...ai,...i->...a", dphi, z)
-    nabla_v = np.einsum("...gi,...i->...g", dv, z) + np.einsum(
-        "...gab,...a,...b->...g", gammaN, dphiZ, vv, optimize=True
-    )
-    term2 = np.einsum("...a,...ab,...b->...", vv, om, nabla_v, optimize=True)
-    return term1 + term2
+        raise NotCritical(f"map {phi.name!r}: criticality residual {crit:.3e} exceeds {tol:g}")
 
 
 def hessian(phi, J, v, *, criticality_tol=CRITICALITY_TOL, allow_noncritical=False, z_nodes=None, gate=True):
@@ -309,10 +332,15 @@ def hessian(phi, J, v, *, criticality_tol=CRITICALITY_TOL, allow_noncritical=Fal
     if gate and not allow_noncritical:
         _require_critical(phi, J, z_nodes, criticality_tol)
 
+    # |d(phi* iota_v Omega)|^2 + Omega(v, nabla_Z v)
     gammaN = phi.codomain.christoffel_at(jet.y)
-    return M.integrate(
-        _hessian_density(M, nodes, om, jet.dphi, gammaN, z_nodes, vv, dv, dA)
+    term1 = two_form_norm2(M, nodes, dA)
+    dphiZ = np.einsum("...ai,...i->...a", jet.dphi, z_nodes)
+    nabla_v = np.einsum("...gi,...i->...g", dv, z_nodes) + np.einsum(
+        "...gab,...a,...b->...g", gammaN, dphiZ, vv, optimize=True
     )
+    term2 = np.einsum("...a,...ab,...b->...", vv, om, nabla_v, optimize=True)
+    return M.integrate(term1 + term2)
 
 
 def hessian_suite(phi, J, v_fields, criticality_tol=CRITICALITY_TOL):
@@ -327,30 +355,24 @@ def hessian_suite(phi, J, v_fields, criticality_tol=CRITICALITY_TOL):
     return out
 
 
-# stencil rows (2m per node) of one hessian_matrix block, and the least of
-# killing_hessian_family's: bounds their stacked stencil values
+# stencil rows (2m per node) of one hessian_matrix block: bounds the stacked
+# stencil values of every span
 SPAN_BLOCK = 512
 # eigenvalues of the Gram matrix below this fraction of its largest are null
 GRAM_RANK_CUT = 1e-10
 
 
-def _stencil_blocks(count, m, rows):
-    """Slices of ``count`` nodes whose stacked stencils (2m rows a node) hold at most ``rows`` rows."""
-    size = max(1, rows // (2 * m))
-    return [slice(start, start + size) for start in range(0, count, size)]
+class SpanForms(NamedTuple):
+    """Symmetric (K, K) forms over the basis sections b_k of a span.
 
+    The diagonal entry k of each form is the named quantity of b_k alone;
+    ``reduced`` and ``sasakian`` are None without a contact structure.
+    """
 
-def _span_pieces(phi, J, span, p, jet=None):
-    """[b_k, iota_(b_k) Omega . dphi] for every basis section at the points p: (N, K, n + m)."""
-    jet = jet or phi.jet(p)
-    om_dphi = J.omega_at(jet.y) @ jet.dphi  # (N, n, m)
-    feats = span.features(p)  # (N, F)
-    N, n, F = len(p), span.n_out, span.n_feat
-    vv = np.zeros((N, n, F, n))
-    for a in range(n):
-        vv[:, a, :, a] = feats
-    A = feats[:, None, :, None] * om_dphi[:, :, None, :]
-    return np.concatenate([vv, A], axis=-1).reshape(N, n * F, -1)
+    hessian: np.ndarray  # B(b_k, b_l), the polarized second variation
+    gram: np.ndarray  # integral of h(b_k, b_l)
+    reduced: np.ndarray | None  # polarized killing_reduced_hessian
+    sasakian: np.ndarray | None  # polarized sasakian_hessian
 
 
 def _weighted_gram(left, right, w):
@@ -360,38 +382,55 @@ def _weighted_gram(left, right, w):
     return lw @ right.swapaxes(0, 1).reshape(K, -1).T
 
 
-def hessian_matrix(phi, J, span, rule=None):
-    """Hessian and L2 Gram matrices over the basis of a variation span.
+def hessian_matrix(phi, J, span, rule=None, contact=None):
+    """The second-variation forms over the basis of a variation span.
 
-    Returns (H, G), both (K, K) and symmetric, with H_kl = B(b_k, b_l) the
+    Returns SpanForms (H, G, reduced, sasakian) with H_kl = B(b_k, b_l) the
     polarized second variation and G_kl = integral h(b_k, b_l), so that the
     section with flat coefficients c has Hess = c.H.c and |v|^2 = c.G.c.
-    One field_partials stencil of the stacked basis pieces runs per block of
-    nodes whose 2m shifted copies hold at most SPAN_BLOCK rows, so one block's
-    stacked call is no larger than one SPAN_BLOCK-row evaluation; the map
-    jet, omega.dphi and the features are computed once per stencil batch.
-    ``rule`` is a rule of the domain (its quadrature by default, or one from
-    ChartManifold.rule); its nodes carry Z, the criticality gate of
-    hessian_suite and the weights.
+    With a ``contact`` structure the same stencil also carries the horizontal
+    lifts X_k of the sections, and ``reduced`` and ``sasakian`` are the
+    polarized forms of killing_reduced_hessian and sasakian_hessian.
+    One field_partials stencil of the pieces [b_k, iota_(b_k) Omega . dphi,
+    X_k] runs per block of nodes whose 2m shifted copies hold at most
+    SPAN_BLOCK rows; the map jet, omega.dphi and the sections are computed
+    once per stencil batch.  ``rule`` is a rule of the domain (its
+    quadrature by default, or one from ChartManifold.rule or torus_rules);
+    its nodes carry Z, the criticality gate of hessian_suite and the weights.
     """
     M = phi.domain
     rule = M.quadrature if rule is None else rule
     nodes = rule.nodes
     z_nodes = z_field(phi, J, nodes)
     _require_critical(phi, J, z_nodes, CRITICALITY_TOL, nodes=nodes)
-    n, K = span.n_out, span.dim
+    m, n, K = M.dim, phi.codomain.dim, span.dim
+    nc = n // 2  # complex dimension of the codomain
     weights = rule.weights * rule.density
 
-    H = np.zeros((K, K))
-    G = np.zeros((K, K))
-    for sl in _stencil_blocks(len(nodes), M.dim, SPAN_BLOCK):
+    def pieces(p, jet=None):
+        """[b_k, iota_(b_k) Omega . dphi(, X_k)] at the points p: (N, K, n + m (+ m))."""
+        jet = jet or phi.jet(p)
+        vv = span.sections(p, jet)
+        out = [vv, vv @ (J.omega_at(jet.y) @ jet.dphi)]
+        if contact is not None:
+            jet = _submersion_jet(phi, p, jet)
+            adj = adjoint_differential(phi, p, jet=jet)
+            out.append(_lift(adj[:, None], (jet.dphi @ adj)[:, None], vv))
+        return np.concatenate(out, axis=-1)
+
+    forms = np.zeros((2 if contact is None else 4, K, K))
+    H, G = forms[0], forms[1]
+    size = max(1, SPAN_BLOCK // (2 * m))  # nodes a block
+    for start in range(0, len(nodes), size):
+        sl = slice(start, start + size)
         x, w, z = nodes[sl], weights[sl], z_nodes[sl]
-        parts = field_partials(lambda p: _span_pieces(phi, J, span, p), x, phi.diff.fd_step)
+        parts = field_partials(pieces, x, phi.diff.fd_step)
         dv = parts[:, :, :n]  # (B, K, n, m)
-        dA_part = parts[:, :, n:]  # (..., j, i) = d_i A_j
+        dA_part = parts[:, :, n : n + m]  # (..., j, i) = d_i A_j
         dA = np.swapaxes(dA_part, -1, -2) - dA_part
         jet = phi.jet(x)
-        vv = _span_pieces(phi, J, span, x, jet=jet)[:, :, :n]
+        centre = pieces(x, jet)
+        vv = centre[:, :, :n]
         om = J.omega_at(jet.y)
         gammaN = phi.codomain.christoffel_at(jet.y)
         h_y = phi.codomain.metric_at(phi.value(x), check=False)
@@ -405,13 +444,30 @@ def hessian_matrix(phi, J, span, rule=None):
         )
         H += _weighted_gram(vv @ om, nabla_v, w)
         G += _weighted_gram(vv, vv @ h_y, w)
-    if not (np.all(np.isfinite(H)) and np.all(np.isfinite(G))):
+        if contact is None:
+            continue
+        R, S = forms[2], forms[3]
+        ctx = _reeb_context(phi, contact, x)
+        divX, br, phiX = _reeb_vectors(
+            [c[:, None] for c in ctx], centre[:, :, n + m :], parts[:, :, n + m :]
+        )
+        g_br = br @ ctx[3]
+        # (div X)^2 + |[xi, X]|^2 - 2n g(phi X, [xi, X]), polarized below
+        R += _weighted_gram(divX, divX, w) + _weighted_gram(br, g_br, w)
+        R -= 2.0 * nc * _weighted_gram(phiX, g_br, w)
+        D = _pair_components(_contact_frame(phi, ctx, x, jet)[:, None], dA, nc)
+        S += 0.5 * _weighted_gram(D, D, w)
+    if not np.all(np.isfinite(forms)):
         raise NonFiniteIntegrand(f"span Hessian non-finite on {M.name!r}")
-    return 0.5 * (H + H.T), 0.5 * (G + G.T)
+    forms = 0.5 * (forms + forms.swapaxes(-1, -2))
+    if contact is None:
+        return SpanForms(*forms, None, None)
+    forms[3] += forms[2]
+    return SpanForms(*forms)
 
 
 def rayleigh_quotients(H, G, coeffs):
-    """c.H.c / c.G.c for each coefficient matrix c of coeffs (S, dim N, F) or (S, K)."""
+    """c.H.c / c.G.c for each coefficient array c of coeffs (S, *span.shape) or (S, K)."""
     coeffs = np.asarray(coeffs, dtype=float).reshape(len(coeffs), -1)
     hv = np.einsum("sk,kl,sl->s", coeffs, H, coeffs)
     n2 = np.einsum("sk,kl,sl->s", coeffs, G, coeffs)
@@ -447,15 +503,26 @@ def _reeb_context(phi, contact, nodes):
     )
 
 
-def _reeb_terms(ctx, Xv, dX):
-    """(div X)^2, |[xi, X]|^2 and g(phi X, [xi, X]) from X, its partials and the context."""
-    gamma, xi, dxi, g, ph_tensor = ctx
+def _reeb_vectors(ctx, Xv, dX):
+    """div X, [xi, X] and phi X from X, its partials and the context.
+
+    Extra leading axes of X (a family of fields) broadcast against the
+    context's; give the context a matching axis of length one.
+    """
+    gamma, xi, dxi, _, ph_tensor = ctx
     divX = np.einsum("...kk->...", dX) + np.einsum("...kkj,...j->...", gamma, Xv)
     br = np.einsum("...i,...ki->...k", xi, dX) - np.einsum("...i,...ki->...k", Xv, dxi)
     phiX = np.einsum("...ij,...j->...i", ph_tensor, Xv)
+    return divX, br, phiX
+
+
+def _reeb_terms(ctx, Xv, dX, n):
+    """The reduced integrand (div X)^2 + |[xi, X]|^2 - 2n g(phi X, [xi, X])."""
+    divX, br, phiX = _reeb_vectors(ctx, Xv, dX)
+    g = ctx[3]
     br2 = np.einsum("...i,...ij,...j->...", br, g, br)
     cross = np.einsum("...i,...ij,...j->...", phiX, g, br)
-    return divX**2, br2, cross
+    return divX**2 + br2 - 2.0 * n * cross
 
 
 def _contact_frame(phi, ctx, nodes, jet):
@@ -469,12 +536,11 @@ def _contact_frame(phi, ctx, nodes, jet):
     return j_adapted_frame(g, ph_tensor, n, seeds=seeds)
 
 
-def _contact_pair_density(frame, dA, n):
-    """Half the squared frame components of dA over |I| != |J| index pairs."""
+def _pair_components(frame, dA, n):
+    """The frame components of dA over |I| != |J| index pairs, zero elsewhere."""
     D = np.einsum("...iI,...ij,...jJ->...IJ", frame, dA, frame, optimize=True)
     pair = np.arange(2 * n) // 2
-    mask = pair[:, None] != pair[None, :]
-    return 0.5 * np.einsum("...IJ,IJ->...", D**2, mask.astype(float))
+    return D * (pair[:, None] != pair[None, :])
 
 
 def sasakian_hessian(phi, contact, J, v):
@@ -506,10 +572,9 @@ def sasakian_hessian(phi, contact, J, v):
 
     ctx = _reeb_context(phi, contact, nodes)
     jet0 = phi.jet(nodes)
-    term1 = _contact_pair_density(_contact_frame(phi, ctx, nodes, jet0), dA, n)
+    D = _pair_components(_contact_frame(phi, ctx, nodes, jet0), dA, n)
     Xv = horizontal_lift(phi, nodes, v.eval(nodes, jet=jet0), jet=jet0)
-    div2, br2, cross = _reeb_terms(ctx, Xv, dX)
-    return M.integrate(term1 + div2 + br2 - 2.0 * n * cross)
+    return M.integrate(0.5 * np.sum(D**2, axis=(-2, -1)) + _reeb_terms(ctx, Xv, dX, n))
 
 
 def killing_reduced_hessian(phi, contact, J, v):
@@ -533,103 +598,7 @@ def killing_reduced_hessian(phi, contact, J, v):
 
     # one stencil serves both the divergence and the bracket with xi
     dX = field_partials(Xv_field, nodes, phi.diff.fd_step)
-    div2, br2, cross = _reeb_terms(_reeb_context(phi, contact, nodes), Xv_field(nodes), dX)
-    return M.integrate(div2 + br2 - 2.0 * n * cross)
-
-
-# ---------------------------------------------------------------------------
-# the Killing family in one stencil
-
-
-class KillingSecondVariation(NamedTuple):
-    """Second-variation quantities of one Killing-generated field v = dphi(X_A)."""
-
-    hessian: float  # hessian(v)
-    norm2: float  # variation_l2_norm2(v)
-    reduced: float  # killing_reduced_hessian(v)
-    sasakian: float  # sasakian_hessian(v)
-
-
-def _killing_pieces(phi, J, gens, p, jet=None):
-    """[v, iota_v Omega . dphi, X_v] for every generator at the points p: (N, G, n + 2m).
-
-    The map jet, its SVD submersion guard, omega, the embedding jet, the
-    metric and the adjoint do not depend on the generator and are computed
-    once per call.
-    """
-    M = phi.domain
-    jet = _submersion_jet(phi, p, jet)
-    om_dphi = J.omega_at(jet.y) @ jet.dphi
-    e, Je = tensor_jet(M.embedding, p, M.diff)
-    g = M.metric_at(p, check=False)
-    adj = adjoint_differential(phi, p, jet=jet)
-    q = jet.dphi @ adj
-    out = []
-    for A in gens:
-        vv = _killing_variation(jet.dphi, e, Je, g, A)
-        Av = (vv[..., None, :] @ om_dphi)[..., 0, :]
-        out.append(np.concatenate([vv, Av, _lift(adj, q, vv)], axis=-1))
-    return np.stack(out, axis=1)
-
-
-def killing_hessian_family(phi, contact, J, gens, rule=None):
-    """Hessian, L2 norm, reduced integrand and Sasakian expansion of Killing fields.
-
-    ``gens`` are the skew ambient generators A of the fields v = dphi(X_A).
-    One field_partials stencil of ``_killing_pieces`` serves every field and
-    every quantity; on the default rule (the domain's quadrature) each value
-    equals what hessian_suite, killing_reduced_hessian and sasakian_hessian
-    give for variation_from_killing(phi, A) alone.  ``rule`` replaces the
-    nodes, the criticality gate's Z and the weights, e.g. by a torus rule of
-    the domain (see torus_rules).  Nodes go in blocks whose 2m shifted
-    copies hold at most max(ceil(N / G), SPAN_BLOCK) stencil rows, stencil
-    and node values alike, so one block's stacked evaluation of the G
-    fields holds no more field values than one field over all N nodes,
-    unless the rule is small.  A scenario without a contact structure is
-    refused before any work, a non-critical map before the stencil.
-    """
-    if contact is None:
-        raise NotSasakianScenario("scenario carries no contact metric structure")
-    gens = [np.asarray(A, dtype=float) for A in gens]
-    if not gens:
-        return []
-    M = phi.domain
-    rule = M.quadrature if rule is None else rule
-    nodes = rule.nodes
-    z_nodes = z_field(phi, J, nodes)
-    _require_critical(phi, J, z_nodes, CRITICALITY_TOL, nodes=nodes)
-    m, dn = M.dim, phi.codomain.dim
-    n = dn // 2
-
-    G = len(gens)
-    dens = np.empty((4, G, len(nodes)))  # hessian, norm2, reduced, sasakian
-    for sl in _stencil_blocks(len(nodes), m, max(-(-len(nodes) // G), SPAN_BLOCK)):
-        x = nodes[sl]
-        parts = field_partials(lambda p: _killing_pieces(phi, J, gens, p), x, phi.diff.fd_step)
-        jet = phi.jet(x)
-        centre = _killing_pieces(phi, J, gens, x, jet=jet)
-        om = J.omega_at(jet.y)
-        gammaN = phi.codomain.christoffel_at(jet.y)
-        h_y = phi.codomain.metric_at(phi.value(x), check=False)
-        ctx = _reeb_context(phi, contact, x)
-        frame = _contact_frame(phi, ctx, x, jet)
-        ginv = M.inverse_metric_at(x)
-        for k in range(G):
-            vv, Xv = centre[:, k, :dn], centre[:, k, dn + m :]
-            dv = parts[:, k, :dn]
-            dA_part = parts[:, k, dn : dn + m]
-            dA = np.swapaxes(dA_part, -1, -2) - dA_part
-            div2, br2, cross = _reeb_terms(ctx, Xv, parts[:, k, dn + m :])
-            dens[0, k, sl] = _hessian_density(
-                M, x, om, jet.dphi, gammaN, z_nodes[sl], vv, dv, dA, ginv=ginv
-            )
-            dens[1, k, sl] = np.einsum("...a,...ab,...b->...", vv, h_y, vv)
-            dens[2, k, sl] = div2 + br2 - 2.0 * n * cross
-            term1 = _contact_pair_density(frame, dA, n)
-            dens[3, k, sl] = term1 + div2 + br2 - 2.0 * n * cross
-    return [
-        KillingSecondVariation(*(M.integrate(d[k], rule=rule) for d in dens)) for k in range(G)
-    ]
+    return M.integrate(_reeb_terms(_reeb_context(phi, contact, nodes), Xv_field(nodes), dX, n))
 
 
 # Offsets of the two torus rules of the hessian, node-residual and energy

@@ -234,7 +234,7 @@ def _probe_stability(sc, problems):
     from .stability import (
         hessian_matrix,
         killing_fields_sphere,
-        killing_hessian_family,
+        killing_span,
         polynomial_span,
         rayleigh_quotients,
         stability_conditions,
@@ -259,16 +259,16 @@ def _probe_stability(sc, problems):
     if cls == "stable-sampled":
         rng = np.random.default_rng(0)
         span = polynomial_span(sc.map)
-        H, G = hessian_matrix(sc.map, sc.J, span, rule=sc.domain.rule(orders=order))
+        H, G, _, _ = hessian_matrix(sc.map, sc.J, span, rule=sc.domain.rule(orders=order))
         floor = tolerance("hessian_floor", sc)
         coeffs = span.random_coefficients(PROBE_FIELDS, rng)
         worst = float(np.min(rayleigh_quotients(H, G, coeffs)))
         if worst < -floor:
             problems.append(f"sampled Hess/|v|^2 {worst:.3e} < -{floor:g}")
     elif cls == "killing-neutral":
-        gens = killing_fields_sphere(sc.n_complex).perpendicular()[:1]
+        span = killing_span(sc.map, killing_fields_sphere(sc.n_complex).perpendicular()[:1])
         rule = torus_rules(sc.domain, order)[0]
-        (hv, n2, red, _), = killing_hessian_family(sc.map, sc.contact, sc.J, gens, rule=rule)
+        hv, n2, red, _ = (float(f[0, 0]) for f in hessian_matrix(sc.map, sc.J, span, rule, sc.contact))
         target = 4.0 * (1 - sc.n_complex)
         if abs(hv) > tolerance("probe_neutrality", sc) * abs(target) * n2:
             problems.append(f"Killing Hessian {hv:.3e} not neutral at scale {n2:.3e}")

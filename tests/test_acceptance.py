@@ -23,9 +23,10 @@ from phwc_lab.maps import tension_field_direct
 from phwc_lab.report import RunConfig, report_json, run_checks
 from phwc_lab.scenarios import build_scenario
 from phwc_lab.stability import (
+    hessian_matrix,
     hessian_suite,
     killing_fields_sphere,
-    killing_hessian_family,
+    killing_span,
     random_variation_fields,
     torus_rules,
     variation_from_killing,
@@ -103,9 +104,10 @@ def test_criterion_2_z_field_vertical_value():
 @pytest.fixture(scope="module")
 def killing_hessians():
     # one stencil per scenario gives the Hessian, |v|^2, the reduced
-    # integrand and the Sasakian expansion of every filtered generator, on
-    # the hessian check's first torus rule (one node per theta axis); the
-    # energy second-difference oracle keeps the full rule
+    # integrand and the Sasakian expansion of every filtered generator (the
+    # diagonals of the Killing span's forms), on the hessian check's first
+    # torus rule (one node per theta axis); the energy second-difference
+    # oracle keeps the full rule
     out = {}
     for sid, n, order in (("hopf-s5", 2, 6), ("hopf-s7", 3, 4)):
         sc = build_scenario(sid, quad_order=order, validate=False)
@@ -113,12 +115,13 @@ def killing_hessians():
         gens = fam.perpendicular()
         fields = [variation_from_killing(sc.map, A) for A in gens]
         rule = torus_rules(sc.domain)[0]
-        family = killing_hessian_family(sc.map, sc.contact, sc.J, gens, rule=rule)
+        forms = hessian_matrix(sc.map, sc.J, killing_span(sc.map, gens), rule, sc.contact)
+        hess, norm2, reduced, sasakian = (np.diag(f) for f in forms)
         out[sid] = {
             "n": n, "scenario": sc, "fields": fields,
-            "suite": [(f.hessian, f.norm2) for f in family],
-            "sasakian": [f.sasakian for f in family],
-            "reduced": [f.reduced / f.norm2 for f in family],
+            "suite": list(zip(hess, norm2)),
+            "sasakian": list(sasakian),
+            "reduced": list(reduced / norm2),
         }
     return out
 

@@ -1,11 +1,13 @@
-"""Smoke test: the quick demos run to completion.
+"""Smoke tests: every demo imports, and the quick demos run to completion.
 
-Each demo runs in its own interpreter, as a user would start it, and must
-exit with code 0.  Demo 04 (~9 s) and demo 06 (~44 s) are left out to keep
-tier-1 short; 06 repeats second-variation work the acceptance tests cover.
+Every demo is loaded without running its ``main``, so a library name a demo
+imports that no longer exists fails here.  The quick demos also run in their
+own interpreter, as a user would start them, and must exit with code 0.
+Demo 04 (~9 s) is not run, to keep tier-1 short.
 """
 
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -18,6 +20,7 @@ DEMOS = (
     "02_hopf_map_geometry.py",
     "03_phwc_and_induced_structure.py",
     "05_equivalences_and_weyl.py",
+    "06_second_variation.py",
 )
 
 
@@ -35,3 +38,9 @@ def test_demo_exits_cleanly(demo):
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
+
+
+@pytest.mark.parametrize("demo", sorted(p.name for p in (ROOT / "demos").glob("*.py")))
+def test_demo_imports(demo):
+    namespace = runpy.run_path(str(ROOT / "demos" / demo), run_name="demo_import")
+    assert callable(namespace["main"])

@@ -16,9 +16,9 @@ from phwc_lab.stability import (
     hessian_matrix,
     hessian_suite,
     killing_fields_sphere,
-    killing_hessian_family,
     killing_lie_residual,
     killing_reduced_hessian,
+    killing_span,
     polynomial_span,
     random_variation_fields,
     rayleigh_quotients,
@@ -241,65 +241,104 @@ class TestSasakianHessian:
             assert abs(red / n2 + 4.0) < 0.04
 
 
+def _block_invariance(sc, span, contact, monkeypatch, one_block_rows, small_rows):
+    """The forms of one block against those of many blocks, within 1e-12 of each form's
+    scale: its largest entry or the Gram matrix's (|v|^2), whichever is larger, since
+    a neutral Hessian is summation roundoff at the |v|^2 scale."""
+    forms = hessian_matrix(sc.map, sc.J, span, contact=contact)
+    monkeypatch.setattr(stability, "SPAN_BLOCK", one_block_rows)
+    one = hessian_matrix(sc.map, sc.J, span, contact=contact)
+    monkeypatch.setattr(stability, "SPAN_BLOCK", small_rows)
+    many = hessian_matrix(sc.map, sc.J, span, contact=contact)
+    gram_scale = np.max(np.abs(forms.gram))
+    for want, a, b in zip(forms, one, many):
+        if want is None:
+            assert a is None and b is None
+            continue
+        scale = max(np.max(np.abs(want)), gram_scale)
+        for got in (a, b):
+            assert np.max(np.abs(got - want)) <= 1e-12 * scale
+
+
+def _block_rows(sc, span, contact, monkeypatch):
+    """Stencil rows of each block; every block holds at most SPAN_BLOCK of them."""
+    rows = _stencil_rows(monkeypatch)
+    hessian_matrix(sc.map, sc.J, span, contact=contact)
+    assert max(rows) <= stability.SPAN_BLOCK
+    return rows
+
+
 class TestKillingHessianFamily:
-    """One stencil for the family, exactly the single-field values."""
+    """The Killing fields as a span: the diagonals of hessian_matrix against
+    the single-field oracles."""
 
     @pytest.mark.parametrize("sid, n, order, count", [("hopf-s3", 1, 10, None), ("hopf-s5", 2, 4, 2)])
     def test_equals_single_field_routines(self, sid, n, order, count):
         sc = build_scenario(sid, quad_order=order, validate=False)
         gens = killing_fields_sphere(n).perpendicular()[:count]
         fields = [variation_from_killing(sc.map, A) for A in gens]
-        family = killing_hessian_family(sc.map, sc.contact, sc.J, gens)
+        forms = hessian_matrix(sc.map, sc.J, killing_span(sc.map, gens), contact=sc.contact)
         suite = hessian_suite(sc.map, sc.J, fields)
-        assert len(family) == len(fields) == len(suite)
-        for got, v, (hv, n2) in zip(family, fields, suite):
-            assert got.hessian == hv
-            assert got.norm2 == n2
-            assert got.reduced == killing_reduced_hessian(sc.map, sc.contact, sc.J, v)
-            assert got.sasakian == sasakian_hessian(sc.map, sc.contact, sc.J, v)
+        assert forms.hessian.shape == (len(gens), len(gens)) and len(suite) == len(gens)
+        for k, (v, (hv, n2)) in enumerate(zip(fields, suite)):
+            want = (
+                hv,
+                n2,
+                killing_reduced_hessian(sc.map, sc.contact, sc.J, v),
+                sasakian_hessian(sc.map, sc.contact, sc.J, v),
+            )
+            for form, value in zip(forms, want):
+                assert abs(form[k, k] - value) <= 1e-10 * n2
 
     @pytest.mark.parametrize("sid, n, order", [("hopf-s3", 1, 8), ("hopf-s5", 2, 4)])
     def test_torus_rule_matches_the_full_rule(self, sid, n, order):
         sc = build_scenario(sid, quad_order=order, validate=False)
-        gens = killing_fields_sphere(n).perpendicular()
-        full = killing_hessian_family(sc.map, sc.contact, sc.J, gens)
+        span = killing_span(sc.map, killing_fields_sphere(n).perpendicular())
+        full = [np.diag(f) for f in hessian_matrix(sc.map, sc.J, span, contact=sc.contact)]
         for rule in torus_rules(sc.domain):
             assert len(rule.nodes) == order**n
-            torus = killing_hessian_family(sc.map, sc.contact, sc.J, gens, rule=rule)
-            for got, want in zip(torus, full):
-                assert max(abs(a - b) for a, b in zip(got, want)) <= 1e-8 * want.norm2
+            forms = hessian_matrix(sc.map, sc.J, span, rule=rule, contact=sc.contact)
+            for got, want in zip(forms, full):
+                assert np.max(np.abs(np.diag(got) - want)) <= 1e-8 * np.min(full[1])
 
-    def test_block_partition_does_not_change_values(self, s5, fam2, monkeypatch):
-        # blocks hold max(ceil(N / G), SPAN_BLOCK) stencil rows: 2m = 10 rows a
-        # node, so G = 1 cuts the 3125 nodes into blocks of 312, G = 6 of 52
-        gens = fam2.perpendicular()
-        assert len(gens) == 6
-        rows = _stencil_rows(monkeypatch)
-        alone = killing_hessian_family(s5.map, s5.contact, s5.J, gens[:1])
-        assert max(rows) == 3120
-        rows.clear()
-        together = killing_hessian_family(s5.map, s5.contact, s5.J, gens)
-        # two stencils a block: the fields' pieces and the Reeb field's
-        assert max(rows) == 520 and sum(rows) == 2 * 10 * 3125
-        assert alone[0] == together[0]
+    def test_block_partition_does_not_change_values(self, hopf, fam1, monkeypatch):
+        # 2m = 6 rows a node: one block of the 1000 nodes, then 63 of 16
+        span = killing_span(hopf.map, fam1.perpendicular())
+        _block_invariance(hopf, span, hopf.contact, monkeypatch, 6 * 1000, 96)
+
+    def test_blocks_hold_at_most_span_block_stencil_rows(self, hopf, fam1, monkeypatch):
+        rows = _block_rows(hopf, killing_span(hopf.map, fam1.perpendicular()), hopf.contact, monkeypatch)
+        # two stencils a block: the sections' pieces and the Reeb field's
+        assert sum(rows) == 2 * 2 * hopf.domain.dim * len(hopf.domain.quadrature.nodes)
+
+    def test_full_rule_forms_are_diagonal(self):
+        # on the full rule the cross terms B(v_A, v_B) of distinct generators
+        # vanish to quadrature error, so the spectral radius of (H, G) is the
+        # largest diagonal ratio; on a one-node torus rule they do not (the
+        # cross terms depend on theta), which is why the check reads diagonals
+        sc = build_scenario("hopf-s5", quad_order=4, validate=False)
+        span = killing_span(sc.map, killing_fields_sphere(2).perpendicular())
+        forms = hessian_matrix(sc.map, sc.J, span, contact=sc.contact)
+        G = forms.gram
+        scale = np.sqrt(np.outer(np.diag(G), np.diag(G)))
+        off = ~np.eye(len(G), dtype=bool)
+        for form in forms:
+            assert np.max(np.abs(form[off]) / scale[off]) <= 1e-5
+        radius = np.max(np.abs(span_spectrum(forms.hessian, G)))
+        assert radius == pytest.approx(np.max(np.abs(np.diag(forms.hessian) / np.diag(G))), rel=1e-6)
 
     def test_not_critical_refuses(self, hopf, fam1):
         warped = build_scenario("warped-hopf", quad_order=8, validate=False)
         # warped-hopf carries no contact structure; lend it that of the round S^3
-        with pytest.raises(NotCritical, match="exceeds 0.0001"):
-            killing_hessian_family(warped.map, hopf.contact, warped.J, fam1.perpendicular())
+        span = killing_span(warped.map, fam1.perpendicular())
+        with pytest.raises(NotCritical, match="exceeds 0.0001$"):
+            hessian_matrix(warped.map, warped.J, span, contact=hopf.contact)
 
     def test_suite_refusal_names_the_tolerance(self, rng):
         warped = build_scenario("warped-hopf", quad_order=8, validate=False)
         v = random_variation_fields(warped.map, 1, rng)[0]
         with pytest.raises(NotCritical, match="exceeds 0.0001"):
             hessian_suite(warped.map, warped.J, [v])
-
-    def test_requires_contact_before_any_work(self, fam1):
-        # the map is not critical either, but the missing structure is named first
-        warped = build_scenario("warped-hopf", quad_order=8, validate=False)
-        with pytest.raises(NotSasakianScenario):
-            killing_hessian_family(warped.map, warped.contact, warped.J, fam1.perpendicular())
 
 
 class TestHessianMatrix:
@@ -308,7 +347,9 @@ class TestHessianMatrix:
     @pytest.fixture(scope="class")
     def span_matrices(self, hopf):
         span = polynomial_span(hopf.map)
-        return span, *hessian_matrix(hopf.map, hopf.J, span)
+        H, G, reduced, sasakian = hessian_matrix(hopf.map, hopf.J, span)
+        assert reduced is None and sasakian is None  # no contact structure given
+        return span, H, G
 
     def test_quadratic_forms_match_single_fields(self, hopf, span_matrices):
         span, H, G = span_matrices
@@ -326,19 +367,12 @@ class TestHessianMatrix:
         assert np.array_equal(H, H.T) and np.array_equal(G, G.T)
 
     def test_block_partition_does_not_change_values(self, hopf, span_matrices, monkeypatch):
-        span, H, G = span_matrices
         assert len(hopf.domain.quadrature.nodes) == 1000
-        monkeypatch.setattr(stability, "SPAN_BLOCK", 6 * 1000)  # 2m = 6 rows a node: one block
-        H1, G1 = hessian_matrix(hopf.map, hopf.J, span)
-        monkeypatch.setattr(stability, "SPAN_BLOCK", 96)  # 63 blocks of 16 nodes
-        Hn, Gn = hessian_matrix(hopf.map, hopf.J, span)
-        for a, b in ((H1, H), (Hn, H), (G1, G), (Gn, G)):
-            assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
+        # 2m = 6 rows a node: one block, then 63 blocks of 16 nodes
+        _block_invariance(hopf, span_matrices[0], None, monkeypatch, 6 * 1000, 96)
 
     def test_blocks_hold_at_most_span_block_stencil_rows(self, hopf, span_matrices, monkeypatch):
-        rows = _stencil_rows(monkeypatch)
-        hessian_matrix(hopf.map, hopf.J, span_matrices[0])
-        assert max(rows) <= stability.SPAN_BLOCK
+        rows = _block_rows(hopf, span_matrices[0], None, monkeypatch)
         assert sum(rows) == 2 * hopf.domain.dim * len(hopf.domain.quadrature.nodes)
 
     def test_not_critical_refuses(self):
@@ -350,7 +384,7 @@ class TestHessianMatrix:
         # the catalog chart (order 24) at order 10 against the order-10 build
         catalog = build_scenario("hopf-s3", validate=False)
         rule = catalog.domain.rule(orders=10)
-        H, G = hessian_matrix(catalog.map, catalog.J, span_matrices[0], rule=rule)
+        H, G, _, _ = hessian_matrix(catalog.map, catalog.J, span_matrices[0], rule=rule)
         assert np.array_equal(H, span_matrices[1]) and np.array_equal(G, span_matrices[2])
 
     def test_stability_check_honours_fd_step(self):
@@ -362,7 +396,7 @@ class TestHessianMatrix:
             return residuals["span_nonnegativity"]["max"]
 
         sc = build_scenario("hopf-s3", quad_order=12, validate=False, fd_step=1e-4)
-        H, G = hessian_matrix(sc.map, sc.J, polynomial_span(sc.map))
+        H, G, _, _ = hessian_matrix(sc.map, sc.J, polynomial_span(sc.map))
         assert span_bound(1e-4) == -float(span_spectrum(H, G)[0])
         assert span_bound(1e-4) != span_bound(1e-5)
 
