@@ -202,7 +202,8 @@ def main(argv=None):
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except MemoryError as exc:
-        # e.g. a full quadrature rule too large for this machine (--order)
+        # e.g. the full rule of a chart without periodic axes, the only chart
+        # that still builds one, too large for this machine (--order)
         print(f"numerical failure: out of memory: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     return EXIT_CONFIG

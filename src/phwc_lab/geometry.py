@@ -9,6 +9,7 @@ All evaluators accept a single point ``(m,)`` or a batch ``(N, m)``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -24,6 +25,8 @@ __all__ = [
     "QuadratureRule",
     "TangentVector",
     "ChartManifold",
+    "TORUS_OFFSETS",
+    "torus_rules",
     "gram_schmidt",
     "covariant_derivative_vector",
     "divergence_vector_field",
@@ -164,7 +167,21 @@ class ChartManifold:
         self.param_box = param_box or box
         self.axis_maps = axis_maps
         self.quad_orders = quad_orders
-        self.quadrature = self.rule()
+
+    @cached_property
+    def quadrature(self):
+        """The full rule at ``quad_orders``, built on first use."""
+        return self.rule()
+
+    @cached_property
+    def node_rules(self):
+        """The rules of registration, the node residuals and the energies.
+
+        With periodic axes: the two torus rules (``torus_rules``), which are
+        exact only for what does not depend on theta, so a caller compares
+        them.  Without: ``[quadrature]``.
+        """
+        return torus_rules(self) if self.box.periodic else [self.quadrature]
 
     def rule(self, orders=None, offsets=None):
         """A tensor-product rule of this chart, with its volume density.
@@ -297,6 +314,25 @@ class ChartManifold:
         hi = np.asarray(box.upper)
         pad = margin * (hi - lo)
         return rng.uniform(lo + pad, hi - pad, size=(count, self.dim))
+
+
+# Offsets of the two torus rules of the node rules and the hessian check, as
+# fractions of the period: (start + k * step) mod 1 on the k-th periodic
+# axis.  The steps differ, so the two rules differ by a shift that is not the
+# same on every axis.  A shift that is the same on every axis moves along the
+# Reeb flow, which is central in U(n+1) and so would prove nothing about
+# invariance.
+TORUS_OFFSETS = ((0.5, np.sqrt(2.0) - 1.0), (0.25, np.sqrt(3.0) - 1.0))
+
+
+def torus_rules(M, orders=None):
+    """The torus rules of chart M at the offsets of TORUS_OFFSETS, in order.
+
+    ``orders`` are the Gauss-Legendre orders of the other axes (default: the
+    chart's own), as in ChartManifold.rule.
+    """
+    k = np.arange(len(M.box.periodic))
+    return [M.rule(orders, offsets=(start + k * step) % 1.0) for start, step in TORUS_OFFSETS]
 
 
 def gram_schmidt(vecs, g):

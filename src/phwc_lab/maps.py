@@ -80,24 +80,25 @@ class SmoothMap:
         y, dphi, d2phi = tensor_second(self.expr, x, self.diff)
         return MapJet(x=np.asarray(x, float), y=y, dphi=dphi, d2phi=d2phi)
 
-    def validate_on_quadrature(self):
-        """Image of every quadrature node must land in the codomain chart."""
-        y = self.value(self.domain.quadrature.nodes)
-        if not np.all(self.codomain.box.contains(y)):
-            raise OutOfChart(
-                f"map {self.name!r} leaves the codomain chart on quadrature nodes"
-            )
+    def require_in_codomain(self, x):
+        """The images of the points x must land in the codomain chart."""
+        if not np.all(self.codomain.box.contains(self.value(x))):
+            raise OutOfChart(f"map {self.name!r} leaves the codomain chart")
+
+    def ranks(self, x):
+        """Rank of dphi and its singular values at the points x."""
+        sv = np.linalg.svd(self.jet(x).dphi, compute_uv=False)
+        return np.sum(sv > SVD_RANK_RTOL * sv[..., :1], axis=-1), sv
 
     def rank_profile(self):
-        """Rank and singular values on quadrature nodes; raises if the rank varies.
+        """Rank and singular values on the domain's node rules; raises if the rank varies.
 
         Computed on the first call and kept: registration and the structure
-        check read the same profile.
+        check read the same profile.  On a periodic domain the nodes of both
+        torus rules take part, so the rank is compared across theta offsets.
         """
         if self._rank_profile is None:
-            jet = self.jet(self.domain.quadrature.nodes)
-            sv = np.linalg.svd(jet.dphi, compute_uv=False)
-            ranks = np.sum(sv > SVD_RANK_RTOL * sv[..., :1], axis=-1)
+            ranks, sv = self.ranks(np.concatenate([r.nodes for r in self.domain.node_rules]))
             if np.min(ranks) != np.max(ranks):
                 raise RankDeficient(
                     f"map {self.name!r} does not have constant rank on the chart"

@@ -104,6 +104,14 @@ class RunConfig:
             data["checks"] = tuple(data["checks"])
         return cls(**data)
 
+    def effective_stability_order(self, sc):
+        """The order of the stability check's rule: as given, else on a
+        stable-sampled scenario min(12, the domain's largest order)."""
+        sampled = sc.expected.get("stability_class") == "stable-sampled"
+        if self.stability_order is not None or not sampled:
+            return self.stability_order
+        return int(min(12, np.max(sc.domain.quad_orders)))
+
     def effective(self, sc):
         return {
             "scenario_id": self.scenario_id,
@@ -117,7 +125,7 @@ class RunConfig:
             "seed": self.seed,
             "sample_points": self.sample_points,
             "stability_fields": self.stability_fields,
-            "stability_order": self.stability_order,
+            "stability_order": self.effective_stability_order(sc),
             "hessian_generators": self.hessian_generators,
             "tolerances": dict(sorted(self.tolerances.items())),
         }
@@ -144,28 +152,13 @@ def _row_entry(sc, cfg, name, x):
     return _residual_entry(sc, cfg, name, RESIDUALS[name].values(sc, x), x)
 
 
-def _node_rules(sc):
-    """The rules of the node residuals and the energies.
-
-    On a domain with periodic axes: its two torus rules
-    (``stability.torus_rules``), one node per periodic axis at two offsets.
-    That rule is exact only for what does not depend on theta, so each
-    check reports the two rules' agreement as ``torus_invariance``.  A
-    domain without periodic axes keeps its full rule.
-    """
-    from .stability import torus_rules
-
-    M = sc.domain
-    return torus_rules(M) if M.box.periodic else [M.quadrature]
-
-
 def _node_entries(sc, cfg, name, key):
     """Entry ``key`` of ``RESIDUALS[name]`` over every node of the node rules.
 
     With two rules, adds ``torus_invariance``: the largest absolute gap
     between the rules at nodes that share their non-periodic coordinates.
     """
-    rules = _node_rules(sc)
+    rules = sc.domain.node_rules
     nodes = np.concatenate([r.nodes for r in rules])
     values = RESIDUALS[name].values(sc, nodes)
     res = {key: _residual_entry(sc, cfg, name, values, nodes)}
@@ -241,7 +234,7 @@ ENERGIES = ("dirichlet", "fh_infinity", "p_energy")
 def _check_energy(sc, cfg, pts):
     rep, *other = (
         fh_energy(sc.map, sc.J, cfg.alpha, p_exponent=cfg.p, rule=rule)
-        for rule in _node_rules(sc)
+        for rule in sc.domain.node_rules
     )
     limit_gap = abs(rep.fh_alpha / cfg.alpha - rep.fh_infinity - rep.dirichlet / cfg.alpha)
     res = {
@@ -370,7 +363,7 @@ def _check_weyl(sc, cfg, pts):
 
 
 def _check_hessian(sc, cfg, pts):
-    from .stability import hessian_matrix, killing_fields_sphere, killing_span, torus_rules
+    from .stability import hessian_matrix, killing_fields_sphere, killing_span
 
     res, verd = {}, {}
     if sc.contact is None:
@@ -388,7 +381,7 @@ def _check_hessian(sc, cfg, pts):
     span = killing_span(sc.map, gens)
     family, shifted = (
         np.array([np.diag(f) for f in hessian_matrix(sc.map, sc.J, span, rule, sc.contact)])
-        for rule in torus_rules(sc.domain)
+        for rule in sc.domain.node_rules
     )
     hess, norm2, reduced, sasakian = family
     ratios = hess / norm2
@@ -430,7 +423,7 @@ def _check_stability(sc, cfg, pts):
     verd["weakly_stable_sufficient"] = rep["weakly_stable_sufficient"]
     cls = sc.expected.get("stability_class")
     if cls == "stable-sampled":
-        order = cfg.stability_order or min(12, np.max(sc.domain.quad_orders))
+        order = cfg.effective_stability_order(sc)
         rng = np.random.default_rng(cfg.seed)
         span = polynomial_span(sc.map)
         coeffs = span.random_coefficients(cfg.stability_fields, rng)

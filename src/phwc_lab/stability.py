@@ -18,6 +18,7 @@ from .errors import EigenframeDegenerate, NonFiniteIntegrand, NotCritical, NotSa
 from .geometry import (
     codifferential_two_form,
     lie_bracket,
+    torus_rules,
     two_form_norm2,
 )
 from .maps import (
@@ -48,7 +49,6 @@ __all__ = [
     "hessian_matrix",
     "rayleigh_quotients",
     "span_spectrum",
-    "TORUS_OFFSETS",
     "torus_rules",
     "criticality_gate",
     "sasakian_hessian",
@@ -223,7 +223,7 @@ def polynomial_span(phi, degree=2):
             out[:, a, :, a] = feats
         return out.reshape(N, n * F, n)
 
-    n_feat = features(M.quadrature.nodes[:1]).shape[1]
+    n_feat = features(M.node_rules[0].nodes[:1]).shape[1]
     return VariationSpan(phi.name, sections, (n, n_feat))
 
 
@@ -599,25 +599,6 @@ def killing_reduced_hessian(phi, contact, J, v):
     # one stencil serves both the divergence and the bracket with xi
     dX = field_partials(Xv_field, nodes, phi.diff.fd_step)
     return M.integrate(_reeb_terms(_reeb_context(phi, contact, nodes), Xv_field(nodes), dX, n))
-
-
-# Offsets of the two torus rules of the hessian, node-residual and energy
-# checks, as fractions of the period: (start + k * step) mod 1 on the k-th
-# periodic axis.  The steps differ, so the two rules differ by a shift that
-# is not the same on every axis.  A shift that is the same on every axis
-# moves along the Reeb flow, which is central in U(n+1) and so would prove
-# nothing about invariance.
-TORUS_OFFSETS = ((0.5, np.sqrt(2.0) - 1.0), (0.25, np.sqrt(3.0) - 1.0))
-
-
-def torus_rules(M, orders=None):
-    """The torus rules of chart M at the offsets of TORUS_OFFSETS, in order.
-
-    ``orders`` are the Gauss-Legendre orders of the other axes (default: the
-    chart's own), as in ChartManifold.rule.
-    """
-    k = np.arange(len(M.box.periodic))
-    return [M.rule(orders, offsets=(start + k * step) % 1.0) for start, step in TORUS_OFFSETS]
 
 
 def bracket_identity_sasakian(contact, X, x):

@@ -300,8 +300,8 @@ def induced_f_structure(phi, J, gate_tol=PHWC_GATE_TOL):
     def F_only(x):
         return F_at(x)[0]
 
-    # rank = 2 * dim_C W; probe at a quadrature node
-    probe = phi.domain.quadrature.nodes[:1]
+    # rank = 2 * dim_C W; probe at a node of the domain's node rules
+    probe = phi.domain.node_rules[0].nodes[:1]
     _, kept = F_at(probe)
     return MetricFStructure(phi.domain, F_only, rank=2 * kept, name=f"F^{phi.name}")
 

@@ -14,7 +14,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import NotCritical
+from .errors import NotCritical, RankDeficient
 from .maps import dilation_hwc, mean_curvature_fibres, tension_field_direct
 from .structures import phwc_residual
 from .variational import criticality_residual
@@ -160,9 +160,15 @@ def validate_scenario(sc, samples=40, seed=0):
     images = sc.map.value(pts)
     sc.codomain.metric_at(images)
 
-    # map lands in the codomain chart and has constant rank
-    sc.map.validate_on_quadrature()
+    # map lands in the codomain chart and has constant rank, on the node
+    # rules and on the samples (which cover every theta)
+    nodes = np.concatenate([r.nodes for r in sc.domain.node_rules])
+    sc.map.require_in_codomain(np.concatenate([nodes, pts]))
     rank, _ = sc.map.rank_profile()
+    if np.any(sc.map.ranks(pts)[0] != rank):
+        raise RankDeficient(
+            f"map {sc.map.name!r}: rank at the samples differs from {rank} on the nodes"
+        )
 
     # structure invariants, against the tolerances of the run's structure check
     if sc.J is not None:

@@ -1,8 +1,15 @@
 """CLI contract: subcommands, flags, exit codes, report determinism."""
 
 import json
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import phwc_lab
 
 from phwc_lab import cli
 from phwc_lab.errors import ConfigError
@@ -93,6 +100,24 @@ class TestRun:
         err = capsys.readouterr().err
         assert err == "numerical failure: out of memory: Unable to allocate 13.1 GiB\n"
 
+    def test_hopf_s7_order_8_hessian_fits_in_one_gib(self):
+        # registration and the check read only the torus rules, so the
+        # 8^7-node full rule, whose rank profile alone needs a 784 MiB
+        # array, is never built
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+                   PYTHONPATH=str(Path(phwc_lab.__file__).parents[1]))
+
+        def cap():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        out = subprocess.run(
+            [sys.executable, "-m", "phwc_lab.cli", "run", "--scenario", "hopf-s7",
+             "--checks", "hessian", "--order", "8"],
+            env=env, preexec_fn=cap, capture_output=True, text=True, timeout=300,
+        )
+        assert out.returncode == 0, out.stderr
+        assert "all verdicts match expectations" in out.stdout
+
     def test_config_file_and_flag_override(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"checks": ["phwc"], "seed": 3}))
@@ -153,6 +178,20 @@ class TestRunConfig:
     def test_range_validation(self, key, value):
         with pytest.raises(ConfigError):
             RunConfig(scenario_id="flat-holo", **{key: value})
+
+
+    def test_effective_stability_order(self):
+        from phwc_lab.scenarios import build_scenario
+
+        # stable-sampled: the order the span Hessian runs at, as a plain int
+        sampled = build_scenario("hopf-s3")
+        order = RunConfig(scenario_id="hopf-s3").effective(sampled)["stability_order"]
+        assert order == 12 and type(order) is int
+        assert RunConfig(scenario_id="hopf-s3", stability_order=6).effective(sampled)[
+            "stability_order"] == 6
+        # elsewhere no stability rule is built: the value as given
+        flat = build_scenario("flat-holo")
+        assert RunConfig(scenario_id="flat-holo").effective(flat)["stability_order"] is None
 
 
 class TestToleranceOverrides:

@@ -17,7 +17,9 @@ from phwc_lab.geometry import (
     gram_schmidt,
     two_form_norm2,
 )
-from phwc_lab.scenarios import fs_chart, hopf_sphere_chart
+from phwc_lab import scenarios
+from phwc_lab.report import RunConfig, run_checks, run_identities
+from phwc_lab.scenarios import build_scenario, fs_chart, hopf_sphere_chart, scenario_ids
 from phwc_lab.stability import torus_rules
 
 from conftest import sphere2_chart
@@ -292,6 +294,44 @@ class TestTorusRule:
                 f = lambda x: np.cos(x[:, n + j] - x[:, n + k])
                 a, b = M.integrate(f, rule=first), M.integrate(f, rule=second)
                 assert abs(a - b) > 0.1 * M.quadrature.total_measure
+
+
+class TestLazyRules:
+    """The full rule is built on first use; the node rules once per chart."""
+
+    def test_quadrature_on_first_use(self):
+        M = hopf_sphere_chart(2, 4)
+        assert "quadrature" not in vars(M)
+        rule, want = M.quadrature, M.rule()
+        assert M.quadrature is rule
+        for key in ("nodes", "weights", "density"):
+            assert np.array_equal(getattr(rule, key), getattr(want, key))
+        assert rule.total_measure == want.total_measure
+
+    def test_node_rules(self, flat2):
+        M = hopf_sphere_chart(2, 4)
+        rules = M.node_rules
+        assert M.node_rules is rules and "quadrature" not in vars(M)
+        for got, want in zip(rules, torus_rules(M), strict=True):
+            assert np.array_equal(got.nodes, want.nodes)
+            assert np.array_equal(got.weights * got.density, want.weights * want.density)
+        assert flat2.node_rules == [flat2.quadrature]
+
+    @pytest.mark.parametrize("sid", scenario_ids())
+    def test_no_full_rule_where_nothing_integrates(self, sid, monkeypatch):
+        # every check and the identity suites read the node rules, the torus
+        # rules of the hessian check or a rule of their own order
+        monkeypatch.setattr(scenarios, "_CACHE", {})
+        sc = build_scenario(sid)
+        run_checks(RunConfig(scenario_id=sid))
+        run_identities(sid)
+        assert build_scenario(sid) is sc
+        assert "quadrature" not in vars(sc.codomain)
+        if sc.domain.box.periodic:
+            assert "quadrature" not in vars(sc.domain)
+        else:
+            # flat-holo's node rule is its full rule
+            assert "quadrature" in vars(sc.domain)
 
 
 class TestDivergence:

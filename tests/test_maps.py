@@ -7,6 +7,7 @@ from phwc_lab.autodiff import DiffConfig
 from phwc_lab.errors import RankDeficient
 from phwc_lab.geometry import Box, ChartManifold, TangentVector
 from phwc_lab.maps import (
+    SVD_RANK_RTOL,
     SmoothMap,
     adjoint_differential,
     dilation_hwc,
@@ -22,7 +23,7 @@ from phwc_lab.maps import (
     stress_energy_residual,
     tension_field_direct,
 )
-from phwc_lab.scenarios import build_scenario, flat_chart
+from phwc_lab.scenarios import build_scenario, flat_chart, scenario_ids
 
 from conftest import sphere2_chart
 
@@ -295,6 +296,15 @@ class TestDilationAndEnergy:
     def test_rank_profile_constant(self, hopf):
         rank, _ = hopf.map.rank_profile()
         assert rank == 2
+
+    @pytest.mark.parametrize("sid", scenario_ids())
+    def test_rank_profile_matches_the_full_rule(self, sid):
+        # the profile reads the node rules; the full rule's rank is the oracle
+        sc = build_scenario(sid)
+        rank, _ = sc.map.rank_profile()
+        sv = np.linalg.svd(sc.map.jet(sc.domain.quadrature.nodes).dphi, compute_uv=False)
+        full = np.sum(sv > SVD_RANK_RTOL * sv[..., :1], axis=-1)
+        assert np.all(full == rank)
 
     def test_rank_profile_is_computed_once(self, monkeypatch):
         # registration computes it; the structure check reads the same result

@@ -109,7 +109,7 @@ class TestScenarioValidationCatchesLies:
         cod = flat_chart(2, half=0.5)
         phi = SmoothMap("big", dom, cod, lambda x: [2.0 * x[0], x[1]])
         with pytest.raises(OutOfChart):
-            phi.validate_on_quadrature()
+            phi.require_in_codomain(dom.node_rules[0].nodes)
 
 
 def test_builds_are_deterministic():
