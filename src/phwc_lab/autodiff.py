@@ -11,6 +11,12 @@ First derivatives default to dual numbers; second derivatives default to
 central differences of dual-computed first derivatives, which keeps the
 roundoff error near eps/h instead of eps/h^2.
 
+An expression returns a (nested) list or tuple of one common shape per
+level; every entry is a scalar, a (1,) array or an (N,) array over the N
+points, and Dual or Jet2 entries carry values of those shapes.  Anything
+else, including an empty output, raises DifferentiationFailure naming the
+entry.
+
 A central-difference stencil is one batched evaluation: the 2m shifted
 copies of the N points are stacked shift-major into one (2m*N, m) batch, the
 field or expression runs once on it, and the differences come from the
@@ -378,20 +384,42 @@ def _dispatch(cls, ufunc, inputs):
 
 
 def _flatten(out):
-    """Flatten a (possibly nested) list/tuple expression result."""
-    if isinstance(out, (list, tuple)):
-        shape = (len(out),)
-        flats = []
-        inner_shape = None
-        for item in out:
-            s, f = _flatten(item)
-            if inner_shape is None:
-                inner_shape = s
-            elif s != inner_shape:
-                raise DifferentiationFailure("ragged expression output")
-            flats.extend(f)
-        return shape + inner_shape, flats
-    return (), [out]
+    """Flatten a (possibly nested) list/tuple expression result: (shape, entries).
+
+    Level by level: the items of a level are either all lists/tuples of one
+    common length or all entries; anything else is a ragged output.
+    """
+    shape = ()
+    level = [out]
+    while True:
+        nested = [isinstance(item, (list, tuple)) for item in level]
+        if not any(nested):
+            break
+        if not all(nested) or len({len(item) for item in level}) != 1:
+            raise DifferentiationFailure("ragged expression output")
+        shape += (len(level[0]),)
+        level = [entry for item in level for entry in item]
+    if not level:
+        raise DifferentiationFailure(f"expression output of shape {shape} has no entries")
+    return shape, level
+
+
+def _put(arr, j, value, n):
+    """Write entry j of an expression output into column j of arr (n, k).
+
+    The entry is a scalar, (1,) or (n,); any other shape raises
+    DifferentiationFailure naming the entry.
+    """
+    if getattr(value, "ndim", 0) <= 1:
+        try:
+            arr[:, j] = value
+            return
+        except ValueError:
+            pass
+    raise DifferentiationFailure(
+        f"expression entry {j} has shape {np.shape(value)}; "
+        f"an entry must have shape (), (1,) or ({n},)"
+    )
 
 
 def _points(x):
@@ -415,7 +443,7 @@ def tensor_value(fn, x):
     shape, flats = _flatten(fn([x[:, i] for i in range(x.shape[1])]))
     out = np.empty((n, len(flats)))
     for j, entry in enumerate(flats):
-        out[:, j] = np.broadcast_to(np.asarray(entry, dtype=float), (n,))
+        _put(out, j, entry, n)
     out = out.reshape((n,) + shape)
     return out[0] if squeeze else out
 
@@ -432,10 +460,10 @@ def _dual_eval(fn, x):
     der = np.zeros((n, len(flats), m))
     for j, entry in enumerate(flats):
         if isinstance(entry, Dual):
-            val[:, j] = entry.a
+            _put(val, j, entry.a, n)
             der[:, j, :] = entry.b
         else:
-            val[:, j] = np.broadcast_to(np.asarray(entry, dtype=float), (n,))
+            _put(val, j, entry, n)
     return shape, val, der
 
 
@@ -473,11 +501,11 @@ def _jet2_eval(fn, x):
     sec = np.zeros((n, len(flats), m, m))
     for j, entry in enumerate(flats):
         if isinstance(entry, Jet2):
-            val[:, j] = entry.v
+            _put(val, j, entry.v, n)
             der[:, j] = entry.g
             sec[:, j] = entry.h
         else:
-            val[:, j] = np.broadcast_to(np.asarray(entry, dtype=float), (n,))
+            _put(val, j, entry, n)
     return shape, val, der, sec
 
 

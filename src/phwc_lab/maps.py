@@ -110,12 +110,17 @@ class SmoothMap:
         return f"SmoothMap({self.name!r}: {self.domain.name} -> {self.codomain.name})"
 
 
+def _adjoint(ginv, dphi, h):
+    """g^-1 dphi^T h from the inverse domain metric and the codomain metric at phi(x)."""
+    return ginv @ np.swapaxes(dphi, -1, -2) @ h
+
+
 def adjoint_differential(phi, x, jet=None):
     """Metric adjoint dphi^t = g^-1 dphi^T h, so g(X, dphi^t E) = h(dphi X, E)."""
     jet = jet or phi.jet(x)
     ginv = phi.domain.inverse_metric_at(x)
     h = phi.codomain.metric_at(jet.y, check=False)
-    return ginv @ np.swapaxes(jet.dphi, -1, -2) @ h
+    return _adjoint(ginv, jet.dphi, h)
 
 
 def energy_density(phi, x, jet=None):
@@ -222,7 +227,7 @@ def fibre_splitting(phi, x, require_rank=None):
     g = phi.domain.metric_at(x, check=False)
     h = phi.codomain.metric_at(jet.y, check=False)
     m = phi.domain.dim
-    E = phi.domain.frame_at(x)
+    E = gram_schmidt(np.eye(m), g)  # phi.domain.frame_at(x) from the metric in hand
     U = gram_schmidt(np.eye(phi.codomain.dim), h)
     uinv = U.T @ h
     mat = uinv @ jet.dphi @ E  # dphi in orthonormal frames

@@ -17,7 +17,7 @@ from .errors import (
     RankDeficient,
 )
 from .geometry import gram_schmidt, nabla_endomorphism, endomorphism_divergence
-from .maps import adjoint_differential, horizontal_frame
+from .maps import _adjoint, adjoint_differential, horizontal_frame
 
 
 def _field(fn, x):
@@ -226,14 +226,18 @@ def _struct_at(structure, y):
     return np.asarray(structure.F_at(y), dtype=float)
 
 
+def _commutator_norm(dphi, adj, F):
+    """Frobenius norm of F [q, F] with q = dphi dphi^t (adj = dphi^t)."""
+    q = dphi @ adj
+    r = F @ (q @ F - F @ q)
+    return np.sqrt(np.einsum("...ab,...ab->...", r, r))
+
+
 def phwc_residual(phi, structure, x, jet=None):
     """Frobenius norm of F [dphi dphi^t, F] at phi(x); zero iff PHWC there."""
     jet = jet or phi.jet(x)
     adj = adjoint_differential(phi, x, jet=jet)
-    q = jet.dphi @ adj
-    F = _struct_at(structure, jet.y)
-    r = F @ (q @ F - F @ q)
-    return np.sqrt(np.einsum("...ab,...ab->...", r, r))
+    return _commutator_norm(jet.dphi, adj, _struct_at(structure, jet.y))
 
 
 def phwc_residual_coordinates(phi, x, jet=None):
@@ -273,19 +277,21 @@ def induced_f_structure(phi, J, gate_tol=PHWC_GATE_TOL):
         xb = np.atleast_2d(np.asarray(x, dtype=float))
         squeeze = np.asarray(x).ndim == 1
         jet = phi.jet(xb)
-        res = phwc_residual(phi, J, xb, jet=jet)
+        # each metric and J once: phwc_residual and adjoint_differential
+        # would evaluate them again at the same points
+        g = phi.domain.metric_at(xb, check=False)
+        h = phi.codomain.metric_at(jet.y, check=False)
+        Jv = _struct_at(J, jet.y)
+        adj = _adjoint(np.linalg.inv(g), jet.dphi, h)
+        res = _commutator_norm(jet.dphi, adj, Jv)
         if np.max(res) > gate_tol:
             raise NotPHWC(
                 f"map {phi.name!r}: PHWC residual {np.max(res):.3e} exceeds gate {gate_tol:g}"
             )
-        h = phi.codomain.metric_at(jet.y, check=False)
-        Jv = J.J_at(jet.y)
         u = j_adapted_frame(h, Jv, n_pairs)
-        adj = adjoint_differential(phi, xb, jet=jet)
         a = np.einsum("...ia,...ab->...ib", adj, u[..., 0::2])
         b = np.einsum("...ia,...ab->...ib", adj, u[..., 1::2])
         cols = a - 1j * b  # dphi^t (u - i J u)
-        g = phi.domain.metric_at(xb, check=False)
         B, kept = _complex_orthonormalize(cols, g)
         iso = np.einsum("...ik,...ij,...jl->...kl", B, g.astype(complex), B)
         if np.max(np.abs(iso)) > 1e-8:

@@ -206,6 +206,170 @@ class TestStackedStencil:
 
 
 def test_tensor_value_broadcasts_constants():
-    out = tensor_value(lambda x: [1.0, x[0]], X)
-    assert out.shape == (3, 2)
-    assert np.allclose(out[:, 0], 1.0)
+    out = tensor_value(lambda x: [1.0, np.array([3.0]), x[0]], X)
+    assert out.shape == (3, 3)
+    assert np.array_equal(out, np.stack([np.full(3, 1.0), np.full(3, 3.0), X[:, 0]], axis=1))
+
+
+NESTED = DiffConfig(second_derivative_mode="nested_dual")
+
+EVALUATORS = {
+    "value": lambda fn, x: tensor_value(fn, x),
+    "dual": lambda fn, x: tensor_jet(fn, x),
+    "nested_dual": lambda fn, x: tensor_second(fn, x, NESTED),
+}
+
+
+class TestMalformedOutput:
+    """Entries are scalars, (1,) or (N,); anything else is a DifferentiationFailure."""
+
+    @pytest.mark.parametrize("evaluate", EVALUATORS.values(), ids=EVALUATORS.keys())
+    @pytest.mark.parametrize(
+        "fn, message",
+        [
+            (lambda x: [x[0], np.ones((len(X), 1))], r"entry 1 has shape \(3, 1\)"),
+            (lambda x: [x[0], np.ones(len(X) + 1)], r"entry 1 has shape \(4,\)"),
+            (lambda x: [x[0] * np.ones((len(X), 1)), x[1]], r"entry 0 has shape \(3, 3\)"),
+            (lambda x: [], r"output of shape \(0,\) has no entries"),
+            (lambda x: [[], []], r"output of shape \(2, 0\) has no entries"),
+        ],
+        ids=["column", "row-count", "outer-product", "empty", "empty-nested"],
+    )
+    def test_raises_differentiation_failure(self, evaluate, fn, message):
+        with pytest.raises(DifferentiationFailure, match=message):
+            evaluate(fn, X)
+
+    @pytest.mark.parametrize("evaluate", EVALUATORS.values(), ids=EVALUATORS.keys())
+    def test_ragged_output(self, evaluate):
+        with pytest.raises(DifferentiationFailure, match="ragged"):
+            evaluate(lambda x: [[x[0], x[1]], [x[0]]], X)
+
+    def test_malformed_output_exits_numerical_with_one_line(self, capsys, monkeypatch):
+        from phwc_lab import cli
+        from phwc_lab.scenarios import build_scenario
+
+        M = build_scenario("flat-holo").domain
+        monkeypatch.setattr(M, "metric_fn", lambda x: [[np.ones((len(x[0]), 1))] * M.dim] * M.dim)
+        assert cli.main(["run", "--scenario", "flat-holo", "--checks", "energy"]) == cli.EXIT_NUMERICAL
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "entry 0 has shape" in err[0]
+
+
+# -- reference assembly: one np.broadcast_to per entry, recursive flatten ------
+
+
+def _reference_flatten(out):
+    if isinstance(out, (list, tuple)):
+        flats, inner = [], None
+        for item in out:
+            s, f = _reference_flatten(item)
+            inner = s if inner is None else inner
+            assert s == inner
+            flats.extend(f)
+        return (len(out),) + inner, flats
+    return (), [out]
+
+
+def _reference_entry(entry, n):
+    return np.broadcast_to(np.asarray(entry, dtype=float), (n,))
+
+
+def _reference_value(fn, x):
+    n, m = x.shape
+    shape, flats = _reference_flatten(fn([x[:, i] for i in range(m)]))
+    out = np.empty((n, len(flats)))
+    for j, entry in enumerate(flats):
+        out[:, j] = _reference_entry(entry, n)
+    return out.reshape((n,) + shape)
+
+
+def _reference_dual(fn, x):
+    n, m = x.shape
+    coords = []
+    for i in range(m):
+        b = np.zeros((n, m))
+        b[:, i] = 1.0
+        coords.append(Dual(x[:, i], b))
+    shape, flats = _reference_flatten(fn(coords))
+    val = np.empty((n, len(flats)))
+    der = np.zeros((n, len(flats), m))
+    for j, entry in enumerate(flats):
+        if isinstance(entry, Dual):
+            val[:, j] = entry.a
+            der[:, j, :] = entry.b
+        else:
+            val[:, j] = _reference_entry(entry, n)
+    return val.reshape((n,) + shape), der.reshape((n,) + shape + (m,))
+
+
+def _reference_jet2(fn, x):
+    n, m = x.shape
+    coords = []
+    for i in range(m):
+        g = np.zeros((n, m))
+        g[:, i] = 1.0
+        coords.append(Jet2(x[:, i], g, np.zeros((n, m, m))))
+    shape, flats = _reference_flatten(fn(coords))
+    val = np.empty((n, len(flats)))
+    der = np.zeros((n, len(flats), m))
+    sec = np.zeros((n, len(flats), m, m))
+    for j, entry in enumerate(flats):
+        if isinstance(entry, Jet2):
+            val[:, j] = entry.v
+            der[:, j] = entry.g
+            sec[:, j] = entry.h
+        else:
+            val[:, j] = _reference_entry(entry, n)
+    return (
+        val.reshape((n,) + shape),
+        der.reshape((n,) + shape + (m,)),
+        sec.reshape((n,) + shape + (m, m)),
+    )
+
+
+def _catalog_expressions(sid):
+    """(name, expression, points) for a scenario's metrics, map and embeddings.
+
+    Domain expressions run on the nodes of the domain's first node rule,
+    codomain expressions on their images under the map.
+    """
+    from phwc_lab.scenarios import build_scenario
+
+    sc = build_scenario(sid, validate=False)
+    nodes = sc.domain.node_rules[0].nodes
+    images = sc.map.value(nodes)
+    out = [
+        ("domain-metric", sc.domain.metric_fn, nodes),
+        ("codomain-metric", sc.codomain.metric_fn, images),
+        ("map", sc.map.expr, nodes),
+    ]
+    for name, chart, pts in (("domain-embedding", sc.domain, nodes), ("codomain-embedding", sc.codomain, images)):
+        if chart.embedding is not None:
+            out.append((name, chart.embedding, pts))
+    return out
+
+
+def _catalog_ids():
+    from phwc_lab.scenarios import scenario_ids
+
+    return scenario_ids()
+
+
+def _reference_at(reference, fn, x):
+    """A reference evaluator on a batch (N, m), or on one point (m,) without the batch axis."""
+    out = reference(fn, np.atleast_2d(x))
+    if x.ndim == 2:
+        return out
+    return out[0] if isinstance(out, np.ndarray) else tuple(a[0] for a in out)
+
+
+@pytest.mark.parametrize("sid", _catalog_ids())
+def test_assembly_equals_broadcast_reference(sid):
+    """Column assignment writes the same bits as one np.broadcast_to per entry."""
+    for name, fn, pts in _catalog_expressions(sid):
+        for x in (pts, pts[0]):
+            assert np.array_equal(tensor_value(fn, x), _reference_at(_reference_value, fn, x)), name
+            for got, want in zip(tensor_jet(fn, x, DiffConfig()), _reference_at(_reference_dual, fn, x)):
+                assert np.array_equal(got, want), name
+            for got, want in zip(tensor_second(fn, x, NESTED), _reference_at(_reference_jet2, fn, x)):
+                assert np.array_equal(got, want), name

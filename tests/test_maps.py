@@ -190,6 +190,20 @@ class TestFibreGeometry:
         inner = split.vertical[:, 0] @ g @ xi
         assert abs(abs(inner) - 1.0) < 1e-9
 
+    @pytest.mark.parametrize("sid", scenario_ids())
+    def test_splitting_frame_is_the_chart_frame(self, sid, monkeypatch):
+        # the frame E comes from the metric fibre_splitting already holds
+        from phwc_lab import maps
+
+        sc = build_scenario(sid, validate=False)
+        frames = []
+        real = maps.gram_schmidt
+        monkeypatch.setattr(maps, "gram_schmidt", lambda v, g: frames.append(real(v, g)) or frames[-1])
+        for x in sc.domain.node_rules[0].nodes[:3]:
+            frames.clear()
+            fibre_splitting(sc.map, x)
+            assert np.array_equal(frames[0], sc.domain.frame_at(x))
+
     def test_identity_and_constant_ranks(self, rng):
         dom = flat_chart(2)
         phi_id = SmoothMap("id", dom, flat_chart(2, half=2.0), lambda x: [x[0], x[1]])

@@ -186,6 +186,62 @@ class TestInducedStructure:
             induced_f_structure(phi, J)
 
 
+def _reference_induced(phi, J, x):
+    """The induced structure composed from the public functions: (gate residual, F, kept)."""
+    from phwc_lab.maps import adjoint_differential
+    from phwc_lab.structures import _complex_orthonormalize, j_adapted_frame
+
+    jet = phi.jet(x)
+    res = phwc_residual(phi, J, x, jet=jet)
+    h = phi.codomain.metric_at(jet.y, check=False)
+    u = j_adapted_frame(h, J.J_at(jet.y), phi.codomain.dim // 2)
+    adj = adjoint_differential(phi, x, jet=jet)
+    cols = np.einsum("...ia,...ab->...ib", adj, u[..., 0::2]) - 1j * np.einsum(
+        "...ia,...ab->...ib", adj, u[..., 1::2]
+    )
+    g = phi.domain.metric_at(x, check=False)
+    B, kept = _complex_orthonormalize(cols, g)
+    bb = np.einsum("...ik,...jk->...ij", B, B.conj())
+    return res, -2.0 * np.einsum("...ij,...jk->...ik", bb.imag, g), kept
+
+
+@pytest.mark.parametrize("sid", ["hopf-s3", "warped-hopf"])
+def test_induced_structure_evaluates_each_field_once(sid, monkeypatch):
+    from phwc_lab import structures
+
+    sc = build_scenario(sid)
+    phi, J = sc.map, sc.J
+    F = induced_f_structure(phi, J)
+    x = np.concatenate([r.nodes for r in sc.domain.node_rules])
+    res_ref, F_ref, kept_ref = _reference_induced(phi, J, x)
+
+    calls = {"g": 0, "h": 0, "J": 0}
+
+    def counted(key, fn):
+        def wrapped(*args):
+            calls[key] += 1
+            return fn(*args)
+
+        return wrapped
+
+    monkeypatch.setattr(sc.domain, "metric_fn", counted("g", sc.domain.metric_fn))
+    monkeypatch.setattr(sc.codomain, "metric_fn", counted("h", sc.codomain.metric_fn))
+    monkeypatch.setattr(J, "J_fn", counted("J", J.J_fn))
+    Fv = F.F_at(x)
+    assert calls == {"g": 1, "h": 1, "J": 1}
+    assert np.array_equal(Fv, F_ref) and F.rank == 2 * kept_ref
+
+    # the gate residual is phwc_residual's own
+    gates = []
+    real_norm = structures._commutator_norm
+    monkeypatch.setattr(
+        structures, "_commutator_norm", lambda *a: gates.append(real_norm(*a)) or gates[-1]
+    )
+    F.F_at(x)
+    (gate,) = gates
+    assert np.array_equal(gate, res_ref)
+
+
 class TestHolomorphy:
     def test_identity_same_structure(self, rng):
         dom = flat_chart(2, complex_pairs=[(0, 1)])
