@@ -53,8 +53,8 @@ class MapJet:
 class FibreSplitting:
     """g-orthonormal bases of Ker dphi and its orthogonal complement."""
 
-    vertical: np.ndarray  # (m, dim V) columns
-    horizontal: np.ndarray  # (m, rank)
+    vertical: np.ndarray  # (m, dim V) columns, or (N, m, dim V) for a batch
+    horizontal: np.ndarray  # (m, rank), or (N, m, rank)
     rank: int
 
 
@@ -115,10 +115,13 @@ def _adjoint(ginv, dphi, h):
     return ginv @ np.swapaxes(dphi, -1, -2) @ h
 
 
-def adjoint_differential(phi, x, jet=None):
-    """Metric adjoint dphi^t = g^-1 dphi^T h, so g(X, dphi^t E) = h(dphi X, E)."""
+def adjoint_differential(phi, x, jet=None, g=None):
+    """Metric adjoint dphi^t = g^-1 dphi^T h, so g(X, dphi^t E) = h(dphi X, E).
+
+    ``g`` is the domain metric at x when the caller already holds it.
+    """
     jet = jet or phi.jet(x)
-    ginv = phi.domain.inverse_metric_at(x)
+    ginv = phi.domain.inverse_metric_at(x) if g is None else np.linalg.inv(g)
     h = phi.codomain.metric_at(jet.y, check=False)
     return _adjoint(ginv, jet.dphi, h)
 
@@ -219,28 +222,37 @@ def nabla_pullback_metric(phi, X, Y, Z, direct=False):
 
 
 def fibre_splitting(phi, x, require_rank=None):
-    """SVD kernel/cokernel split of dphi at a single point, g-orthonormalized."""
+    """SVD kernel/cokernel split of dphi, g-orthonormalized, at one point or a batch.
+
+    ``x`` is one point (m,) or N points (N, m) of one rank; the frames are
+    (m, k) or stacked (N, m, k), and ``rank`` is that one rank.  A batch whose
+    rank varies raises RankDeficient, as does a rank other than
+    ``require_rank``.  One point and a batch run through the same code.
+    """
     x = np.asarray(x, dtype=float)
-    if x.ndim != 1:
-        raise ValueError("fibre_splitting expects a single point")
+    if x.ndim not in (1, 2):
+        raise ValueError("fibre_splitting expects points (m,) or (N, m)")
     jet = phi.jet(x)
     g = phi.domain.metric_at(x, check=False)
     h = phi.codomain.metric_at(jet.y, check=False)
-    m = phi.domain.dim
-    E = gram_schmidt(np.eye(m), g)  # phi.domain.frame_at(x) from the metric in hand
-    U = gram_schmidt(np.eye(phi.codomain.dim), h)
-    uinv = U.T @ h
+    m, n = phi.domain.dim, phi.codomain.dim
+    # phi.domain.frame_at(x) from the metric in hand
+    E = gram_schmidt(np.broadcast_to(np.eye(m), g.shape), g)
+    U = gram_schmidt(np.broadcast_to(np.eye(n), h.shape), h)
+    uinv = np.swapaxes(U, -1, -2) @ h
     mat = uinv @ jet.dphi @ E  # dphi in orthonormal frames
     _, sv, vt = np.linalg.svd(mat)
-    cut = SVD_RANK_RTOL * (sv[0] if len(sv) else 1.0)
-    rank = int(np.sum(sv > cut))
+    ranks = np.sum(sv > SVD_RANK_RTOL * sv[..., :1], axis=-1)
+    rank = int(ranks.flat[0])
+    if np.any(ranks != rank):
+        raise RankDeficient(f"map {phi.name!r}: rank of dphi varies inside the batch")
     if require_rank is not None and rank != require_rank:
         raise RankDeficient(
             f"map {phi.name!r} has rank {rank} at this point, need {require_rank}"
         )
-    v = vt.T
-    horizontal = E @ v[:, :rank]
-    vertical = E @ v[:, rank:]
+    v = np.swapaxes(vt, -1, -2)
+    horizontal = E @ v[..., :rank]
+    vertical = E @ v[..., rank:]
     # orthonormality is inherited from E; re-orthonormalize to kill roundoff
     if rank:
         horizontal = gram_schmidt(horizontal, g)
@@ -258,16 +270,19 @@ def _submersion_jet(phi, x, jet=None):
     return jet
 
 
-def horizontal_projector(phi, x, jet=None):
-    """P_H = dphi^t (dphi dphi^t)^-1 dphi; smooth in x for submersions."""
+def horizontal_projector(phi, x, jet=None, g=None):
+    """P_H = dphi^t (dphi dphi^t)^-1 dphi; smooth in x for submersions.
+
+    ``g`` is the domain metric at x when the caller already holds it.
+    """
     jet = _submersion_jet(phi, x, jet)
-    adj = adjoint_differential(phi, x, jet=jet)
+    adj = adjoint_differential(phi, x, jet=jet, g=g)
     q = jet.dphi @ adj
     return adj @ np.linalg.solve(q, jet.dphi)
 
 
-def vertical_projector(phi, x, jet=None):
-    p = horizontal_projector(phi, x, jet=jet)
+def vertical_projector(phi, x, jet=None, g=None):
+    p = horizontal_projector(phi, x, jet=jet, g=g)
     return np.broadcast_to(np.eye(p.shape[-1]), p.shape) - p
 
 
@@ -292,8 +307,8 @@ def horizontal_frame(phi, x, jet=None):
     """
     jet = jet if jet is not None else phi.jet(x)
     m, n = phi.domain.dim, phi.codomain.dim
-    ph = horizontal_projector(phi, x, jet=jet)
     g = phi.domain.metric_at(x, check=False)
+    ph = horizontal_projector(phi, x, jet=jet, g=g)
     # generic fixed mixing avoids seeds falling into the vertical space
     rng = np.random.default_rng(12345)
     mix = rng.normal(size=(m, m)) + np.eye(m) * m
@@ -316,14 +331,15 @@ def mean_curvature_fibres(phi, x):
     if nv == 0:
         out = np.zeros((len(xb), m))
         return out[0] if squeeze else out
-    pv = vertical_projector(phi, xb, jet=jet)
     g = phi.domain.metric_at(xb, check=False)
+    phor = horizontal_projector(phi, xb, jet=jet, g=g)
+    pv = np.broadcast_to(np.eye(m), phor.shape) - phor  # = vertical_projector(phi, xb, jet=jet)
     norms = np.einsum("...ik,...ij,...jk->...k", pv, g, pv)  # |P_V e_k|_g^2
     sel = np.argsort(-norms, axis=-1, kind="stable")[:, :nv]  # frozen seeds
 
     def vert_frame(p):
-        pvp = vertical_projector(phi, p)
         gp = phi.domain.metric_at(p, check=False)
+        pvp = vertical_projector(phi, p, g=gp)
         # stencil rows are shifted copies of the points, stacked shift-major
         sel_p = sel[np.arange(len(p)) % len(sel)]
         cols = np.take_along_axis(pvp, sel_p[:, None, :], axis=2)
@@ -336,7 +352,6 @@ def mean_curvature_fibres(phi, x):
     nabla = np.einsum("...ia,...kai->...k", V0, dV) + np.einsum(
         "...kij,...ia,...ja->...k", gamma, V0, V0
     )
-    phor = horizontal_projector(phi, xb, jet=jet)
     mu = np.einsum("...ki,...i->...k", phor, nabla) / nv
     return mu[0] if squeeze else mu
 

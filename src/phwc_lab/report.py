@@ -494,6 +494,8 @@ def run_checks(cfg):
 
 
 def run_identities(scenario_id=None, n_points=100, seed=0):
+    if n_points < 1:
+        raise ConfigError(f"identities need at least 1 point, got {n_points}")
     ids = [scenario_id] if scenario_id else scenario_ids()
     rows = []
     for sid in ids:

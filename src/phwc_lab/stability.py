@@ -277,9 +277,9 @@ def criticality_gate(phi, J, z_nodes=None, nodes=None):
         nodes = phi.domain.quadrature.nodes
     if z_nodes is None:
         z_nodes = z_field(phi, J, nodes)
-    ph = horizontal_projector(phi, nodes)
-    zh = np.einsum("...ij,...j->...i", ph, z_nodes)
     g = phi.domain.metric_at(nodes, check=False)
+    ph = horizontal_projector(phi, nodes, g=g)
+    zh = np.einsum("...ij,...j->...i", ph, z_nodes)
     return float(np.max(np.sqrt(np.einsum("...i,...ij,...j->...", zh, g, zh))))
 
 

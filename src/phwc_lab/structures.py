@@ -8,6 +8,8 @@ holomorphic wherever that residual vanishes.
 
 from __future__ import annotations
 
+from collections import OrderedDict
+
 import numpy as np
 
 from .errors import (
@@ -55,6 +57,9 @@ __all__ = [
 
 # residuals below this treat a map as PHWC when gating the induced structure
 PHWC_GATE_TOL = 1e-6
+
+# point sets whose induced-structure values one F keeps (least recently used out)
+_F_MEMO_SIZE = 8
 
 
 class AlmostHermitianStructure:
@@ -270,6 +275,10 @@ def induced_f_structure(phi, J, gate_tol=PHWC_GATE_TOL):
     basis B of W.  Deterministic: the codomain frame is J-adapted in fixed
     coordinate order, and columns are orthonormalized in natural order, so
     the construction is smooth wherever the rank is constant.
+
+    The returned F keeps its (read-only) values for the last few point sets
+    it was evaluated at, so a check that asks again for F, nabla F or div F
+    at the same points, or at the same stencil, evaluates nothing twice.
     """
     n_pairs = phi.codomain.dim // 2
 
@@ -303,13 +312,30 @@ def induced_f_structure(phi, J, gate_tol=PHWC_GATE_TOL):
         F = -2.0 * np.einsum("...ij,...jk->...ik", bb.imag, g)
         return (F[0] if squeeze else F), kept
 
+    # values by point set: field_partials builds a fresh stencil batch on
+    # every call, so the key is the points' shape and bytes, not their identity
+    memo = OrderedDict()
+
     def F_only(x):
-        return F_at(x)[0]
+        x = np.asarray(x, dtype=float)
+        key = (x.shape, x.tobytes())
+        val = memo.get(key)
+        if val is None:
+            val = F_at(x)[0]
+            val.flags.writeable = False
+            memo[key] = val
+            if len(memo) > _F_MEMO_SIZE:
+                memo.popitem(last=False)
+        else:
+            memo.move_to_end(key)
+        return val
 
     # rank = 2 * dim_C W; probe at a node of the domain's node rules
     probe = phi.domain.node_rules[0].nodes[:1]
     _, kept = F_at(probe)
-    return MetricFStructure(phi.domain, F_only, rank=2 * kept, name=f"F^{phi.name}")
+    F = MetricFStructure(phi.domain, F_only, rank=2 * kept, name=f"F^{phi.name}")
+    F._memo = memo
+    return F
 
 
 def _complex_orthonormalize(cols, g):

@@ -129,12 +129,15 @@ def z_field(phi, J, x):
     return phi.domain.sharp(x, delta)
 
 
-def criticality_residual(phi, J, x, jet=None):
-    """Norm of the horizontal part of Z; zero everywhere iff critical."""
-    z = z_field(phi, J, x)
-    ph = horizontal_projector(phi, x, jet=jet)
-    zh = np.einsum("...ij,...j->...i", ph, z)
+def criticality_residual(phi, J, x, jet=None, z=None):
+    """Norm of the horizontal part of Z; zero everywhere iff critical.
+
+    ``z`` is Z at x (z_field) when the caller already holds it.
+    """
+    z = z_field(phi, J, x) if z is None else z
     g = phi.domain.metric_at(x, check=False)
+    ph = horizontal_projector(phi, x, jet=jet, g=g)
+    zh = np.einsum("...ij,...j->...i", ph, z)
     return np.sqrt(np.einsum("...i,...ij,...j->...", zh, g, zh))
 
 
@@ -149,9 +152,9 @@ def _nabla_pullback_tensor(phi, x, jet=None):
 
 def _max_over_horizontal(phi, x, covector, jet=None):
     """max over unit horizontal Z of |covector(Z)| = g-norm of its horizontal sharp."""
-    ph = horizontal_projector(phi, x, jet=jet)
-    v = np.einsum("...ij,...j->...i", ph, phi.domain.sharp(x, covector))
     g = phi.domain.metric_at(x, check=False)
+    ph = horizontal_projector(phi, x, jet=jet, g=g)
+    v = np.einsum("...ij,...j->...i", ph, phi.domain.sharp(x, covector))
     return np.sqrt(np.einsum("...i,...ij,...j->...", v, g, v))
 
 
@@ -179,7 +182,10 @@ def criticality_equivalence(phi, J, x, F=None):
     FdivF = np.einsum("...ij,...j->...i", Fv, divF)
     r_cosym = np.sqrt(np.einsum("...i,...ij,...j->...", FdivF, g, FdivF))
 
-    r_crit = criticality_residual(phi, J, xb, jet=jet)
+    # the codifferential of phi*Omega once: Z and the proof identity share it
+    delta = codifferential_two_form(phi.domain, pullback_two_form_field(phi, J), xb)
+    z = phi.domain.sharp(xb, delta)  # z_field
+    r_crit = criticality_residual(phi, J, xb, jet=jet, z=z)
 
     # adapted horizontal frame {E_j, F E_j}
     n_pairs = phi.codomain.dim // 2
@@ -194,7 +200,6 @@ def criticality_equivalence(phi, J, x, F=None):
     )
     r_sum = _max_over_horizontal(phi, xb, s_cov, jet=jet)
 
-    delta = codifferential_two_form(phi.domain, pullback_two_form_field(phi, J), xb)
     T = pullback_metric(phi, xb, jet=jet)
     pb_div = np.einsum("...kj,...j->...k", T, divF)
     ident = -delta - pb_div - s_cov

@@ -147,6 +147,13 @@ class TestIdentities:
         assert {"pullback_metric_derivative", "pushforward_parallelism", "semiconformal_divergence", "codifferential_expansion", "vertical_codifferential"} <= suites
         assert all(r["passed"] for r in rows)
 
+    @pytest.mark.parametrize("points", ["0", "-3"])
+    def test_no_points_exit_2(self, capsys, points):
+        code = run_cli(["identities", "--scenario", "flat-holo", "--points", points])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == f"configuration error: identities need at least 1 point, got {points}\n"
+
 
 class TestDeterminism:
     def test_byte_identical_bodies(self):

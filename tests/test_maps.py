@@ -233,6 +233,33 @@ class TestFibreGeometry:
         assert np.max(np.abs(np.einsum("nai,ni->na", jet.dphi, X) - E)) < 1e-9
 
 
+
+class TestFibreSplittingBatch:
+    @pytest.mark.parametrize("sid", scenario_ids())
+    def test_batch_equals_points(self, sid):
+        sc = build_scenario(sid, validate=False)
+        x = sc.domain.node_rules[0].nodes[:8]
+        batch = fibre_splitting(sc.map, x)
+        assert batch.vertical.shape[0] == batch.horizontal.shape[0] == len(x)
+        for k, p in enumerate(x):
+            one = fibre_splitting(sc.map, p)
+            assert np.array_equal(batch.vertical[k], one.vertical)
+            assert np.array_equal(batch.horizontal[k], one.horizontal)
+            assert batch.rank == one.rank
+
+    def test_mixed_ranks_raise(self):
+        # rank of dphi = diag(2 x0, 1) drops to 1 on x0 = 0
+        phi = SmoothMap("fold", flat_chart(2), flat_chart(2, half=2.0), lambda x: [x[0] * x[0], x[1]])
+        assert fibre_splitting(phi, np.array([0.0, 0.3])).rank == 1
+        assert fibre_splitting(phi, np.array([[0.5, 0.3], [-0.5, 0.1]])).rank == 2
+        with pytest.raises(RankDeficient):
+            fibre_splitting(phi, np.array([[0.5, 0.3], [0.0, 0.3]]))
+
+    def test_require_rank_batch(self, hopf, hopf_pts):
+        assert fibre_splitting(hopf.map, hopf_pts[:4], require_rank=2).vertical.shape == (4, 3, 1)
+        with pytest.raises(RankDeficient):
+            fibre_splitting(hopf.map, hopf_pts[:4], require_rank=3)
+
 class TestMeanCurvature:
     def test_product_projection(self, rng):
         sc = build_scenario("product-proj", validate=False)

@@ -10,6 +10,11 @@ its ``hessian`` check does not match its expected verdict: the fixed
 neutrality tolerance (2e-2) is below the order-3 quadrature error, so the
 recorded body has ``all_verdicts_match: false``.  The file pins that
 mismatch as it stands; it does not hide it.
+
+Every scenario's identity table, ``run_identities(sid, n_points=100,
+seed=1)``, recorded in ``golden/identities_<scenario>_seed1.json`` as the
+`identities --json` subcommand writes it.  These must match byte for byte:
+sharing an evaluation between suites or checks moves no bit of a residual.
 """
 
 import json
@@ -17,7 +22,8 @@ from pathlib import Path
 
 import pytest
 
-from phwc_lab.report import RunConfig, run_checks
+from phwc_lab.report import RunConfig, run_checks, run_identities
+from phwc_lab.scenarios import scenario_ids
 
 GOLDEN = Path(__file__).parent / "golden"
 REL_TOL = 1e-10
@@ -60,3 +66,10 @@ def test_bodies_match_golden(scenario):
     body = json.loads(json.dumps(run_checks(cfg)))
     want = json.loads((GOLDEN / f"run_checks_{stem}_seed1.json").read_text())
     assert _mismatches(body, want) == []
+
+
+@pytest.mark.parametrize("scenario", scenario_ids())
+def test_identity_tables_match_golden(scenario):
+    rows = run_identities(scenario, n_points=100, seed=1)
+    got = json.dumps(rows, sort_keys=True, indent=1) + "\n"
+    assert got == (GOLDEN / f"identities_{scenario}_seed1.json").read_text()

@@ -224,6 +224,7 @@ def test_induced_structure_evaluates_each_field_once(sid, monkeypatch):
 
         return wrapped
 
+    fresh = induced_f_structure(phi, J)  # probed before anything is counted
     monkeypatch.setattr(sc.domain, "metric_fn", counted("g", sc.domain.metric_fn))
     monkeypatch.setattr(sc.codomain, "metric_fn", counted("h", sc.codomain.metric_fn))
     monkeypatch.setattr(J, "J_fn", counted("J", J.J_fn))
@@ -231,15 +232,94 @@ def test_induced_structure_evaluates_each_field_once(sid, monkeypatch):
     assert calls == {"g": 1, "h": 1, "J": 1}
     assert np.array_equal(Fv, F_ref) and F.rank == 2 * kept_ref
 
-    # the gate residual is phwc_residual's own
+    # the gate residual is phwc_residual's own (F already holds x's values)
     gates = []
     real_norm = structures._commutator_norm
     monkeypatch.setattr(
         structures, "_commutator_norm", lambda *a: gates.append(real_norm(*a)) or gates[-1]
     )
-    F.F_at(x)
+    fresh.F_at(x)
     (gate,) = gates
     assert np.array_equal(gate, res_ref)
+
+
+def _counted_fields(sc, monkeypatch):
+    """Count every evaluation of g, h and J of a scenario from now on."""
+    calls = {"g": 0, "h": 0, "J": 0}
+
+    def counted(key, fn):
+        def wrapped(*args):
+            calls[key] += 1
+            return fn(*args)
+
+        return wrapped
+
+    monkeypatch.setattr(sc.domain, "metric_fn", counted("g", sc.domain.metric_fn))
+    monkeypatch.setattr(sc.codomain, "metric_fn", counted("h", sc.codomain.metric_fn))
+    monkeypatch.setattr(sc.J, "J_fn", counted("J", sc.J.J_fn))
+    return calls
+
+
+class TestInducedStructureMemo:
+    @pytest.fixture
+    def sc(self):
+        return build_scenario("hopf-s3", quad_order=8, validate=False)
+
+    def test_copy_of_the_points_is_evaluated_once(self, sc, pts, monkeypatch):
+        F = induced_f_structure(sc.map, sc.J)
+        calls = _counted_fields(sc, monkeypatch)
+        first = F.F_at(pts)
+        again = F.F_at(pts.copy())
+        assert calls == {"g": 1, "h": 1, "J": 1}
+        assert again is first
+
+    def test_stencil_is_evaluated_once(self, sc, pts, monkeypatch):
+        from phwc_lab import structures
+
+        F = induced_f_structure(sc.map, sc.J)
+        evals = []  # one gate residual per evaluation of F
+        real_norm = structures._commutator_norm
+        monkeypatch.setattr(
+            structures, "_commutator_norm", lambda *a: evals.append(1) or real_norm(*a)
+        )
+        first = f_div_f(F, pts)
+        assert len(evals) == 2  # the centre and one stencil batch
+        assert np.array_equal(f_div_f(F, pts), first)
+        assert len(evals) == 2
+
+    def test_values_are_read_only(self, sc, pts):
+        F = induced_f_structure(sc.map, sc.J)
+        for Fv in (F.F_at(pts), F.F_at(pts[0])):
+            assert not Fv.flags.writeable
+            with pytest.raises(ValueError):
+                Fv[..., 0, 0] = 1.0
+
+    def test_not_phwc_leaves_nothing(self, sc, pts, monkeypatch):
+        from phwc_lab import structures
+
+        F = induced_f_structure(sc.map, sc.J)
+        real_norm = structures._commutator_norm
+        monkeypatch.setattr(structures, "_commutator_norm", lambda *a: real_norm(*a) + 1.0)
+        with pytest.raises(NotPHWC):
+            F.F_at(pts)
+        assert len(F._memo) == 0
+        monkeypatch.undo()
+        assert np.array_equal(F.F_at(pts), induced_f_structure(sc.map, sc.J).F_at(pts))
+
+    def test_entries_stay_within_the_bound(self, sc, pts, monkeypatch):
+        from phwc_lab.structures import _F_MEMO_SIZE
+
+        F = induced_f_structure(sc.map, sc.J)
+        sets = [pts[k : k + 3] for k in range(_F_MEMO_SIZE + 3)]
+        for x in sets:
+            F.F_at(x)
+            assert len(F._memo) <= _F_MEMO_SIZE
+        assert len(F._memo) == _F_MEMO_SIZE
+        calls = _counted_fields(sc, monkeypatch)
+        F.F_at(sets[-1])  # kept
+        assert calls["g"] == 0
+        F.F_at(sets[0])  # the least recently used, dropped
+        assert calls["g"] == 1
 
 
 class TestHolomorphy:

@@ -11,7 +11,7 @@ import pytest
 
 from phwc_lab.maps import fibre_splitting
 from phwc_lab.report import run_identities
-from phwc_lab.scenarios import build_scenario
+from phwc_lab.scenarios import build_scenario, scenario_ids
 from phwc_lab.stability import vertical_codifferential_formula
 
 # (suite, scenario, points, max_residual, tolerance, passed, note)
@@ -85,3 +85,17 @@ def test_vertical_codifferential_rows_that_certify(sid, certifies):
         assert np.max(np.abs(lhs - rhs)) < 1e-4
     else:
         assert np.all(lhs == 0.0) and np.all(rhs == 0.0)
+
+
+@pytest.mark.parametrize("sid", scenario_ids())
+def test_vertical_codifferential_splits_the_fibres_once(sid, monkeypatch):
+    from phwc_lab import suites
+
+    calls = []
+    real = suites.fibre_splitting
+    monkeypatch.setattr(suites, "fibre_splitting", lambda *a, **k: calls.append(1) or real(*a, **k))
+    sc = build_scenario(sid, validate=False)
+    rows = suites.identity_suites(sc, n_points=100, seed=1)
+    assert len(calls) == 1
+    (row,) = [r for r in rows if r.suite == "vertical_codifferential"]
+    assert row.n_points == 60
