@@ -117,6 +117,58 @@ class TestDualAlgebra:
         assert out.a[0] == 2.0 and out.b[0, 0] == 0.0
 
 
+# every unary ufunc an expression may apply to a Dual or a Jet2
+UNARY_UFUNCS = (
+    np.sin, np.cos, np.tan, np.exp, np.log, np.sqrt, np.sinh, np.cosh, np.tanh,
+    np.arctan, np.arcsin, np.arccos, np.floor, np.square, np.negative, np.positive,
+)
+# points of two coordinates whose argument u = 0.2 + 0.3 x0 + 0.2 x0 x1 lies in
+# (0.25, 0.75): inside the domain of every ufunc above, away from floor's jumps
+U_POINTS = np.array([[0.3, 0.7], [1.1, -0.4], [0.5, 0.9], [0.8, 0.5]])
+
+
+def _argument(x):
+    return 0.2 + 0.3 * x[0] + 0.2 * x[0] * x[1]
+
+
+def _dual_derivative(ufunc, x):
+    n, m = x.shape
+    coords = [Dual(x[:, i], np.broadcast_to(np.eye(m)[i], (n, m))) for i in range(m)]
+    return ufunc(_argument(coords)).b
+
+
+class TestDerivativeTable:
+    """Dual and Jet2 differentiate every unary ufunc alike."""
+
+    @pytest.mark.parametrize("ufunc", UNARY_UFUNCS, ids=lambda u: u.__name__)
+    def test_dual_derivative_is_jet2_gradient(self, ufunc):
+        n, m = U_POINTS.shape
+        coords = [
+            Jet2(U_POINTS[:, i], np.broadcast_to(np.eye(m)[i], (n, m)), np.zeros((n, m, m)))
+            for i in range(m)
+        ]
+        jet = ufunc(_argument(coords))
+        dual = ufunc(_argument([Dual(c.v, c.g) for c in coords]))
+        assert np.allclose(jet.v, ufunc(_argument(U_POINTS.T)), rtol=1e-13, atol=0.0)
+        assert np.allclose(dual.a, jet.v, rtol=1e-13, atol=0.0)
+        assert np.allclose(dual.b, jet.g, rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("ufunc", UNARY_UFUNCS, ids=lambda u: u.__name__)
+    def test_jet2_hessian_is_central_difference_of_dual(self, ufunc):
+        n, m = U_POINTS.shape
+        coords = [Jet2(U_POINTS[:, i], np.broadcast_to(np.eye(m)[i], (n, m)), np.zeros((n, m, m)))
+                  for i in range(m)]
+        hess = ufunc(_argument(coords)).h
+        h = 1e-5
+        fd = np.stack(
+            [(_dual_derivative(ufunc, U_POINTS + h * e) - _dual_derivative(ufunc, U_POINTS - h * e))
+             / (2.0 * h) for e in np.eye(m)],
+            axis=-1,
+        )
+        assert np.allclose(hess, fd, rtol=1e-7, atol=1e-8)
+        assert np.array_equal(hess, np.swapaxes(hess, -1, -2))
+
+
 class TestFieldPartials:
     def test_matches_hand_derivative(self):
         f = lambda P: np.stack([P[:, 0] ** 3, P[:, 0] * P[:, 1]], axis=1)
