@@ -14,6 +14,7 @@ Run:  python demos/06_second_variation.py
 
 import numpy as np
 
+from phwc_lab.geometry import torus_rules
 from phwc_lab.scenarios import build_scenario
 from phwc_lab.stability import (
     hessian_matrix,
@@ -23,7 +24,6 @@ from phwc_lab.stability import (
     rayleigh_quotients,
     span_spectrum,
     stability_conditions,
-    torus_rules,
 )
 
 

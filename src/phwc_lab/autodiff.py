@@ -7,6 +7,12 @@ same callable on `Dual` coordinates yields exact first derivatives for a
 whole batch of points in one pass; `Jet2` coordinates propagate values,
 gradients and Hessians (the flattened form of nested dual numbers).
 
+Supported ufuncs: sin, cos, tan, exp, log, sqrt, sinh, cosh, tanh, arctan,
+arcsin, arccos and floor, each differentiated by its row of the one
+derivative table both types read; square, negative, positive, add,
+subtract, multiply, divide and power (constant exponent) through
+arithmetic.
+
 First derivatives default to dual numbers; second derivatives default to
 central differences of dual-computed first derivatives, which keeps the
 roundoff error near eps/h instead of eps/h^2.
@@ -74,7 +80,62 @@ def _pay(c, b):
     return c[..., None] * b
 
 
-class Dual:
+# The elemental derivatives (Griewank & Walther): ufunc -> (d1, d2) with
+# d1(x, y) = f'(x) and d2(x, y, d) = f''(x), given y = f(x) and d = f'(x).
+# Dual reads d1; Jet2 reads both.
+_DERIVATIVES = {
+    np.sin: (lambda x, y: np.cos(x), lambda x, y, d: -y),
+    np.cos: (lambda x, y: -np.sin(x), lambda x, y, d: -y),
+    np.tan: (lambda x, y: 1.0 + y * y, lambda x, y, d: 2.0 * y * d),
+    np.exp: (lambda x, y: y, lambda x, y, d: y),
+    np.log: (lambda x, y: 1.0 / x, lambda x, y, d: -d * d),
+    np.sqrt: (lambda x, y: 0.5 / y, lambda x, y, d: -0.25 / (y * x)),
+    np.sinh: (lambda x, y: np.cosh(x), lambda x, y, d: y),
+    np.cosh: (lambda x, y: np.sinh(x), lambda x, y, d: y),
+    np.tanh: (lambda x, y: 1.0 - y * y, lambda x, y, d: -2.0 * y * d),
+    np.arctan: (lambda x, y: 1.0 / (1.0 + x * x), lambda x, y, d: -2.0 * x * d * d),
+    np.arcsin: (lambda x, y: 1.0 / np.sqrt(1.0 - x * x), lambda x, y, d: x * d**3),
+    np.arccos: (lambda x, y: -1.0 / np.sqrt(1.0 - x * x), lambda x, y, d: x * d**3),
+    # zero almost everywhere (used by periodic wraps)
+    np.floor: (lambda x, y: np.zeros_like(x), lambda x, y, d: d),
+}
+
+# The other ufuncs an expression may apply go through arithmetic.  A binary
+# one names the method of a propagated first operand and the reflected method
+# of the second (None: only the first operand may be propagated).
+_ARITHMETIC = {np.square: lambda x: x * x, np.negative: lambda x: -x, np.positive: lambda x: x}
+_BINARY = {
+    np.add: ("__add__", "__radd__"),
+    np.subtract: ("__sub__", "__rsub__"),
+    np.multiply: ("__mul__", "__rmul__"),
+    np.true_divide: ("__truediv__", "__rtruediv__"),
+    np.power: ("__pow__", None),
+}
+
+
+class _Forward:
+    """The numpy ufunc entry point that Dual and Jet2 share."""
+
+    __slots__ = ()
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if method != "__call__" or kwargs.get("out") is not None:
+            return NotImplemented
+        if ufunc in _DERIVATIVES:
+            (x,) = inputs
+            return x._unary(ufunc, *_DERIVATIVES[ufunc])
+        if ufunc in _ARITHMETIC:
+            return _ARITHMETIC[ufunc](*inputs)
+        if ufunc in _BINARY:
+            x, y = inputs
+            own, reflected = _BINARY[ufunc]
+            if isinstance(x, type(self)):
+                return getattr(x, own)(y)
+            return NotImplemented if reflected is None else getattr(y, reflected)(x)
+        return NotImplemented
+
+
+class Dual(_Forward):
     """First-order forward dual: value ``a`` (batch,) plus payload ``b`` (batch, k)."""
 
     __slots__ = ("a", "b")
@@ -82,6 +143,9 @@ class Dual:
     def __init__(self, a, b):
         self.a = np.asarray(a, dtype=float)
         self.b = np.asarray(b, dtype=float)
+
+    def parts(self):
+        return self.a, self.b
 
     # -- arithmetic ---------------------------------------------------------
     def __add__(self, o):
@@ -127,67 +191,15 @@ class Dual:
         p = float(p)
         return Dual(self.a**p, _pay(p * self.a ** (p - 1.0), self.b))
 
-    # -- smooth primitives --------------------------------------------------
-    def _lift(self, v, dv):
-        return Dual(v, _pay(dv, self.b))
-
-    def sin(self):
-        return self._lift(np.sin(self.a), np.cos(self.a))
-
-    def cos(self):
-        return self._lift(np.cos(self.a), -np.sin(self.a))
-
-    def tan(self):
-        c = np.cos(self.a)
-        return self._lift(np.tan(self.a), 1.0 / (c * c))
-
-    def exp(self):
-        e = np.exp(self.a)
-        return self._lift(e, e)
-
-    def log(self):
-        return self._lift(np.log(self.a), 1.0 / self.a)
-
-    def sqrt(self):
-        r = np.sqrt(self.a)
-        return self._lift(r, 0.5 / r)
-
-    def sinh(self):
-        return self._lift(np.sinh(self.a), np.cosh(self.a))
-
-    def cosh(self):
-        return self._lift(np.cosh(self.a), np.sinh(self.a))
-
-    def tanh(self):
-        t = np.tanh(self.a)
-        return self._lift(t, 1.0 - t * t)
-
-    def arctan(self):
-        return self._lift(np.arctan(self.a), 1.0 / (1.0 + self.a * self.a))
-
-    def arcsin(self):
-        return self._lift(np.arcsin(self.a), 1.0 / np.sqrt(1.0 - self.a * self.a))
-
-    def arccos(self):
-        return self._lift(np.arccos(self.a), -1.0 / np.sqrt(1.0 - self.a * self.a))
-
-    def floor(self):
-        # derivative of floor is 0 almost everywhere (used by periodic wraps)
-        return Dual(np.floor(self.a), np.zeros_like(self.b))
-
-    def square(self):
-        return self * self
-
-    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
-        if method != "__call__" or kwargs.get("out") is not None:
-            return NotImplemented
-        return _dispatch(Dual, ufunc, inputs)
+    def _unary(self, f, d1, d2):
+        y = f(self.a)
+        return Dual(y, _pay(d1(self.a, y), self.b))
 
     def __repr__(self):  # pragma: no cover - debugging aid
         return f"Dual(a={self.a!r})"
 
 
-class Jet2:
+class Jet2(_Forward):
     """Second-order forward jet: value ``v``, gradient ``g`` (...,k), Hessian ``h`` (...,k,k)."""
 
     __slots__ = ("v", "g", "h")
@@ -196,6 +208,9 @@ class Jet2:
         self.v = np.asarray(v, dtype=float)
         self.g = np.asarray(g, dtype=float)
         self.h = np.asarray(h, dtype=float)
+
+    def parts(self):
+        return self.v, self.g, self.h
 
     @staticmethod
     def _outer(g1, g2):
@@ -269,114 +284,13 @@ class Jet2:
             self.v**p, p * self.v ** (p - 1.0), p * (p - 1.0) * self.v ** (p - 2.0)
         )
 
-    def sin(self):
-        s, c = np.sin(self.v), np.cos(self.v)
-        return self._chain(s, c, -s)
-
-    def cos(self):
-        s, c = np.sin(self.v), np.cos(self.v)
-        return self._chain(c, -s, -c)
-
-    def tan(self):
-        t = np.tan(self.v)
-        sec2 = 1.0 + t * t
-        return self._chain(t, sec2, 2.0 * t * sec2)
-
-    def exp(self):
-        e = np.exp(self.v)
-        return self._chain(e, e, e)
-
-    def log(self):
-        inv = 1.0 / self.v
-        return self._chain(np.log(self.v), inv, -inv * inv)
-
-    def sqrt(self):
-        r = np.sqrt(self.v)
-        return self._chain(r, 0.5 / r, -0.25 / (r * self.v))
-
-    def sinh(self):
-        s, c = np.sinh(self.v), np.cosh(self.v)
-        return self._chain(s, c, s)
-
-    def cosh(self):
-        s, c = np.sinh(self.v), np.cosh(self.v)
-        return self._chain(c, s, c)
-
-    def tanh(self):
-        t = np.tanh(self.v)
-        d = 1.0 - t * t
-        return self._chain(t, d, -2.0 * t * d)
-
-    def arctan(self):
-        d = 1.0 / (1.0 + self.v * self.v)
-        return self._chain(np.arctan(self.v), d, -2.0 * self.v * d * d)
-
-    def arcsin(self):
-        w = 1.0 - self.v * self.v
-        return self._chain(np.arcsin(self.v), w**-0.5, self.v * w**-1.5)
-
-    def arccos(self):
-        w = 1.0 - self.v * self.v
-        return self._chain(np.arccos(self.v), -(w**-0.5), -self.v * w**-1.5)
-
-    def floor(self):
-        return Jet2(np.floor(self.v), np.zeros_like(self.g), np.zeros_like(self.h))
-
-    def square(self):
-        return self * self
-
-    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
-        if method != "__call__" or kwargs.get("out") is not None:
-            return NotImplemented
-        return _dispatch(Jet2, ufunc, inputs)
+    def _unary(self, f, d1, d2):
+        y = f(self.v)
+        d = d1(self.v, y)
+        return self._chain(y, d, d2(self.v, y, d))
 
     def __repr__(self):  # pragma: no cover - debugging aid
         return f"Jet2(v={self.v!r})"
-
-
-_UNARY = {
-    np.sin: "sin",
-    np.cos: "cos",
-    np.tan: "tan",
-    np.exp: "exp",
-    np.log: "log",
-    np.sqrt: "sqrt",
-    np.sinh: "sinh",
-    np.cosh: "cosh",
-    np.tanh: "tanh",
-    np.arctan: "arctan",
-    np.arcsin: "arcsin",
-    np.arccos: "arccos",
-    np.floor: "floor",
-    np.square: "square",
-    np.negative: "__neg__",
-    np.positive: None,
-}
-
-
-def _dispatch(cls, ufunc, inputs):
-    if ufunc in _UNARY:
-        name = _UNARY[ufunc]
-        (x,) = inputs
-        return x if name is None else getattr(x, name)()
-    if ufunc is np.add:
-        x, y = inputs
-        return (x + y) if isinstance(x, cls) else (y + x)
-    if ufunc is np.subtract:
-        x, y = inputs
-        return (x - y) if isinstance(x, cls) else y.__rsub__(x)
-    if ufunc is np.multiply:
-        x, y = inputs
-        return (x * y) if isinstance(x, cls) else (y * x)
-    if ufunc is np.true_divide:
-        x, y = inputs
-        return (x / y) if isinstance(x, cls) else y.__rtruediv__(x)
-    if ufunc is np.power:
-        x, y = inputs
-        if isinstance(x, cls):
-            return x**y
-        return NotImplemented
-    return NotImplemented
 
 
 # ---------------------------------------------------------------------------
@@ -448,23 +362,28 @@ def tensor_value(fn, x):
     return out[0] if squeeze else out
 
 
-def _dual_eval(fn, x):
+def _forward_eval(fn, x, cls):
+    """Evaluate fn once on coordinates seeded as ``cls`` (Dual or Jet2).
+
+    Returns the output shape, the values (N, k) and the derivatives (N, k, m),
+    then for Jet2 the second derivatives (N, k, m, m).
+    """
     n, m = x.shape
+    higher = [np.zeros((n, m, m))] if cls is Jet2 else []
     coords = []
     for i in range(m):
-        b = np.zeros((n, m))
-        b[:, i] = 1.0
-        coords.append(Dual(x[:, i], b))
+        seed = np.zeros((n, m))
+        seed[:, i] = 1.0
+        coords.append(cls(x[:, i], seed, *higher))
     shape, flats = _flatten(fn(coords))
-    val = np.empty((n, len(flats)))
-    der = np.zeros((n, len(flats), m))
+    k = len(flats)
+    out = [np.empty((n, k))] + [np.zeros((n, k) + (m,) * r) for r in range(1, len(higher) + 2)]
     for j, entry in enumerate(flats):
-        if isinstance(entry, Dual):
-            _put(val, j, entry.a, n)
-            der[:, j, :] = entry.b
-        else:
-            _put(val, j, entry, n)
-    return shape, val, der
+        parts = entry.parts() if isinstance(entry, cls) else (entry,)
+        _put(out[0], j, parts[0], n)
+        for arr, part in zip(out[1:], parts[1:]):
+            arr[:, j] = part
+    return (shape, *out)
 
 
 def tensor_jet(fn, x, cfg=None):
@@ -477,7 +396,7 @@ def tensor_jet(fn, x, cfg=None):
     x, squeeze = _points(x)
     n, m = x.shape
     if cfg.mode == "dual_number_forward":
-        shape, val, der = _dual_eval(fn, x)
+        shape, val, der = _forward_eval(fn, x, Dual)
     else:
         val = tensor_value(fn, x)
         shape = val.shape[1:]
@@ -488,34 +407,13 @@ def tensor_jet(fn, x, cfg=None):
     return (val[0], der[0]) if squeeze else (val, der)
 
 
-def _jet2_eval(fn, x):
-    n, m = x.shape
-    coords = []
-    for i in range(m):
-        g = np.zeros((n, m))
-        g[:, i] = 1.0
-        coords.append(Jet2(x[:, i], g, np.zeros((n, m, m))))
-    shape, flats = _flatten(fn(coords))
-    val = np.empty((n, len(flats)))
-    der = np.zeros((n, len(flats), m))
-    sec = np.zeros((n, len(flats), m, m))
-    for j, entry in enumerate(flats):
-        if isinstance(entry, Jet2):
-            _put(val, j, entry.v, n)
-            der[:, j] = entry.g
-            sec[:, j] = entry.h
-        else:
-            _put(val, j, entry, n)
-    return shape, val, der, sec
-
-
 def tensor_second(fn, x, cfg=None):
     """Value, first and second derivatives: last two axes of the second are (i, j)."""
     cfg = cfg or DiffConfig()
     x, squeeze = _points(x)
     n, m = x.shape
     if cfg.second_derivative_mode == "nested_dual":
-        shape, val, der, sec = _jet2_eval(fn, x)
+        shape, val, der, sec = _forward_eval(fn, x, Jet2)
     else:
         val, der = tensor_jet(fn, x, cfg)
         shape = val.shape[1:]

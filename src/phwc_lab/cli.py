@@ -88,7 +88,9 @@ def _build_config(args):
     data = {}
     if args.config:
         with open(args.config) as fh:
-            data.update(json.load(fh))
+            data = json.load(fh)
+        if not isinstance(data, dict):
+            raise ConfigError(f"config file {args.config} must hold a JSON object")
     data["scenario_id"] = args.scenario
     if args.checks and args.checks != "all":
         data["checks"] = tuple(c.strip() for c in args.checks.split(",") if c.strip())
@@ -104,14 +106,20 @@ def _build_config(args):
         val = getattr(args, flag)
         if val is not None:
             data[key] = val
-    tols = dict(data.get("tolerances", {}))
+    tols = {}
     for item in args.tol:
         if "=" not in item:
             raise ConfigError(f"bad --tol {item!r}, expected NAME=VALUE")
         name, value = item.split("=", 1)
-        tols[name] = float(value)
+        try:
+            tols[name] = float(value)
+        except ValueError:
+            raise ConfigError(f"bad --tol {item!r}: tolerance {name} must be a number") from None
     if tols:
-        data["tolerances"] = tols
+        # flags override the file's values; a file value that is not a mapping
+        # stays for RunConfig to reject
+        file_tols = data.get("tolerances", {})
+        data["tolerances"] = {**file_tols, **tols} if isinstance(file_tols, dict) else file_tols
     return RunConfig.from_mapping(data)
 
 

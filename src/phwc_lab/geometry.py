@@ -35,6 +35,7 @@ __all__ = [
     "nabla_endomorphism",
     "endomorphism_divergence",
     "lie_bracket",
+    "metric_norms",
     "two_form_norm2",
     "TWO_FORM_CONVENTION",
 ]
@@ -227,17 +228,19 @@ class ChartManifold:
     def _g(self, x):
         return tensor_value(self.metric_fn, x)
 
+    def _require_nondegenerate(self, g):
+        """Raise DegenerateMetric unless every eigenvalue of g is above the fixed guard."""
+        w = np.min(np.linalg.eigvalsh(g))
+        if w <= 1e-12:
+            raise DegenerateMetric(f"metric on {self.name!r} has min eigenvalue {w:.3e}")
+
     def metric_at(self, x, check=True):
         """Metric matrix g(x); raises OutOfChart / DegenerateMetric."""
         if check:
             self.require_inside(x)
         g = self._g(x)
         if check:
-            w = np.linalg.eigvalsh(g)
-            if np.min(w) <= 1e-12:
-                raise DegenerateMetric(
-                    f"metric on {self.name!r} has min eigenvalue {np.min(w):.3e}"
-                )
+            self._require_nondegenerate(g)
         return g
 
     def inverse_metric_at(self, x):
@@ -280,9 +283,7 @@ class ChartManifold:
     def sharp(self, x, omega):
         """Raise an index: (w^sharp)^i = g^ij w_j."""
         g = self._g(x)
-        w = np.linalg.eigvalsh(g)
-        if np.min(w) <= 1e-12:
-            raise DegenerateMetric(f"metric on {self.name!r} degenerate at sharp()")
+        self._require_nondegenerate(g)
         return np.einsum("...ij,...j->...i", np.linalg.inv(g), np.asarray(omega, float))
 
     def flat(self, x, vec):
@@ -463,13 +464,17 @@ def lie_bracket(M, X, Y, x):
     return out[0] if squeeze else out
 
 
-def two_form_norm2(M, x, omega, ginv=None):
+def metric_norms(M, x, v):
+    """|v|_g at each point of ``x`` for vectors ``v`` tangent to ``M``."""
+    g = M.metric_at(x, check=False)
+    return np.sqrt(np.einsum("...i,...ij,...j->...", v, g, v))
+
+
+def two_form_norm2(M, x, omega):
     """Squared norm of a 2-form value under the a<b convention.
 
     sum_{a<b} w(e_a, e_b)^2 = (1/2) tr(g^-1 w g^-1 w^T), frame independent.
-    ``ginv`` is M.inverse_metric_at(x) when the caller already has it.
     """
-    if ginv is None:
-        ginv = M.inverse_metric_at(x)
+    ginv = M.inverse_metric_at(x)
     w = np.asarray(omega, dtype=float)
     return 0.5 * np.einsum("...ij,...jk,...kl,...li->...", ginv, w, ginv, -w)

@@ -10,17 +10,18 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, field as dc_field
+import numbers
+from dataclasses import asdict, dataclass, field as dc_field, fields
 
 import numpy as np
 
 from .errors import ConfigError
-from .geometry import TWO_FORM_CONVENTION
+from .geometry import TWO_FORM_CONVENTION, metric_norms
 from .maps import tension_field_direct
 from .scenarios import build_scenario, scenario_ids
 from .structures import f_div_f, induced_f_structure, phwc_residual_coordinates
 from .suites import identity_suites
-from .validation import RESIDUALS, RUN_TOLERANCES, metric_norms, tolerance
+from .validation import RESIDUALS, RUN_TOLERANCES, tolerance
 from .variational import (
     compatible_weyl_theta,
     fh_energy,
@@ -48,6 +49,9 @@ CHECK_NAMES = (
 
 SCHEMA = "phwc-lab-report/1"
 
+# what a RunConfig field declared int or float must hold (never a bool)
+_NUMBER_KINDS = {"int": (numbers.Integral, "an integer"), "float": (numbers.Real, "a number")}
+
 
 @dataclass
 class RunConfig:
@@ -67,7 +71,10 @@ class RunConfig:
     hessian_generators: int = 2  # Killing generators per hessian check; 0 = all
 
     def __post_init__(self):
-        bad = [c for c in self.checks if c not in CHECK_NAMES]
+        self._check_types()
+        if not self.checks:
+            raise ConfigError("no checks selected")
+        bad = [str(c) for c in self.checks if c not in CHECK_NAMES]
         if bad:
             raise ConfigError(f"unknown checks: {', '.join(bad)}")
         bad = sorted(set(self.tolerances) - set(RUN_TOLERANCES))
@@ -77,15 +84,16 @@ class RunConfig:
             )
         if self.quadrature_order is not None and not (2 <= self.quadrature_order <= 64):
             raise ConfigError("quadrature_order must be in [2, 64]")
-        order = self.stability_order
-        if order is not None and not (isinstance(order, int) and 2 <= order <= 64):
+        if self.stability_order is not None and not (2 <= self.stability_order <= 64):
             raise ConfigError("stability_order must be None or an integer in [2, 64]")
         if not (1e-8 <= self.fd_step <= 1e-2):
             raise ConfigError("fd_step must be in [1e-8, 1e-2]")
-        if self.alpha < 0:
+        if not self.alpha >= 0:
             raise ConfigError("alpha must be >= 0")
-        if self.p <= 1:
+        if not self.p > 1:
             raise ConfigError("p must be > 1")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
         if not (4 <= self.sample_points <= 20000):
             raise ConfigError("sample_points must be in [4, 20000]")
         if not (1 <= self.stability_fields <= 500):
@@ -93,15 +101,32 @@ class RunConfig:
         if not (0 <= self.hessian_generators <= 64):
             raise ConfigError("hessian_generators must be in [0, 64]")
 
+    def _check_types(self):
+        """ConfigError naming the key of a value of the wrong type."""
+        if not isinstance(self.checks, (list, tuple)):
+            raise ConfigError(f"checks must be a list of check names, got {self.checks!r}")
+        if not isinstance(self.tolerances, dict):
+            raise ConfigError(f"tolerances must map names to numbers, got {self.tolerances!r}")
+        for name, value in self.tolerances.items():
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ConfigError(f"tolerance {name} must be a number, got {value!r}")
+        for f in fields(self):
+            kind, _, optional = f.type.partition(" | ")
+            value = getattr(self, f.name)
+            if kind not in _NUMBER_KINDS or (optional == "None" and value is None):
+                continue
+            types, what = _NUMBER_KINDS[kind]
+            if isinstance(value, bool) or not isinstance(value, types):
+                raise ConfigError(f"{f.name} must be {what}, got {value!r}")
+
     @classmethod
     def from_mapping(cls, data):
         known = set(cls.__dataclass_fields__)
         unknown = set(data) - known
         if unknown:
             raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
-        if "checks" in data:
-            data = dict(data)
-            data["checks"] = tuple(data["checks"])
+        if isinstance(data.get("checks"), list):
+            data = dict(data, checks=tuple(data["checks"]))
         return cls(**data)
 
     def effective_stability_order(self, sc):
@@ -113,22 +138,16 @@ class RunConfig:
         return int(min(12, np.max(sc.domain.quad_orders)))
 
     def effective(self, sc):
-        return {
-            "scenario_id": self.scenario_id,
-            "checks": list(self.checks),
-            "quadrature_order": sc.domain.quad_orders
+        """Every field as the run used it: the derived values filled in."""
+        return dict(
+            asdict(self),
+            checks=list(self.checks),
+            quadrature_order=sc.domain.quad_orders
             if self.quadrature_order is None
             else self.quadrature_order,
-            "fd_step": self.fd_step,
-            "alpha": self.alpha,
-            "p": self.p,
-            "seed": self.seed,
-            "sample_points": self.sample_points,
-            "stability_fields": self.stability_fields,
-            "stability_order": self.effective_stability_order(sc),
-            "hessian_generators": self.hessian_generators,
-            "tolerances": dict(sorted(self.tolerances.items())),
-        }
+            stability_order=self.effective_stability_order(sc),
+            tolerances=dict(sorted(self.tolerances.items())),
+        )
 
 
 def _residual_entry(sc, cfg, name, values, points=(), scale=1.0, inclusive=False):
@@ -496,6 +515,8 @@ def run_checks(cfg):
 def run_identities(scenario_id=None, n_points=100, seed=0):
     if n_points < 1:
         raise ConfigError(f"identities need at least 1 point, got {n_points}")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     ids = [scenario_id] if scenario_id else scenario_ids()
     rows = []
     for sid in ids:

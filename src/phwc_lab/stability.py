@@ -15,25 +15,19 @@ import numpy as np
 
 from .autodiff import field_partials, tensor_jet
 from .errors import EigenframeDegenerate, NonFiniteIntegrand, NotCritical, NotSasakianScenario
-from .geometry import (
-    codifferential_two_form,
-    lie_bracket,
-    torus_rules,
-    two_form_norm2,
-)
+from .geometry import codifferential_two_form, lie_bracket, two_form_norm2
 from .maps import (
     _lift,
     _submersion_jet,
     adjoint_differential,
     horizontal_frame,
     horizontal_lift,
-    horizontal_projector,
     pullback_metric,
     vertical_projector,
 )
 from .scenarios import ambient_complex_rotation
 from .structures import cond_b_residual, induced_f_structure, j_adapted_frame
-from .variational import pullback_two_form_field, z_field
+from .variational import criticality_residual, pullback_two_form_field, z_field
 
 __all__ = [
     "VariationField",
@@ -49,8 +43,6 @@ __all__ = [
     "hessian_matrix",
     "rayleigh_quotients",
     "span_spectrum",
-    "torus_rules",
-    "criticality_gate",
     "sasakian_hessian",
     "killing_reduced_hessian",
     "vertical_codifferential_formula",
@@ -270,21 +262,9 @@ def variation_l2_norm2(phi, v):
 CRITICALITY_TOL = 1e-4
 
 
-def criticality_gate(phi, J, z_nodes=None, nodes=None):
-    """Max criticality residual over the nodes (the quadrature's by default),
-    reusing Z at them if given."""
-    if nodes is None:
-        nodes = phi.domain.quadrature.nodes
-    if z_nodes is None:
-        z_nodes = z_field(phi, J, nodes)
-    g = phi.domain.metric_at(nodes, check=False)
-    ph = horizontal_projector(phi, nodes, g=g)
-    zh = np.einsum("...ij,...j->...i", ph, z_nodes)
-    return float(np.max(np.sqrt(np.einsum("...i,...ij,...j->...", zh, g, zh))))
-
-
-def _require_critical(phi, J, z_nodes, tol, nodes=None):
-    crit = criticality_gate(phi, J, z_nodes=z_nodes, nodes=nodes)
+def _require_critical(phi, J, nodes, z_nodes, tol):
+    """NotCritical if the criticality residual at the nodes, from Z there, exceeds tol."""
+    crit = float(np.max(criticality_residual(phi, J, nodes, z=z_nodes)))
     if crit > tol:
         raise NotCritical(f"map {phi.name!r}: criticality residual {crit:.3e} exceeds {tol:g}")
 
@@ -330,7 +310,7 @@ def hessian(phi, J, v, *, criticality_tol=CRITICALITY_TOL, allow_noncritical=Fal
         )
         z_nodes = M.sharp(nodes, delta)
     if gate and not allow_noncritical:
-        _require_critical(phi, J, z_nodes, criticality_tol)
+        _require_critical(phi, J, nodes, z_nodes, criticality_tol)
 
     # |d(phi* iota_v Omega)|^2 + Omega(v, nabla_Z v)
     gammaN = phi.codomain.christoffel_at(jet.y)
@@ -347,7 +327,7 @@ def hessian_suite(phi, J, v_fields, criticality_tol=CRITICALITY_TOL):
     """Hessians and L2 norms for a family of fields, sharing the Z field."""
     nodes = phi.domain.quadrature.nodes
     z_nodes = z_field(phi, J, nodes)
-    _require_critical(phi, J, z_nodes, criticality_tol)
+    _require_critical(phi, J, nodes, z_nodes, criticality_tol)
     out = []
     for v in v_fields:
         hv = hessian(phi, J, v, z_nodes=z_nodes, gate=False)
@@ -395,14 +375,15 @@ def hessian_matrix(phi, J, span, rule=None, contact=None):
     X_k] runs per block of nodes whose 2m shifted copies hold at most
     SPAN_BLOCK rows; the map jet, omega.dphi and the sections are computed
     once per stencil batch.  ``rule`` is a rule of the domain (its
-    quadrature by default, or one from ChartManifold.rule or torus_rules);
-    its nodes carry Z, the criticality gate of hessian_suite and the weights.
+    quadrature by default, or one from ChartManifold.rule or
+    geometry.torus_rules); its nodes carry Z, the criticality gate of
+    hessian_suite and the weights.
     """
     M = phi.domain
     rule = M.quadrature if rule is None else rule
     nodes = rule.nodes
     z_nodes = z_field(phi, J, nodes)
-    _require_critical(phi, J, z_nodes, CRITICALITY_TOL, nodes=nodes)
+    _require_critical(phi, J, nodes, z_nodes, CRITICALITY_TOL)
     m, n, K = M.dim, phi.codomain.dim, span.dim
     nc = n // 2  # complex dimension of the codomain
     weights = rule.weights * rule.density

@@ -18,7 +18,7 @@ from .errors import (
     NotPHWC,
     RankDeficient,
 )
-from .geometry import gram_schmidt, nabla_endomorphism, endomorphism_divergence
+from .geometry import endomorphism_divergence, gram_schmidt, metric_norms, nabla_endomorphism
 from .maps import _adjoint, adjoint_differential, horizontal_frame
 
 
@@ -238,6 +238,15 @@ def _commutator_norm(dphi, adj, F):
     return np.sqrt(np.einsum("...ab,...ab->...", r, r))
 
 
+def _require_phwc(phi, residual):
+    """NotPHWC unless the PHWC residual is within PHWC_GATE_TOL at every point."""
+    worst = np.max(residual)
+    if worst > PHWC_GATE_TOL:
+        raise NotPHWC(
+            f"map {phi.name!r}: PHWC residual {worst:.3e} exceeds gate {PHWC_GATE_TOL:g}"
+        )
+
+
 def phwc_residual(phi, structure, x, jet=None):
     """Frobenius norm of F [dphi dphi^t, F] at phi(x); zero iff PHWC there."""
     jet = jet or phi.jet(x)
@@ -267,7 +276,7 @@ def phwc_residual_coordinates(phi, x, jet=None):
     return np.max(np.abs(prod), axis=(-1, -2))
 
 
-def induced_f_structure(phi, J, gate_tol=PHWC_GATE_TOL):
+def induced_f_structure(phi, J):
     """Metric f-structure F on the domain making a PHWC map holomorphic.
 
     F = i on W = dphi^t(T^(1,0)N), -i on the conjugate, 0 on the complement;
@@ -292,11 +301,7 @@ def induced_f_structure(phi, J, gate_tol=PHWC_GATE_TOL):
         h = phi.codomain.metric_at(jet.y, check=False)
         Jv = _struct_at(J, jet.y)
         adj = _adjoint(np.linalg.inv(g), jet.dphi, h)
-        res = _commutator_norm(jet.dphi, adj, Jv)
-        if np.max(res) > gate_tol:
-            raise NotPHWC(
-                f"map {phi.name!r}: PHWC residual {np.max(res):.3e} exceeds gate {gate_tol:g}"
-            )
+        _require_phwc(phi, _commutator_norm(jet.dphi, adj, Jv))
         u = j_adapted_frame(h, Jv, n_pairs)
         a = np.einsum("...ia,...ab->...ib", adj, u[..., 0::2])
         b = np.einsum("...ia,...ab->...ib", adj, u[..., 1::2])
@@ -397,11 +402,6 @@ def f_div_f(F, x):
     return np.einsum("...ij,...j->...i", Fv, div)
 
 
-def _vec_norm(M, x, v):
-    g = M.metric_at(x, check=False)
-    return np.sqrt(np.einsum("...i,...ij,...j->...", v, g, v))
-
-
 def phh_residual(phi, J, x, F=None):
     """max over horizontal orthonormal X, Y of |F((nabla_X F) Y)|_g."""
     F = F or induced_f_structure(phi, J)
@@ -462,7 +462,7 @@ def cond_b_residual(F, x):
     worst = 0.0
     for X in _cond_b_vectors(F, xb):
         v = _cond_b_expression(F, xb, X, nab=nab)
-        worst = np.maximum(worst, _vec_norm(F.base, xb, v))
+        worst = np.maximum(worst, metric_norms(F.base, xb, v))
     return worst[0] if squeeze else worst
 
 
@@ -476,5 +476,5 @@ def cond_div_residual(F, x):
     for X in _cond_b_vectors(F, xb):
         v = _cond_b_expression(F, xb, X, nab=nab)
         Fv_v = np.einsum("...ij,...j->...i", Fv, v)
-        worst = np.maximum(worst, _vec_norm(F.base, xb, Fv_v))
+        worst = np.maximum(worst, metric_norms(F.base, xb, Fv_v))
     return worst[0] if squeeze else worst

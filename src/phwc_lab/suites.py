@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import DiffConfig
-from .geometry import TangentVector
+from .geometry import TangentVector, metric_norms
 from .maps import (
     fibre_splitting,
     nabla_pullback_metric,
@@ -26,7 +26,7 @@ from .stability import (
     vertical_codifferential_formula,
 )
 from .structures import induced_f_structure
-from .validation import SUITE_TOLERANCES, metric_norms
+from .validation import SUITE_TOLERANCES
 from .variational import (
     cond_1_1_residual,
     criticality_equivalence,
@@ -35,6 +35,9 @@ from .variational import (
 )
 
 __all__ = ["SuiteResult", "identity_suites", "SUITE_TOLERANCES"]
+
+# the samples keep this fraction of the sampling box clear of its boundary
+SAMPLE_MARGIN = 0.05
 
 
 @dataclass
@@ -59,11 +62,11 @@ class SuiteResult:
         }
 
 
-def identity_suites(sc, n_points=100, seed=0, margin=0.05, suites=None):
+def identity_suites(sc, n_points=100, seed=0, suites=None):
     """Run the applicable identity suites for one scenario."""
     rng = np.random.default_rng(seed)
     phi = sc.map_with(DiffConfig(fd_step=sc.map.diff.fd_step))
-    pts = sc.domain.random_points(rng, n_points, margin=margin)
+    pts = sc.domain.random_points(rng, n_points, margin=SAMPLE_MARGIN)
     F = induced_f_structure(phi, sc.J)
     out = []
 

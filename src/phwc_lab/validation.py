@@ -18,11 +18,11 @@ from .errors import NotCritical, RankDeficient
 from .maps import dilation_hwc, mean_curvature_fibres, tension_field_direct
 from .structures import phwc_residual
 from .variational import criticality_residual
-from .geometry import covariant_derivative_vector
+from .geometry import covariant_derivative_vector, metric_norms, torus_rules
 
 __all__ = [
     "validate_scenario", "ScenarioValidationError", "TOLERANCES", "RUN_TOLERANCES",
-    "SUITE_TOLERANCES", "RESIDUALS", "tolerance", "metric_norms",
+    "SUITE_TOLERANCES", "RESIDUALS", "tolerance",
 ]
 
 PROBE_ORDERS = {"hopf-s3": 8, "hopf-s5": 5, "hopf-s7": 4}
@@ -98,12 +98,6 @@ def tolerance(name, sc=None, run=None):
 
 class ScenarioValidationError(ValueError):
     """A declared expectation failed its re-derivation."""
-
-
-def metric_norms(M, x, v):
-    """|v|_g at each point of ``x`` for vectors ``v`` tangent to ``M``."""
-    g = M.metric_at(x, check=False)
-    return np.sqrt(np.einsum("...i,...ij,...j->...", v, g, v))
 
 
 def _tension_norms(sc, x):
@@ -244,7 +238,6 @@ def _probe_stability(sc, problems):
         polynomial_span,
         rayleigh_quotients,
         stability_conditions,
-        torus_rules,
     )
 
     cls = sc.expected.get("stability_class")

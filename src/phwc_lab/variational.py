@@ -11,11 +11,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionTooSmall, NotPHWC, NotSemiconformal
+from .errors import DimensionTooSmall, NotSemiconformal
 from .geometry import (
     TWO_FORM_CONVENTION,
     codifferential_two_form,
     endomorphism_divergence,
+    metric_norms,
     two_form_norm2,
 )
 from .maps import (
@@ -28,7 +29,7 @@ from .maps import (
     second_fundamental_form_tensor,
 )
 from .structures import (
-    PHWC_GATE_TOL,
+    _require_phwc,
     f_div_f,
     induced_f_structure,
     j_adapted_frame,
@@ -54,6 +55,9 @@ __all__ = [
     "tension_phwc",
     "cond_1_1_residual",
 ]
+
+# dilation residuals below this treat a map as semiconformal
+SEMICONFORMAL_GATE_TOL = 1e-6
 
 
 @dataclass
@@ -129,16 +133,20 @@ def z_field(phi, J, x):
     return phi.domain.sharp(x, delta)
 
 
+def _horizontal_norm(phi, x, v, jet=None):
+    """|P_H v|_g: the g-norm of the horizontal part of the vectors v at x."""
+    g = phi.domain.metric_at(x, check=False)
+    ph = horizontal_projector(phi, x, jet=jet, g=g)
+    vh = np.einsum("...ij,...j->...i", ph, v)
+    return np.sqrt(np.einsum("...i,...ij,...j->...", vh, g, vh))
+
+
 def criticality_residual(phi, J, x, jet=None, z=None):
     """Norm of the horizontal part of Z; zero everywhere iff critical.
 
     ``z`` is Z at x (z_field) when the caller already holds it.
     """
-    z = z_field(phi, J, x) if z is None else z
-    g = phi.domain.metric_at(x, check=False)
-    ph = horizontal_projector(phi, x, jet=jet, g=g)
-    zh = np.einsum("...ij,...j->...i", ph, z)
-    return np.sqrt(np.einsum("...i,...ij,...j->...", zh, g, zh))
+    return _horizontal_norm(phi, x, z_field(phi, J, x) if z is None else z, jet=jet)
 
 
 def _nabla_pullback_tensor(phi, x, jet=None):
@@ -152,10 +160,7 @@ def _nabla_pullback_tensor(phi, x, jet=None):
 
 def _max_over_horizontal(phi, x, covector, jet=None):
     """max over unit horizontal Z of |covector(Z)| = g-norm of its horizontal sharp."""
-    g = phi.domain.metric_at(x, check=False)
-    ph = horizontal_projector(phi, x, jet=jet, g=g)
-    v = np.einsum("...ij,...j->...i", ph, phi.domain.sharp(x, covector))
-    return np.sqrt(np.einsum("...i,...ij,...j->...", v, g, v))
+    return _horizontal_norm(phi, x, phi.domain.sharp(x, covector), jet=jet)
 
 
 def criticality_equivalence(phi, J, x, F=None):
@@ -172,9 +177,7 @@ def criticality_equivalence(phi, J, x, F=None):
     squeeze = np.asarray(x).ndim == 1
     F = F or induced_f_structure(phi, J)
     jet = phi.second_jet(xb)
-    res = phwc_residual(phi, J, xb, jet=jet)
-    if np.max(res) > PHWC_GATE_TOL:
-        raise NotPHWC(f"map {phi.name!r} is not PHWC (residual {np.max(res):.2e})")
+    _require_phwc(phi, phwc_residual(phi, J, xb, jet=jet))
 
     g = phi.domain.metric_at(xb, check=False)
     Fv = F.F_at(xb)
@@ -216,7 +219,7 @@ def criticality_equivalence(phi, J, x, F=None):
     return out
 
 
-def semiconformal_criticality(phi, J, x, F=None, gate_tol=1e-6):
+def semiconformal_criticality(phi, J, x, F=None):
     """Residuals of the 4-harmonicity criticality condition and its identity.
 
     Returns (criticality, identity):
@@ -226,9 +229,10 @@ def semiconformal_criticality(phi, J, x, F=None, gate_tol=1e-6):
     xb = np.atleast_2d(np.asarray(x, dtype=float))
     squeeze = np.asarray(x).ndim == 1
     lam2, resid = dilation_hwc(phi, xb)
-    if np.max(resid) > gate_tol:
+    if np.max(resid) > SEMICONFORMAL_GATE_TOL:
         raise NotSemiconformal(
-            f"map {phi.name!r}: dilation residual {np.max(resid):.2e} exceeds {gate_tol:g}"
+            f"map {phi.name!r}: dilation residual {np.max(resid):.2e} "
+            f"exceeds {SEMICONFORMAL_GATE_TOL:g}"
         )
     m = phi.domain.dim
     two_n = phi.codomain.dim
@@ -322,9 +326,7 @@ def weyl_compat_residual(M, F, x, theta=None):
     xb = np.atleast_2d(np.asarray(x, dtype=float))
     theta = theta or compatible_weyl_theta(M, F)
     conn = WeylConnection(M, theta)
-    v = f_div_f_weyl(M, F, xb, conn)
-    g = M.metric_at(xb, check=False)
-    return float(np.max(np.sqrt(np.einsum("...i,...ij,...j->...", v, g, v))))
+    return float(np.max(metric_norms(M, xb, f_div_f_weyl(M, F, xb, conn))))
 
 
 # ---------------------------------------------------------------------------
@@ -341,9 +343,7 @@ def tension_phwc(phi, J, x, F=None):
     xb = np.atleast_2d(np.asarray(x, dtype=float))
     squeeze = np.asarray(x).ndim == 1
     jet = phi.jet(xb)
-    res = phwc_residual(phi, J, xb, jet=jet)
-    if np.max(res) > PHWC_GATE_TOL:
-        raise NotPHWC(f"map {phi.name!r} is not PHWC (residual {np.max(res):.2e})")
+    _require_phwc(phi, phwc_residual(phi, J, xb, jet=jet))
     F = F or induced_f_structure(phi, J)
     fdf = f_div_f(F, xb)
     tau = -np.einsum("...ai,...i->...a", jet.dphi, fdf)
@@ -370,9 +370,7 @@ def cond_1_1_residual(phi, J, x, F=None):
     xb = np.atleast_2d(np.asarray(x, dtype=float))
     squeeze = np.asarray(x).ndim == 1
     jet = phi.second_jet(xb)
-    res = phwc_residual(phi, J, xb, jet=jet)
-    if np.max(res) > PHWC_GATE_TOL:
-        raise NotPHWC(f"map {phi.name!r} is not PHWC (residual {np.max(res):.2e})")
+    _require_phwc(phi, phwc_residual(phi, J, xb, jet=jet))
     F = F or induced_f_structure(phi, J)
     from .geometry import nabla_endomorphism
 

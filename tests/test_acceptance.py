@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from phwc_lab.autodiff import field_partials
-from phwc_lab.geometry import two_form_norm2
+from phwc_lab.geometry import torus_rules, two_form_norm2
 from phwc_lab.maps import tension_field_direct
 from phwc_lab.report import RunConfig, report_json, run_checks
 from phwc_lab.scenarios import build_scenario
@@ -28,7 +28,6 @@ from phwc_lab.stability import (
     killing_fields_sphere,
     killing_span,
     random_variation_fields,
-    torus_rules,
     variation_from_killing,
 )
 from phwc_lab.structures import phwc_residual

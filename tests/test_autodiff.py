@@ -1,5 +1,7 @@
 """Differentiation engine: duals, second-order jets, mode agreement."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -167,6 +169,14 @@ class TestDerivativeTable:
         )
         assert np.allclose(hess, fd, rtol=1e-7, atol=1e-8)
         assert np.array_equal(hess, np.swapaxes(hess, -1, -2))
+
+    def test_table_covers_the_tested_ufuncs_and_the_docstring_names_them(self):
+        from phwc_lab import autodiff
+
+        table = set(autodiff._DERIVATIVES) | set(autodiff._ARITHMETIC)
+        assert table == set(UNARY_UFUNCS)
+        for ufunc in (*table, *autodiff._BINARY):
+            assert re.search(rf"\b{ufunc.__name__}\b", autodiff.__doc__), ufunc.__name__
 
 
 class TestFieldPartials:

@@ -14,6 +14,7 @@ import phwc_lab
 from phwc_lab import cli
 from phwc_lab.errors import ConfigError
 from phwc_lab.report import RunConfig, report_json, run_checks
+from phwc_lab.scenarios import scenario_ids
 
 
 def run_cli(args):
@@ -135,6 +136,40 @@ class TestRun:
         cfg.write_text(json.dumps({"quadrture_order": 5}))
         assert run_cli(["run", "--scenario", "flat-holo", "--config", str(cfg)]) == 2
 
+    def test_empty_check_flag_exit_2(self, capsys):
+        assert run_cli(["run", "--scenario", "flat-holo", "--checks", ","]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "configuration error: no checks selected\n"
+        assert "all verdicts match" not in captured.out
+
+    def test_empty_check_list_in_config_exit_2(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"checks": []}))
+        assert run_cli(["run", "--scenario", "hopf-s3", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == "configuration error: no checks selected\n"
+
+    def test_negative_seed_exit_2(self, capsys):
+        assert run_cli(["run", "--scenario", "flat-holo", "--checks", "phwc", "--seed", "-1"]) == 2
+        assert capsys.readouterr().err == "configuration error: seed must be >= 0\n"
+
+    @pytest.mark.parametrize(
+        "config, flags, key",
+        [
+            ({"fd_step": "1e-5"}, [], "fd_step"),
+            ({"sample_points": 10.5}, [], "sample_points"),
+            ({}, ["--tol", "phwc=abc"], "phwc"),
+            ({"tolerances": {"phwc": "x"}}, [], "phwc"),
+        ],
+        ids=["str-fd-step", "float-sample-points", "flag-tol", "config-tol"],
+    )
+    def test_wrong_type_exit_2_naming_the_key(self, tmp_path, capsys, config, flags, key):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"checks": ["phwc"], **config}))
+        code = run_cli(["run", "--scenario", "flat-holo", "--config", str(cfg), *flags])
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("configuration error: ") and key in err[0]
+
 
 class TestIdentities:
     def test_single_scenario(self, capsys, tmp_path):
@@ -153,6 +188,10 @@ class TestIdentities:
         assert code == 2
         err = capsys.readouterr().err
         assert err == f"configuration error: identities need at least 1 point, got {points}\n"
+
+    def test_negative_seed_exit_2(self, capsys):
+        assert run_cli(["identities", "--scenario", "flat-holo", "--seed", "-1"]) == 2
+        assert capsys.readouterr().err == "configuration error: seed must be >= 0, got -1\n"
 
 
 class TestDeterminism:
@@ -186,6 +225,21 @@ class TestRunConfig:
         with pytest.raises(ConfigError):
             RunConfig(scenario_id="flat-holo", **{key: value})
 
+
+    @pytest.mark.parametrize("value", [True, "7", 7.0])
+    def test_integer_fields_refuse_other_types(self, value):
+        with pytest.raises(ConfigError, match="seed must be an integer"):
+            RunConfig(scenario_id="flat-holo", seed=value)
+
+    def test_effective_records_every_field(self):
+        from dataclasses import fields
+
+        from phwc_lab.scenarios import build_scenario
+
+        names = {f.name for f in fields(RunConfig)}
+        for sid in scenario_ids():
+            sc = build_scenario(sid, validate=False)
+            assert set(RunConfig(scenario_id=sid).effective(sc)) == names, sid
 
     def test_effective_stability_order(self):
         from phwc_lab.scenarios import build_scenario

@@ -15,12 +15,12 @@ from phwc_lab.geometry import (
     divergence_two_tensor,
     divergence_vector_field,
     gram_schmidt,
+    torus_rules,
     two_form_norm2,
 )
 from phwc_lab import scenarios
 from phwc_lab.report import RunConfig, run_checks, run_identities
 from phwc_lab.scenarios import build_scenario, fs_chart, hopf_sphere_chart, scenario_ids
-from phwc_lab.stability import torus_rules
 
 from conftest import sphere2_chart
 

@@ -2,7 +2,7 @@
 
 On a domain with periodic axes the ``phwc``, ``tension``, ``criticality``
 and ``energy`` checks evaluate on the two torus rules of
-``stability.torus_rules`` instead of the full Gauss-Legendre rule.  These
+``geometry.torus_rules`` instead of the full Gauss-Legendre rule.  These
 tests hold them to the full rule and to closed forms, and show that their
 ``torus_invariance`` entries fail on a residual that depends on theta.
 """
@@ -15,7 +15,7 @@ import pytest
 from phwc_lab import variational
 from phwc_lab.report import ENERGIES, RunConfig, run_checks
 from phwc_lab.scenarios import build_scenario
-from phwc_lab.stability import torus_rules
+from phwc_lab.geometry import torus_rules
 from phwc_lab.validation import RESIDUALS, TOLERANCES
 from phwc_lab.variational import dirichlet_energy, fh_energy, fh_infinity_energy
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from phwc_lab.errors import EigenframeDegenerate, NotCritical, NotSasakianScenario
-from phwc_lab.geometry import covariant_derivative_vector
+from phwc_lab.geometry import covariant_derivative_vector, torus_rules
 from phwc_lab.report import RunConfig, run_checks
 from phwc_lab.scenarios import build_scenario
 from phwc_lab import stability
@@ -25,7 +25,6 @@ from phwc_lab.stability import (
     sasakian_hessian,
     span_spectrum,
     stability_conditions,
-    torus_rules,
     variation_from_killing,
     variation_l2_norm2,
     vertical_codifferential_formula,
