@@ -100,16 +100,18 @@ _DERIVATIVES = {
     np.floor: (lambda x, y: np.zeros_like(x), lambda x, y, d: d),
 }
 
-# The other ufuncs an expression may apply go through arithmetic.  A binary
-# one names the method of a propagated first operand and the reflected method
-# of the second (None: only the first operand may be propagated).
-_ARITHMETIC = {np.square: lambda x: x * x, np.negative: lambda x: -x, np.positive: lambda x: x}
-_BINARY = {
-    np.add: ("__add__", "__radd__"),
-    np.subtract: ("__sub__", "__rsub__"),
-    np.multiply: ("__mul__", "__rmul__"),
-    np.true_divide: ("__truediv__", "__rtruediv__"),
-    np.power: ("__pow__", None),
+# The other ufuncs an expression may apply go through arithmetic.  With a
+# plain first operand a binary one calls the reflected method of the second,
+# as an operator on a numpy first operand would call back here.
+_ARITHMETIC = {
+    np.square: lambda x: x * x,
+    np.negative: lambda x: -x,
+    np.positive: lambda x: x,
+    np.add: lambda x, y: x + y if isinstance(x, _Forward) else y.__radd__(x),
+    np.subtract: lambda x, y: x - y if isinstance(x, _Forward) else y.__rsub__(x),
+    np.multiply: lambda x, y: x * y if isinstance(x, _Forward) else y.__rmul__(x),
+    np.true_divide: lambda x, y: x / y if isinstance(x, _Forward) else y.__rtruediv__(x),
+    np.power: lambda x, y: x**y if isinstance(x, _Forward) else NotImplemented,
 }
 
 
@@ -121,18 +123,12 @@ class _Forward:
     def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
         if method != "__call__" or kwargs.get("out") is not None:
             return NotImplemented
-        if ufunc in _DERIVATIVES:
+        rule = _DERIVATIVES.get(ufunc)
+        if rule is not None:
             (x,) = inputs
-            return x._unary(ufunc, *_DERIVATIVES[ufunc])
-        if ufunc in _ARITHMETIC:
-            return _ARITHMETIC[ufunc](*inputs)
-        if ufunc in _BINARY:
-            x, y = inputs
-            own, reflected = _BINARY[ufunc]
-            if isinstance(x, type(self)):
-                return getattr(x, own)(y)
-            return NotImplemented if reflected is None else getattr(y, reflected)(x)
-        return NotImplemented
+            return x._unary(ufunc, *rule)
+        op = _ARITHMETIC.get(ufunc)
+        return NotImplemented if op is None else op(*inputs)
 
 
 class Dual(_Forward):
@@ -377,13 +373,17 @@ def _forward_eval(fn, x, cls):
         coords.append(cls(x[:, i], seed, *higher))
     shape, flats = _flatten(fn(coords))
     k = len(flats)
-    out = [np.empty((n, k))] + [np.zeros((n, k) + (m,) * r) for r in range(1, len(higher) + 2)]
+    val = np.empty((n, k))
+    derivs = [np.zeros((n, k) + (m,) * r) for r in range(1, len(higher) + 2)]
     for j, entry in enumerate(flats):
-        parts = entry.parts() if isinstance(entry, cls) else (entry,)
-        _put(out[0], j, parts[0], n)
-        for arr, part in zip(out[1:], parts[1:]):
-            arr[:, j] = part
-    return (shape, *out)
+        if isinstance(entry, cls):
+            value, *parts = entry.parts()
+            _put(val, j, value, n)
+            for arr, part in zip(derivs, parts):
+                arr[:, j] = part
+        else:
+            _put(val, j, entry, n)
+    return (shape, val, *derivs)
 
 
 def tensor_jet(fn, x, cfg=None):

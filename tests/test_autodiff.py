@@ -173,9 +173,9 @@ class TestDerivativeTable:
     def test_table_covers_the_tested_ufuncs_and_the_docstring_names_them(self):
         from phwc_lab import autodiff
 
-        table = set(autodiff._DERIVATIVES) | set(autodiff._ARITHMETIC)
-        assert table == set(UNARY_UFUNCS)
-        for ufunc in (*table, *autodiff._BINARY):
+        table = {*autodiff._DERIVATIVES, *autodiff._ARITHMETIC}
+        assert {u for u in table if u.nin == 1} == set(UNARY_UFUNCS)
+        for ufunc in table:
             assert re.search(rf"\b{ufunc.__name__}\b", autodiff.__doc__), ufunc.__name__
 
 

@@ -170,6 +170,23 @@ class TestRun:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("configuration error: ") and key in err[0]
 
+    @pytest.mark.parametrize(
+        "text, flags, key",
+        [
+            ("[1, 2]", [], "JSON object"),
+            ('{"checks": 5}', [], "checks"),
+            ('{"checks": ["phwc"], "alpha": NaN}', [], "alpha"),
+            ('{"checks": ["phwc"], "tolerances": "x"}', ["--tol", "phwc=1e-8"], "tolerances"),
+        ],
+        ids=["not-an-object", "checks-not-a-list", "nan-alpha", "tolerances-not-a-mapping"],
+    )
+    def test_malformed_config_file_exit_2(self, tmp_path, capsys, text, flags, key):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        assert run_cli(["run", "--scenario", "flat-holo", "--config", str(cfg), *flags]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and key in err[0]
+
 
 class TestIdentities:
     def test_single_scenario(self, capsys, tmp_path):
