@@ -365,25 +365,28 @@ def _forward_eval(fn, x, cls):
     then for Jet2 the second derivatives (N, k, m, m).
     """
     n, m = x.shape
-    higher = [np.zeros((n, m, m))] if cls is Jet2 else []
+    second = cls is Jet2
+    hessian = np.zeros((n, m, m)) if second else None
     coords = []
     for i in range(m):
         seed = np.zeros((n, m))
         seed[:, i] = 1.0
-        coords.append(cls(x[:, i], seed, *higher))
+        coords.append(Jet2(x[:, i], seed, hessian) if second else Dual(x[:, i], seed))
     shape, flats = _flatten(fn(coords))
     k = len(flats)
     val = np.empty((n, k))
-    derivs = [np.zeros((n, k) + (m,) * r) for r in range(1, len(higher) + 2)]
+    der = np.zeros((n, k, m))
+    sec = np.zeros((n, k, m, m)) if second else None
     for j, entry in enumerate(flats):
         if isinstance(entry, cls):
-            value, *parts = entry.parts()
-            _put(val, j, value, n)
-            for arr, part in zip(derivs, parts):
-                arr[:, j] = part
+            parts = entry.parts()
+            _put(val, j, parts[0], n)
+            der[:, j] = parts[1]
+            if second:
+                sec[:, j] = parts[2]
         else:
             _put(val, j, entry, n)
-    return (shape, val, *derivs)
+    return (shape, val, der, sec) if second else (shape, val, der)
 
 
 def tensor_jet(fn, x, cfg=None):

@@ -49,7 +49,8 @@ CHECK_NAMES = (
 
 SCHEMA = "phwc-lab-report/1"
 
-# what a RunConfig field declared int or float must hold (never a bool)
+# what a RunConfig field annotated "int" or "float" (or either "| None") must
+# hold; never a bool.  The annotations are strings (postponed evaluation).
 _NUMBER_KINDS = {"int": (numbers.Integral, "an integer"), "float": (numbers.Real, "a number")}
 
 
