@@ -140,7 +140,7 @@ class Dual(_Forward):
         self.a = np.asarray(a, dtype=float)
         self.b = np.asarray(b, dtype=float)
 
-    def parts(self):
+    def _parts(self):
         return self.a, self.b
 
     # -- arithmetic ---------------------------------------------------------
@@ -205,7 +205,7 @@ class Jet2(_Forward):
         self.g = np.asarray(g, dtype=float)
         self.h = np.asarray(h, dtype=float)
 
-    def parts(self):
+    def _parts(self):
         return self.v, self.g, self.h
 
     @staticmethod
@@ -379,7 +379,7 @@ def _forward_eval(fn, x, cls):
     sec = np.zeros((n, k, m, m)) if second else None
     for j, entry in enumerate(flats):
         if isinstance(entry, cls):
-            parts = entry.parts()
+            parts = entry._parts()
             _put(val, j, parts[0], n)
             der[:, j] = parts[1]
             if second:
