@@ -346,7 +346,7 @@ def gram_schmidt(vecs, g):
             e = vecs[..., b]
             proj = np.einsum("...i,...ij,...j->...", v, g, e)
             v = v - proj[..., None] * e
-        norm = np.sqrt(np.einsum("...i,...ij,...j->...", v, g, v))
+        norm = _norm(g, v)
         vecs[..., a] = v / norm[..., None]
     return vecs
 
@@ -464,10 +464,14 @@ def lie_bracket(M, X, Y, x):
     return out[0] if squeeze else out
 
 
+def _norm(g, v):
+    """|v|_g for vectors v under metric values g (..., m, m)."""
+    return np.sqrt(np.einsum("...i,...ij,...j->...", v, g, v))
+
+
 def metric_norms(M, x, v):
     """|v|_g at each point of ``x`` for vectors ``v`` tangent to ``M``."""
-    g = M.metric_at(x, check=False)
-    return np.sqrt(np.einsum("...i,...ij,...j->...", v, g, v))
+    return _norm(M.metric_at(x, check=False), v)
 
 
 def two_form_norm2(M, x, omega):

@@ -11,7 +11,7 @@ import csv
 import io
 import json
 import numbers
-from dataclasses import asdict, dataclass, field as dc_field, fields
+from dataclasses import asdict, dataclass, field as dc_field
 
 import numpy as np
 
@@ -51,7 +51,18 @@ SCHEMA = "phwc-lab-report/1"
 
 # what a RunConfig field annotated "int" or "float" (or either "| None") must
 # hold; never a bool.  The annotations are strings (postponed evaluation).
-_NUMBER_KINDS = {"int": (numbers.Integral, "an integer"), "float": (numbers.Real, "a number")}
+# every numeric RunConfig field and the values it takes; None means a default rule
+_NUMERIC_FIELDS = {
+    "quadrature_order": "an integer or None",
+    "fd_step": "a number",
+    "alpha": "a number",
+    "p": "a number",
+    "seed": "an integer",
+    "sample_points": "an integer",
+    "stability_fields": "an integer",
+    "stability_order": "an integer or None",
+    "hessian_generators": "an integer",
+}
 
 
 @dataclass
@@ -111,14 +122,13 @@ class RunConfig:
         for name, value in self.tolerances.items():
             if isinstance(value, bool) or not isinstance(value, numbers.Real):
                 raise ConfigError(f"tolerance {name} must be a number, got {value!r}")
-        for f in fields(self):
-            kind, _, optional = f.type.partition(" | ")
-            value = getattr(self, f.name)
-            if kind not in _NUMBER_KINDS or (optional == "None" and value is None):
+        for name, what in _NUMERIC_FIELDS.items():
+            value = getattr(self, name)
+            if value is None and what.endswith("or None"):
                 continue
-            types, what = _NUMBER_KINDS[kind]
+            types = numbers.Real if what == "a number" else numbers.Integral
             if isinstance(value, bool) or not isinstance(value, types):
-                raise ConfigError(f"{f.name} must be {what}, got {value!r}")
+                raise ConfigError(f"{name} must be {what}, got {value!r}")
 
     @classmethod
     def from_mapping(cls, data):

@@ -15,7 +15,7 @@ import numpy as np
 
 from .autodiff import field_partials, tensor_jet
 from .errors import EigenframeDegenerate, NonFiniteIntegrand, NotCritical, NotSasakianScenario
-from .geometry import codifferential_two_form, lie_bracket, two_form_norm2
+from .geometry import _norm, codifferential_two_form, lie_bracket, two_form_norm2
 from .maps import (
     _lift,
     _submersion_jet,
@@ -262,14 +262,16 @@ def variation_l2_norm2(phi, v):
 CRITICALITY_TOL = 1e-4
 
 
-def _require_critical(phi, J, nodes, z_nodes, tol):
-    """NotCritical if the criticality residual at the nodes, from Z there, exceeds tol."""
+def _require_critical(phi, J, nodes, z_nodes):
+    """NotCritical if the criticality residual at the nodes, from Z there, exceeds CRITICALITY_TOL."""
     crit = float(np.max(criticality_residual(phi, J, nodes, z=z_nodes)))
-    if crit > tol:
-        raise NotCritical(f"map {phi.name!r}: criticality residual {crit:.3e} exceeds {tol:g}")
+    if crit > CRITICALITY_TOL:
+        raise NotCritical(
+            f"map {phi.name!r}: criticality residual {crit:.3e} exceeds {CRITICALITY_TOL:g}"
+        )
 
 
-def hessian(phi, J, v, *, criticality_tol=CRITICALITY_TOL, allow_noncritical=False, z_nodes=None, gate=True):
+def hessian(phi, J, v, *, allow_noncritical=False, z_nodes=None):
     """Second variation of the strong-coupling energy at a critical map.
 
     One shared finite-difference stencil supplies d(phi* iota_v Omega), the
@@ -309,8 +311,8 @@ def hessian(phi, J, v, *, criticality_tol=CRITICALITY_TOL, allow_noncritical=Fal
             M, None, nodes, omega_values=pb0, omega_partials=dpb
         )
         z_nodes = M.sharp(nodes, delta)
-    if gate and not allow_noncritical:
-        _require_critical(phi, J, nodes, z_nodes, criticality_tol)
+    if not allow_noncritical:
+        _require_critical(phi, J, nodes, z_nodes)
 
     # |d(phi* iota_v Omega)|^2 + Omega(v, nabla_Z v)
     gammaN = phi.codomain.christoffel_at(jet.y)
@@ -323,14 +325,14 @@ def hessian(phi, J, v, *, criticality_tol=CRITICALITY_TOL, allow_noncritical=Fal
     return M.integrate(term1 + term2)
 
 
-def hessian_suite(phi, J, v_fields, criticality_tol=CRITICALITY_TOL):
+def hessian_suite(phi, J, v_fields):
     """Hessians and L2 norms for a family of fields, sharing the Z field."""
     nodes = phi.domain.quadrature.nodes
     z_nodes = z_field(phi, J, nodes)
-    _require_critical(phi, J, nodes, z_nodes, criticality_tol)
+    _require_critical(phi, J, nodes, z_nodes)
     out = []
     for v in v_fields:
-        hv = hessian(phi, J, v, z_nodes=z_nodes, gate=False)
+        hv = hessian(phi, J, v, z_nodes=z_nodes, allow_noncritical=True)
         out.append((hv, variation_l2_norm2(phi, v)))
     return out
 
@@ -383,7 +385,7 @@ def hessian_matrix(phi, J, span, rule=None, contact=None):
     rule = M.quadrature if rule is None else rule
     nodes = rule.nodes
     z_nodes = z_field(phi, J, nodes)
-    _require_critical(phi, J, nodes, z_nodes, CRITICALITY_TOL)
+    _require_critical(phi, J, nodes, z_nodes)
     m, n, K = M.dim, phi.codomain.dim, span.dim
     nc = n // 2  # complex dimension of the codomain
     weights = rule.weights * rule.density
@@ -808,7 +810,7 @@ def stability_conditions(phi, J, x, F=None):
                 "...i,...ki->...k", H0[..., b], dH[..., :, a, :]
             )
             brv = np.einsum("...ij,...j->...i", pv, br)
-            nrm = np.sqrt(np.einsum("...i,...ij,...j->...", brv, g, brv))
+            nrm = _norm(g, brv)
             worst = np.maximum(worst, nrm)
     cond_a = float(np.max(worst))
     cond_b = float(np.max(cond_b_residual(F, xb)))

@@ -18,7 +18,7 @@ from .errors import (
     NotPHWC,
     RankDeficient,
 )
-from .geometry import endomorphism_divergence, gram_schmidt, metric_norms, nabla_endomorphism
+from .geometry import _norm, endomorphism_divergence, gram_schmidt, metric_norms, nabla_endomorphism
 from .maps import _adjoint, adjoint_differential, horizontal_frame
 
 
@@ -213,7 +213,7 @@ def j_adapted_frame(g, J, pairs, seeds=None):
             e = cols[..., :, b]
             proj = np.einsum("...i,...ij,...j->...", v, g, e)
             v = v - proj[..., None] * e
-        nrm = np.sqrt(np.einsum("...i,...ij,...j->...", v, g, v))
+        nrm = _norm(g, v)
         if np.any(nrm < 1e-10):
             raise RankDeficient("adapted-frame seed fell into the span of earlier columns")
         v = v / nrm[..., None]

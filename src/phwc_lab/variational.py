@@ -14,6 +14,7 @@ import numpy as np
 from .errors import DimensionTooSmall, NotSemiconformal
 from .geometry import (
     TWO_FORM_CONVENTION,
+    _norm,
     codifferential_two_form,
     endomorphism_divergence,
     metric_norms,
@@ -138,7 +139,7 @@ def _horizontal_norm(phi, x, v, jet=None):
     g = phi.domain.metric_at(x, check=False)
     ph = horizontal_projector(phi, x, jet=jet, g=g)
     vh = np.einsum("...ij,...j->...i", ph, v)
-    return np.sqrt(np.einsum("...i,...ij,...j->...", vh, g, vh))
+    return _norm(g, vh)
 
 
 def criticality_residual(phi, J, x, jet=None, z=None):
@@ -183,7 +184,7 @@ def criticality_equivalence(phi, J, x, F=None):
     Fv = F.F_at(xb)
     divF = endomorphism_divergence(phi.domain, lambda p: F.F_at(p), xb)
     FdivF = np.einsum("...ij,...j->...i", Fv, divF)
-    r_cosym = np.sqrt(np.einsum("...i,...ij,...j->...", FdivF, g, FdivF))
+    r_cosym = _norm(g, FdivF)
 
     # the codifferential of phi*Omega once: Z and the proof identity share it
     delta = codifferential_two_form(phi.domain, pullback_two_form_field(phi, J), xb)
@@ -249,12 +250,12 @@ def semiconformal_criticality(phi, J, x, F=None):
     g = phi.domain.metric_at(xb, check=False)
 
     crit = (two_n - 4.0) * grad_h + (m - two_n) * mu
-    r_crit = np.sqrt(np.einsum("...i,...ij,...j->...", crit, g, crit))
+    r_crit = _norm(g, crit)
 
     F = F or induced_f_structure(phi, J)
     fdf = f_div_f(F, xb)
     ident = fdf - (two_n - 2.0) * grad_h - (m - two_n) * mu
-    r_ident = np.sqrt(np.einsum("...i,...ij,...j->...", ident, g, ident))
+    r_ident = _norm(g, ident)
     if squeeze:
         return r_crit[0], r_ident[0]
     return r_crit, r_ident

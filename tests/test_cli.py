@@ -248,6 +248,15 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match="seed must be an integer"):
             RunConfig(scenario_id="flat-holo", seed=value)
 
+    def test_every_numeric_field_refuses_a_string(self):
+        # a field added later is type-checked, or this names it
+        from dataclasses import fields
+
+        non_numeric = {"scenario_id", "checks", "tolerances"}
+        for name in {f.name for f in fields(RunConfig)} - non_numeric:
+            with pytest.raises(ConfigError, match=f"^{name} must be "):
+                RunConfig(scenario_id="flat-holo", **{name: "1"})
+
     def test_effective_records_every_field(self):
         from dataclasses import fields
 
