@@ -27,10 +27,17 @@ A central-difference stencil is one batched evaluation: the 2m shifted
 copies of the N points are stacked shift-major into one (2m*N, m) batch, the
 field or expression runs once on it, and the differences come from the
 reshaped result.
+
+Expressions must be pure functions of their coordinates: `tensor_value` and
+`tensor_jet` evaluate each (expression, config, point set) once and hand
+out the kept, read-only result again (see `_memo`, which the metric
+inverse, the Christoffel symbols, the horizontal projector and the induced
+f-structure share).
 """
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -346,16 +353,90 @@ def _check_finite(*arrays):
             raise DifferentiationFailure("non-finite derivative or value")
 
 
+# ---------------------------------------------------------------------------
+# evaluations by point set
+
+# The memo holds at most _MEMO_BYTES of values and keys, least recently used
+# out, and never an entry above _MEMO_ENTRY_BYTES: the values on a large
+# point set (a full quadrature rule) are computed each time they are asked for.
+_MEMO_BYTES = 768 << 10
+_MEMO_ENTRY_BYTES = 256 << 10
+
+_MEMO = OrderedDict()  # key -> (value, bytes of value and points)
+_MEMO_COUNTS = {"hits": 0, "misses": 0, "held_bytes": 0}
+
+
+def _freeze(value):
+    """Make the arrays of a value (an array, or a tuple) read-only; return their bytes."""
+    if isinstance(value, tuple):
+        return sum(_freeze(v) for v in value)
+    if isinstance(value, np.ndarray):
+        value.flags.writeable = False
+        return value.nbytes
+    return 0
+
+
+def _memo(kind, owner, cfg, x, compute):
+    """compute(x), once per (kind, owner, cfg, shape and bytes of the points x).
+
+    ``owner`` is the object, or tuple of objects, whose value it is (an
+    expression, a chart's metric, a map): the key holds it, so it is
+    compared by identity and stays alive while its values do.  ``cfg`` is
+    the DiffConfig the value depends on, or None.  The points are keyed by
+    their bytes, not their identity, because every stencil is a fresh batch.
+    The value (an array, or a tuple of arrays and plain values) is returned
+    read-only, kept or not; a compute that raises keeps nothing.  The memo
+    takes no lock: the library evaluates in one thread.
+    """
+    x = np.asarray(x, dtype=float)
+    key = None
+    if x.nbytes <= _MEMO_ENTRY_BYTES:
+        key = (kind, owner, cfg, x.shape, x.tobytes())
+        entry = _MEMO.get(key)
+        if entry is not None:
+            _MEMO.move_to_end(key)
+            _MEMO_COUNTS["hits"] += 1
+            return entry[0]
+    _MEMO_COUNTS["misses"] += 1
+    value = compute(x)
+    size = _freeze(value) + x.nbytes
+    if key is not None and size <= _MEMO_ENTRY_BYTES:
+        _MEMO[key] = (value, size)
+        held = _MEMO_COUNTS["held_bytes"] + size
+        while held > _MEMO_BYTES:
+            held -= _MEMO.popitem(last=False)[1][1]
+        _MEMO_COUNTS["held_bytes"] = held
+    return value
+
+
+def _memo_stats():
+    """Hits and misses since the process started or the memo was cleared, and the bytes held."""
+    return dict(_MEMO_COUNTS)
+
+
+def _memo_clear():
+    _MEMO.clear()
+    _MEMO_COUNTS.update(hits=0, misses=0, held_bytes=0)
+
+
 def tensor_value(fn, x):
-    """Evaluate a coordinate expression on points x (m,) or (N, m) -> (N, *shape)."""
+    """Evaluate a coordinate expression on points x (m,) or (N, m) -> (N, *shape).
+
+    Read-only; one evaluation per point set (``_memo``).
+    """
     x, squeeze = _points(x)
+    out = _memo("value", fn, None, x, lambda p: _value(fn, p))
+    return out[0] if squeeze else out
+
+
+def _value(fn, x):
+    """tensor_value on a batch, evaluated."""
     n = x.shape[0]
     shape, flats = _flatten(fn([x[:, i] for i in range(x.shape[1])]))
     out = np.empty((n, len(flats)))
     for j, entry in enumerate(flats):
         _put(out, j, entry, n)
-    out = out.reshape((n,) + shape)
-    return out[0] if squeeze else out
+    return out.reshape((n,) + shape)
 
 
 def _forward_eval(fn, x, cls):
@@ -393,10 +474,16 @@ def tensor_jet(fn, x, cfg=None):
     """Value and first derivatives: (N, *shape), (N, *shape, m).
 
     Derivative index is last.  Accepts a single point (m,) and then drops the
-    batch axis.
+    batch axis.  Read-only; one evaluation per config and point set (``_memo``).
     """
     cfg = cfg or DiffConfig()
     x, squeeze = _points(x)
+    val, der = _memo("jet", fn, cfg, x, lambda p: _jet(fn, p, cfg))
+    return (val[0], der[0]) if squeeze else (val, der)
+
+
+def _jet(fn, x, cfg):
+    """tensor_jet on a batch, evaluated."""
     n, m = x.shape
     if cfg.mode == "dual_number_forward":
         shape, val, der = _forward_eval(fn, x, Dual)
@@ -405,15 +492,22 @@ def tensor_jet(fn, x, cfg=None):
         shape = val.shape[1:]
         der = _stencil(lambda p: tensor_value(fn, p), x, cfg.fd_step)
     _check_finite(val, der)
-    val = val.reshape((n,) + shape)
-    der = der.reshape((n,) + shape + (m,))
-    return (val[0], der[0]) if squeeze else (val, der)
+    return val.reshape((n,) + shape), der.reshape((n,) + shape + (m,))
 
 
 def tensor_second(fn, x, cfg=None):
-    """Value, first and second derivatives: last two axes of the second are (i, j)."""
+    """Value, first and second derivatives: last two axes of the second are (i, j).
+
+    Read-only; one evaluation per config and point set (``_memo``).
+    """
     cfg = cfg or DiffConfig()
     x, squeeze = _points(x)
+    out = _memo("second", fn, cfg, x, lambda p: _second(fn, p, cfg))
+    return tuple(a[0] for a in out) if squeeze else out
+
+
+def _second(fn, x, cfg):
+    """tensor_second on a batch, evaluated."""
     n, m = x.shape
     if cfg.second_derivative_mode == "nested_dual":
         shape, val, der, sec = _forward_eval(fn, x, Jet2)
@@ -423,10 +517,11 @@ def tensor_second(fn, x, cfg=None):
         sec = _stencil(lambda p: tensor_jet(fn, p, cfg)[1], x, cfg.fd_step)
         sec = 0.5 * (sec + np.swapaxes(sec, -1, -2))
     _check_finite(val, der, sec)
-    val = val.reshape((n,) + shape)
-    der = der.reshape((n,) + shape + (m,))
-    sec = sec.reshape((n,) + shape + (m, m))
-    return (val[0], der[0], sec[0]) if squeeze else (val, der, sec)
+    return (
+        val.reshape((n,) + shape),
+        der.reshape((n,) + shape + (m,)),
+        sec.reshape((n,) + shape + (m, m)),
+    )
 
 
 def _stencil(field, x, h):

@@ -13,7 +13,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .autodiff import DiffConfig, field_partials, tensor_jet, tensor_value
+from .autodiff import DiffConfig, _memo, field_partials, tensor_jet, tensor_value
 from .errors import (
     DegenerateMetric,
     NonFiniteIntegrand,
@@ -244,7 +244,13 @@ class ChartManifold:
         return g
 
     def inverse_metric_at(self, x):
-        return np.linalg.inv(self._g(x))
+        """g(x)^-1, read-only; one inversion per point set."""
+        return self._metric_and_inverse(x)[1]
+
+    def _metric_and_inverse(self, x):
+        """g(x) and its inverse from one evaluation of g."""
+        g = self._g(x)
+        return g, _memo("inverse_metric", self.metric_fn, None, x, lambda p: np.linalg.inv(g))
 
     def metric_jet(self, x):
         """(g, dg) with dg[..., i, j, l] the l-th partial of g_ij."""
@@ -255,8 +261,11 @@ class ChartManifold:
         return np.sqrt(det)
 
     def christoffel_at(self, x):
-        """Levi-Civita symbols Gamma^k_ij, symmetric in (i, j)."""
+        """Levi-Civita symbols Gamma^k_ij, symmetric in (i, j); read-only, once per point set."""
         self.require_inside(x)
+        return _memo("christoffel", self.metric_fn, self.diff, x, self._christoffel)
+
+    def _christoffel(self, x):
         g, dg = self.metric_jet(x)
         ginv = np.linalg.inv(g)
         # dg axes: (..., i, j, l) = partial_l g_ij
@@ -282,9 +291,9 @@ class ChartManifold:
 
     def sharp(self, x, omega):
         """Raise an index: (w^sharp)^i = g^ij w_j."""
-        g = self._g(x)
+        g, ginv = self._metric_and_inverse(x)
         self._require_nondegenerate(g)
-        return np.einsum("...ij,...j->...i", np.linalg.inv(g), np.asarray(omega, float))
+        return np.einsum("...ij,...j->...i", ginv, np.asarray(omega, float))
 
     def flat(self, x, vec):
         g = self._g(x)

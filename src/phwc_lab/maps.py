@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import field_partials, tensor_jet, tensor_second, tensor_value
+from .autodiff import _memo, field_partials, tensor_jet, tensor_second, tensor_value
 from .errors import OutOfChart, RankDeficient
 from .geometry import gram_schmidt
 
@@ -87,7 +87,7 @@ class SmoothMap:
 
     def ranks(self, x):
         """Rank of dphi and its singular values at the points x."""
-        sv = np.linalg.svd(self.jet(x).dphi, compute_uv=False)
+        _, sv = _jet_and_singular_values(self, x)
         return np.sum(sv > SVD_RANK_RTOL * sv[..., :1], axis=-1), sv
 
     def rank_profile(self):
@@ -115,15 +115,11 @@ def _adjoint(ginv, dphi, h):
     return ginv @ np.swapaxes(dphi, -1, -2) @ h
 
 
-def adjoint_differential(phi, x, jet=None, g=None):
-    """Metric adjoint dphi^t = g^-1 dphi^T h, so g(X, dphi^t E) = h(dphi X, E).
-
-    ``g`` is the domain metric at x when the caller already holds it.
-    """
+def adjoint_differential(phi, x, jet=None):
+    """Metric adjoint dphi^t = g^-1 dphi^T h, so g(X, dphi^t E) = h(dphi X, E)."""
     jet = jet or phi.jet(x)
-    ginv = phi.domain.inverse_metric_at(x) if g is None else np.linalg.inv(g)
     h = phi.codomain.metric_at(jet.y, check=False)
-    return _adjoint(ginv, jet.dphi, h)
+    return _adjoint(phi.domain.inverse_metric_at(x), jet.dphi, h)
 
 
 def energy_density(phi, x, jet=None):
@@ -261,34 +257,55 @@ def fibre_splitting(phi, x, require_rank=None):
     return FibreSplitting(vertical=vertical, horizontal=horizontal, rank=rank)
 
 
-def _submersion_jet(phi, x, jet=None):
-    jet = jet or phi.jet(x)
-    n = phi.codomain.dim
-    sv = np.linalg.svd(jet.dphi, compute_uv=False)
-    if np.any(sv[..., n - 1] <= SVD_RANK_RTOL * sv[..., 0]):
+def _jet_and_singular_values(phi, x):
+    """phi.jet(x) and the singular values of its dphi, descending, from one jet.
+
+    The singular values are read-only and kept by point set.
+    """
+    jet = phi.jet(x)
+    sv = _memo(
+        "singular_values", phi, phi.diff, x, lambda p: np.linalg.svd(jet.dphi, compute_uv=False)
+    )
+    return jet, sv
+
+
+def _submersion_jet(phi, x):
+    """phi.jet(x); RankDeficient unless dphi is onto at every point."""
+    jet, sv = _jet_and_singular_values(phi, x)
+    if np.any(sv[..., phi.codomain.dim - 1] <= SVD_RANK_RTOL * sv[..., 0]):
         raise RankDeficient(f"map {phi.name!r} is not submersive at the given point(s)")
     return jet
 
 
-def horizontal_projector(phi, x, jet=None, g=None):
+def horizontal_projector(phi, x):
     """P_H = dphi^t (dphi dphi^t)^-1 dphi; smooth in x for submersions.
 
-    ``g`` is the domain metric at x when the caller already holds it.
+    Read-only; one evaluation per point set.
     """
-    jet = _submersion_jet(phi, x, jet)
-    adj = adjoint_differential(phi, x, jet=jet, g=g)
-    q = jet.dphi @ adj
-    return adj @ np.linalg.solve(q, jet.dphi)
+    return _metric_and_projector(phi, x)[1]
 
 
-def vertical_projector(phi, x, jet=None, g=None):
-    p = horizontal_projector(phi, x, jet=jet, g=g)
+def _metric_and_projector(phi, x):
+    """The domain metric g(x) and P_H(x) from one evaluation of g; P_H is kept by point set."""
+    g, ginv = phi.domain._metric_and_inverse(x)
+    return g, _memo("horizontal_projector", phi, phi.diff, x, lambda p: _projector(phi, p, ginv))
+
+
+def _projector(phi, x, ginv):
+    """P_H at x from the inverse domain metric there."""
+    jet = _submersion_jet(phi, x)
+    adj = _adjoint(ginv, jet.dphi, phi.codomain.metric_at(jet.y, check=False))
+    return adj @ np.linalg.solve(jet.dphi @ adj, jet.dphi)
+
+
+def vertical_projector(phi, x):
+    p = horizontal_projector(phi, x)
     return np.broadcast_to(np.eye(p.shape[-1]), p.shape) - p
 
 
-def horizontal_lift(phi, x, E, jet=None):
+def horizontal_lift(phi, x, E):
     """Horizontal vector X with dphi(X) = E (submersions only)."""
-    jet = _submersion_jet(phi, x, jet)
+    jet = _submersion_jet(phi, x)
     adj = adjoint_differential(phi, x, jet=jet)
     return _lift(adj, jet.dphi @ adj, E)
 
@@ -299,16 +316,14 @@ def _lift(adj, q, E):
     return np.einsum("...ia,...a->...i", adj, sol)
 
 
-def horizontal_frame(phi, x, jet=None):
+def horizontal_frame(phi, x):
     """g-orthonormal horizontal frame columns (..., m, n), smooth in x.
 
     Built by projecting the first-n coordinate fields mixed with a fixed
     generic rotation, then Gram-Schmidt; deterministic by construction.
     """
-    jet = jet if jet is not None else phi.jet(x)
     m, n = phi.domain.dim, phi.codomain.dim
-    g = phi.domain.metric_at(x, check=False)
-    ph = horizontal_projector(phi, x, jet=jet, g=g)
+    g, ph = _metric_and_projector(phi, x)
     # generic fixed mixing avoids seeds falling into the vertical space
     rng = np.random.default_rng(12345)
     mix = rng.normal(size=(m, m)) + np.eye(m) * m
@@ -325,21 +340,21 @@ def mean_curvature_fibres(phi, x):
     """
     xb = np.atleast_2d(np.asarray(x, dtype=float))
     squeeze = np.asarray(x).ndim == 1
-    jet = _submersion_jet(phi, xb)
     m, n = phi.domain.dim, phi.codomain.dim
     nv = m - n
     if nv == 0:
+        _submersion_jet(phi, xb)
         out = np.zeros((len(xb), m))
         return out[0] if squeeze else out
-    g = phi.domain.metric_at(xb, check=False)
-    phor = horizontal_projector(phi, xb, jet=jet, g=g)
-    pv = np.broadcast_to(np.eye(m), phor.shape) - phor  # = vertical_projector(phi, xb, jet=jet)
+    # the projector raises RankDeficient unless phi is a submersion at xb
+    g, phor = _metric_and_projector(phi, xb)
+    pv = np.broadcast_to(np.eye(m), phor.shape) - phor  # = vertical_projector(phi, xb)
     norms = np.einsum("...ik,...ij,...jk->...k", pv, g, pv)  # |P_V e_k|_g^2
     sel = np.argsort(-norms, axis=-1, kind="stable")[:, :nv]  # frozen seeds
 
     def vert_frame(p):
-        gp = phi.domain.metric_at(p, check=False)
-        pvp = vertical_projector(phi, p, g=gp)
+        gp, php = _metric_and_projector(phi, p)
+        pvp = np.broadcast_to(np.eye(m), php.shape) - php  # = vertical_projector(phi, p)
         # stencil rows are shifted copies of the points, stacked shift-major
         sel_p = sel[np.arange(len(p)) % len(sel)]
         cols = np.take_along_axis(pvp, sel_p[:, None, :], axis=2)

@@ -2,7 +2,8 @@
 
 A run produces a single JSON document: a deterministic ``body`` (identical
 config and seed => byte-identical serialization) plus a ``meta`` section
-holding wall time, which the determinism contract excludes.
+holding wall time, the memo's counts and peak memory, which the determinism
+contract excludes.
 """
 
 from __future__ import annotations
@@ -11,10 +12,13 @@ import csv
 import io
 import json
 import numbers
+import resource
+import sys
 from dataclasses import asdict, dataclass, field as dc_field
 
 import numpy as np
 
+from .autodiff import _memo_stats
 from .errors import ConfigError
 from .geometry import TWO_FORM_CONVENTION, metric_norms
 from .maps import tension_field_direct
@@ -537,9 +541,24 @@ def run_identities(scenario_id=None, n_points=100, seed=0):
 
 
 def report_document(body, wall_time):
+    """The report of one run: ``body`` and the process's ``meta``.
+
+    ``meta`` holds the wall time, the hits and misses of the memo of
+    evaluations by point set since the process started (one CLI run), the
+    bytes it holds, and the process's peak resident memory.
+    """
+    memo = _memo_stats()
+    # ru_maxrss is in KiB on Linux, in bytes on macOS
+    rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     return {
         "schema": SCHEMA,
-        "meta": {"wall_time_seconds": wall_time},
+        "meta": {
+            "wall_time_seconds": wall_time,
+            "memo_hits": memo["hits"],
+            "memo_misses": memo["misses"],
+            "memo_held_bytes": memo["held_bytes"],
+            "peak_rss_mib": rss / (2**20 if sys.platform == "darwin" else 2**10),
+        },
         "body": body,
     }
 

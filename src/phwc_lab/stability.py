@@ -396,7 +396,7 @@ def hessian_matrix(phi, J, span, rule=None, contact=None):
         vv = span.sections(p, jet)
         out = [vv, vv @ (J.omega_at(jet.y) @ jet.dphi)]
         if contact is not None:
-            jet = _submersion_jet(phi, p, jet)
+            jet = _submersion_jet(phi, p)
             adj = adjoint_differential(phi, p, jet=jet)
             out.append(_lift(adj[:, None], (jet.dphi @ adj)[:, None], vv))
         return np.concatenate(out, axis=-1)
@@ -438,7 +438,7 @@ def hessian_matrix(phi, J, span, rule=None, contact=None):
         # (div X)^2 + |[xi, X]|^2 - 2n g(phi X, [xi, X]), polarized below
         R += _weighted_gram(divX, divX, w) + _weighted_gram(br, g_br, w)
         R -= 2.0 * nc * _weighted_gram(phiX, g_br, w)
-        D = _pair_components(_contact_frame(phi, ctx, x, jet)[:, None], dA, nc)
+        D = _pair_components(_contact_frame(phi, ctx, x)[:, None], dA, nc)
         S += 0.5 * _weighted_gram(D, D, w)
     if not np.all(np.isfinite(forms)):
         raise NonFiniteIntegrand(f"span Hessian non-finite on {M.name!r}")
@@ -508,11 +508,11 @@ def _reeb_terms(ctx, Xv, dX, n):
     return divX**2 + br2 - 2.0 * n * cross
 
 
-def _contact_frame(phi, ctx, nodes, jet):
+def _contact_frame(phi, ctx, nodes):
     """The J-adapted frame (e_1, phi e_1, ...) of the horizontal space at the nodes."""
     n = phi.codomain.dim // 2
     _, _, _, g, ph_tensor = ctx
-    H = horizontal_frame(phi, nodes, jet=jet)
+    H = horizontal_frame(phi, nodes)
     rng = np.random.default_rng(777)
     mix = rng.normal(size=(2 * n, n)) + np.eye(2 * n)[:, :n]
     seeds = np.einsum("...ia,ab->...ib", H, mix)
@@ -545,7 +545,7 @@ def sasakian_hessian(phi, contact, J, v):
         om = J.omega_at(jetp.y)
         vv = v.eval(p, jet=jetp)
         A = (vv[..., None, :] @ (om @ jetp.dphi))[..., 0, :]
-        Xv = horizontal_lift(phi, p, vv, jet=jetp)
+        Xv = horizontal_lift(phi, p, vv)
         return np.concatenate([A, Xv], axis=-1)
 
     parts = field_partials(fused, nodes, h)
@@ -555,8 +555,8 @@ def sasakian_hessian(phi, contact, J, v):
 
     ctx = _reeb_context(phi, contact, nodes)
     jet0 = phi.jet(nodes)
-    D = _pair_components(_contact_frame(phi, ctx, nodes, jet0), dA, n)
-    Xv = horizontal_lift(phi, nodes, v.eval(nodes, jet=jet0), jet=jet0)
+    D = _pair_components(_contact_frame(phi, ctx, nodes), dA, n)
+    Xv = horizontal_lift(phi, nodes, v.eval(nodes, jet=jet0))
     return M.integrate(0.5 * np.sum(D**2, axis=(-2, -1)) + _reeb_terms(ctx, Xv, dX, n))
 
 
@@ -577,7 +577,7 @@ def killing_reduced_hessian(phi, contact, J, v):
 
     def Xv_field(p):
         jetp = phi.jet(p)
-        return horizontal_lift(phi, p, v.eval(p, jet=jetp), jet=jetp)
+        return horizontal_lift(phi, p, v.eval(p, jet=jetp))
 
     # one stencil serves both the divergence and the bracket with xi
     dX = field_partials(Xv_field, nodes, phi.diff.fd_step)

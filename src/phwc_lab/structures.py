@@ -8,10 +8,9 @@ holomorphic wherever that residual vanishes.
 
 from __future__ import annotations
 
-from collections import OrderedDict
-
 import numpy as np
 
+from .autodiff import _memo
 from .errors import (
     ComplexChartMissing,
     IsotropyFailure,
@@ -57,9 +56,6 @@ __all__ = [
 
 # residuals below this treat a map as PHWC when gating the induced structure
 PHWC_GATE_TOL = 1e-6
-
-# point sets whose induced-structure values one F keeps (least recently used out)
-_F_MEMO_SIZE = 8
 
 
 class AlmostHermitianStructure:
@@ -285,22 +281,21 @@ def induced_f_structure(phi, J):
     coordinate order, and columns are orthonormalized in natural order, so
     the construction is smooth wherever the rank is constant.
 
-    The returned F keeps its (read-only) values for the last few point sets
-    it was evaluated at, so a check that asks again for F, nabla F or div F
-    at the same points, or at the same stencil, evaluates nothing twice.
+    F's values are read-only and kept by point set for (phi, J) in the
+    memo of autodiff, so every F of the same phi and J that is asked again
+    for F, nabla F or div F at the same points, or at the same stencil,
+    evaluates nothing twice.
     """
     n_pairs = phi.codomain.dim // 2
 
     def F_at(x):
-        xb = np.atleast_2d(np.asarray(x, dtype=float))
-        squeeze = np.asarray(x).ndim == 1
-        jet = phi.jet(xb)
-        # each metric and J once: phwc_residual and adjoint_differential
-        # would evaluate them again at the same points
-        g = phi.domain.metric_at(xb, check=False)
+        """F at the points x (N, m), and dim_C W."""
+        jet = phi.jet(x)
+        g, ginv = phi.domain._metric_and_inverse(x)
         h = phi.codomain.metric_at(jet.y, check=False)
+        # J once: phwc_residual would evaluate it again at the same images
         Jv = _struct_at(J, jet.y)
-        adj = _adjoint(np.linalg.inv(g), jet.dphi, h)
+        adj = _adjoint(ginv, jet.dphi, h)
         _require_phwc(phi, _commutator_norm(jet.dphi, adj, Jv))
         u = j_adapted_frame(h, Jv, n_pairs)
         a = np.einsum("...ia,...ab->...ib", adj, u[..., 0::2])
@@ -315,32 +310,16 @@ def induced_f_structure(phi, J):
             )
         bb = np.einsum("...ik,...jk->...ij", B, B.conj())
         F = -2.0 * np.einsum("...ij,...jk->...ik", bb.imag, g)
-        return (F[0] if squeeze else F), kept
+        return F, kept
 
-    # values by point set: field_partials builds a fresh stencil batch on
-    # every call, so the key is the points' shape and bytes, not their identity
-    memo = OrderedDict()
-
-    def F_only(x):
-        x = np.asarray(x, dtype=float)
-        key = (x.shape, x.tobytes())
-        val = memo.get(key)
-        if val is None:
-            val = F_at(x)[0]
-            val.flags.writeable = False
-            memo[key] = val
-            if len(memo) > _F_MEMO_SIZE:
-                memo.popitem(last=False)
-        else:
-            memo.move_to_end(key)
-        return val
+    def F_and_rank(x):
+        return _memo("induced_f_structure", (phi, J), phi.diff, x, F_at)
 
     # rank = 2 * dim_C W; probe at a node of the domain's node rules
-    probe = phi.domain.node_rules[0].nodes[:1]
-    _, kept = F_at(probe)
-    F = MetricFStructure(phi.domain, F_only, rank=2 * kept, name=f"F^{phi.name}")
-    F._memo = memo
-    return F
+    _, kept = F_and_rank(phi.domain.node_rules[0].nodes[:1])
+    return MetricFStructure(
+        phi.domain, lambda x: F_and_rank(x)[0], rank=2 * kept, name=f"F^{phi.name}"
+    )
 
 
 def _complex_orthonormalize(cols, g):

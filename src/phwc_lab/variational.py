@@ -21,10 +21,10 @@ from .geometry import (
     two_form_norm2,
 )
 from .maps import (
+    _metric_and_projector,
     dilation_hwc,
     energy_density,
     horizontal_frame,
-    horizontal_projector,
     mean_curvature_fibres,
     pullback_metric,
     second_fundamental_form_tensor,
@@ -134,20 +134,18 @@ def z_field(phi, J, x):
     return phi.domain.sharp(x, delta)
 
 
-def _horizontal_norm(phi, x, v, jet=None):
+def _horizontal_norm(phi, x, v):
     """|P_H v|_g: the g-norm of the horizontal part of the vectors v at x."""
-    g = phi.domain.metric_at(x, check=False)
-    ph = horizontal_projector(phi, x, jet=jet, g=g)
-    vh = np.einsum("...ij,...j->...i", ph, v)
-    return _norm(g, vh)
+    g, ph = _metric_and_projector(phi, x)
+    return _norm(g, np.einsum("...ij,...j->...i", ph, v))
 
 
-def criticality_residual(phi, J, x, jet=None, z=None):
+def criticality_residual(phi, J, x, z=None):
     """Norm of the horizontal part of Z; zero everywhere iff critical.
 
     ``z`` is Z at x (z_field) when the caller already holds it.
     """
-    return _horizontal_norm(phi, x, z_field(phi, J, x) if z is None else z, jet=jet)
+    return _horizontal_norm(phi, x, z_field(phi, J, x) if z is None else z)
 
 
 def _nabla_pullback_tensor(phi, x, jet=None):
@@ -159,9 +157,9 @@ def _nabla_pullback_tensor(phi, x, jet=None):
     return t1 + np.swapaxes(t1, -1, -2)
 
 
-def _max_over_horizontal(phi, x, covector, jet=None):
+def _max_over_horizontal(phi, x, covector):
     """max over unit horizontal Z of |covector(Z)| = g-norm of its horizontal sharp."""
-    return _horizontal_norm(phi, x, phi.domain.sharp(x, covector), jet=jet)
+    return _horizontal_norm(phi, x, phi.domain.sharp(x, covector))
 
 
 def criticality_equivalence(phi, J, x, F=None):
@@ -189,11 +187,11 @@ def criticality_equivalence(phi, J, x, F=None):
     # the codifferential of phi*Omega once: Z and the proof identity share it
     delta = codifferential_two_form(phi.domain, pullback_two_form_field(phi, J), xb)
     z = phi.domain.sharp(xb, delta)  # z_field
-    r_crit = criticality_residual(phi, J, xb, jet=jet, z=z)
+    r_crit = criticality_residual(phi, J, xb, z=z)
 
     # adapted horizontal frame {E_j, F E_j}
     n_pairs = phi.codomain.dim // 2
-    H = horizontal_frame(phi, xb, jet=jet)
+    H = horizontal_frame(phi, xb)
     seeds = H[..., :, 0::2] if H.shape[-1] >= n_pairs else H
     frame = j_adapted_frame(g, Fv, n_pairs, seeds=seeds[..., :, :n_pairs])
     E = frame[..., :, 0::2]
@@ -202,12 +200,12 @@ def criticality_equivalence(phi, J, x, F=None):
     s_cov = np.einsum("...ia,...ja,...ijk->...k", E, FE, nabT) - np.einsum(
         "...ia,...ja,...ijk->...k", FE, E, nabT
     )
-    r_sum = _max_over_horizontal(phi, xb, s_cov, jet=jet)
+    r_sum = _max_over_horizontal(phi, xb, s_cov)
 
     T = pullback_metric(phi, xb, jet=jet)
     pb_div = np.einsum("...kj,...j->...k", T, divF)
     ident = -delta - pb_div - s_cov
-    r_ident = _max_over_horizontal(phi, xb, ident, jet=jet)
+    r_ident = _max_over_horizontal(phi, xb, ident)
 
     out = {
         "cosymplectic": r_cosym,
@@ -244,10 +242,9 @@ def semiconformal_criticality(phi, J, x, F=None):
 
     dll = field_partials(loglam2, xb, h)
     grad = 0.5 * phi.domain.sharp(xb, dll)
-    ph = horizontal_projector(phi, xb)
+    g, ph = _metric_and_projector(phi, xb)
     grad_h = np.einsum("...ij,...j->...i", ph, grad)
     mu = mean_curvature_fibres(phi, xb)
-    g = phi.domain.metric_at(xb, check=False)
 
     crit = (two_n - 4.0) * grad_h + (m - two_n) * mu
     r_crit = _norm(g, crit)
@@ -275,8 +272,8 @@ class WeylConnection:
     def gamma_correction(self, x):
         """Extra C^k_ij on top of the Levi-Civita symbols."""
         th = np.asarray(self.theta(x), dtype=float)
-        g = self.M.metric_at(x, check=False)
-        sharp = np.einsum("...ij,...j->...i", np.linalg.inv(g), th)
+        g, ginv = self.M._metric_and_inverse(x)
+        sharp = np.einsum("...ij,...j->...i", ginv, th)
         m = g.shape[-1]
         eye = np.eye(m)
         c = (
@@ -375,7 +372,7 @@ def cond_1_1_residual(phi, J, x, F=None):
     F = F or induced_f_structure(phi, J)
     from .geometry import nabla_endomorphism
 
-    H = horizontal_frame(phi, xb, jet=jet)
+    H = horizontal_frame(phi, xb)
     Fv = F.F_at(xb)
     nabF = nabla_endomorphism(phi.domain, lambda p: F.F_at(p), xb)
     nd = second_fundamental_form_tensor(phi, xb, jet=jet)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from phwc_lab import autodiff
 from phwc_lab.autodiff import DiffConfig
 from phwc_lab.geometry import Box, ChartManifold
 
@@ -62,3 +63,11 @@ def rng():
 @pytest.fixture(scope="session")
 def fd_config():
     return DiffConfig(mode="central_difference")
+
+
+@pytest.fixture(autouse=True)
+def cold_memo():
+    """Every test starts from an empty memo of evaluations by point set, so what
+    it counts does not depend on the tests that ran before it."""
+    autodiff._memo_clear()
+    return autodiff

@@ -45,6 +45,25 @@ class TestRun:
         assert lines[0].startswith("check,residual,max,tolerance")
         assert len(lines) > 5
 
+    def test_meta_records_the_memo_and_peak_memory(self, capsys, tmp_path):
+        jpath = tmp_path / "report.json"
+        args = ["run", "--scenario", "hopf-s3", "--checks", "criticality,equivalence"]
+        assert run_cli([*args, "--json", str(jpath)]) == 0
+        doc = json.loads(jpath.read_text())
+        meta = doc["meta"]
+        assert set(meta) == {
+            "wall_time_seconds",
+            "memo_hits",
+            "memo_misses",
+            "memo_held_bytes",
+            "peak_rss_mib",
+        }
+        assert meta["memo_hits"] > 0 and meta["memo_misses"] > 0
+        assert 0 < meta["memo_held_bytes"] and meta["peak_rss_mib"] > 1.0
+        # body holds what run_checks returns, and nothing of meta
+        cfg = RunConfig("hopf-s3", checks=("criticality", "equivalence"))
+        assert report_json(doc["body"]) == report_json(run_checks(cfg))
+
     def test_check_subset(self, capsys):
         code = run_cli(["run", "--scenario", "flat-holo", "--checks", "phwc,energy"])
         assert code == 0

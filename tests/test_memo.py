@@ -1,0 +1,207 @@
+"""The memo of evaluations by point set (``autodiff._memo``).
+
+Every metric, inverse, Christoffel symbol, map jet, horizontal projector and
+induced F is computed once per point set and handed out again, read-only.
+Reuse must not move a bit of a report, must respect the differentiation
+config, and must stay within the memo's byte bounds.  Every test starts from
+an empty memo (the ``cold_memo`` fixture of conftest).
+"""
+
+from collections import Counter
+
+import numpy as np
+import pytest
+
+from phwc_lab import autodiff, maps
+from phwc_lab.autodiff import DiffConfig, tensor_jet, tensor_second, tensor_value
+from phwc_lab.errors import DifferentiationFailure
+from phwc_lab.maps import fibre_splitting, horizontal_projector
+from phwc_lab.report import RunConfig, report_json, run_checks, run_identities
+from phwc_lab.scenarios import build_scenario, scenario_ids
+from phwc_lab.stability import vertical_codifferential_formula
+from phwc_lab.variational import criticality_equivalence, criticality_residual
+
+# scenario -> quadrature order (None: the catalog order), as the golden bodies
+CASES = {sid: None for sid in scenario_ids()} | {"hopf-s7": 3}
+# the scenarios of the catalog-sweep benchmark workload
+SWEEP = ("flat-holo", "hopf-s3", "hopf-s3-s2", "product-proj", "warped-hopf")
+
+
+def _held(memo):
+    """(bytes the counters say are held, bytes of the entries, largest entry)."""
+    sizes = [size for _, size in memo._MEMO.values()]
+    return memo._memo_stats()["held_bytes"], sum(sizes), max(sizes, default=0)
+
+
+@pytest.mark.parametrize("sid", sorted(CASES))
+def test_cold_and_warm_memo_give_the_same_body(sid, cold_memo):
+    cfg = RunConfig(sid, quadrature_order=CASES[sid], seed=1)
+    cold = report_json(run_checks(cfg))
+    assert cold_memo._memo_stats()["hits"] > 0  # the run shares values
+    warm = report_json(run_checks(cfg))
+    assert warm == cold
+
+
+def test_jets_are_keyed_by_the_differentiation_config(cold_memo):
+    def run(fd_step):
+        cfg = RunConfig("hopf-s3", checks=("criticality", "equivalence"), fd_step=fd_step)
+        return report_json(run_checks(cfg))
+
+    cold = run(1e-4)
+    cold_memo._memo_clear()
+    run(1e-5)
+    assert run(1e-4) == cold
+    x = np.array([[0.3, 0.7], [1.1, -0.4]])
+
+    def fn(c):
+        return [np.sin(c[0]) * c[1] ** 3]
+
+    fine, coarse = (DiffConfig(mode="central_difference", fd_step=h) for h in (1e-5, 1e-2))
+    d_fine = tensor_jet(fn, x, fine)[1]
+    d_coarse = tensor_jet(fn, x, coarse)[1]
+    assert not np.array_equal(d_fine, d_coarse)
+    assert np.array_equal(tensor_jet(fn, x, coarse)[1], d_coarse)
+
+
+def test_outputs_are_read_only():
+    sc = build_scenario("hopf-s3", validate=False)
+    M, phi = sc.domain, sc.map
+    x = M.random_points(np.random.default_rng(0), 5)
+    for p in (x, x[0]):
+        outputs = [
+            M.metric_at(p),
+            M.inverse_metric_at(p),
+            M.christoffel_at(p),
+            *M.metric_jet(p),
+            phi.value(p),
+            *tensor_second(phi.expr, p, phi.diff),
+            horizontal_projector(phi, p),
+            phi.jet(p).dphi,
+        ]
+        for out in outputs:
+            assert not out.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                out[...] = 0.0
+    # an uncached one too: the points above the per-entry bound
+    big = np.repeat(x, autodiff._MEMO_ENTRY_BYTES // x.nbytes + 1, axis=0)
+    assert not M.metric_at(big).flags.writeable
+
+
+def test_a_raising_compute_keeps_nothing(cold_memo):
+    x = np.ones((3, 2))
+    owner = object()
+
+    def fails(p):
+        raise DifferentiationFailure("no value")
+
+    with pytest.raises(DifferentiationFailure):
+        cold_memo._memo("test", owner, None, x, fails)
+    assert len(cold_memo._MEMO) == 0 and _held(cold_memo) == (0, 0, 0)
+    value = cold_memo._memo("test", owner, None, x, lambda p: p.sum(axis=1))
+    assert np.array_equal(value, [2.0, 2.0, 2.0])
+
+    def ragged(c):
+        return [[c[0], c[1]], [c[0]]]
+
+    with pytest.raises(DifferentiationFailure, match="ragged"):
+        tensor_value(ragged, x)
+    assert [k[0] for k in cold_memo._MEMO] == ["test"]
+
+
+def test_the_held_bytes_stay_within_the_bound(cold_memo):
+    for sid in SWEEP:
+        run_checks(RunConfig(sid, seed=3))
+        run_identities(sid, n_points=100, seed=3)
+        held, total, largest = _held(cold_memo)
+        assert held == total <= cold_memo._MEMO_BYTES
+        assert largest <= cold_memo._MEMO_ENTRY_BYTES
+    stats = cold_memo._memo_stats()
+    assert stats["hits"] > stats["misses"] > 0
+
+
+def test_the_full_hopf_s5_rule_metric_is_not_kept(cold_memo):
+    sc = build_scenario("hopf-s5", validate=False)
+    nodes = sc.domain.quadrature.nodes
+    assert len(nodes) == 7776
+    cold_memo._memo_clear()
+    first = sc.domain.metric_at(nodes, check=False)
+    assert len(cold_memo._MEMO) == 0 and _held(cold_memo) == (0, 0, 0)
+    again = sc.domain.metric_at(nodes, check=False)
+    assert np.array_equal(first, again) and again is not first
+    assert cold_memo._memo_stats()["misses"] == 2
+
+
+def _count_evaluations(monkeypatch):
+    """Count every uncached evaluation by (evaluator, owner, config, point set)."""
+    counts = Counter()
+
+    def counted(name, real, owner_config):
+        def wrapped(*args):
+            owner, cfg, x = owner_config(*args)
+            key = (name, id(owner), cfg, np.shape(x), np.asarray(x, dtype=float).tobytes())
+            counts[key] += 1
+            return real(*args)
+
+        return wrapped
+
+    monkeypatch.setattr(
+        autodiff, "_value", counted("value", autodiff._value, lambda fn, x: (fn, None, x))
+    )
+    monkeypatch.setattr(
+        autodiff, "_jet", counted("jet", autodiff._jet, lambda fn, x, cfg: (fn, cfg, x))
+    )
+    monkeypatch.setattr(
+        autodiff, "_second", counted("second", autodiff._second, lambda fn, x, cfg: (fn, cfg, x))
+    )
+    monkeypatch.setattr(
+        maps,
+        "_projector",
+        counted("projector", maps._projector, lambda phi, x, ginv: (phi, None, x)),
+    )
+    return counts
+
+
+@pytest.fixture
+def hopf_points():
+    sc = build_scenario("hopf-s3")
+    return sc, sc.domain.random_points(np.random.default_rng(3), 60, margin=0.03)
+
+
+def test_criticality_equivalence_evaluates_each_point_set_once(hopf_points, monkeypatch):
+    sc, pts = hopf_points
+    counts = _count_evaluations(monkeypatch)
+    criticality_equivalence(sc.map, sc.J, pts)
+    assert counts and max(counts.values()) == 1
+    assert {k[0] for k in counts} == {"value", "jet", "second", "projector"}
+    # among them the domain metric at the points and the codomain metric at
+    # their images (as the second jet gives them; a lookup now)
+    images = np.ascontiguousarray(sc.map.second_jet(pts).y)
+    for fn, x in ((sc.domain.metric_fn, pts), (sc.codomain.metric_fn, images)):
+        assert counts[("value", id(fn), None, x.shape, x.tobytes())] == 1
+
+
+def test_vertical_codifferential_formula_evaluates_each_point_set_once(
+    hopf_points, monkeypatch
+):
+    sc, pts = hopf_points
+    V = fibre_splitting(sc.map, pts).vertical[..., 0]
+    counts = _count_evaluations(monkeypatch)
+    vertical_codifferential_formula(sc.map, sc.J, V, pts)
+    assert counts and max(counts.values()) == 1
+
+
+def test_a_point_set_above_the_entry_bound_is_evaluated_once_per_call(monkeypatch):
+    """Where nothing is kept, g, g^-1, P_H and the jet still come from one evaluation."""
+    sc = build_scenario("hopf-s5", validate=False)
+    nodes = sc.domain.quadrature.nodes
+    assert nodes.nbytes > autodiff._MEMO_ENTRY_BYTES
+    v = np.ones_like(nodes)
+    counts = _count_evaluations(monkeypatch)
+    for call in (
+        lambda: sc.domain.sharp(nodes, v),
+        lambda: criticality_residual(sc.map, sc.J, nodes, z=v),
+    ):
+        counts.clear()
+        call()
+        assert counts and max(counts.values()) == 1
+    assert {k[0] for k in counts} == {"value", "jet", "projector"}

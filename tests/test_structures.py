@@ -206,7 +206,7 @@ def _reference_induced(phi, J, x):
 
 
 @pytest.mark.parametrize("sid", ["hopf-s3", "warped-hopf"])
-def test_induced_structure_evaluates_each_field_once(sid, monkeypatch):
+def test_induced_structure_evaluates_each_field_once(sid, cold_memo, monkeypatch):
     from phwc_lab import structures
 
     sc = build_scenario(sid)
@@ -232,7 +232,9 @@ def test_induced_structure_evaluates_each_field_once(sid, monkeypatch):
     assert calls == {"g": 1, "h": 1, "J": 1}
     assert np.array_equal(Fv, F_ref) and F.rank == 2 * kept_ref
 
-    # the gate residual is phwc_residual's own (F already holds x's values)
+    # the gate residual is phwc_residual's own (the memo holds F at x, and
+    # fresh is an F of the same map and J, so it starts from an empty memo)
+    cold_memo._memo_clear()
     gates = []
     real_norm = structures._commutator_norm
     monkeypatch.setattr(
@@ -258,6 +260,11 @@ def _counted_fields(sc, monkeypatch):
     monkeypatch.setattr(sc.codomain, "metric_fn", counted("h", sc.codomain.metric_fn))
     monkeypatch.setattr(sc.J, "J_fn", counted("J", sc.J.J_fn))
     return calls
+
+
+def _f_entries(memo):
+    """Keys of the induced-structure values the shared memo holds."""
+    return [k for k in memo._MEMO if k[0] == "induced_f_structure"]
 
 
 class TestInducedStructureMemo:
@@ -294,27 +301,32 @@ class TestInducedStructureMemo:
             with pytest.raises(ValueError):
                 Fv[..., 0, 0] = 1.0
 
-    def test_not_phwc_leaves_nothing(self, sc, pts, monkeypatch):
+    def test_not_phwc_leaves_nothing(self, sc, pts, cold_memo, monkeypatch):
         from phwc_lab import structures
 
         F = induced_f_structure(sc.map, sc.J)
+        before = _f_entries(cold_memo)  # the rank probe's
         real_norm = structures._commutator_norm
         monkeypatch.setattr(structures, "_commutator_norm", lambda *a: real_norm(*a) + 1.0)
         with pytest.raises(NotPHWC):
             F.F_at(pts)
-        assert len(F._memo) == 0
+        assert _f_entries(cold_memo) == before
         monkeypatch.undo()
         assert np.array_equal(F.F_at(pts), induced_f_structure(sc.map, sc.J).F_at(pts))
 
-    def test_entries_stay_within_the_bound(self, sc, pts, monkeypatch):
-        from phwc_lab.structures import _F_MEMO_SIZE
-
+    def test_entries_stay_within_the_bound(self, sc, pts, cold_memo, monkeypatch):
         F = induced_f_structure(sc.map, sc.J)
-        sets = [pts[k : k + 3] for k in range(_F_MEMO_SIZE + 3)]
+        cold_memo._memo_clear()
+        sets = [pts[k : k + 3] for k in range(8 + 3)]
+        F.F_at(sets[0])
+        # a bound of eight point sets' worth of bytes: F, the map jet, both
+        # metrics and the inverse at each set
+        bound = 8 * cold_memo._memo_stats()["held_bytes"]
+        monkeypatch.setattr(cold_memo, "_MEMO_BYTES", bound)
         for x in sets:
             F.F_at(x)
-            assert len(F._memo) <= _F_MEMO_SIZE
-        assert len(F._memo) == _F_MEMO_SIZE
+            assert cold_memo._memo_stats()["held_bytes"] <= bound
+        assert len(_f_entries(cold_memo)) == 8
         calls = _counted_fields(sc, monkeypatch)
         F.F_at(sets[-1])  # kept
         assert calls["g"] == 0
