@@ -23,7 +23,7 @@ def main():
     pts = sc.domain.random_points(rng, 200, margin=0.03)
 
     jet = sc.map.jet(pts)
-    adj = adjoint_differential(sc.map, pts, jet=jet)
+    adj = adjoint_differential(sc.map, pts)
     q = jet.dphi @ adj
     print("Riemannian submersion: max |dphi dphi^t - id| =", np.max(np.abs(q - np.eye(2))))
 

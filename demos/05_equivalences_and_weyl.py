@@ -11,7 +11,6 @@ import numpy as np
 from phwc_lab.scenarios import build_scenario
 from phwc_lab.structures import f_div_f, induced_f_structure
 from phwc_lab.variational import (
-    compatible_weyl_theta,
     criticality_equivalence,
     weyl_compat_residual,
 )
@@ -37,8 +36,7 @@ def main():
     g = warped.domain.metric_at(pts, check=False)
     v = f_div_f(F, pts)
     lc = np.max(np.sqrt(np.einsum("ni,nij,nj->n", v, g, v)))
-    theta = compatible_weyl_theta(warped.domain, F)
-    compat = weyl_compat_residual(warped.domain, F, pts, theta=theta)
+    compat = weyl_compat_residual(warped.domain, F, pts)
     print(f"warped-hopf: |F div F| (Levi-Civita) up to {lc:.3e}")
     print(f"             |F div^D F| with theta-sharp = F div F / (m - 2): {compat:.3e}")
     print("the F^3 + F = 0 cancellation makes the compatible connection exact")

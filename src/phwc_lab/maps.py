@@ -12,7 +12,7 @@ import numpy as np
 
 from .autodiff import _memo, field_partials, tensor_jet, tensor_second, tensor_value
 from .errors import OutOfChart, RankDeficient
-from .geometry import gram_schmidt
+from .geometry import _batch, gram_schmidt
 
 __all__ = [
     "SmoothMap",
@@ -115,33 +115,32 @@ def _adjoint(ginv, dphi, h):
     return ginv @ np.swapaxes(dphi, -1, -2) @ h
 
 
-def adjoint_differential(phi, x, jet=None):
+def adjoint_differential(phi, x):
     """Metric adjoint dphi^t = g^-1 dphi^T h, so g(X, dphi^t E) = h(dphi X, E)."""
-    jet = jet or phi.jet(x)
+    return _jet_and_adjoint(phi, x)[1]
+
+
+def _jet_and_adjoint(phi, x):
+    """phi.jet(x) and the adjoint of its dphi, from one jet."""
+    jet = phi.jet(x)
     h = phi.codomain.metric_at(jet.y, check=False)
-    return _adjoint(phi.domain.inverse_metric_at(x), jet.dphi, h)
+    return jet, _adjoint(phi.domain.inverse_metric_at(x), jet.dphi, h)
 
 
-def energy_density(phi, x, jet=None):
+def energy_density(phi, x):
     """||dphi||^2 = trace(g^-1 dphi^T h dphi)."""
-    jet = jet or phi.jet(x)
-    adj = adjoint_differential(phi, x, jet=jet)
+    jet, adj = _jet_and_adjoint(phi, x)
     return np.einsum("...ia,...ai->...", adj, jet.dphi)
 
 
-def _map_quadratic(phi, x, jet=None):
-    """dphi dphi^t, the h-self-adjoint endomorphism on the codomain."""
-    jet = jet or phi.jet(x)
-    return jet.dphi @ adjoint_differential(phi, x, jet=jet), jet
-
-
-def dilation_hwc(phi, x, jet=None):
+def dilation_hwc(phi, x):
     """Semiconformality witness: lambda^2 and || dphi dphi^t - lambda^2 id ||_F.
 
     dphi dphi^t is h-self-adjoint, so the Frobenius norm is taken in an
     h-orthonormal frame to make the residual frame-honest.
     """
-    q, jet = _map_quadratic(phi, x, jet=jet)
+    jet, adj = _jet_and_adjoint(phi, x)
+    q = jet.dphi @ adj  # dphi dphi^t
     n = q.shape[-1]
     lam2 = np.einsum("...aa->...", q) / n
     h = phi.codomain.metric_at(jet.y, check=False)
@@ -154,9 +153,9 @@ def dilation_hwc(phi, x, jet=None):
     return lam2, resid
 
 
-def second_fundamental_form_tensor(phi, x, jet=None):
+def second_fundamental_form_tensor(phi, x):
     """nabla dphi as a (..., n, m, m) array (codomain index first)."""
-    jet = jet if (jet is not None and jet.d2phi is not None) else phi.second_jet(x)
+    jet = phi.second_jet(x)
     gm = phi.domain.christoffel_at(x)
     gn = phi.codomain.christoffel_at(jet.y)
     term_m = np.einsum("...gk,...kij->...gij", jet.dphi, gm)
@@ -172,17 +171,16 @@ def second_fundamental_form(phi, X, Y):
     return np.einsum("...gij,...i,...j->...g", nd, X.components, Y.components)
 
 
-def tension_field_direct(phi, x, jet=None, nd=None):
+def tension_field_direct(phi, x):
     """tau(phi) = trace_g nabla dphi, a tangent vector at phi(x)."""
-    if nd is None:
-        nd = second_fundamental_form_tensor(phi, x, jet=jet)
+    nd = second_fundamental_form_tensor(phi, x)
     ginv = phi.domain.inverse_metric_at(x)
     return np.einsum("...ij,...gij->...g", ginv, nd)
 
 
-def pullback_metric(phi, x, jet=None):
+def pullback_metric(phi, x):
     """phi^* h as a (0,2)-tensor on the domain."""
-    jet = jet or phi.jet(x)
+    jet = phi.jet(x)
     h = phi.codomain.metric_at(jet.y, check=False)
     return np.swapaxes(jet.dphi, -1, -2) @ h @ jet.dphi
 
@@ -198,11 +196,12 @@ def nabla_pullback_metric(phi, X, Y, Z, direct=False):
     if direct:
         from .geometry import _nabla_two_tensor
 
-        nab = _nabla_two_tensor(phi.domain, lambda p: pullback_metric(phi, p), np.atleast_2d(x))
-        nab = nab[0] if np.asarray(x).ndim == 1 else nab
+        xb, squeeze = _batch(x)
+        nab = _nabla_two_tensor(phi.domain, lambda p: pullback_metric(phi, p), xb)
+        nab = nab[0] if squeeze else nab
         return np.einsum("...ijk,...i,...j,...k->...", nab, X.components, Y.components, Z.components)
     jet = phi.second_jet(x)
-    nd = second_fundamental_form_tensor(phi, x, jet=jet)
+    nd = second_fundamental_form_tensor(phi, x)
     h = phi.codomain.metric_at(jet.y, check=False)
     ndXY = np.einsum("...gij,...i,...j->...g", nd, X.components, Y.components)
     ndXZ = np.einsum("...gij,...i,...j->...g", nd, X.components, Z.components)
@@ -305,8 +304,8 @@ def vertical_projector(phi, x):
 
 def horizontal_lift(phi, x, E):
     """Horizontal vector X with dphi(X) = E (submersions only)."""
-    jet = _submersion_jet(phi, x)
-    adj = adjoint_differential(phi, x, jet=jet)
+    _submersion_jet(phi, x)  # RankDeficient unless dphi is onto
+    jet, adj = _jet_and_adjoint(phi, x)
     return _lift(adj, jet.dphi @ adj, E)
 
 
@@ -338,8 +337,7 @@ def mean_curvature_fibres(phi, x):
     (chosen at the evaluation point, largest projected norm first) and
     Gram-Schmidt; the field is differentiable wherever the rank is constant.
     """
-    xb = np.atleast_2d(np.asarray(x, dtype=float))
-    squeeze = np.asarray(x).ndim == 1
+    xb, squeeze = _batch(x)
     m, n = phi.domain.dim, phi.codomain.dim
     nv = m - n
     if nv == 0:
@@ -379,8 +377,7 @@ def stress_energy_residual(phi, x, Z=None):
     """
     from .geometry import divergence_two_tensor
 
-    xb = np.atleast_2d(np.asarray(x, dtype=float))
-    squeeze = np.asarray(x).ndim == 1
+    xb, squeeze = _batch(x)
     if Z is None:
         Z = np.zeros((len(xb), phi.domain.dim))
         Z[:, 0] = 1.0
@@ -388,7 +385,7 @@ def stress_energy_residual(phi, x, Z=None):
     de = field_partials(lambda p: energy_density(phi, p), xb, phi.diff.fd_step)
     divT = divergence_two_tensor(phi.domain, lambda p: pullback_metric(phi, p), xb)
     jet = phi.second_jet(xb)
-    tau = tension_field_direct(phi, xb, jet=jet)
+    tau = tension_field_direct(phi, xb)
     h = phi.codomain.metric_at(jet.y, check=False)
     dZ = np.einsum("...ai,...i->...a", jet.dphi, Z)
     lhs = 0.5 * np.einsum("...i,...i->...", de, Z) - np.einsum("...i,...i->...", divT, Z)

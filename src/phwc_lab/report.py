@@ -27,7 +27,6 @@ from .structures import f_div_f, induced_f_structure, phwc_residual_coordinates
 from .suites import identity_suites
 from .validation import RESIDUALS, RUN_TOLERANCES, tolerance
 from .variational import (
-    compatible_weyl_theta,
     fh_energy,
     criticality_equivalence,
     semiconformal_criticality,
@@ -378,8 +377,7 @@ def _check_semiconformal(sc, cfg, pts):
 
 def _check_weyl(sc, cfg, pts):
     F = induced_f_structure(sc.map, sc.J)
-    theta = compatible_weyl_theta(sc.domain, F)
-    compat = weyl_compat_residual(sc.domain, F, pts, theta=theta)
+    compat = weyl_compat_residual(sc.domain, F, pts)
     lc_norm = metric_norms(sc.domain, pts, f_div_f(F, pts))
     res = {
         "weyl_compatible_divergence": _residual_entry(sc, cfg, "identity", compat),

@@ -15,7 +15,7 @@ import numpy as np
 
 from .autodiff import field_partials, tensor_jet
 from .errors import EigenframeDegenerate, NonFiniteIntegrand, NotCritical, NotSasakianScenario
-from .geometry import _norm, codifferential_two_form, lie_bracket, two_form_norm2
+from .geometry import _batch, _norm, codifferential_two_form, lie_bracket, two_form_norm2
 from .maps import (
     _lift,
     _submersion_jet,
@@ -59,40 +59,27 @@ __all__ = [
 class VariationField:
     """A section of phi^-1 TN given by chart components along the map.
 
-    ``v_fn`` is a batch field (N, m) -> (N, dim N); it may accept an optional
-    ``jet`` keyword (the map jet at the evaluation points) to avoid duplicate
-    jet computations in the Hessian stencils.
+    ``v_fn`` is a batch field of the points alone, (N, m) -> (N, dim N).
+    What it needs of the map (the jet, a metric) it asks for at the points;
+    the memo of evaluations by point set (``autodiff._memo``) hands back
+    what an earlier call at the same points already computed.
     """
 
     map_id: str
     v_fn: object
-    generator: np.ndarray | None = None  # skew ambient matrix for Killing fields
 
-    def __post_init__(self):
-        if self.generator is not None:
-            A = np.asarray(self.generator, dtype=float)
-            if not np.array_equal(A, -A.T):
-                raise ValueError("Killing generator must be exactly skew-symmetric")
-            self.generator = A
-        import inspect
-
-        try:
-            self._accepts_jet = "jet" in inspect.signature(self.v_fn).parameters
-        except (TypeError, ValueError):
-            self._accepts_jet = False
-
-    def eval(self, p, jet=None):
-        if self._accepts_jet:
-            return np.asarray(self.v_fn(p, jet=jet), dtype=float)
+    def eval(self, p):
+        """v at the points p (N, m)."""
         return np.asarray(self.v_fn(p), dtype=float)
 
     def v_at(self, x):
-        xb = np.atleast_2d(np.asarray(x, dtype=float))
+        """v at one point (m,) or N points (N, m)."""
+        xb, squeeze = _batch(x)
         out = self.eval(xb)
-        return out[0] if np.asarray(x).ndim == 1 else out
+        return out[0] if squeeze else out
 
     def scaled(self, t):
-        return VariationField(self.map_id, lambda p: t * self.eval(p), None)
+        return VariationField(self.map_id, lambda p: t * self.eval(p))
 
 
 # ---------------------------------------------------------------------------
@@ -129,7 +116,7 @@ def _killing_variation(dphi, e, Je, g, A):
 def killing_lie_residual(M, A, x):
     """max |(L_X g)_ij| for X = Ap; zero for isometry generators."""
     X = ambient_killing_field(M, A)
-    xb = np.atleast_2d(np.asarray(x, dtype=float))
+    xb, _ = _batch(x)
     Xv = np.asarray(X(xb), dtype=float)
     dX = field_partials(X, xb, M.diff.fd_step)
     g, dg = M.metric_jet(xb)
@@ -146,21 +133,22 @@ def variation_from_killing(phi, A):
     M = phi.domain
     A = np.asarray(A, dtype=float)
 
-    def v_fn(p, jet=None):
-        jet = jet or phi.jet(p)
+    def v_fn(p):
+        dphi = phi.jet(p).dphi
         e, Je = tensor_jet(M.embedding, p, M.diff)
-        return _killing_variation(jet.dphi, e, Je, M.metric_at(p, check=False), A)
+        return _killing_variation(dphi, e, Je, M.metric_at(p, check=False), A)
 
-    return VariationField(map_id=phi.name, v_fn=v_fn, generator=A)
+    return VariationField(map_id=phi.name, v_fn=v_fn)
 
 
 @dataclass(frozen=True)
 class VariationSpan:
     """The linear span of K basis sections b_k along a map.
 
-    ``sections(p, jet)`` gives every b_k at the points p, (N, K, dim N);
-    ``jet`` is the map jet at p, or None to compute it.  A coefficient array
-    c of ``shape`` (K entries, flat index k) names the section sum_k c_k b_k.
+    ``sections(p)`` gives every b_k at the points p, (N, K, dim N); like a
+    VariationField's ``v_fn`` it asks for the map jet it needs.  A
+    coefficient array c of ``shape`` (K entries, flat index k) names the
+    section sum_k c_k b_k.
     """
 
     map_id: str
@@ -175,8 +163,8 @@ class VariationSpan:
         """The section with coefficients c."""
         c = np.asarray(c, dtype=float).reshape(self.dim)
 
-        def v_fn(p, jet=None):
-            return np.einsum("k,nka->na", c, self.sections(p, jet))
+        def v_fn(p):
+            return np.einsum("k,nka->na", c, self.sections(p))
 
         return VariationField(map_id=self.map_id, v_fn=v_fn)
 
@@ -207,7 +195,7 @@ def polynomial_span(phi, degree=2):
                     cols.append(e[:, i] * e[:, j])
         return np.stack(cols, axis=1)
 
-    def sections(p, jet=None):
+    def sections(p):
         feats = features(p)
         N, F = feats.shape
         out = np.zeros((N, n, F, n))
@@ -228,8 +216,8 @@ def killing_span(phi, gens):
     M = phi.domain
     gens = np.asarray(gens, dtype=float)
 
-    def sections(p, jet=None):
-        jet = jet or phi.jet(p)
+    def sections(p):
+        jet = phi.jet(p)
         e, Je = tensor_jet(M.embedding, p, M.diff)
         g = M.metric_at(p, check=False)
         return _killing_variation(jet.dphi[:, None], e[:, None], Je[:, None], g[:, None], gens)
@@ -249,7 +237,7 @@ def variation_l2_norm2(phi, v):
     def dens(p):
         y = phi.value(p)
         h = phi.codomain.metric_at(y, check=False)
-        vv = np.asarray(v.v_fn(p), dtype=float)
+        vv = v.v_at(p)
         return np.einsum("...a,...ab,...b->...", vv, h, vv)
 
     return phi.domain.integrate(dens)
@@ -286,7 +274,7 @@ def hessian(phi, J, v, *, allow_noncritical=False, z_nodes=None):
     def fused(p):
         jetp = phi.jet(p)
         om = J.omega_at(jetp.y)
-        vv = v.eval(p, jet=jetp)
+        vv = v.v_at(p)
         om_dphi = om @ jetp.dphi
         A = (vv[..., None, :] @ om_dphi)[..., 0, :]
         pieces = [vv, A]
@@ -303,7 +291,7 @@ def hessian(phi, J, v, *, allow_noncritical=False, z_nodes=None):
 
     jet = phi.jet(nodes)
     om = J.omega_at(jet.y)
-    vv = v.eval(nodes, jet=jet)
+    vv = v.v_at(nodes)
     if need_z:
         pb0 = np.swapaxes(jet.dphi, -1, -2) @ (om @ jet.dphi)
         dpb = parts[:, n + m :, :].reshape(len(nodes), m, m, m)
@@ -390,14 +378,14 @@ def hessian_matrix(phi, J, span, rule=None, contact=None):
     nc = n // 2  # complex dimension of the codomain
     weights = rule.weights * rule.density
 
-    def pieces(p, jet=None):
+    def pieces(p):
         """[b_k, iota_(b_k) Omega . dphi(, X_k)] at the points p: (N, K, n + m (+ m))."""
-        jet = jet or phi.jet(p)
-        vv = span.sections(p, jet)
+        jet = phi.jet(p)
+        vv = span.sections(p)
         out = [vv, vv @ (J.omega_at(jet.y) @ jet.dphi)]
         if contact is not None:
-            jet = _submersion_jet(phi, p)
-            adj = adjoint_differential(phi, p, jet=jet)
+            _submersion_jet(phi, p)  # the lift needs dphi onto
+            adj = adjoint_differential(phi, p)
             out.append(_lift(adj[:, None], (jet.dphi @ adj)[:, None], vv))
         return np.concatenate(out, axis=-1)
 
@@ -412,7 +400,7 @@ def hessian_matrix(phi, J, span, rule=None, contact=None):
         dA_part = parts[:, :, n : n + m]  # (..., j, i) = d_i A_j
         dA = np.swapaxes(dA_part, -1, -2) - dA_part
         jet = phi.jet(x)
-        centre = pieces(x, jet)
+        centre = pieces(x)
         vv = centre[:, :, :n]
         om = J.omega_at(jet.y)
         gammaN = phi.codomain.christoffel_at(jet.y)
@@ -543,7 +531,7 @@ def sasakian_hessian(phi, contact, J, v):
     def fused(p):
         jetp = phi.jet(p)
         om = J.omega_at(jetp.y)
-        vv = v.eval(p, jet=jetp)
+        vv = v.v_at(p)
         A = (vv[..., None, :] @ (om @ jetp.dphi))[..., 0, :]
         Xv = horizontal_lift(phi, p, vv)
         return np.concatenate([A, Xv], axis=-1)
@@ -554,9 +542,8 @@ def sasakian_hessian(phi, contact, J, v):
     dA = np.swapaxes(dA_part, -1, -2) - dA_part
 
     ctx = _reeb_context(phi, contact, nodes)
-    jet0 = phi.jet(nodes)
     D = _pair_components(_contact_frame(phi, ctx, nodes), dA, n)
-    Xv = horizontal_lift(phi, nodes, v.eval(nodes, jet=jet0))
+    Xv = horizontal_lift(phi, nodes, v.v_at(nodes))
     return M.integrate(0.5 * np.sum(D**2, axis=(-2, -1)) + _reeb_terms(ctx, Xv, dX, n))
 
 
@@ -576,8 +563,7 @@ def killing_reduced_hessian(phi, contact, J, v):
     n = phi.codomain.dim // 2
 
     def Xv_field(p):
-        jetp = phi.jet(p)
-        return horizontal_lift(phi, p, v.eval(p, jet=jetp))
+        return horizontal_lift(phi, p, v.v_at(p))
 
     # one stencil serves both the divergence and the bracket with xi
     dX = field_partials(Xv_field, nodes, phi.diff.fd_step)
@@ -593,9 +579,9 @@ def bracket_identity_sasakian(contact, X, x):
     M = contact.base
     lhs = lie_bracket(M, lambda p: contact.xi_at(p), X, x)
     nab = covariant_derivative_vector(M, lambda p: contact.xi_at(p), X, x)
-    xb = np.atleast_2d(np.asarray(x, dtype=float))
+    xb, squeeze = _batch(x)
     phiX = np.einsum("...ij,...j->...i", contact.phi_at(xb), np.asarray(X(xb), float))
-    if np.asarray(x).ndim == 1:
+    if squeeze:
         phiX = phiX[0]
     return lhs, nab + phiX
 
@@ -604,7 +590,7 @@ def bracket_identity_sasakian(contact, X, x):
 # vertical codifferential formula (eigenvalue form)
 
 
-def vertical_codifferential_formula(phi, J, V, x, F=None, cluster_tol=1e-6):
+def vertical_codifferential_formula(phi, J, V, x, cluster_tol=1e-6):
     """Both sides of -delta(phi*Omega)(V) = sum_i lambda_i^2 g([E_i, F E_i], V).
 
     {E_i, F E_i} is an eigenframe of phi^*h restricted to the horizontal
@@ -624,11 +610,10 @@ def vertical_codifferential_formula(phi, J, V, x, F=None, cluster_tol=1e-6):
     x = np.asarray(x, dtype=float)
     if x.ndim not in (1, 2):
         raise ValueError("vertical_codifferential_formula expects points (m,) or (N, m)")
-    single = x.ndim == 1
-    xb = np.atleast_2d(x)
-    Vb = np.atleast_2d(np.asarray(V, dtype=float))
+    xb, single = _batch(x)
+    Vb, _ = _batch(V)
     M = phi.domain
-    F = F or induced_f_structure(phi, J)
+    F = induced_f_structure(phi, J)
 
     delta = codifferential_two_form(M, pullback_two_form_field(phi, J), xb)
     lhs = -np.einsum("...i,...i->...", delta, Vb)
@@ -784,15 +769,15 @@ def killing_fields_sphere(n):
 # sufficient stability conditions
 
 
-def stability_conditions(phi, J, x, F=None):
+def stability_conditions(phi, J, x):
     """Residuals of the two sufficient weak-stability conditions.
 
     cond_a: max vertical component of [H_a, H_b] over a horizontal frame
     (integrability of the horizontal distribution); cond_b: the f-structure
     condition sampled over horizontal unit vectors.
     """
-    xb = np.atleast_2d(np.asarray(x, dtype=float))
-    F = F or induced_f_structure(phi, J)
+    xb, _ = _batch(x)
+    F = induced_f_structure(phi, J)
     h = phi.diff.fd_step
 
     def H_field(p):

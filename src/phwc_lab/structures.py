@@ -17,15 +17,22 @@ from .errors import (
     NotPHWC,
     RankDeficient,
 )
-from .geometry import _norm, endomorphism_divergence, gram_schmidt, metric_norms, nabla_endomorphism
-from .maps import _adjoint, adjoint_differential, horizontal_frame
+from .geometry import (
+    _batch,
+    _norm,
+    endomorphism_divergence,
+    gram_schmidt,
+    metric_norms,
+    nabla_endomorphism,
+)
+from .maps import _adjoint, _jet_and_adjoint, horizontal_frame
 
 
 def _field(fn, x):
     """Evaluate a batch tensor field at (m,) or (N, m) points."""
-    xb = np.atleast_2d(np.asarray(x, dtype=float))
+    xb, squeeze = _batch(x)
     out = np.asarray(fn(xb), dtype=float)
-    return out[0] if np.asarray(x).ndim == 1 else out
+    return out[0] if squeeze else out
 
 
 def constant_endomorphism(mat):
@@ -243,14 +250,13 @@ def _require_phwc(phi, residual):
         )
 
 
-def phwc_residual(phi, structure, x, jet=None):
+def phwc_residual(phi, structure, x):
     """Frobenius norm of F [dphi dphi^t, F] at phi(x); zero iff PHWC there."""
-    jet = jet or phi.jet(x)
-    adj = adjoint_differential(phi, x, jet=jet)
+    jet, adj = _jet_and_adjoint(phi, x)
     return _commutator_norm(jet.dphi, adj, _struct_at(structure, jet.y))
 
 
-def phwc_residual_coordinates(phi, x, jet=None):
+def phwc_residual_coordinates(phi, x):
     """Coordinate form of the PHWC condition on a complex codomain chart.
 
     max over a <= b of | g^ij  d_i phi^a d_j phi^b | with phi^a the complex
@@ -262,7 +268,7 @@ def phwc_residual_coordinates(phi, x, jet=None):
         raise ComplexChartMissing(
             f"codomain {phi.codomain.name!r} declares no complex chart pairing"
         )
-    jet = jet or phi.jet(x)
+    jet = phi.jet(x)
     ginv = phi.domain.inverse_metric_at(x)
     zd = np.stack(
         [jet.dphi[..., re, :] + 1j * jet.dphi[..., im, :] for re, im in pairs], axis=-2
@@ -352,14 +358,14 @@ def _complex_orthonormalize(cols, g):
 # holomorphy and harmonicity residuals
 
 
-def holomorphy_residual(phi, F_M, F_N, x, jet=None):
+def holomorphy_residual(phi, F_M, F_N, x):
     """Defect of dphi(F^M X) - F^N dphi(X) lying in Ker F^N.
 
     The Ker component is projected out by applying (F^N)^2 (minus the
     projector onto (Ker F^N)^perp); each frame vector's defect is normalized
     by 1 + |dphi X|_h.
     """
-    jet = jet or phi.jet(x)
+    jet = phi.jet(x)
     FM = np.asarray(F_M.F_at(x), dtype=float)
     FN = np.asarray(F_N.F_at(jet.y), dtype=float)
     h = phi.codomain.metric_at(jet.y, check=False)
@@ -381,11 +387,10 @@ def f_div_f(F, x):
     return np.einsum("...ij,...j->...i", Fv, div)
 
 
-def phh_residual(phi, J, x, F=None):
+def phh_residual(phi, J, x):
     """max over horizontal orthonormal X, Y of |F((nabla_X F) Y)|_g."""
-    F = F or induced_f_structure(phi, J)
-    xb = np.atleast_2d(np.asarray(x, dtype=float))
-    squeeze = np.asarray(x).ndim == 1
+    F = induced_f_structure(phi, J)
+    xb, squeeze = _batch(x)
     H = horizontal_frame(phi, xb)
     nab = nabla_endomorphism(phi.domain, lambda p: np.asarray(F.F_at(p), float), xb)
     Fv = np.asarray(F.F_at(xb), dtype=float)
@@ -422,10 +427,8 @@ def _cond_b_vectors(F, x):
     return vecs
 
 
-def _cond_b_expression(F, x, X, nab=None):
-    """(nabla_X F)X + (nabla_{FX} F)(FX)."""
-    if nab is None:
-        nab = nabla_endomorphism(F.base, lambda p: np.asarray(F.F_at(p), float), x)
+def _cond_b_expression(F, x, X, nab):
+    """(nabla_X F)X + (nabla_{FX} F)(FX) from nab = nabla F at x."""
     Fv = np.asarray(F.F_at(x), dtype=float)
     FX = np.einsum("...ij,...j->...i", Fv, X)
     t1 = np.einsum("...i,...ikj,...j->...k", X, nab, X)
@@ -435,25 +438,23 @@ def _cond_b_expression(F, x, X, nab=None):
 
 def cond_b_residual(F, x):
     """max_X |(nabla_X F)X + (nabla_FX F)(FX)| over unit horizontal samples."""
-    xb = np.atleast_2d(np.asarray(x, dtype=float))
-    squeeze = np.asarray(x).ndim == 1
+    xb, squeeze = _batch(x)
     nab = nabla_endomorphism(F.base, lambda p: np.asarray(F.F_at(p), float), xb)
     worst = 0.0
     for X in _cond_b_vectors(F, xb):
-        v = _cond_b_expression(F, xb, X, nab=nab)
+        v = _cond_b_expression(F, xb, X, nab)
         worst = np.maximum(worst, metric_norms(F.base, xb, v))
     return worst[0] if squeeze else worst
 
 
 def cond_div_residual(F, x):
     """Same expression with F applied, sampled over Ker(F^2 + I)."""
-    xb = np.atleast_2d(np.asarray(x, dtype=float))
-    squeeze = np.asarray(x).ndim == 1
+    xb, squeeze = _batch(x)
     nab = nabla_endomorphism(F.base, lambda p: np.asarray(F.F_at(p), float), xb)
     Fv = np.asarray(F.F_at(xb), dtype=float)
     worst = 0.0
     for X in _cond_b_vectors(F, xb):
-        v = _cond_b_expression(F, xb, X, nab=nab)
+        v = _cond_b_expression(F, xb, X, nab)
         Fv_v = np.einsum("...ij,...j->...i", Fv, v)
         worst = np.maximum(worst, metric_norms(F.base, xb, Fv_v))
     return worst[0] if squeeze else worst

@@ -67,7 +67,8 @@ def identity_suites(sc, n_points=100, seed=0, suites=None):
     rng = np.random.default_rng(seed)
     phi = sc.map_with(DiffConfig(fd_step=sc.map.diff.fd_step))
     pts = sc.domain.random_points(rng, n_points, margin=SAMPLE_MARGIN)
-    F = induced_f_structure(phi, sc.J)
+    # NotPHWC before any suite runs; most suites ask for the induced F
+    induced_f_structure(phi, sc.J)
     out = []
 
     def emit(name, value, n=n_points, note=""):
@@ -95,15 +96,15 @@ def identity_suites(sc, n_points=100, seed=0, suites=None):
         emit("pullback_metric_derivative", np.max(np.abs(lhs - rhs)))
 
     if wanted("pushforward_parallelism"):
-        _, ident = cond_1_1_residual(phi, sc.J, pts, F=F)
+        _, ident = cond_1_1_residual(phi, sc.J, pts)
         emit("pushforward_parallelism", np.max(ident))
 
     if wanted("semiconformal_divergence"):
-        _, ident = semiconformal_criticality(phi, sc.J, pts, F=F)
+        _, ident = semiconformal_criticality(phi, sc.J, pts)
         emit("semiconformal_divergence", np.max(ident))
 
     if wanted("codifferential_expansion"):
-        rep = criticality_equivalence(phi, sc.J, pts, F=F)
+        rep = criticality_equivalence(phi, sc.J, pts)
         emit("codifferential_expansion", np.max(rep["proof_identity"]))
 
     if wanted("vertical_codifferential"):
@@ -111,9 +112,7 @@ def identity_suites(sc, n_points=100, seed=0, suites=None):
         split = fibre_splitting(phi, sub)  # one batch of one rank
         worst, used, skipped = 0.0, 0, 0
         if split.rank < phi.domain.dim:  # else no vertical directions anywhere
-            lhs, rhs = vertical_codifferential_formula(
-                phi, sc.J, split.vertical[..., 0], sub, F=F
-            )
+            lhs, rhs = vertical_codifferential_formula(phi, sc.J, split.vertical[..., 0], sub)
             resid = np.abs(lhs - rhs)
             kept = ~np.isnan(resid)
             used, skipped = int(kept.sum()), int((~kept).sum())
@@ -134,7 +133,7 @@ def identity_suites(sc, n_points=100, seed=0, suites=None):
 
     if wanted("tension_agreement"):
         tau_a = tension_field_direct(phi, pts)
-        tau_b = tension_phwc(phi, sc.J, pts, F=F)
+        tau_b = tension_phwc(phi, sc.J, pts)
         gap = metric_norms(phi.codomain, phi.value(pts), tau_a - tau_b)
         emit("tension_agreement", np.max(gap))
 

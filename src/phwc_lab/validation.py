@@ -101,8 +101,8 @@ class ScenarioValidationError(ValueError):
 
 
 def _tension_norms(sc, x):
-    jet = sc.map.second_jet(x)
-    return metric_norms(sc.codomain, jet.y, tension_field_direct(sc.map, x, jet=jet))
+    tau = tension_field_direct(sc.map, x)
+    return metric_norms(sc.codomain, sc.map.jet(x).y, tau)
 
 
 class Residual(NamedTuple):

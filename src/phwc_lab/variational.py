@@ -14,6 +14,7 @@ import numpy as np
 from .errors import DimensionTooSmall, NotSemiconformal
 from .geometry import (
     TWO_FORM_CONVENTION,
+    _batch,
     _norm,
     codifferential_two_form,
     endomorphism_divergence,
@@ -76,9 +77,9 @@ class EnergyReport:
     )
 
 
-def pullback_two_form(phi, J, x, jet=None):
+def pullback_two_form(phi, J, x):
     """(phi*Omega)(X, Y) = h(J dphi X, dphi Y) as an antisymmetric matrix."""
-    jet = jet or phi.jet(x)
+    jet = phi.jet(x)
     om = J.omega_at(jet.y)
     return np.swapaxes(jet.dphi, -1, -2) @ om @ jet.dphi
 
@@ -148,10 +149,10 @@ def criticality_residual(phi, J, x, z=None):
     return _horizontal_norm(phi, x, z_field(phi, J, x) if z is None else z)
 
 
-def _nabla_pullback_tensor(phi, x, jet=None):
+def _nabla_pullback_tensor(phi, x):
     """(nabla_i phi*h)_jk through the second fundamental form (product rule)."""
-    jet = jet if (jet is not None and jet.d2phi is not None) else phi.second_jet(x)
-    nd = second_fundamental_form_tensor(phi, x, jet=jet)
+    jet = phi.second_jet(x)
+    nd = second_fundamental_form_tensor(phi, x)
     h = phi.codomain.metric_at(jet.y, check=False)
     t1 = np.einsum("...aij,...ab,...bk->...ijk", nd, h, jet.dphi)
     return t1 + np.swapaxes(t1, -1, -2)
@@ -162,7 +163,7 @@ def _max_over_horizontal(phi, x, covector):
     return _horizontal_norm(phi, x, phi.domain.sharp(x, covector))
 
 
-def criticality_equivalence(phi, J, x, F=None):
+def criticality_equivalence(phi, J, x):
     """Residual fields of the three equivalent conditions and the proof identity.
 
     Returns a dict with pointwise arrays:
@@ -172,11 +173,9 @@ def criticality_equivalence(phi, J, x, F=None):
       proof_identity  max over unit horizontal Z of
                       | -delta(phi*Omega)(Z) - phi*h(div F, Z) - sum_j [...](Z) |
     """
-    xb = np.atleast_2d(np.asarray(x, dtype=float))
-    squeeze = np.asarray(x).ndim == 1
-    F = F or induced_f_structure(phi, J)
-    jet = phi.second_jet(xb)
-    _require_phwc(phi, phwc_residual(phi, J, xb, jet=jet))
+    xb, squeeze = _batch(x)
+    F = induced_f_structure(phi, J)
+    _require_phwc(phi, phwc_residual(phi, J, xb))
 
     g = phi.domain.metric_at(xb, check=False)
     Fv = F.F_at(xb)
@@ -196,13 +195,13 @@ def criticality_equivalence(phi, J, x, F=None):
     frame = j_adapted_frame(g, Fv, n_pairs, seeds=seeds[..., :, :n_pairs])
     E = frame[..., :, 0::2]
     FE = frame[..., :, 1::2]
-    nabT = _nabla_pullback_tensor(phi, xb, jet=jet)
+    nabT = _nabla_pullback_tensor(phi, xb)
     s_cov = np.einsum("...ia,...ja,...ijk->...k", E, FE, nabT) - np.einsum(
         "...ia,...ja,...ijk->...k", FE, E, nabT
     )
     r_sum = _max_over_horizontal(phi, xb, s_cov)
 
-    T = pullback_metric(phi, xb, jet=jet)
+    T = pullback_metric(phi, xb)
     pb_div = np.einsum("...kj,...j->...k", T, divF)
     ident = -delta - pb_div - s_cov
     r_ident = _max_over_horizontal(phi, xb, ident)
@@ -218,15 +217,14 @@ def criticality_equivalence(phi, J, x, F=None):
     return out
 
 
-def semiconformal_criticality(phi, J, x, F=None):
+def semiconformal_criticality(phi, J, x):
     """Residuals of the 4-harmonicity criticality condition and its identity.
 
     Returns (criticality, identity):
       criticality = |(2n-4) grad_H ln(lambda) + (m-2n) mu|_g
       identity    = |F div F - (2n-2) grad_H ln(lambda) - (m-2n) mu|_g
     """
-    xb = np.atleast_2d(np.asarray(x, dtype=float))
-    squeeze = np.asarray(x).ndim == 1
+    xb, squeeze = _batch(x)
     lam2, resid = dilation_hwc(phi, xb)
     if np.max(resid) > SEMICONFORMAL_GATE_TOL:
         raise NotSemiconformal(
@@ -249,7 +247,7 @@ def semiconformal_criticality(phi, J, x, F=None):
     crit = (two_n - 4.0) * grad_h + (m - two_n) * mu
     r_crit = _norm(g, crit)
 
-    F = F or induced_f_structure(phi, J)
+    F = induced_f_structure(phi, J)
     fdf = f_div_f(F, xb)
     ident = fdf - (two_n - 2.0) * grad_h - (m - two_n) * mu
     r_ident = _norm(g, ident)
@@ -288,12 +286,12 @@ class WeylConnection:
         from .geometry import covariant_derivative_vector
 
         base = covariant_derivative_vector(self.M, X, Y, x)
-        c = self.gamma_correction(np.atleast_2d(np.asarray(x, float)))
-        c = c[0] if np.asarray(x).ndim == 1 else c
-        Xv = np.asarray(X(np.atleast_2d(np.asarray(x, float))), dtype=float)
-        Yv = np.asarray(Y(np.atleast_2d(np.asarray(x, float))), dtype=float)
-        if np.asarray(x).ndim == 1:
-            Xv, Yv = Xv[0], Yv[0]
+        xb, squeeze = _batch(x)
+        c = self.gamma_correction(xb)
+        Xv = np.asarray(X(xb), dtype=float)
+        Yv = np.asarray(Y(xb), dtype=float)
+        if squeeze:
+            c, Xv, Yv = c[0], Xv[0], Yv[0]
         return base + np.einsum("...kij,...i,...j->...k", c, Xv, Yv)
 
 
@@ -319,11 +317,10 @@ def f_div_f_weyl(M, F, x, connection):
     return np.einsum("...ij,...j->...i", Fv, div)
 
 
-def weyl_compat_residual(M, F, x, theta=None):
+def weyl_compat_residual(M, F, x):
     """max over the sample of |F div^D F|_g with the compatible Weyl connection."""
-    xb = np.atleast_2d(np.asarray(x, dtype=float))
-    theta = theta or compatible_weyl_theta(M, F)
-    conn = WeylConnection(M, theta)
+    xb, _ = _batch(x)
+    conn = WeylConnection(M, compatible_weyl_theta(M, F))
     return float(np.max(metric_norms(M, xb, f_div_f_weyl(M, F, xb, conn))))
 
 
@@ -331,18 +328,17 @@ def weyl_compat_residual(M, F, x, theta=None):
 # PHWC tension and the corollary conditions
 
 
-def tension_phwc(phi, J, x, F=None):
+def tension_phwc(phi, J, x):
     """tau = J div^phi J - dphi(F div F) for a constant-rank PHWC map.
 
     div^phi J = trace_g of the pullback of nabla^N J; identically zero on a
     verified Kaehler target (flag set by check_kaehler), in which case the
     term is skipped.
     """
-    xb = np.atleast_2d(np.asarray(x, dtype=float))
-    squeeze = np.asarray(x).ndim == 1
+    xb, squeeze = _batch(x)
     jet = phi.jet(xb)
-    _require_phwc(phi, phwc_residual(phi, J, xb, jet=jet))
-    F = F or induced_f_structure(phi, J)
+    _require_phwc(phi, phwc_residual(phi, J, xb))
+    F = induced_f_structure(phi, J)
     fdf = f_div_f(F, xb)
     tau = -np.einsum("...ai,...i->...a", jet.dphi, fdf)
     if not J.kaehler:
@@ -358,24 +354,23 @@ def tension_phwc(phi, J, x, F=None):
     return tau[0] if squeeze else tau
 
 
-def cond_1_1_residual(phi, J, x, F=None):
+def cond_1_1_residual(phi, J, x):
     """Defects of the second-fundamental-form conditions on a Kaehler target.
 
     Returns (membership, identity):
       membership  max |P^(0,1) nabla dphi(X, Y + i F Y)|_h over horizontal X, Y
       identity    max |dphi((nabla_X F)Y) + nabla dphi(X, FY) - J nabla dphi(X, Y)|_h
     """
-    xb = np.atleast_2d(np.asarray(x, dtype=float))
-    squeeze = np.asarray(x).ndim == 1
+    xb, squeeze = _batch(x)
     jet = phi.second_jet(xb)
-    _require_phwc(phi, phwc_residual(phi, J, xb, jet=jet))
-    F = F or induced_f_structure(phi, J)
+    _require_phwc(phi, phwc_residual(phi, J, xb))
+    F = induced_f_structure(phi, J)
     from .geometry import nabla_endomorphism
 
     H = horizontal_frame(phi, xb)
     Fv = F.F_at(xb)
     nabF = nabla_endomorphism(phi.domain, lambda p: F.F_at(p), xb)
-    nd = second_fundamental_form_tensor(phi, xb, jet=jet)
+    nd = second_fundamental_form_tensor(phi, xb)
     h = phi.codomain.metric_at(jet.y, check=False)
     Jv = J.J_at(jet.y)
 

@@ -33,7 +33,6 @@ from phwc_lab.stability import (
 from phwc_lab.structures import phwc_residual
 from phwc_lab.suites import identity_suites
 from phwc_lab.variational import (
-    compatible_weyl_theta,
     criticality_residual,
     f_div_f,
     fh_energy,
@@ -70,7 +69,7 @@ def test_criterion_1_hopf_pointwise_residuals():
     assert len(nodes) == 24**3
     r_phwc = float(np.max(phwc_residual(sc.map, sc.J, nodes)))
     jet = sc.map.second_jet(nodes)
-    tau = tension_field_direct(sc.map, nodes, jet=jet)
+    tau = tension_field_direct(sc.map, nodes)
     r_tau = float(np.max(_norms(sc.codomain, jet.y, tau)))
     r_crit = float(np.max(criticality_residual(sc.map, sc.J, nodes)))
     elapsed = time.perf_counter() - t0
@@ -293,8 +292,7 @@ def test_criterion_7_weyl_compatibility(warped):
     rng = np.random.default_rng(0)
     pts = warped.domain.random_points(rng, 100, margin=0.04)
     F = induced_f_structure(warped.map, warped.J)
-    theta = compatible_weyl_theta(warped.domain, F)
-    compat = weyl_compat_residual(warped.domain, F, pts, theta=theta)
+    compat = weyl_compat_residual(warped.domain, F, pts)
     v = f_div_f(F, pts)
     lc = float(np.max(_norms(warped.domain, pts, v)))
     ok = compat < 1e-4 and lc > 1e-2

@@ -7,19 +7,29 @@ config, and must stay within the memo's byte bounds.  Every test starts from
 an empty memo (the ``cold_memo`` fixture of conftest).
 """
 
+import importlib
+import inspect
+import pkgutil
 from collections import Counter
 
 import numpy as np
 import pytest
 
+import phwc_lab
 from phwc_lab import autodiff, maps
 from phwc_lab.autodiff import DiffConfig, tensor_jet, tensor_second, tensor_value
 from phwc_lab.errors import DifferentiationFailure
-from phwc_lab.maps import fibre_splitting, horizontal_projector
+from phwc_lab.maps import SmoothMap, fibre_splitting, horizontal_projector
 from phwc_lab.report import RunConfig, report_json, run_checks, run_identities
 from phwc_lab.scenarios import build_scenario, scenario_ids
-from phwc_lab.stability import vertical_codifferential_formula
-from phwc_lab.variational import criticality_equivalence, criticality_residual
+from phwc_lab.stability import VariationField, VariationSpan, vertical_codifferential_formula
+from phwc_lab.suites import identity_suites
+from phwc_lab.variational import (
+    cond_1_1_residual,
+    criticality_equivalence,
+    criticality_residual,
+    tension_phwc,
+)
 
 # scenario -> quadrature order (None: the catalog order), as the golden bodies
 CASES = {sid: None for sid in scenario_ids()} | {"hopf-s7": 3}
@@ -188,6 +198,67 @@ def test_vertical_codifferential_formula_evaluates_each_point_set_once(
     counts = _count_evaluations(monkeypatch)
     vertical_codifferential_formula(sc.map, sc.J, V, pts)
     assert counts and max(counts.values()) == 1
+
+
+@pytest.mark.parametrize("n_points", [60, 100])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda sc, pts: tension_phwc(sc.map, sc.J, pts),
+        lambda sc, pts: cond_1_1_residual(sc.map, sc.J, pts),
+        lambda sc, pts: identity_suites(sc, n_points=len(pts), seed=3),
+    ],
+    ids=["tension_phwc", "cond_1_1_residual", "identity_suites"],
+)
+def test_the_consumers_of_F_evaluate_each_point_set_once(call, n_points, monkeypatch):
+    """Each builds the induced F and asks for the jets itself; nothing is evaluated twice."""
+    sc = build_scenario("hopf-s3")
+    pts = sc.domain.random_points(np.random.default_rng(3), n_points, margin=0.03)
+    counts = _count_evaluations(monkeypatch)
+    call(sc, pts)
+    assert counts and max(counts.values()) == 1
+
+
+@pytest.mark.parametrize("sid", sorted(CASES))
+def test_the_first_jet_is_the_second_jets_first_part(sid):
+    """A consumer of y and dphi may ask phi.jet(x) where it had a second jet."""
+    sc = build_scenario(sid, validate=False)
+    phi = sc.map
+    x = sc.domain.random_points(np.random.default_rng(5), 40, margin=0.03)
+    jet, second = phi.jet(x), phi.second_jet(x)
+    assert np.array_equal(jet.y, second.y)
+    assert np.array_equal(jet.dphi, second.dphi)
+    if sid == "hopf-s3":
+        # the value is not the jet's y: its divisions round differently
+        assert not np.array_equal(phi.value(x), jet.y)
+
+
+def _public_callables():
+    """(name, callable) for every entry of every phwc_lab module's __all__ and the
+    methods of the map and variation types."""
+    for info in pkgutil.iter_modules(phwc_lab.__path__):
+        module = importlib.import_module(f"phwc_lab.{info.name}")
+        for name in getattr(module, "__all__", ()):
+            obj = getattr(module, name)
+            if callable(obj):
+                yield f"{info.name}.{name}", obj
+    for cls in (SmoothMap, VariationField, VariationSpan):
+        for name, obj in vars(cls).items():
+            if callable(obj):
+                yield f"{cls.__name__}.{name}", obj
+
+
+def test_no_public_callable_takes_a_jet():
+    """Jets are asked for at the points (phi.jet, phi.second_jet), never passed in."""
+    takes_jet = []
+    for name, obj in _public_callables():
+        try:
+            params = inspect.signature(obj).parameters
+        except (TypeError, ValueError):  # an exception type has no signature to read
+            continue
+        if "jet" in params:
+            takes_jet.append(name)
+    assert takes_jet == []
 
 
 def test_a_point_set_above_the_entry_bound_is_evaluated_once_per_call(monkeypatch):

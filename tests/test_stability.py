@@ -9,7 +9,6 @@ from phwc_lab.report import RunConfig, run_checks
 from phwc_lab.scenarios import build_scenario
 from phwc_lab import stability
 from phwc_lab.stability import (
-    VariationField,
     ambient_killing_field,
     bracket_identity_sasakian,
     hessian,
@@ -141,10 +140,6 @@ class TestBracketIdentity:
 
 
 class TestVariationField:
-    def test_generator_must_be_skew(self):
-        with pytest.raises(ValueError):
-            VariationField("x", lambda p: p, generator=np.eye(4))
-
     def test_scaling(self, hopf, fam1, rng):
         v = variation_from_killing(hopf.map, fam1.perpendicular()[0])
         pts = hopf.domain.random_points(rng, 5)

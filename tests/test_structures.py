@@ -192,10 +192,10 @@ def _reference_induced(phi, J, x):
     from phwc_lab.structures import _complex_orthonormalize, j_adapted_frame
 
     jet = phi.jet(x)
-    res = phwc_residual(phi, J, x, jet=jet)
+    res = phwc_residual(phi, J, x)
     h = phi.codomain.metric_at(jet.y, check=False)
     u = j_adapted_frame(h, J.J_at(jet.y), phi.codomain.dim // 2)
-    adj = adjoint_differential(phi, x, jet=jet)
+    adj = adjoint_differential(phi, x)
     cols = np.einsum("...ia,...ab->...ib", adj, u[..., 0::2]) - 1j * np.einsum(
         "...ia,...ab->...ib", adj, u[..., 1::2]
     )

@@ -226,7 +226,7 @@ class TestWeyl:
         sub = pts[:30]
         th = np.asarray(theta(sub))
         assert np.max(np.abs(th)) < 1e-5
-        assert weyl_compat_residual(hopf.domain, F, sub, theta=theta) < 1e-5
+        assert weyl_compat_residual(hopf.domain, F, sub) < 1e-5
 
     def test_warped_compatibility(self, warped, rng):
         # criterion: compatible connection kills the divergence everywhere the
