@@ -26,6 +26,7 @@ __all__ = [
     "TangentVector",
     "ChartManifold",
     "TORUS_OFFSETS",
+    "torus_offsets",
     "torus_rules",
     "gram_schmidt",
     "covariant_derivative_vector",
@@ -184,31 +185,33 @@ class ChartManifold:
         """
         return torus_rules(self) if self.box.periodic else [self.quadrature]
 
-    def rule(self, orders=None, offsets=None):
+    def rule(self, orders=None, offsets=None, period_nodes=1):
         """A tensor-product rule of this chart, with its volume density.
 
         Gauss-Legendre at ``orders`` (one order, or one per axis; default
         ``quad_orders``) on every axis, remapped through ``axis_maps`` for
         charts of infinite extent.  Gauss nodes avoid endpoints, so excluded
         slices at box boundaries need no special handling.  With ``offsets``,
-        periodic axis k (the k-th of ``box.periodic``) gets instead the single
-        node lower + offsets[k] * period with weight the period: the 1-node
-        trapezoid rule, exact for an integrand that does not depend on that
-        axis and for no other (Trefethen & Weideman, SIAM Review 56, 2014).
-        A caller that uses it must show the invariance, e.g. by comparing two
-        offsets.
+        periodic axis k (the k-th of ``box.periodic``) gets instead the
+        T = ``period_nodes`` nodes lower + (offsets[k] + j / T) * period,
+        j < T, each weighted period / T: the T-node trapezoid rule, exact for
+        every Fourier mode |k| < T of that axis and for no other (Trefethen &
+        Weideman, SIAM Review 56, 2014).  T = 1 is exact only for an
+        integrand that does not depend on the axis.  A caller must show that
+        T resolves its integrand, e.g. by comparing two offsets.
         """
         orders = self.quad_orders if orders is None else orders
         orders = [int(orders)] * self.dim if np.isscalar(orders) else list(orders)
         periodic = tuple(self.box.periodic) if offsets is not None else ()
         offsets = np.broadcast_to(np.asarray(offsets, dtype=float), (len(periodic),))
         axis_maps = self.axis_maps or [None] * self.dim
+        steps = np.arange(period_nodes) / period_nodes
         axes = []
         for i in range(self.dim):
             lo, hi = self.param_box.lower[i], self.param_box.upper[i]
             if i in periodic:
-                t = lo + offsets[periodic.index(i)] * (hi - lo)
-                axes.append((np.array([t]), np.array([hi - lo])))
+                t = lo + (offsets[periodic.index(i)] + steps) * (hi - lo)
+                axes.append((t, np.full(period_nodes, (hi - lo) / period_nodes)))
             else:
                 axes.append(_gauss_axis(lo, hi, orders[i], axis_maps[i]))
         pts, wts = zip(*axes)
@@ -335,14 +338,19 @@ class ChartManifold:
 TORUS_OFFSETS = ((0.5, np.sqrt(2.0) - 1.0), (0.25, np.sqrt(3.0) - 1.0))
 
 
+def torus_offsets(M):
+    """The offsets of chart M's torus rules, one array per row of TORUS_OFFSETS."""
+    k = np.arange(len(M.box.periodic))
+    return [(start + k * step) % 1.0 for start, step in TORUS_OFFSETS]
+
+
 def torus_rules(M, orders=None):
     """The torus rules of chart M at the offsets of TORUS_OFFSETS, in order.
 
     ``orders`` are the Gauss-Legendre orders of the other axes (default: the
     chart's own), as in ChartManifold.rule.
     """
-    k = np.arange(len(M.box.periodic))
-    return [M.rule(orders, offsets=(start + k * step) % 1.0) for start, step in TORUS_OFFSETS]
+    return [M.rule(orders, offsets=offsets) for offsets in torus_offsets(M)]
 
 
 def gram_schmidt(vecs, g):

@@ -82,7 +82,9 @@ class RunConfig:
     sample_points: int = 60
     tolerances: dict = dc_field(default_factory=dict)
     stability_fields: int = 50
-    stability_order: int | None = None  # stability check rule order; None: min(12, domain's)
+    # Gauss-Legendre order of the stability check's rule on the non-periodic
+    # axes (the periodic ones take the span's trapezoid rule); None: min(12, domain's)
+    stability_order: int | None = None
     hessian_generators: int = 2  # Killing generators per hessian check; 0 = all
 
     def __post_init__(self):
@@ -144,7 +146,8 @@ class RunConfig:
         return cls(**data)
 
     def effective_stability_order(self, sc):
-        """The order of the stability check's rule: as given, else on a
+        """The Gauss-Legendre order of the stability check's rule on the
+        non-periodic axes (``stability.span_rule``): as given, else on a
         stable-sampled scenario min(12, the domain's largest order)."""
         sampled = sc.expected.get("stability_class") == "stable-sampled"
         if self.stability_order is not None or not sampled:
@@ -444,6 +447,7 @@ def _check_stability(sc, cfg, pts):
         hessian_matrix,
         polynomial_span,
         rayleigh_quotients,
+        span_rule,
         span_spectrum,
         stability_conditions,
     )
@@ -459,7 +463,7 @@ def _check_stability(sc, cfg, pts):
         rng = np.random.default_rng(cfg.seed)
         span = polynomial_span(sc.map)
         coeffs = span.random_coefficients(cfg.stability_fields, rng)
-        H, G, _, _ = hessian_matrix(sc.map, sc.J, span, rule=sc.domain.rule(orders=order))
+        H, G, _, _ = hessian_matrix(sc.map, sc.J, span, rule=span_rule(sc.domain, span, order))
         worst = float(np.min(rayleigh_quotients(H, G, coeffs)))
         res["sampled_nonnegativity"] = _residual_entry(
             sc, cfg, "hessian_floor", -worst, inclusive=True

@@ -15,7 +15,14 @@ import numpy as np
 
 from .autodiff import field_partials, tensor_jet
 from .errors import EigenframeDegenerate, NonFiniteIntegrand, NotCritical, NotSasakianScenario
-from .geometry import _batch, _norm, codifferential_two_form, lie_bracket, two_form_norm2
+from .geometry import (
+    _batch,
+    _norm,
+    codifferential_two_form,
+    lie_bracket,
+    torus_offsets,
+    two_form_norm2,
+)
 from .maps import (
     _lift,
     _submersion_jet,
@@ -41,6 +48,7 @@ __all__ = [
     "hessian_suite",
     "SpanForms",
     "hessian_matrix",
+    "span_rule",
     "rayleigh_quotients",
     "span_spectrum",
     "sasakian_hessian",
@@ -148,12 +156,18 @@ class VariationSpan:
     ``sections(p)`` gives every b_k at the points p, (N, K, dim N); like a
     VariationField's ``v_fn`` it asks for the map jet it needs.  A
     coefficient array c of ``shape`` (K entries, flat index k) names the
-    section sum_k c_k b_k.
+    section sum_k c_k b_k.  ``bandwidth`` B, if declared, bounds the Fourier
+    modes of the sections' products along every periodic axis of the domain:
+    none has |k| > B.  B bounds the forms' integrands, so B + 1 trapezoid
+    nodes a period integrate them exactly (``span_rule``), only for a map
+    whose factors in them (dphi, h, Omega, Gamma at phi(x)) do not depend on
+    theta; nothing checks that at run time yet (ROADMAP item 1(b)).
     """
 
     map_id: str
     sections: object
     shape: tuple
+    bandwidth: int | None = None
 
     @property
     def dim(self):
@@ -174,12 +188,16 @@ class VariationSpan:
 
 
 def polynomial_span(phi, degree=2):
-    """Ambient-coordinate polynomials of degree <= 2 through the codomain chart
-    coordinate frame (bump-free on the chart).
+    """Ambient-coordinate polynomials of degree <= ``degree`` (1 or 2) through
+    the codomain chart coordinate frame (bump-free on the chart).
 
     The sections are b_(a,f) = feature_f(p) e_a, coefficient shape (dim N, F),
-    flat index k = a * F + f.
+    flat index k = a * F + f.  A feature has Fourier degree <= ``degree`` in
+    each theta of a torus chart, and the forms are bilinear in the sections,
+    so the span declares bandwidth 2 * degree.
     """
+    if degree not in (1, 2):
+        raise ValueError(f"polynomial_span takes degree 1 or 2, got {degree!r}")
     M = phi.domain
     embedding = M.embedding or (lambda x: list(x))  # flat charts are ambient
     n = phi.codomain.dim
@@ -189,7 +207,7 @@ def polynomial_span(phi, degree=2):
         cols = [np.ones(len(p))]
         d = e.shape[1]
         cols.extend(e[:, i] for i in range(d))
-        if degree >= 2:
+        if degree == 2:
             for i in range(d):
                 for j in range(i, d):
                     cols.append(e[:, i] * e[:, j])
@@ -204,7 +222,7 @@ def polynomial_span(phi, degree=2):
         return out.reshape(N, n * F, n)
 
     n_feat = features(M.node_rules[0].nodes[:1]).shape[1]
-    return VariationSpan(phi.name, sections, (n, n_feat))
+    return VariationSpan(phi.name, sections, (n, n_feat), bandwidth=2 * degree)
 
 
 def killing_span(phi, gens):
@@ -365,7 +383,7 @@ def hessian_matrix(phi, J, span, rule=None, contact=None):
     X_k] runs per block of nodes whose 2m shifted copies hold at most
     SPAN_BLOCK rows; the map jet, omega.dphi and the sections are computed
     once per stencil batch.  ``rule`` is a rule of the domain (its
-    quadrature by default, or one from ChartManifold.rule or
+    quadrature by default, or one from span_rule, ChartManifold.rule or
     geometry.torus_rules); its nodes carry Z, the criticality gate of
     hessian_suite and the weights.
     """
@@ -404,7 +422,7 @@ def hessian_matrix(phi, J, span, rule=None, contact=None):
         vv = centre[:, :, :n]
         om = J.omega_at(jet.y)
         gammaN = phi.codomain.christoffel_at(jet.y)
-        h_y = phi.codomain.metric_at(phi.value(x), check=False)
+        h_y = phi.codomain.metric_at(jet.y, check=False)
         ginv = M.inverse_metric_at(x)[:, None]
         # |d(phi* iota_v Omega)|^2 = (1/2) tr(g^-1 dA g^-1 dA^T), polarized
         H += 0.5 * _weighted_gram(ginv @ dA @ ginv, dA, w)
@@ -435,6 +453,21 @@ def hessian_matrix(phi, J, span, rule=None, contact=None):
         return SpanForms(*forms, None, None)
     forms[3] += forms[2]
     return SpanForms(*forms)
+
+
+def span_rule(M, span, orders=None):
+    """The rule of chart M on which hessian_matrix integrates ``span``.
+
+    On a chart with periodic axes and a span that declares its bandwidth B:
+    Gauss-Legendre at ``orders`` (default the chart's) on the other axes and
+    B + 1 trapezoid nodes on each periodic axis, at the offsets of the first
+    torus rule.  It is exact along theta as long as the factors the map
+    brings into the integrands do not depend on theta, the assumption of the
+    torus rules.  Otherwise Gauss-Legendre at ``orders`` on every axis.
+    """
+    if span.bandwidth is None:
+        return M.rule(orders)
+    return M.rule(orders, torus_offsets(M)[0], span.bandwidth + 1)
 
 
 def rayleigh_quotients(H, G, coeffs):

@@ -237,6 +237,7 @@ def _probe_stability(sc, problems):
         killing_span,
         polynomial_span,
         rayleigh_quotients,
+        span_rule,
         stability_conditions,
     )
 
@@ -258,7 +259,7 @@ def _probe_stability(sc, problems):
     if cls == "stable-sampled":
         rng = np.random.default_rng(0)
         span = polynomial_span(sc.map)
-        H, G, _, _ = hessian_matrix(sc.map, sc.J, span, rule=sc.domain.rule(orders=order))
+        H, G, _, _ = hessian_matrix(sc.map, sc.J, span, rule=span_rule(sc.domain, span, order))
         floor = tolerance("hessian_floor", sc)
         coeffs = span.random_coefficients(PROBE_FIELDS, rng)
         worst = float(np.min(rayleigh_quotients(H, G, coeffs)))

@@ -1,10 +1,12 @@
 """Second variation, Killing families, vertical codifferential, conditions."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from phwc_lab.errors import EigenframeDegenerate, NotCritical, NotSasakianScenario
-from phwc_lab.geometry import covariant_derivative_vector, torus_rules
+from phwc_lab.geometry import covariant_derivative_vector, torus_offsets, torus_rules
 from phwc_lab.report import RunConfig, run_checks
 from phwc_lab.scenarios import build_scenario
 from phwc_lab import stability
@@ -22,6 +24,7 @@ from phwc_lab.stability import (
     random_variation_fields,
     rayleigh_quotients,
     sasakian_hessian,
+    span_rule,
     span_spectrum,
     stability_conditions,
     variation_from_killing,
@@ -390,7 +393,8 @@ class TestHessianMatrix:
             return residuals["span_nonnegativity"]["max"]
 
         sc = build_scenario("hopf-s3", quad_order=12, validate=False, fd_step=1e-4)
-        H, G, _, _ = hessian_matrix(sc.map, sc.J, polynomial_span(sc.map))
+        span = polynomial_span(sc.map)
+        H, G, _, _ = hessian_matrix(sc.map, sc.J, span, span_rule(sc.domain, span))
         assert span_bound(1e-4) == -float(span_spectrum(H, G)[0])
         assert span_bound(1e-4) != span_bound(1e-5)
 
@@ -417,6 +421,95 @@ class TestHessianMatrix:
             field = random_variation_fields(sc.map, 3, np.random.default_rng(5))[2]
             pts = sc.domain.random_points(np.random.default_rng(9), 2, margin=0.05)
             np.testing.assert_allclose(field.v_at(pts), values, rtol=1e-14, atol=0)
+
+
+class TestSpanRule:
+    """The polynomial span on polar Gauss-Legendre x a (B + 1)-node trapezoid rule."""
+
+    def test_full_rule_without_a_bandwidth_or_a_periodic_axis(self, hopf, fam1):
+        assert polynomial_span(hopf.map).bandwidth == 4
+        assert polynomial_span(hopf.map, degree=1).bandwidth == 2
+        for degree in (0, 3):  # the features stop at degree 2 and start at 1
+            with pytest.raises(ValueError, match="degree 1 or 2"):
+                polynomial_span(hopf.map, degree=degree)
+        flat = build_scenario("flat-holo", validate=False)
+        for M, span in (
+            (hopf.domain, killing_span(hopf.map, fam1.perpendicular())),
+            (flat.domain, polynomial_span(flat.map)),
+        ):
+            got, want = span_rule(M, span), M.quadrature
+            assert np.array_equal(got.nodes, want.nodes)
+            assert np.array_equal(got.weights, want.weights)
+
+    @pytest.mark.parametrize("fd_step, bound", [(1e-3, 1e-12), (1e-5, 1e-10)])
+    def test_two_offsets_agree_at_bandwidth_plus_one(self, fd_step, bound):
+        # B + 1 trapezoid nodes integrate the forms exactly, so the offset of
+        # the nodes does not matter; B nodes do not, and it does.  H also
+        # carries the stencil's roundoff, ~eps / fd_step, which differs
+        # between node sets: measured 2e-13 at fd_step 1e-3, 2e-11 at 1e-5
+        sc = build_scenario("hopf-s3", quad_order=12, validate=False, fd_step=fd_step)
+        span = polynomial_span(sc.map)
+
+        def gaps(T):
+            first, second = (
+                hessian_matrix(sc.map, sc.J, span, rule)[:2]
+                for rule in (sc.domain.rule(None, off, T) for off in torus_offsets(sc.domain))
+            )
+            return [np.max(np.abs(a - b)) / np.max(np.abs(a)) for a, b in zip(first, second)]
+
+        assert max(gaps(span.bandwidth + 1)) <= bound
+        assert min(gaps(span.bandwidth)) > 1e-3
+
+    def test_check_is_within_1e_9_of_a_gl20_reference(self):
+        cfg = RunConfig("hopf-s3", checks=("stability",), seed=1)
+        residuals = run_checks(cfg)["checks"]["stability"]["residuals"]
+        got = residuals["sampled_nonnegativity"]["max"]
+        ref = build_scenario("hopf-s3", quad_order=20, validate=False)
+        span = polynomial_span(ref.map)
+        coeffs = span.random_coefficients(cfg.stability_fields, np.random.default_rng(cfg.seed))
+
+        def worst(rule):
+            H, G, _, _ = hessian_matrix(ref.map, ref.J, span, rule)
+            return -float(np.min(rayleigh_quotients(H, G, coeffs)))
+
+        assert abs(got - worst(ref.domain.quadrature)) <= 1e-9
+        # full Gauss-Legendre at the check's order misses the reference by 5e-7
+        assert abs(got - worst(ref.domain.rule(orders=12))) > 1e-7
+
+    def test_check_and_probe_rule_sizes(self, monkeypatch):
+        from phwc_lab.validation import validate_scenario
+
+        sizes = []
+        real = stability.hessian_matrix
+
+        def spy(phi, J, span, rule=None, contact=None):
+            sizes.append(len(rule.nodes))
+            return real(phi, J, span, rule, contact)
+
+        monkeypatch.setattr(stability, "hessian_matrix", spy)
+        validate_scenario(build_scenario("hopf-s3", validate=False))
+        assert sizes == [8 * 5 * 5]  # the probe: polar order 8
+        run_checks(RunConfig("hopf-s3", checks=("stability",), seed=1))
+        assert sizes[-1] == 12 * 5 * 5  # the check: polar order 12
+
+    # sha256 of every torus rule's nodes, weights, density and total measure
+    # per catalog chart, recorded before the rules took more than one node a
+    # period
+    TORUS_DIGESTS = {
+        "hopf-s3": "5219b62918b2cfaf",
+        "hopf-s5": "2e66dcf95bbaa3be",
+        "hopf-s7": "ce9ee15e2bd07738",
+        "product-proj": "ca307ccc5a5c88b2",
+    }
+
+    @pytest.mark.parametrize("sid", sorted(TORUS_DIGESTS))
+    def test_torus_rules_bitwise_unchanged(self, sid):
+        M = build_scenario(sid, validate=False).domain
+        digest = hashlib.sha256()
+        for rule in torus_rules(M):
+            for values in (rule.nodes, rule.weights, rule.density, np.float64(rule.total_measure)):
+                digest.update(np.ascontiguousarray(values).tobytes())
+        assert digest.hexdigest()[:16] == self.TORUS_DIGESTS[sid]
 
 
 class TestVerticalCodifferential:
