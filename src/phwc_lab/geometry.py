@@ -232,10 +232,20 @@ class ChartManifold:
         return tensor_value(self.metric_fn, x)
 
     def _require_nondegenerate(self, g):
-        """Raise DegenerateMetric unless every eigenvalue of g is above the fixed guard."""
-        w = np.min(np.linalg.eigvalsh(g))
-        if w <= 1e-12:
-            raise DegenerateMetric(f"metric on {self.name!r} has min eigenvalue {w:.3e}")
+        """Raise DegenerateMetric unless every eigenvalue of g is above the fixed guard.
+
+        ``_cholesky_clears`` clears most matrices from one Cholesky factor;
+        only the rest go to eigvalsh.  A cleared matrix is above the guard, so
+        the minimum of the rest is the minimum the message reports.  Both
+        read the guard from one line.
+        """
+        floor = 1e-12
+        g = np.reshape(g, (-1,) + np.shape(g)[-2:])
+        g = g[~_cholesky_clears(g, floor)]
+        if len(g):
+            w = np.min(np.linalg.eigvalsh(g))
+            if w <= floor:
+                raise DegenerateMetric(f"metric on {self.name!r} has min eigenvalue {w:.3e}")
 
     def metric_at(self, x, check=True):
         """Metric matrix g(x); raises OutOfChart / DegenerateMetric."""
@@ -479,6 +489,33 @@ def lie_bracket(M, X, Y, x):
     dY = field_partials(lambda p: np.asarray(Y(p), dtype=float), xb, h)
     out = np.einsum("...i,...ki->...k", Xv, dY) - np.einsum("...i,...ki->...k", Yv, dX)
     return out[0] if squeeze else out
+
+
+def _cholesky_clears(a, floor):
+    """Which symmetric matrices of a (N, k, k) one Cholesky factor shows to be above floor.
+
+    A matrix with a Cholesky factor a = L L^T is positive definite (Golub &
+    Van Loan, Matrix Computations, section 4.2), det a = prod L_ii^2, and by
+    AM-GM on the other k - 1 eigenvalues
+    lambda_min >= det a * ((k - 1) / tr a)^(k - 1).  Matrix i clears when
+    that bound is at least 100 * floor[i] and at least 1e-10 * tr a: its
+    condition number is then below 1e10, so rounding in neither this bound
+    nor an exact eigenvalue moves it across the floor.  The factor is what
+    makes the bound a bound: an indefinite matrix of positive determinant and
+    trace (eigenvalues -1, -1, 5) would pass AM-GM alone.  numpy factors the
+    batch or raises, so one matrix without a factor clears none.  ``floor``
+    is a scalar or (N,).
+    """
+    try:
+        L = np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        return np.zeros(len(a), dtype=bool)
+    k = a.shape[-1]
+    tr = np.trace(a, axis1=-2, axis2=-1)
+    # the bound over tr a, from factors L_ii^2 / tr a <= 1 that cannot overflow
+    rel = np.prod(np.diagonal(L, axis1=-2, axis2=-1) ** 2 / tr[:, None], axis=-1)
+    rel = rel * float(k - 1) ** (k - 1)
+    return (rel * tr >= 100 * np.asarray(floor)) & (rel >= 1e-10)
 
 
 def _norm(g, v):

@@ -12,7 +12,7 @@ import numpy as np
 
 from .autodiff import _memo, field_partials, tensor_jet, tensor_second, tensor_value
 from .errors import OutOfChart, RankDeficient
-from .geometry import _batch, gram_schmidt
+from .geometry import _batch, _cholesky_clears, gram_schmidt
 
 __all__ = [
     "SmoothMap",
@@ -35,7 +35,10 @@ __all__ = [
     "SVD_RANK_RTOL",
 ]
 
-# relative singular-value threshold separating kernel from cokernel
+# relative singular-value threshold separating kernel from cokernel: a rank
+# counts the sigma > SVD_RANK_RTOL * sigma_1, and the submersion guard asks
+# sigma_n above it, clearing most points from a Cholesky factor of
+# dphi dphi^T (_submersion_jet)
 SVD_RANK_RTOL = 1e-8
 
 
@@ -68,6 +71,7 @@ class SmoothMap:
         self.expr = expr
         self.diff = diff or domain.diff
         self._rank_profile = None
+        self._f_ranks = {}  # rank of the induced F of each J (structures.induced_f_structure)
 
     def value(self, x):
         return tensor_value(self.expr, x)
@@ -87,7 +91,7 @@ class SmoothMap:
 
     def ranks(self, x):
         """Rank of dphi and its singular values at the points x."""
-        _, sv = _jet_and_singular_values(self, x)
+        sv = np.linalg.svd(self.jet(x).dphi, compute_uv=False)
         return np.sum(sv > SVD_RANK_RTOL * sv[..., :1], axis=-1), sv
 
     def rank_profile(self):
@@ -256,23 +260,24 @@ def fibre_splitting(phi, x, require_rank=None):
     return FibreSplitting(vertical=vertical, horizontal=horizontal, rank=rank)
 
 
-def _jet_and_singular_values(phi, x):
-    """phi.jet(x) and the singular values of its dphi, descending, from one jet.
+def _submersion_jet(phi, x):
+    """phi.jet(x); RankDeficient unless dphi is onto at every point.
 
-    The singular values are read-only and kept by point set.
+    Onto means sigma_n > SVD_RANK_RTOL * sigma_1 for the n = dim N singular
+    values of dphi.  The eigenvalues of q = dphi dphi^T are the sigma^2, and
+    sigma_1^2 <= tr q, so ``_cholesky_clears`` clears a point whose q is above
+    SVD_RANK_RTOL^2 * tr q from one Cholesky factor; only the other points
+    go to the SVD.
     """
     jet = phi.jet(x)
-    sv = _memo(
-        "singular_values", phi, phi.diff, x, lambda p: np.linalg.svd(jet.dphi, compute_uv=False)
-    )
-    return jet, sv
-
-
-def _submersion_jet(phi, x):
-    """phi.jet(x); RankDeficient unless dphi is onto at every point."""
-    jet, sv = _jet_and_singular_values(phi, x)
-    if np.any(sv[..., phi.codomain.dim - 1] <= SVD_RANK_RTOL * sv[..., 0]):
-        raise RankDeficient(f"map {phi.name!r} is not submersive at the given point(s)")
+    n = phi.codomain.dim
+    dphi = np.reshape(jet.dphi, (-1, n, jet.dphi.shape[-1]))
+    q = dphi @ np.swapaxes(dphi, -1, -2)
+    dphi = dphi[~_cholesky_clears(q, SVD_RANK_RTOL**2 * np.trace(q, axis1=-2, axis2=-1))]
+    if len(dphi):
+        sv = np.linalg.svd(dphi, compute_uv=False)
+        if np.any(sv[..., n - 1] <= SVD_RANK_RTOL * sv[..., 0]):
+            raise RankDeficient(f"map {phi.name!r} is not submersive at the given point(s)")
     return jet
 
 

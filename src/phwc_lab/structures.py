@@ -321,10 +321,13 @@ def induced_f_structure(phi, J):
     def F_and_rank(x):
         return _memo("induced_f_structure", (phi, J), phi.diff, x, F_at)
 
-    # rank = 2 * dim_C W; probe at a node of the domain's node rules
-    _, kept = F_and_rank(phi.domain.node_rules[0].nodes[:1])
+    # rank = 2 * dim_C W; probed at a node of the domain's node rules on the
+    # first construction for this J and kept on phi, as its rank profile is
+    if J not in phi._f_ranks:
+        _, kept = F_and_rank(phi.domain.node_rules[0].nodes[:1])
+        phi._f_ranks[J] = 2 * kept
     return MetricFStructure(
-        phi.domain, lambda x: F_and_rank(x)[0], rank=2 * kept, name=f"F^{phi.name}"
+        phi.domain, lambda x: F_and_rank(x)[0], rank=phi._f_ranks[J], name=f"F^{phi.name}"
     )
 
 

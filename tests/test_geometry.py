@@ -1,15 +1,19 @@
 """Chart-manifold core: metrics, connection, musical maps, codifferential, quadrature."""
 
+import json
 import math
+import sys
 
 import numpy as np
 import pytest
 
+from phwc_lab import autodiff, geometry, maps
 from phwc_lab.autodiff import DiffConfig
 from phwc_lab.errors import DegenerateMetric, NonFiniteIntegrand, OutOfChart
 from phwc_lab.geometry import (
     Box,
     ChartManifold,
+    _cholesky_clears,
     codifferential_two_form,
     covariant_derivative_vector,
     divergence_two_tensor,
@@ -19,7 +23,7 @@ from phwc_lab.geometry import (
     two_form_norm2,
 )
 from phwc_lab import scenarios
-from phwc_lab.report import RunConfig, run_checks, run_identities
+from phwc_lab.report import RunConfig, report_json, run_checks, run_identities
 from phwc_lab.scenarios import build_scenario, fs_chart, hopf_sphere_chart, scenario_ids
 
 from conftest import sphere2_chart
@@ -78,6 +82,151 @@ class TestMetric:
         vw = s2.volume_weight(pts)
         det = np.linalg.det(s2.metric_at(pts, check=False))
         assert np.allclose(vw, np.sqrt(det), rtol=1e-12)
+
+
+_EIGVALSH = np.linalg.eigvalsh
+# a fixed rotation, so that Q diag(x) Q^T is not diagonal
+_Q = np.linalg.qr(np.random.default_rng(11).normal(size=(3, 3)))[0]
+
+
+def eigenvalue_chart():
+    """A chart whose metric at x is Q diag(x) Q^T: its eigenvalues are the coordinates."""
+
+    def metric(x):
+        return [[sum(_Q[i, k] * _Q[j, k] * x[k] for k in range(3)) for j in range(3)] for i in range(3)]
+
+    return ChartManifold("eigen", metric, Box((-10.0,) * 3, (10.0,) * 3), quad_orders=2)
+
+
+def _exact_message(chart, x):
+    """The DegenerateMetric message of the exact test over every matrix at x."""
+    w = np.min(_EIGVALSH(chart.metric_at(x, check=False)))
+    return f"metric on {chart.name!r} has min eigenvalue {w:.3e}"
+
+
+class TestNondegeneracyGuard:
+    """The guard clears a metric from a Cholesky factor or runs eigvalsh on it."""
+
+    @pytest.fixture
+    def exact_rows(self, monkeypatch):
+        """The number of matrices of each call the guard hands to eigvalsh."""
+        rows = []
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: rows.append(len(a)) or _EIGVALSH(a))
+        return rows
+
+    def test_indefinite_with_positive_determinant_and_trace_raises(self, exact_rows):
+        # det 5 and trace 3: AM-GM alone would bound lambda_min by 2.2
+        chart, x = eigenvalue_chart(), np.array([-1.0, -1.0, 5.0])
+        assert not _cholesky_clears(chart.metric_at(x, check=False)[None], 1e-12)[0]
+        with pytest.raises(DegenerateMetric, match="min eigenvalue -1.000e"):
+            chart.metric_at(x)
+        assert exact_rows == [1]
+
+    def test_just_below_the_guard_raises_with_the_exact_message(self, exact_rows):
+        chart, x = eigenvalue_chart(), np.array([5e-13, 1.0, 2.0])
+        message = _exact_message(chart, x)
+        for guarded in (lambda: chart.metric_at(x), lambda: chart.sharp(x, np.ones(3))):
+            with pytest.raises(DegenerateMetric) as err:
+                guarded()
+            assert str(err.value) == message
+        assert exact_rows == [1, 1]
+
+    def test_just_above_the_guard_passes_through_the_exact_test(self, exact_rows):
+        chart = eigenvalue_chart()
+        chart.metric_at(np.array([1e-11, 1.0, 2.0]))
+        assert exact_rows == [1]
+
+    def test_a_well_conditioned_batch_is_cleared(self, exact_rows, rng):
+        chart = eigenvalue_chart()
+        chart.metric_at(rng.uniform(0.1, 3.0, size=(20, 3)))
+        chart.sharp(rng.uniform(0.1, 3.0, size=(20, 3)), np.ones(3))
+        assert exact_rows == []
+
+    def test_one_bad_matrix_in_a_batch_raises(self, exact_rows, rng):
+        chart = eigenvalue_chart()
+        x = rng.uniform(0.1, 3.0, size=(10, 3))
+        x[6] = (1.0, 5e-13, 2.0)
+        with pytest.raises(DegenerateMetric) as err:
+            chart.metric_at(x)
+        assert str(err.value) == _exact_message(chart, x)
+        assert exact_rows == [1]  # the other nine are cleared
+
+    def test_a_batch_without_a_cholesky_factor_goes_wholly_to_the_exact_test(
+        self, exact_rows, rng
+    ):
+        chart = eigenvalue_chart()
+        x = rng.uniform(0.1, 3.0, size=(10, 3))
+        x[3] = (-1.0, -1.0, 5.0)
+        with pytest.raises(DegenerateMetric) as err:
+            chart.metric_at(x)
+        assert str(err.value) == _exact_message(chart, x)
+        assert exact_rows == [10]
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 5, 7])
+    def test_a_cleared_matrix_is_above_its_floor(self, k):
+        # eigenvalues log-uniform over 16 decades, in random orthonormal frames
+        rng = np.random.default_rng(k)
+        lam = 10.0 ** rng.uniform(-14, 2, size=(4000, k))
+        Q = np.linalg.qr(rng.normal(size=(4000, k, k)))[0]
+        a = np.einsum("nik,nk,njk->nij", Q, lam, Q)
+        a = 0.5 * (a + np.swapaxes(a, -1, -2))
+        w, tr = _EIGVALSH(a)[:, 0], np.trace(a, axis1=-2, axis2=-1)
+        for floor in (1e-12, 1e-16 * tr):
+            cleared = _cholesky_clears(a, floor)
+            assert cleared.any()
+            assert np.all(w[cleared] >= 100 * (1 - 1e-6) * np.broadcast_to(floor, w.shape)[cleared])
+            assert np.all(w[cleared] >= 1e-10 * (1 - 1e-6) * tr[cleared])
+        assert not _cholesky_clears(a, 1e-12).all()
+
+
+def _clears_nothing(a, floor):
+    return np.zeros(len(a), dtype=bool)
+
+
+def _guarded_outputs(monkeypatch):
+    """The hopf-s5 hessian body, every hopf-s3 check body and the flat-holo and
+    hopf-s3 identity tables, from newly built scenarios and an empty memo."""
+    monkeypatch.setattr(scenarios, "_CACHE", {})
+    autodiff._memo_clear()
+    out = [report_json(run_checks(RunConfig("hopf-s5", checks=("hessian",), hessian_generators=0, seed=1)))]
+    out.append(report_json(run_checks(RunConfig("hopf-s3", seed=1))))
+    out += [json.dumps(run_identities(sid, n_points=100, seed=1)) for sid in ("flat-holo", "hopf-s3")]
+    return out
+
+
+def _spy_guards(monkeypatch):
+    """The names of the functions that call numpy.linalg.svd or eigvalsh from now on."""
+    callers = []
+    for name in ("svd", "eigvalsh"):
+        real = getattr(np.linalg, name)
+
+        def spy(a, *args, _real=real, **kwargs):
+            callers.append(sys._getframe(1).f_code.co_name)
+            return _real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, spy)
+    return callers
+
+
+GUARDS = {"_require_nondegenerate", "_submersion_jet"}
+
+
+def test_what_the_cholesky_factor_clears_moves_no_output(monkeypatch):
+    default = _guarded_outputs(monkeypatch)
+    monkeypatch.setattr(geometry, "_cholesky_clears", _clears_nothing)
+    monkeypatch.setattr(maps, "_cholesky_clears", _clears_nothing)
+    callers = _spy_guards(monkeypatch)
+    exact = _guarded_outputs(monkeypatch)
+    assert GUARDS <= set(callers)  # every guard ran its exact test
+    assert exact == default
+
+
+def test_the_guards_decompose_nothing_in_the_hopf_s5_hessian_check(monkeypatch):
+    cfg = RunConfig("hopf-s5", checks=("hessian",), hessian_generators=0, seed=1)
+    build_scenario(cfg.scenario_id)
+    callers = _spy_guards(monkeypatch)
+    run_checks(cfg)
+    assert not GUARDS & set(callers)
 
 
 class TestChristoffel:

@@ -9,6 +9,7 @@ from phwc_lab.geometry import Box, ChartManifold, TangentVector
 from phwc_lab.maps import (
     SVD_RANK_RTOL,
     SmoothMap,
+    _submersion_jet,
     adjoint_differential,
     dilation_hwc,
     energy_density,
@@ -232,6 +233,76 @@ class TestFibreGeometry:
         jet = hopf.map.jet(hopf_pts)
         assert np.max(np.abs(np.einsum("nai,ni->na", jet.dphi, X) - E)) < 1e-9
 
+
+
+_SVD = np.linalg.svd
+
+
+def rotated_map(angle=0.3):
+    """R^3 -> R^2, x -> R(angle) (x0, x1 x2): singular values 1 and |(x1, x2)|.
+
+    The rotation makes dphi dphi^T a full matrix; angle 0 keeps it diagonal,
+    so a zero (x1, x2) gives it an exact zero pivot.
+    """
+    c, s = np.cos(angle), np.sin(angle)
+    return SmoothMap(
+        "rot",
+        flat_chart(3, half=2.0),
+        flat_chart(2, half=10.0),
+        lambda x: [c * x[0] - s * x[1] * x[2], s * x[0] + c * x[1] * x[2]],
+    )
+
+
+class TestSubmersionGuard:
+    """The guard clears dphi from a Cholesky factor of dphi dphi^T or runs an SVD on it."""
+
+    MESSAGE = "map 'rot' is not submersive at the given point(s)"
+
+    @pytest.fixture
+    def exact_rows(self, monkeypatch):
+        """The number of matrices of each call the guard hands to the SVD."""
+        rows = []
+        monkeypatch.setattr(np.linalg, "svd", lambda a, **kw: rows.append(len(a)) or _SVD(a, **kw))
+        return rows
+
+    @staticmethod
+    def points(ratios):
+        """Points at which sigma_2 / sigma_1 takes the given values."""
+        r = np.asarray(ratios, dtype=float)
+        return np.stack([np.full_like(r, 0.1), 0.6 * r, 0.8 * r], axis=1)
+
+    def test_a_ratio_below_the_threshold_raises(self, exact_rows):
+        with pytest.raises(RankDeficient) as err:
+            _submersion_jet(rotated_map(), self.points([1e-9])[0])
+        assert str(err.value) == self.MESSAGE
+        assert exact_rows == [1]
+
+    def test_a_ratio_above_the_threshold_passes_through_the_exact_test(self, exact_rows):
+        x = self.points([1e-6])
+        sv = _SVD(rotated_map().jet(x).dphi, compute_uv=False)
+        assert np.allclose(sv[:, 1] / sv[:, 0], 1e-6, rtol=1e-6)
+        _submersion_jet(rotated_map(), x)
+        assert exact_rows == [1]
+
+    def test_a_well_conditioned_batch_is_cleared(self, exact_rows):
+        phi, x = rotated_map(), self.points(np.linspace(0.01, 1.5, 20))
+        assert np.array_equal(_submersion_jet(phi, x).dphi, phi.jet(x).dphi)
+        horizontal_lift(phi, x, np.ones((20, 2)))
+        assert exact_rows == []
+
+    def test_one_bad_point_in_a_batch_raises(self, exact_rows):
+        ratios = np.linspace(0.01, 1.5, 10)
+        ratios[4] = 1e-9
+        with pytest.raises(RankDeficient, match="not submersive"):
+            _submersion_jet(rotated_map(), self.points(ratios))
+        assert exact_rows == [1]  # the other nine are cleared
+
+    def test_a_batch_without_a_cholesky_factor_goes_wholly_to_the_exact_test(self, exact_rows):
+        ratios = np.linspace(0.01, 1.5, 10)
+        ratios[7] = 0.0  # dphi dphi^T = diag(1, 0) exactly
+        with pytest.raises(RankDeficient, match="not submersive"):
+            _submersion_jet(rotated_map(angle=0.0), self.points(ratios))
+        assert exact_rows == [10]
 
 
 class TestFibreSplittingBatch:

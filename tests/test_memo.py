@@ -219,6 +219,21 @@ def test_the_consumers_of_F_evaluate_each_point_set_once(call, n_points, monkeyp
     assert counts and max(counts.values()) == 1
 
 
+def test_the_induced_rank_is_probed_once_per_map_and_structure(monkeypatch):
+    """identity_suites constructs the induced F six times on one map; the
+    rank probe at the first node-rule node runs on the first construction only,
+    however often the memo has dropped that one-row point set since."""
+    sc = build_scenario("hopf-s5")
+    probe = np.ascontiguousarray(sc.domain.node_rules[0].nodes[:1])
+    counts = _count_evaluations(monkeypatch)
+    identity_suites(sc, n_points=100, seed=1)
+    at_probe = Counter()
+    for key, n in counts.items():
+        if key[3:] == (probe.shape, probe.tobytes()):
+            at_probe[key[0]] += n
+    assert at_probe == {"jet": 1, "value": 1}  # the map jet and the domain metric
+
+
 @pytest.mark.parametrize("sid", sorted(CASES))
 def test_the_first_jet_is_the_second_jets_first_part(sid):
     """A consumer of y and dphi may ask phi.jet(x) where it had a second jet."""
