@@ -11,6 +11,11 @@ neutrality tolerance (2e-2) is below the order-3 quadrature error, so the
 recorded body has ``all_verdicts_match: false``.  The file pins that
 mismatch as it stands; it does not hide it.
 
+The ``hessian`` check of hopf-s5 over all six Killing generators orthogonal
+to the Reeb field (``hessian_generators=0``, the benchmark's ``killing-s5``
+configuration) is pinned in ``golden/run_checks_hopf-s5_hessian_all_generators_seed1.json``
+under the same rules.
+
 Every scenario's identity table, ``run_identities(sid, n_points=100,
 seed=1)``, recorded in ``golden/identities_<scenario>_seed1.json`` as the
 `identities --json` subcommand writes it.  These must match byte for byte:
@@ -65,6 +70,13 @@ def test_bodies_match_golden(scenario):
     cfg = RunConfig(scenario_id=scenario, seed=1, quadrature_order=order)
     body = json.loads(json.dumps(run_checks(cfg)))
     want = json.loads((GOLDEN / f"run_checks_{stem}_seed1.json").read_text())
+    assert _mismatches(body, want) == []
+
+
+def test_all_generator_hessian_body_matches_golden():
+    cfg = RunConfig(scenario_id="hopf-s5", checks=("hessian",), seed=1, hessian_generators=0)
+    body = json.loads(json.dumps(run_checks(cfg)))
+    want = json.loads((GOLDEN / "run_checks_hopf-s5_hessian_all_generators_seed1.json").read_text())
     assert _mismatches(body, want) == []
 
 
