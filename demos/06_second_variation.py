@@ -16,7 +16,6 @@ Run:  python demos/06_second_variation.py
 
 import numpy as np
 
-from phwc_lab.geometry import torus_rules
 from phwc_lab.scenarios import build_scenario
 from phwc_lab.stability import (
     hessian_matrix,
@@ -35,7 +34,7 @@ def main():
     sc = build_scenario("hopf-s3", quad_order=12, validate=False)
     rng = np.random.default_rng(0)
     span = polynomial_span(sc.map)
-    H, G, _, _ = hessian_matrix(sc.map, sc.J, span, span_rule(sc.domain, span))
+    [(H, G, _, _)] = hessian_matrix(sc.map, sc.J, span, [span_rule(sc.domain, span)])
     coeffs = span.random_coefficients(20, rng)
     ratios = np.sort(rayleigh_quotients(H, G, coeffs))
     print(f"20 seeded variation fields: Hess/|v|^2 in [{ratios[0]:.3f}, {ratios[-1]:.3f}]"
@@ -54,7 +53,7 @@ def main():
         print(f"{sid}: so({2 * n + 2}) basis {len(fam.generators)}, "
               f"orthogonal-to-Reeb family {len(fam.perp_indices)}")
         span = killing_span(sc.map, fam.perpendicular())
-        forms = hessian_matrix(sc.map, sc.J, span, torus_rules(sc.domain)[0], sc.contact)
+        [forms] = hessian_matrix(sc.map, sc.J, span, sc.domain.node_rules[:1], sc.contact)
         hv, n2, red, hs = (np.diag(f) for f in forms)
         print(f"  max |full Hessian| / |X|^2    = {np.max(np.abs(hv / n2)):.2e}"
               "  (neutral: isometry flow)")

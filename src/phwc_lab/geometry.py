@@ -9,7 +9,7 @@ All evaluators accept a single point ``(m,)`` or a batch ``(N, m)``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -94,8 +94,16 @@ class QuadratureRule:
     density: np.ndarray  # (K,)
 
 
-def _gauss_axis(lo, hi, order, axis_map=None):
+@cache
+def _leggauss(order):
+    """Gauss-Legendre nodes and weights on [-1, 1], read-only, computed once per order."""
     t, w = np.polynomial.legendre.leggauss(order)
+    t.flags.writeable = w.flags.writeable = False
+    return t, w
+
+
+def _gauss_axis(lo, hi, order, axis_map=None):
+    t, w = _leggauss(order)
     t = 0.5 * (hi - lo) * (t + 1.0) + lo
     w = 0.5 * (hi - lo) * w
     if axis_map is not None:

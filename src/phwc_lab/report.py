@@ -415,8 +415,8 @@ def _check_hessian(sc, cfg, pts):
     # generator's values are the diagonals of the span's forms
     span = killing_span(sc.map, gens)
     family, shifted = (
-        np.array([np.diag(f) for f in hessian_matrix(sc.map, sc.J, span, rule, sc.contact)])
-        for rule in sc.domain.node_rules
+        np.array([np.diag(f) for f in forms])
+        for forms in hessian_matrix(sc.map, sc.J, span, sc.domain.node_rules, sc.contact)
     )
     hess, norm2, reduced, sasakian = family
     ratios = hess / norm2
@@ -463,7 +463,7 @@ def _check_stability(sc, cfg, pts):
         rng = np.random.default_rng(cfg.seed)
         span = polynomial_span(sc.map)
         coeffs = span.random_coefficients(cfg.stability_fields, rng)
-        H, G, _, _ = hessian_matrix(sc.map, sc.J, span, rule=span_rule(sc.domain, span, order))
+        [(H, G, _, _)] = hessian_matrix(sc.map, sc.J, span, [span_rule(sc.domain, span, order)])
         worst = float(np.min(rayleigh_quotients(H, G, coeffs)))
         res["sampled_nonnegativity"] = _residual_entry(
             sc, cfg, "hessian_floor", -worst, inclusive=True

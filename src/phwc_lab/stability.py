@@ -343,9 +343,12 @@ def hessian_suite(phi, J, v_fields):
     return out
 
 
-# stencil rows (2m per node) of one hessian_matrix block: bounds the stacked
-# stencil values of every span
+# stencil rows (2m per node) of one chunk of the forms' sums: each rule's
+# sums run over chunks of SPAN_BLOCK // (2m) of its nodes, in node order,
+# which fixes their rounding
 SPAN_BLOCK = 512
+# bytes of the stacked stencil values of one hessian_matrix evaluation batch
+SPAN_BATCH_BYTES = 1 << 20
 # eigenvalues of the Gram matrix below this fraction of its largest are null
 GRAM_RANK_CUT = 1e-10
 
@@ -370,34 +373,53 @@ def _weighted_gram(left, right, w):
     return lw @ right.swapaxes(0, 1).reshape(K, -1).T
 
 
-def hessian_matrix(phi, J, span, rule=None, contact=None):
-    """The second-variation forms over the basis of a variation span.
+def _batches(chunks, cap):
+    """Group consecutive chunks (lo, hi, ...) of a run of nodes into lists
+    that span at most ``cap`` nodes, or hold a single chunk that spans more."""
+    out = []
+    for chunk in chunks:
+        if out and chunk[1] - out[-1][0][0] <= cap:
+            out[-1].append(chunk)
+        else:
+            out.append([chunk])
+    return out
 
-    Returns SpanForms (H, G, reduced, sasakian) with H_kl = B(b_k, b_l) the
-    polarized second variation and G_kl = integral h(b_k, b_l), so that the
-    section with flat coefficients c has Hess = c.H.c and |v|^2 = c.G.c.
-    With a ``contact`` structure the same stencil also carries the horizontal
-    lifts X_k of the sections, and ``reduced`` and ``sasakian`` are the
-    polarized forms of killing_reduced_hessian and sasakian_hessian.
-    One field_partials stencil of the pieces [b_k, iota_(b_k) Omega . dphi,
-    X_k] runs per block of nodes whose 2m shifted copies hold at most
-    SPAN_BLOCK rows; the map jet, omega.dphi and the sections are computed
-    once per stencil batch.  ``rule`` is a rule of the domain (its
-    quadrature by default, or one from span_rule, ChartManifold.rule or
-    geometry.torus_rules); its nodes carry Z, the criticality gate of
-    hessian_suite and the weights.
+
+def hessian_matrix(phi, J, span, rules=None, contact=None):
+    """The second-variation forms over the basis of a variation span, one per rule.
+
+    Returns a list of SpanForms (H, G, reduced, sasakian), one for each rule
+    of ``rules``, with H_kl = B(b_k, b_l) the polarized second variation and
+    G_kl = integral h(b_k, b_l), so that the section with flat coefficients
+    c has Hess = c.H.c and |v|^2 = c.G.c.  With a ``contact`` structure the
+    same stencil also carries the horizontal lifts X_k of the sections, and
+    ``reduced`` and ``sasakian`` are the polarized forms of
+    killing_reduced_hessian and sasakian_hessian.  ``rules`` are rules of
+    the domain (default: its quadrature alone), e.g. from span_rule,
+    ChartManifold.rule or geometry.torus_rules.
+
+    Every node-set evaluation runs once on the rules' nodes stacked in
+    order: Z and the criticality gate of hessian_suite, then, a batch of
+    nodes at a time, one field_partials stencil of the pieces [b_k,
+    iota_(b_k) Omega . dphi, X_k], the pieces themselves, the map jet and
+    the Reeb and contact-frame values.  A batch holds at most
+    SPAN_BATCH_BYTES of stacked stencil values, one node's 2m rows if it
+    must hold more.  Each rule's forms sum over its own nodes in chunks of
+    SPAN_BLOCK // (2m) nodes, so they do not depend on the other rules or
+    on the batches.
     """
     M = phi.domain
-    rule = M.quadrature if rule is None else rule
-    nodes = rule.nodes
+    rules = [M.quadrature] if rules is None else list(rules)
+    nodes = np.concatenate([r.nodes for r in rules])
+    weights = np.concatenate([r.weights * r.density for r in rules])
     z_nodes = z_field(phi, J, nodes)
     _require_critical(phi, J, nodes, z_nodes)
     m, n, K = M.dim, phi.codomain.dim, span.dim
     nc = n // 2  # complex dimension of the codomain
-    weights = rule.weights * rule.density
+    width = n + m if contact is None else n + 2 * m  # pieces of one section
 
     def pieces(p):
-        """[b_k, iota_(b_k) Omega . dphi(, X_k)] at the points p: (N, K, n + m (+ m))."""
+        """[b_k, iota_(b_k) Omega . dphi(, X_k)] at the points p: (N, K, width)."""
         jet = phi.jet(p)
         vv = span.sections(p)
         out = [vv, vv @ (J.omega_at(jet.y) @ jet.dphi)]
@@ -407,52 +429,76 @@ def hessian_matrix(phi, J, span, rule=None, contact=None):
             out.append(_lift(adj[:, None], (jet.dphi @ adj)[:, None], vv))
         return np.concatenate(out, axis=-1)
 
-    forms = np.zeros((2 if contact is None else 4, K, K))
-    H, G = forms[0], forms[1]
-    size = max(1, SPAN_BLOCK // (2 * m))  # nodes a block
-    for start in range(0, len(nodes), size):
-        sl = slice(start, start + size)
-        x, w, z = nodes[sl], weights[sl], z_nodes[sl]
-        parts = field_partials(pieces, x, phi.diff.fd_step)
-        dv = parts[:, :, :n]  # (B, K, n, m)
-        dA_part = parts[:, :, n : n + m]  # (..., j, i) = d_i A_j
-        dA = np.swapaxes(dA_part, -1, -2) - dA_part
+    def evaluate(x):
+        """What the sums read at the nodes x, from one stencil of the pieces."""
         jet = phi.jet(x)
-        centre = pieces(x)
-        vv = centre[:, :, :n]
-        om = J.omega_at(jet.y)
-        gammaN = phi.codomain.christoffel_at(jet.y)
-        h_y = phi.codomain.metric_at(jet.y, check=False)
-        ginv = M.inverse_metric_at(x)[:, None]
-        # |d(phi* iota_v Omega)|^2 = (1/2) tr(g^-1 dA g^-1 dA^T), polarized
-        H += 0.5 * _weighted_gram(ginv @ dA @ ginv, dA, w)
-        # Omega(b_k, nabla_Z b_l), symmetrized with H below
-        dphiZ = np.einsum("...ai,...i->...a", jet.dphi, z)
-        nabla_v = np.einsum("bkgi,bi->bkg", dv, z) + np.einsum(
-            "bgac,ba,bkc->bkg", gammaN, dphiZ, vv, optimize=True
-        )
-        H += _weighted_gram(vv @ om, nabla_v, w)
-        G += _weighted_gram(vv, vv @ h_y, w)
-        if contact is None:
-            continue
-        R, S = forms[2], forms[3]
-        ctx = _reeb_context(phi, contact, x)
-        divX, br, phiX = _reeb_vectors(
-            [c[:, None] for c in ctx], centre[:, :, n + m :], parts[:, :, n + m :]
-        )
-        g_br = br @ ctx[3]
-        # (div X)^2 + |[xi, X]|^2 - 2n g(phi X, [xi, X]), polarized below
-        R += _weighted_gram(divX, divX, w) + _weighted_gram(br, g_br, w)
-        R -= 2.0 * nc * _weighted_gram(phiX, g_br, w)
-        D = _pair_components(_contact_frame(phi, ctx, x)[:, None], dA, nc)
-        S += 0.5 * _weighted_gram(D, D, w)
+        out = [
+            field_partials(pieces, x, phi.diff.fd_step),
+            pieces(x),
+            jet.dphi,
+            J.omega_at(jet.y),
+            phi.codomain.christoffel_at(jet.y),
+            phi.codomain.metric_at(jet.y, check=False),
+            M.inverse_metric_at(x),
+        ]
+        if contact is not None:
+            ctx = _reeb_context(phi, contact, x)
+            out += [*ctx, _contact_frame(phi, ctx, x)]
+        return out
+
+    forms = np.zeros((len(rules), 2 if contact is None else 4, K, K))
+    size = max(1, SPAN_BLOCK // (2 * m))  # nodes a chunk
+    cap = max(1, SPAN_BATCH_BYTES // (2 * m * K * width * 8))  # nodes a batch
+    ends = np.cumsum([0] + [len(r.nodes) for r in rules])
+    chunks = [
+        (lo, min(lo + size, hi), r)
+        for r, (start, hi) in enumerate(zip(ends[:-1], ends[1:]))
+        for lo in range(start, hi, size)
+    ]
+    for batch in _batches(chunks, cap):
+        lo, hi = batch[0][0], batch[-1][1]
+        # more than one evaluation only for a single chunk above the cap
+        values = [evaluate(nodes[a : min(a + cap, hi)]) for a in range(lo, hi, cap)]
+        values = values[0] if len(values) == 1 else [np.concatenate(v) for v in zip(*values)]
+        for c_lo, c_hi, r in batch:
+            sl = slice(c_lo - lo, c_hi - lo)
+            parts, centre, dphi, om, gammaN, h_y, ginv, *reeb = (v[sl] for v in values)
+            w, z = weights[c_lo:c_hi], z_nodes[c_lo:c_hi]
+            H, G = forms[r, 0], forms[r, 1]
+            dv = parts[:, :, :n]  # (B, K, n, m)
+            dA_part = parts[:, :, n : n + m]  # (..., j, i) = d_i A_j
+            dA = np.swapaxes(dA_part, -1, -2) - dA_part
+            vv = centre[:, :, :n]
+            ginv = ginv[:, None]
+            # |d(phi* iota_v Omega)|^2 = (1/2) tr(g^-1 dA g^-1 dA^T), polarized
+            H += 0.5 * _weighted_gram(ginv @ dA @ ginv, dA, w)
+            # Omega(b_k, nabla_Z b_l), symmetrized with H below
+            dphiZ = np.einsum("...ai,...i->...a", dphi, z)
+            nabla_v = np.einsum("bkgi,bi->bkg", dv, z) + np.einsum(
+                "bgac,ba,bkc->bkg", gammaN, dphiZ, vv, optimize=True
+            )
+            H += _weighted_gram(vv @ om, nabla_v, w)
+            G += _weighted_gram(vv, vv @ h_y, w)
+            if contact is None:
+                continue
+            R, S = forms[r, 2], forms[r, 3]
+            *ctx, frame = reeb
+            divX, br, phiX = _reeb_vectors(
+                [c[:, None] for c in ctx], centre[:, :, n + m :], parts[:, :, n + m :]
+            )
+            g_br = br @ ctx[3]
+            # (div X)^2 + |[xi, X]|^2 - 2n g(phi X, [xi, X]), polarized below
+            R += _weighted_gram(divX, divX, w) + _weighted_gram(br, g_br, w)
+            R -= 2.0 * nc * _weighted_gram(phiX, g_br, w)
+            D = _pair_components(frame[:, None], dA, nc)
+            S += 0.5 * _weighted_gram(D, D, w)
     if not np.all(np.isfinite(forms)):
         raise NonFiniteIntegrand(f"span Hessian non-finite on {M.name!r}")
     forms = 0.5 * (forms + forms.swapaxes(-1, -2))
     if contact is None:
-        return SpanForms(*forms, None, None)
-    forms[3] += forms[2]
-    return SpanForms(*forms)
+        return [SpanForms(*f, None, None) for f in forms]
+    forms[:, 3] += forms[:, 2]
+    return [SpanForms(*f) for f in forms]
 
 
 def span_rule(M, span, orders=None):

@@ -73,6 +73,8 @@ class AlmostHermitianStructure:
     derivative checks then use exact dual-number differentiation.
     """
 
+    memo_key = None  # as an f-structure, nothing derived from it is kept
+
     def __init__(self, base, J, name="J", expr=None):
         self.base = base
         self.J_fn = J
@@ -124,13 +126,17 @@ class MetricFStructure:
     """Endomorphism field F with F^3 + F = 0, skew-adjoint for the metric.
 
     ``F`` is a batch field: points (N, dim) -> matrices (N, dim, dim).
+    ``memo_key`` is the (owner, DiffConfig) under which the memo of autodiff
+    keeps F's values, or None; with it, what is derived from F alone (F div
+    F) is kept under the same key.
     """
 
-    def __init__(self, base, F, rank=None, name="F"):
+    def __init__(self, base, F, rank=None, name="F", memo_key=None):
         self.base = base
         self.F_fn = F
         self.rank = rank
         self.name = name
+        self.memo_key = memo_key
 
     def F_at(self, x):
         return _field(self.F_fn, x)
@@ -290,9 +296,11 @@ def induced_f_structure(phi, J):
     F's values are read-only and kept by point set for (phi, J) in the
     memo of autodiff, so every F of the same phi and J that is asked again
     for F, nabla F or div F at the same points, or at the same stencil,
-    evaluates nothing twice.
+    evaluates nothing twice.  F div F is kept under the same key
+    (``memo_key``), so asking for it again runs no stencil.
     """
     n_pairs = phi.codomain.dim // 2
+    key = ((phi, J), phi.diff)
 
     def F_at(x):
         """F at the points x (N, m), and dim_C W."""
@@ -319,7 +327,7 @@ def induced_f_structure(phi, J):
         return F, kept
 
     def F_and_rank(x):
-        return _memo("induced_f_structure", (phi, J), phi.diff, x, F_at)
+        return _memo("induced_f_structure", *key, x, F_at)
 
     # rank = 2 * dim_C W; probed at a node of the domain's node rules on the
     # first construction for this J and kept on phi, as its rank profile is
@@ -327,7 +335,11 @@ def induced_f_structure(phi, J):
         _, kept = F_and_rank(phi.domain.node_rules[0].nodes[:1])
         phi._f_ranks[J] = 2 * kept
     return MetricFStructure(
-        phi.domain, lambda x: F_and_rank(x)[0], rank=phi._f_ranks[J], name=f"F^{phi.name}"
+        phi.domain,
+        lambda x: F_and_rank(x)[0],
+        rank=phi._f_ranks[J],
+        name=f"F^{phi.name}",
+        memo_key=key,
     )
 
 
@@ -384,10 +396,19 @@ def holomorphy_residual(phi, F_M, F_N, x):
 
 
 def f_div_f(F, x):
-    """F(div F) with div F = trace nabla F; vanishing = cosymplectic."""
-    div = endomorphism_divergence(F.base, lambda p: np.asarray(F.F_at(p), float), x)
-    Fv = np.asarray(F.F_at(x), dtype=float)
-    return np.einsum("...ij,...j->...i", Fv, div)
+    """F(div F) with div F = trace nabla F; vanishing = cosymplectic.
+
+    For an F with a ``memo_key`` (the induced F) it is read-only and
+    computed once per point set.
+    """
+
+    def compute(p):
+        div = endomorphism_divergence(F.base, lambda q: np.asarray(F.F_at(q), float), p)
+        return np.einsum("...ij,...j->...i", np.asarray(F.F_at(p), float), div)
+
+    if F.memo_key is None:
+        return compute(x)
+    return _memo("f_div_f", *F.memo_key, x, compute)
 
 
 def phh_residual(phi, J, x):

@@ -18,7 +18,7 @@ from .errors import NotCritical, RankDeficient
 from .maps import dilation_hwc, mean_curvature_fibres, tension_field_direct
 from .structures import phwc_residual
 from .variational import criticality_residual
-from .geometry import covariant_derivative_vector, metric_norms, torus_rules
+from .geometry import covariant_derivative_vector, metric_norms, torus_offsets
 
 __all__ = [
     "validate_scenario", "ScenarioValidationError", "TOLERANCES", "RUN_TOLERANCES",
@@ -259,7 +259,7 @@ def _probe_stability(sc, problems):
     if cls == "stable-sampled":
         rng = np.random.default_rng(0)
         span = polynomial_span(sc.map)
-        H, G, _, _ = hessian_matrix(sc.map, sc.J, span, rule=span_rule(sc.domain, span, order))
+        [(H, G, _, _)] = hessian_matrix(sc.map, sc.J, span, [span_rule(sc.domain, span, order)])
         floor = tolerance("hessian_floor", sc)
         coeffs = span.random_coefficients(PROBE_FIELDS, rng)
         worst = float(np.min(rayleigh_quotients(H, G, coeffs)))
@@ -267,8 +267,9 @@ def _probe_stability(sc, problems):
             problems.append(f"sampled Hess/|v|^2 {worst:.3e} < -{floor:g}")
     elif cls == "killing-neutral":
         span = killing_span(sc.map, killing_fields_sphere(sc.n_complex).perpendicular()[:1])
-        rule = torus_rules(sc.domain, order)[0]
-        hv, n2, red, _ = (float(f[0, 0]) for f in hessian_matrix(sc.map, sc.J, span, rule, sc.contact))
+        rule = sc.domain.rule(order, offsets=torus_offsets(sc.domain)[0])
+        [forms] = hessian_matrix(sc.map, sc.J, span, [rule], sc.contact)
+        hv, n2, red, _ = (float(f[0, 0]) for f in forms)
         target = 4.0 * (1 - sc.n_complex)
         if abs(hv) > tolerance("probe_neutrality", sc) * abs(target) * n2:
             problems.append(f"Killing Hessian {hv:.3e} not neutral at scale {n2:.3e}")

@@ -112,8 +112,8 @@ def killing_hessians():
         fam = killing_fields_sphere(n)
         gens = fam.perpendicular()
         fields = [variation_from_killing(sc.map, A) for A in gens]
-        rule = torus_rules(sc.domain)[0]
-        forms = hessian_matrix(sc.map, sc.J, killing_span(sc.map, gens), rule, sc.contact)
+        rules = torus_rules(sc.domain)[:1]
+        [forms] = hessian_matrix(sc.map, sc.J, killing_span(sc.map, gens), rules, sc.contact)
         hess, norm2, reduced, sasakian = (np.diag(f) for f in forms)
         out[sid] = {
             "n": n, "scenario": sc, "fields": fields,

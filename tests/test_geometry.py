@@ -448,6 +448,23 @@ class TestTorusRule:
 class TestLazyRules:
     """The full rule is built on first use; the node rules once per chart."""
 
+    def test_gauss_legendre_once_per_order(self, monkeypatch):
+        calls = []
+        real = np.polynomial.legendre.leggauss
+        monkeypatch.setattr(
+            np.polynomial.legendre, "leggauss", lambda order: calls.append(order) or real(order)
+        )
+        geometry._leggauss.cache_clear()
+        M = hopf_sphere_chart(2, 4)
+        first = M.rule(offsets=[0.0, 0.25, 0.5])
+        assert calls == [4]
+        second = M.rule(offsets=[0.0, 0.25, 0.5])
+        assert calls == [4]
+        for key in ("nodes", "weights", "density"):
+            assert np.array_equal(getattr(first, key), getattr(second, key))
+        t, w = geometry._leggauss(4)
+        assert not t.flags.writeable and not w.flags.writeable
+
     def test_quadrature_on_first_use(self):
         M = hopf_sphere_chart(2, 4)
         assert "quadrature" not in vars(M)

@@ -1,6 +1,7 @@
 """Second variation, Killing families, vertical codifferential, conditions."""
 
 import hashlib
+import sys
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from phwc_lab.errors import EigenframeDegenerate, NotCritical, NotSasakianScenar
 from phwc_lab.geometry import covariant_derivative_vector, torus_offsets, torus_rules
 from phwc_lab.report import RunConfig, run_checks
 from phwc_lab.scenarios import build_scenario
-from phwc_lab import stability
+from phwc_lab import autodiff, report, stability
 from phwc_lab.stability import (
     ambient_killing_field,
     bracket_identity_sasakian,
@@ -33,17 +34,22 @@ from phwc_lab.stability import (
 )
 
 
-def _stencil_rows(monkeypatch):
-    """Record the stacked stencil rows (2m per node) of each stability-module stencil."""
-    rows = []
+def _stencils(monkeypatch):
+    """Record the stacked rows (2m per node) and the bytes of the stacked values
+    of each stability-module stencil."""
+    calls = []
     real = stability.field_partials
 
-    def counting(field, x, h):
-        rows.append(2 * x.shape[1] * len(x))
-        return real(field, x, h)
+    def recording(field, x, h):
+        def recorded(p):
+            values = np.asarray(field(p), dtype=float)
+            calls.append((len(p), values.nbytes))
+            return values
 
-    monkeypatch.setattr(stability, "field_partials", counting)
-    return rows
+        return real(recorded, x, h)
+
+    monkeypatch.setattr(stability, "field_partials", recording)
+    return calls
 
 
 @pytest.fixture(scope="module")
@@ -242,11 +248,11 @@ def _block_invariance(sc, span, contact, monkeypatch, one_block_rows, small_rows
     """The forms of one block against those of many blocks, within 1e-12 of each form's
     scale: its largest entry or the Gram matrix's (|v|^2), whichever is larger, since
     a neutral Hessian is summation roundoff at the |v|^2 scale."""
-    forms = hessian_matrix(sc.map, sc.J, span, contact=contact)
+    [forms] = hessian_matrix(sc.map, sc.J, span, contact=contact)
     monkeypatch.setattr(stability, "SPAN_BLOCK", one_block_rows)
-    one = hessian_matrix(sc.map, sc.J, span, contact=contact)
+    [one] = hessian_matrix(sc.map, sc.J, span, contact=contact)
     monkeypatch.setattr(stability, "SPAN_BLOCK", small_rows)
-    many = hessian_matrix(sc.map, sc.J, span, contact=contact)
+    [many] = hessian_matrix(sc.map, sc.J, span, contact=contact)
     gram_scale = np.max(np.abs(forms.gram))
     for want, a, b in zip(forms, one, many):
         if want is None:
@@ -257,12 +263,23 @@ def _block_invariance(sc, span, contact, monkeypatch, one_block_rows, small_rows
             assert np.max(np.abs(got - want)) <= 1e-12 * scale
 
 
-def _block_rows(sc, span, contact, monkeypatch):
-    """Stencil rows of each block; every block holds at most SPAN_BLOCK of them."""
-    rows = _stencil_rows(monkeypatch)
+def _batch_rows(sc, span, contact, monkeypatch):
+    """Stencil rows of each batch; no stencil holds above SPAN_BATCH_BYTES of values."""
+    calls = _stencils(monkeypatch)
     hessian_matrix(sc.map, sc.J, span, contact=contact)
-    assert max(rows) <= stability.SPAN_BLOCK
-    return rows
+    assert max(nbytes for _, nbytes in calls) <= stability.SPAN_BATCH_BYTES
+    return [rows for rows, _ in calls]
+
+
+def _batch_invariance(sc, span, contact, monkeypatch, small_bytes):
+    """The forms bitwise the same when the evaluation batches split each chunk
+    of the sums (``small_bytes``) or hold the whole rule (no bound)."""
+    [want] = hessian_matrix(sc.map, sc.J, span, contact=contact)
+    for bound in (small_bytes, 1 << 40):
+        monkeypatch.setattr(stability, "SPAN_BATCH_BYTES", bound)
+        [got] = hessian_matrix(sc.map, sc.J, span, contact=contact)
+        for a, b in zip(got, want):
+            assert (a is None and b is None) or np.array_equal(a, b)
 
 
 class TestKillingHessianFamily:
@@ -274,7 +291,7 @@ class TestKillingHessianFamily:
         sc = build_scenario(sid, quad_order=order, validate=False)
         gens = killing_fields_sphere(n).perpendicular()[:count]
         fields = [variation_from_killing(sc.map, A) for A in gens]
-        forms = hessian_matrix(sc.map, sc.J, killing_span(sc.map, gens), contact=sc.contact)
+        [forms] = hessian_matrix(sc.map, sc.J, killing_span(sc.map, gens), contact=sc.contact)
         suite = hessian_suite(sc.map, sc.J, fields)
         assert forms.hessian.shape == (len(gens), len(gens)) and len(suite) == len(gens)
         for k, (v, (hv, n2)) in enumerate(zip(fields, suite)):
@@ -291,10 +308,11 @@ class TestKillingHessianFamily:
     def test_torus_rule_matches_the_full_rule(self, sid, n, order):
         sc = build_scenario(sid, quad_order=order, validate=False)
         span = killing_span(sc.map, killing_fields_sphere(n).perpendicular())
-        full = [np.diag(f) for f in hessian_matrix(sc.map, sc.J, span, contact=sc.contact)]
-        for rule in torus_rules(sc.domain):
+        [full] = hessian_matrix(sc.map, sc.J, span, contact=sc.contact)
+        full = [np.diag(f) for f in full]
+        rules = torus_rules(sc.domain)
+        for rule, forms in zip(rules, hessian_matrix(sc.map, sc.J, span, rules, sc.contact)):
             assert len(rule.nodes) == order**n
-            forms = hessian_matrix(sc.map, sc.J, span, rule=rule, contact=sc.contact)
             for got, want in zip(forms, full):
                 assert np.max(np.abs(np.diag(got) - want)) <= 1e-8 * np.min(full[1])
 
@@ -303,10 +321,46 @@ class TestKillingHessianFamily:
         span = killing_span(hopf.map, fam1.perpendicular())
         _block_invariance(hopf, span, hopf.contact, monkeypatch, 6 * 1000, 96)
 
-    def test_blocks_hold_at_most_span_block_stencil_rows(self, hopf, fam1, monkeypatch):
-        rows = _block_rows(hopf, killing_span(hopf.map, fam1.perpendicular()), hopf.contact, monkeypatch)
-        # two stencils a block: the sections' pieces and the Reeb field's
-        assert sum(rows) == 2 * 2 * hopf.domain.dim * len(hopf.domain.quadrature.nodes)
+    def test_stencils_hold_at_most_span_batch_bytes(self, hopf, fam1, monkeypatch):
+        rows = _batch_rows(hopf, killing_span(hopf.map, fam1.perpendicular()), hopf.contact, monkeypatch)
+        # 2 sections x 8 pieces x 8 B x 6 rows = 768 B a node: the 1000
+        # nodes are one batch, with two stencils: the pieces' and the Reeb field's
+        assert rows == [2 * hopf.domain.dim * len(hopf.domain.quadrature.nodes)] * 2
+
+    def test_batches_do_not_change_values(self, hopf, fam1, monkeypatch):
+        # 20 000 B: batches of 26 nodes against chunks of 85
+        span = killing_span(hopf.map, fam1.perpendicular())
+        _batch_invariance(hopf, span, hopf.contact, monkeypatch, 20_000)
+
+    def test_hessian_check_stencils_once_for_both_torus_rules(self, monkeypatch):
+        # the check over all six generators (the killing-s5 benchmark): Z's
+        # stencil, the pieces' and the Reeb field's, each once over the
+        # 2 x 36 nodes of both torus rules, not once per rule
+        sc = build_scenario("hopf-s5", validate=False)
+        cfg = RunConfig("hopf-s5", checks=("hessian",), seed=1, hessian_generators=0)
+        real, nodes = autodiff.field_partials, []
+
+        def counting(field, x, h):
+            nodes.append(len(x))
+            return real(field, x, h)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("phwc_lab") and getattr(module, "field_partials", None) is real:
+                monkeypatch.setattr(module, "field_partials", counting)
+        report._check_hessian(sc, cfg, None)
+        assert nodes == [2 * 36] * 3
+
+    def test_one_evaluation_for_both_torus_rules(self, s5):
+        # all six generators with contact: each rule's forms bitwise what a
+        # call with that rule alone returns
+        span = killing_span(s5.map, killing_fields_sphere(2).perpendicular())
+        rules = s5.domain.node_rules
+        both = hessian_matrix(s5.map, s5.J, span, rules, s5.contact)
+        assert len(both) == 2
+        for rule, got in zip(rules, both):
+            [want] = hessian_matrix(s5.map, s5.J, span, [rule], s5.contact)
+            for a, b in zip(got, want):
+                assert np.array_equal(a, b)
 
     def test_full_rule_forms_are_diagonal(self):
         # on the full rule the cross terms B(v_A, v_B) of distinct generators
@@ -315,7 +369,7 @@ class TestKillingHessianFamily:
         # cross terms depend on theta), which is why the check reads diagonals
         sc = build_scenario("hopf-s5", quad_order=4, validate=False)
         span = killing_span(sc.map, killing_fields_sphere(2).perpendicular())
-        forms = hessian_matrix(sc.map, sc.J, span, contact=sc.contact)
+        [forms] = hessian_matrix(sc.map, sc.J, span, contact=sc.contact)
         G = forms.gram
         scale = np.sqrt(np.outer(np.diag(G), np.diag(G)))
         off = ~np.eye(len(G), dtype=bool)
@@ -344,7 +398,7 @@ class TestHessianMatrix:
     @pytest.fixture(scope="class")
     def span_matrices(self, hopf):
         span = polynomial_span(hopf.map)
-        H, G, reduced, sasakian = hessian_matrix(hopf.map, hopf.J, span)
+        [(H, G, reduced, sasakian)] = hessian_matrix(hopf.map, hopf.J, span)
         assert reduced is None and sasakian is None  # no contact structure given
         return span, H, G
 
@@ -368,9 +422,28 @@ class TestHessianMatrix:
         # 2m = 6 rows a node: one block, then 63 blocks of 16 nodes
         _block_invariance(hopf, span_matrices[0], None, monkeypatch, 6 * 1000, 96)
 
-    def test_blocks_hold_at_most_span_block_stencil_rows(self, hopf, span_matrices, monkeypatch):
-        rows = _block_rows(hopf, span_matrices[0], None, monkeypatch)
+    def test_stencils_hold_at_most_span_batch_bytes(self, hopf, span_matrices, monkeypatch):
+        # 30 sections x 5 pieces x 8 B x 6 rows = 7 200 B a node: a batch of
+        # 145 nodes holds one chunk of 85, so there are 12 stencils, 6 000 rows
+        rows = _batch_rows(hopf, span_matrices[0], None, monkeypatch)
+        assert len(rows) == 12
         assert sum(rows) == 2 * hopf.domain.dim * len(hopf.domain.quadrature.nodes)
+
+    def test_batches_do_not_change_values(self, hopf, span_matrices, monkeypatch):
+        # 200 000 B: batches of 27 nodes against chunks of 85
+        _batch_invariance(hopf, span_matrices[0], None, monkeypatch, 200_000)
+
+    def test_one_evaluation_for_both_span_rules(self):
+        # the stability check's rule at both torus offsets, without contact
+        sc = build_scenario("hopf-s3", validate=False)
+        span = polynomial_span(sc.map)
+        rules = [sc.domain.rule(12, off, span.bandwidth + 1) for off in torus_offsets(sc.domain)]
+        both = hessian_matrix(sc.map, sc.J, span, rules)
+        for rule, got in zip(rules, both, strict=True):
+            [want] = hessian_matrix(sc.map, sc.J, span, [rule])
+            assert got.reduced is None and got.sasakian is None
+            assert np.array_equal(got.hessian, want.hessian)
+            assert np.array_equal(got.gram, want.gram)
 
     def test_not_critical_refuses(self):
         warped = build_scenario("warped-hopf", quad_order=8, validate=False)
@@ -381,7 +454,7 @@ class TestHessianMatrix:
         # the catalog chart (order 24) at order 10 against the order-10 build
         catalog = build_scenario("hopf-s3", validate=False)
         rule = catalog.domain.rule(orders=10)
-        H, G, _, _ = hessian_matrix(catalog.map, catalog.J, span_matrices[0], rule=rule)
+        [(H, G, _, _)] = hessian_matrix(catalog.map, catalog.J, span_matrices[0], [rule])
         assert np.array_equal(H, span_matrices[1]) and np.array_equal(G, span_matrices[2])
 
     def test_stability_check_honours_fd_step(self):
@@ -394,7 +467,7 @@ class TestHessianMatrix:
 
         sc = build_scenario("hopf-s3", quad_order=12, validate=False, fd_step=1e-4)
         span = polynomial_span(sc.map)
-        H, G, _, _ = hessian_matrix(sc.map, sc.J, span, span_rule(sc.domain, span))
+        [(H, G, _, _)] = hessian_matrix(sc.map, sc.J, span, [span_rule(sc.domain, span)])
         assert span_bound(1e-4) == -float(span_spectrum(H, G)[0])
         assert span_bound(1e-4) != span_bound(1e-5)
 
@@ -451,10 +524,8 @@ class TestSpanRule:
         span = polynomial_span(sc.map)
 
         def gaps(T):
-            first, second = (
-                hessian_matrix(sc.map, sc.J, span, rule)[:2]
-                for rule in (sc.domain.rule(None, off, T) for off in torus_offsets(sc.domain))
-            )
+            rules = [sc.domain.rule(None, off, T) for off in torus_offsets(sc.domain)]
+            first, second = (forms[:2] for forms in hessian_matrix(sc.map, sc.J, span, rules))
             return [np.max(np.abs(a - b)) / np.max(np.abs(a)) for a, b in zip(first, second)]
 
         assert max(gaps(span.bandwidth + 1)) <= bound
@@ -469,7 +540,7 @@ class TestSpanRule:
         coeffs = span.random_coefficients(cfg.stability_fields, np.random.default_rng(cfg.seed))
 
         def worst(rule):
-            H, G, _, _ = hessian_matrix(ref.map, ref.J, span, rule)
+            [(H, G, _, _)] = hessian_matrix(ref.map, ref.J, span, [rule])
             return -float(np.min(rayleigh_quotients(H, G, coeffs)))
 
         assert abs(got - worst(ref.domain.quadrature)) <= 1e-9
@@ -482,9 +553,9 @@ class TestSpanRule:
         sizes = []
         real = stability.hessian_matrix
 
-        def spy(phi, J, span, rule=None, contact=None):
-            sizes.append(len(rule.nodes))
-            return real(phi, J, span, rule, contact)
+        def spy(phi, J, span, rules=None, contact=None):
+            sizes.extend(len(rule.nodes) for rule in rules)
+            return real(phi, J, span, rules, contact)
 
         monkeypatch.setattr(stability, "hessian_matrix", spy)
         validate_scenario(build_scenario("hopf-s3", validate=False))

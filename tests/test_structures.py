@@ -296,6 +296,24 @@ class TestInducedStructureMemo:
         assert np.array_equal(f_div_f(F, pts), first)
         assert len(evals) == 2
 
+    def test_f_div_f_is_kept_for_phi_and_J(self, sc, pts, monkeypatch):
+        from phwc_lab import geometry
+
+        stencils = []
+        real = geometry.field_partials
+        monkeypatch.setattr(
+            geometry, "field_partials", lambda f, x, h: stencils.append(len(x)) or real(f, x, h)
+        )
+        first = f_div_f(induced_f_structure(sc.map, sc.J), pts)
+        assert stencils == [len(pts)] and not first.flags.writeable
+        # another F of the same phi and J asks the memo; an F without a key computes
+        assert f_div_f(induced_f_structure(sc.map, sc.J), pts) is first
+        assert stencils == [len(pts)]
+        F = induced_f_structure(sc.map, sc.J)
+        plain = MetricFStructure(sc.domain, F.F_at, rank=F.rank)
+        assert np.array_equal(f_div_f(plain, pts), first)
+        assert stencils == [len(pts)] * 2
+
     def test_values_are_read_only(self, sc, pts):
         F = induced_f_structure(sc.map, sc.J)
         for Fv in (F.F_at(pts), F.F_at(pts[0])):
