@@ -32,12 +32,12 @@ Expressions must be pure functions of their coordinates: `tensor_value` and
 `tensor_jet` evaluate each (expression, config, point set) once and hand
 out the kept, read-only result again (see `_memo`, which the metric
 inverse, the Christoffel symbols, the horizontal projector and the induced
-f-structure share).
+f-structure share).  The memo lives as long as a scenario and holds at most
+`_MEMO_BYTES`.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -356,14 +356,14 @@ def _check_finite(*arrays):
 # ---------------------------------------------------------------------------
 # evaluations by point set
 
-# The memo holds at most _MEMO_BYTES of values and keys, least recently used
-# out, and never an entry above _MEMO_ENTRY_BYTES: the values on a large
-# point set (a full quadrature rule) are computed each time they are asked for.
-_MEMO_BYTES = 768 << 10
-_MEMO_ENTRY_BYTES = 256 << 10
+# The memo lives as long as its scenario: ``scenarios.build_scenario`` empties
+# it whenever it builds one.  Within a scenario it keeps every value, until a
+# store would take it past _MEMO_BYTES; then it empties itself first (a flush).
+# A value above _MEMO_BYTES on its own is handed out and not kept.
+_MEMO_BYTES = 32 << 20
 
-_MEMO = OrderedDict()  # key -> (value, bytes of value and points)
-_MEMO_COUNTS = {"hits": 0, "misses": 0, "held_bytes": 0}
+_MEMO = {}  # key -> (value, bytes of value and points)
+_MEMO_COUNTS = {"hits": 0, "misses": 0, "held_bytes": 0, "flushes": 0}
 
 
 def _freeze(value):
@@ -389,34 +389,38 @@ def _memo(kind, owner, cfg, x, compute):
     takes no lock: the library evaluates in one thread.
     """
     x = np.asarray(x, dtype=float)
-    key = None
-    if x.nbytes <= _MEMO_ENTRY_BYTES:
-        key = (kind, owner, cfg, x.shape, x.tobytes())
-        entry = _MEMO.get(key)
-        if entry is not None:
-            _MEMO.move_to_end(key)
-            _MEMO_COUNTS["hits"] += 1
-            return entry[0]
+    key = (kind, owner, cfg, x.shape, x.tobytes())
+    entry = _MEMO.get(key)
+    if entry is not None:
+        _MEMO_COUNTS["hits"] += 1
+        return entry[0]
     _MEMO_COUNTS["misses"] += 1
     value = compute(x)
     size = _freeze(value) + x.nbytes
-    if key is not None and size <= _MEMO_ENTRY_BYTES:
+    if size <= _MEMO_BYTES:
+        if _MEMO_COUNTS["held_bytes"] + size > _MEMO_BYTES:
+            _memo_empty()
+            _MEMO_COUNTS["flushes"] += 1
         _MEMO[key] = (value, size)
-        held = _MEMO_COUNTS["held_bytes"] + size
-        while held > _MEMO_BYTES:
-            held -= _MEMO.popitem(last=False)[1][1]
-        _MEMO_COUNTS["held_bytes"] = held
+        _MEMO_COUNTS["held_bytes"] += size
     return value
 
 
 def _memo_stats():
-    """Hits and misses since the process started or the memo was cleared, and the bytes held."""
+    """Hits, misses and flushes since the process started or the memo was
+    cleared, and the bytes held."""
     return dict(_MEMO_COUNTS)
 
 
-def _memo_clear():
+def _memo_empty():
+    """Drop every entry; the counts stay."""
     _MEMO.clear()
-    _MEMO_COUNTS.update(hits=0, misses=0, held_bytes=0)
+    _MEMO_COUNTS["held_bytes"] = 0
+
+
+def _memo_clear():
+    _memo_empty()
+    _MEMO_COUNTS.update(hits=0, misses=0, flushes=0)
 
 
 def tensor_value(fn, x):

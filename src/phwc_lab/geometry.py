@@ -266,12 +266,9 @@ class ChartManifold:
 
     def inverse_metric_at(self, x):
         """g(x)^-1, read-only; one inversion per point set."""
-        return self._metric_and_inverse(x)[1]
-
-    def _metric_and_inverse(self, x):
-        """g(x) and its inverse from one evaluation of g."""
-        g = self._g(x)
-        return g, _memo("inverse_metric", self.metric_fn, None, x, lambda p: np.linalg.inv(g))
+        return _memo(
+            "inverse_metric", self.metric_fn, None, x, lambda p: np.linalg.inv(self._g(p))
+        )
 
     def metric_jet(self, x):
         """(g, dg) with dg[..., i, j, l] the l-th partial of g_ij."""
@@ -312,9 +309,8 @@ class ChartManifold:
 
     def sharp(self, x, omega):
         """Raise an index: (w^sharp)^i = g^ij w_j."""
-        g, ginv = self._metric_and_inverse(x)
-        self._require_nondegenerate(g)
-        return np.einsum("...ij,...j->...i", ginv, np.asarray(omega, float))
+        self._require_nondegenerate(self._g(x))
+        return np.einsum("...ij,...j->...i", self.inverse_metric_at(x), np.asarray(omega, float))
 
     def flat(self, x, vec):
         g = self._g(x)

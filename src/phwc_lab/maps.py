@@ -114,27 +114,16 @@ class SmoothMap:
         return f"SmoothMap({self.name!r}: {self.domain.name} -> {self.codomain.name})"
 
 
-def _adjoint(ginv, dphi, h):
-    """g^-1 dphi^T h from the inverse domain metric and the codomain metric at phi(x)."""
-    return ginv @ np.swapaxes(dphi, -1, -2) @ h
-
-
 def adjoint_differential(phi, x):
     """Metric adjoint dphi^t = g^-1 dphi^T h, so g(X, dphi^t E) = h(dphi X, E)."""
-    return _jet_and_adjoint(phi, x)[1]
-
-
-def _jet_and_adjoint(phi, x):
-    """phi.jet(x) and the adjoint of its dphi, from one jet."""
     jet = phi.jet(x)
     h = phi.codomain.metric_at(jet.y, check=False)
-    return jet, _adjoint(phi.domain.inverse_metric_at(x), jet.dphi, h)
+    return phi.domain.inverse_metric_at(x) @ np.swapaxes(jet.dphi, -1, -2) @ h
 
 
 def energy_density(phi, x):
     """||dphi||^2 = trace(g^-1 dphi^T h dphi)."""
-    jet, adj = _jet_and_adjoint(phi, x)
-    return np.einsum("...ia,...ai->...", adj, jet.dphi)
+    return np.einsum("...ia,...ai->...", adjoint_differential(phi, x), phi.jet(x).dphi)
 
 
 def dilation_hwc(phi, x):
@@ -143,8 +132,8 @@ def dilation_hwc(phi, x):
     dphi dphi^t is h-self-adjoint, so the Frobenius norm is taken in an
     h-orthonormal frame to make the residual frame-honest.
     """
-    jet, adj = _jet_and_adjoint(phi, x)
-    q = jet.dphi @ adj  # dphi dphi^t
+    jet = phi.jet(x)
+    q = jet.dphi @ adjoint_differential(phi, x)  # dphi dphi^t
     n = q.shape[-1]
     lam2 = np.einsum("...aa->...", q) / n
     h = phi.codomain.metric_at(jet.y, check=False)
@@ -286,20 +275,14 @@ def horizontal_projector(phi, x):
 
     Read-only; one evaluation per point set.
     """
-    return _metric_and_projector(phi, x)[1]
+    return _memo("horizontal_projector", phi, phi.diff, x, lambda p: _projector(phi, p))
 
 
-def _metric_and_projector(phi, x):
-    """The domain metric g(x) and P_H(x) from one evaluation of g; P_H is kept by point set."""
-    g, ginv = phi.domain._metric_and_inverse(x)
-    return g, _memo("horizontal_projector", phi, phi.diff, x, lambda p: _projector(phi, p, ginv))
-
-
-def _projector(phi, x, ginv):
-    """P_H at x from the inverse domain metric there."""
-    jet = _submersion_jet(phi, x)
-    adj = _adjoint(ginv, jet.dphi, phi.codomain.metric_at(jet.y, check=False))
-    return adj @ np.linalg.solve(jet.dphi @ adj, jet.dphi)
+def _projector(phi, x):
+    """P_H at x, evaluated."""
+    dphi = _submersion_jet(phi, x).dphi
+    adj = adjoint_differential(phi, x)
+    return adj @ np.linalg.solve(dphi @ adj, dphi)
 
 
 def vertical_projector(phi, x):
@@ -309,9 +292,9 @@ def vertical_projector(phi, x):
 
 def horizontal_lift(phi, x, E):
     """Horizontal vector X with dphi(X) = E (submersions only)."""
-    _submersion_jet(phi, x)  # RankDeficient unless dphi is onto
-    jet, adj = _jet_and_adjoint(phi, x)
-    return _lift(adj, jet.dphi @ adj, E)
+    dphi = _submersion_jet(phi, x).dphi  # RankDeficient unless dphi is onto
+    adj = adjoint_differential(phi, x)
+    return _lift(adj, dphi @ adj, E)
 
 
 def _lift(adj, q, E):
@@ -327,7 +310,8 @@ def horizontal_frame(phi, x):
     generic rotation, then Gram-Schmidt; deterministic by construction.
     """
     m, n = phi.domain.dim, phi.codomain.dim
-    g, ph = _metric_and_projector(phi, x)
+    g = phi.domain.metric_at(x, check=False)
+    ph = horizontal_projector(phi, x)
     # generic fixed mixing avoids seeds falling into the vertical space
     rng = np.random.default_rng(12345)
     mix = rng.normal(size=(m, m)) + np.eye(m) * m
@@ -350,13 +334,15 @@ def mean_curvature_fibres(phi, x):
         out = np.zeros((len(xb), m))
         return out[0] if squeeze else out
     # the projector raises RankDeficient unless phi is a submersion at xb
-    g, phor = _metric_and_projector(phi, xb)
+    g = phi.domain.metric_at(xb, check=False)
+    phor = horizontal_projector(phi, xb)
     pv = np.broadcast_to(np.eye(m), phor.shape) - phor  # = vertical_projector(phi, xb)
     norms = np.einsum("...ik,...ij,...jk->...k", pv, g, pv)  # |P_V e_k|_g^2
     sel = np.argsort(-norms, axis=-1, kind="stable")[:, :nv]  # frozen seeds
 
     def vert_frame(p):
-        gp, php = _metric_and_projector(phi, p)
+        gp = phi.domain.metric_at(p, check=False)
+        php = horizontal_projector(phi, p)
         pvp = np.broadcast_to(np.eye(m), php.shape) - php  # = vertical_projector(phi, p)
         # stencil rows are shifted copies of the points, stacked shift-major
         sel_p = sel[np.arange(len(p)) % len(sel)]

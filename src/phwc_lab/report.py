@@ -52,8 +52,6 @@ CHECK_NAMES = (
 
 SCHEMA = "phwc-lab-report/1"
 
-# what a RunConfig field annotated "int" or "float" (or either "| None") must
-# hold; never a bool.  The annotations are strings (postponed evaluation).
 # every numeric RunConfig field and the values it takes; None means a default rule
 _NUMERIC_FIELDS = {
     "quadrature_order": "an integer or None",
@@ -545,7 +543,7 @@ def run_identities(scenario_id=None, n_points=100, seed=0):
 def report_document(body, wall_time):
     """The report of one run: ``body`` and the process's ``meta``.
 
-    ``meta`` holds the wall time, the hits and misses of the memo of
+    ``meta`` holds the wall time, the hits, misses and flushes of the memo of
     evaluations by point set since the process started (one CLI run), the
     bytes it holds, and the process's peak resident memory.
     """
@@ -559,6 +557,7 @@ def report_document(body, wall_time):
             "memo_hits": memo["hits"],
             "memo_misses": memo["misses"],
             "memo_held_bytes": memo["held_bytes"],
+            "memo_flushes": memo["flushes"],
             "peak_rss_mib": rss / (2**20 if sys.platform == "darwin" else 2**10),
         },
         "body": body,

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .autodiff import DiffConfig, tensor_jet
+from .autodiff import DiffConfig, _memo_empty, tensor_jet
 from .errors import UnknownScenario
 from .geometry import Box, ChartManifold
 from .maps import SmoothMap
@@ -478,7 +478,8 @@ def build_scenario(scenario_id, quad_order=None, validate=True, seed=0, fd_step=
     Validation re-derives the declared "expected" block with the checking
     modules at seeded sample points; see ``validation.validate_scenario``.
     ``fd_step`` overrides the central-difference step of every chart and map
-    in the scenario.
+    in the scenario.  Building one empties the memo of evaluations by point
+    set (``autodiff._memo``): its values live as long as their scenario.
     """
     from dataclasses import replace
 
@@ -490,6 +491,7 @@ def build_scenario(scenario_id, quad_order=None, validate=True, seed=0, fd_step=
     key = (scenario_id, order, validate, seed, fd_step)
     if key in _CACHE:
         return _CACHE[key]
+    _memo_empty()
     sc = _BUILDERS[scenario_id](order)
     if fd_step is not None:
         for obj in (sc.domain, sc.codomain, sc.map):

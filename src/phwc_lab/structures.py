@@ -25,7 +25,7 @@ from .geometry import (
     metric_norms,
     nabla_endomorphism,
 )
-from .maps import _adjoint, _jet_and_adjoint, horizontal_frame
+from .maps import adjoint_differential, horizontal_frame
 
 
 def _field(fn, x):
@@ -258,8 +258,8 @@ def _require_phwc(phi, residual):
 
 def phwc_residual(phi, structure, x):
     """Frobenius norm of F [dphi dphi^t, F] at phi(x); zero iff PHWC there."""
-    jet, adj = _jet_and_adjoint(phi, x)
-    return _commutator_norm(jet.dphi, adj, _struct_at(structure, jet.y))
+    jet = phi.jet(x)
+    return _commutator_norm(jet.dphi, adjoint_differential(phi, x), _struct_at(structure, jet.y))
 
 
 def phwc_residual_coordinates(phi, x):
@@ -305,11 +305,11 @@ def induced_f_structure(phi, J):
     def F_at(x):
         """F at the points x (N, m), and dim_C W."""
         jet = phi.jet(x)
-        g, ginv = phi.domain._metric_and_inverse(x)
+        g = phi.domain.metric_at(x, check=False)
         h = phi.codomain.metric_at(jet.y, check=False)
         # J once: phwc_residual would evaluate it again at the same images
         Jv = _struct_at(J, jet.y)
-        adj = _adjoint(ginv, jet.dphi, h)
+        adj = adjoint_differential(phi, x)
         _require_phwc(phi, _commutator_norm(jet.dphi, adj, Jv))
         u = j_adapted_frame(h, Jv, n_pairs)
         a = np.einsum("...ia,...ab->...ib", adj, u[..., 0::2])

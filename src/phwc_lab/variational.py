@@ -22,10 +22,10 @@ from .geometry import (
     two_form_norm2,
 )
 from .maps import (
-    _metric_and_projector,
     dilation_hwc,
     energy_density,
     horizontal_frame,
+    horizontal_projector,
     mean_curvature_fibres,
     pullback_metric,
     second_fundamental_form_tensor,
@@ -137,7 +137,8 @@ def z_field(phi, J, x):
 
 def _horizontal_norm(phi, x, v):
     """|P_H v|_g: the g-norm of the horizontal part of the vectors v at x."""
-    g, ph = _metric_and_projector(phi, x)
+    g = phi.domain.metric_at(x, check=False)
+    ph = horizontal_projector(phi, x)
     return _norm(g, np.einsum("...ij,...j->...i", ph, v))
 
 
@@ -240,7 +241,8 @@ def semiconformal_criticality(phi, J, x):
 
     dll = field_partials(loglam2, xb, h)
     grad = 0.5 * phi.domain.sharp(xb, dll)
-    g, ph = _metric_and_projector(phi, xb)
+    g = phi.domain.metric_at(xb, check=False)
+    ph = horizontal_projector(phi, xb)
     grad_h = np.einsum("...ij,...j->...i", ph, grad)
     mu = mean_curvature_fibres(phi, xb)
 
@@ -270,8 +272,8 @@ class WeylConnection:
     def gamma_correction(self, x):
         """Extra C^k_ij on top of the Levi-Civita symbols."""
         th = np.asarray(self.theta(x), dtype=float)
-        g, ginv = self.M._metric_and_inverse(x)
-        sharp = np.einsum("...ij,...j->...i", ginv, th)
+        g = self.M.metric_at(x, check=False)
+        sharp = np.einsum("...ij,...j->...i", self.M.inverse_metric_at(x), th)
         m = g.shape[-1]
         eye = np.eye(m)
         c = (

@@ -56,10 +56,12 @@ class TestRun:
             "memo_hits",
             "memo_misses",
             "memo_held_bytes",
+            "memo_flushes",
             "peak_rss_mib",
         }
         assert meta["memo_hits"] > 0 and meta["memo_misses"] > 0
         assert 0 < meta["memo_held_bytes"] and meta["peak_rss_mib"] > 1.0
+        assert meta["memo_flushes"] == 0
         # body holds what run_checks returns, and nothing of meta
         cfg = RunConfig("hopf-s3", checks=("criticality", "equivalence"))
         assert report_json(doc["body"]) == report_json(run_checks(cfg))

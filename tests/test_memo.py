@@ -2,9 +2,11 @@
 
 Every metric, inverse, Christoffel symbol, map jet, horizontal projector and
 induced F is computed once per point set and handed out again, read-only.
-Reuse must not move a bit of a report, must respect the differentiation
-config, and must stay within the memo's byte bounds.  Every test starts from
-an empty memo (the ``cold_memo`` fixture of conftest).
+Reuse must not move a bit of a report and must respect the differentiation
+config.  The memo lives as long as its scenario (a build empties it) and
+holds at most ``_MEMO_BYTES``: a store past that bound empties it first, and
+a larger value is handed out without being kept.  Every test starts from an
+empty memo (the ``cold_memo`` fixture of conftest).
 """
 
 import importlib
@@ -16,13 +18,22 @@ import numpy as np
 import pytest
 
 import phwc_lab
-from phwc_lab import autodiff, maps
+from phwc_lab import autodiff, maps, scenarios
 from phwc_lab.autodiff import DiffConfig, tensor_jet, tensor_second, tensor_value
 from phwc_lab.errors import DifferentiationFailure
 from phwc_lab.maps import SmoothMap, fibre_splitting, horizontal_projector
 from phwc_lab.report import RunConfig, report_json, run_checks, run_identities
 from phwc_lab.scenarios import build_scenario, scenario_ids
-from phwc_lab.stability import VariationField, VariationSpan, vertical_codifferential_formula
+from phwc_lab.stability import (
+    VariationField,
+    VariationSpan,
+    killing_fields_sphere,
+    killing_reduced_hessian,
+    random_variation_fields,
+    sasakian_hessian,
+    variation_from_killing,
+    vertical_codifferential_formula,
+)
 from phwc_lab.suites import identity_suites
 from phwc_lab.variational import (
     cond_1_1_residual,
@@ -92,9 +103,6 @@ def test_outputs_are_read_only():
             assert not out.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 out[...] = 0.0
-    # an uncached one too: the points above the per-entry bound
-    big = np.repeat(x, autodiff._MEMO_ENTRY_BYTES // x.nbytes + 1, axis=0)
-    assert not M.metric_at(big).flags.writeable
 
 
 def test_a_raising_compute_keeps_nothing(cold_memo):
@@ -118,27 +126,91 @@ def test_a_raising_compute_keeps_nothing(cold_memo):
     assert [k[0] for k in cold_memo._MEMO] == ["test"]
 
 
-def test_the_held_bytes_stay_within_the_bound(cold_memo):
+def test_the_held_bytes_stay_within_the_bound(cold_memo, monkeypatch):
+    """Under a bound of 256 KiB the sweep flushes, and no store ever finds the
+    memo above the bound or its count apart from its entries."""
+    bound = 256 << 10
+    monkeypatch.setattr(cold_memo, "_MEMO_BYTES", bound)
+    freeze = cold_memo._freeze
+
+    def checked(value):
+        held, total, _ = _held(cold_memo)
+        assert held == total <= bound
+        return freeze(value)
+
+    monkeypatch.setattr(cold_memo, "_freeze", checked)
     for sid in SWEEP:
         run_checks(RunConfig(sid, seed=3))
         run_identities(sid, n_points=100, seed=3)
-        held, total, largest = _held(cold_memo)
-        assert held == total <= cold_memo._MEMO_BYTES
-        assert largest <= cold_memo._MEMO_ENTRY_BYTES
+        held, total, _ = _held(cold_memo)
+        assert held == total <= bound
     stats = cold_memo._memo_stats()
-    assert stats["hits"] > stats["misses"] > 0
+    assert stats["flushes"] > 0 and stats["hits"] > stats["misses"] > 0
 
 
-def test_the_full_hopf_s5_rule_metric_is_not_kept(cold_memo):
+def test_a_build_empties_the_entries_but_keeps_the_counts(cold_memo, monkeypatch):
+    monkeypatch.setattr(scenarios, "_CACHE", {})
+    build_scenario("hopf-s3")
+    before = cold_memo._memo_stats()
+    assert before["held_bytes"] > 0 and before["misses"] > 0
+    build_scenario("hopf-s3")  # cached: nothing is built, nothing emptied
+    assert cold_memo._memo_stats() == before
+    build_scenario("flat-holo", validate=False)
+    assert len(cold_memo._MEMO) == 0 and _held(cold_memo) == (0, 0, 0)
+    after = cold_memo._memo_stats()
+    assert (after["hits"], after["misses"]) == (before["hits"], before["misses"])
+    assert after["flushes"] == 0  # a build's emptying is not a flush
+
+
+def test_a_store_past_the_bound_empties_the_memo_first(cold_memo, monkeypatch):
+    x = np.ones((4, 2))
+    owner = object()
+    size = 2 * x.nbytes  # the value p + k and the points
+    monkeypatch.setattr(cold_memo, "_MEMO_BYTES", 3 * size)
+    for k in range(3):
+        cold_memo._memo("test", owner, None, x + k, lambda p: p + k)
+    assert _held(cold_memo) == (3 * size, 3 * size, size)
+    value = cold_memo._memo("test", owner, None, x + 3, lambda p: p + 3)
+    assert _held(cold_memo) == (size, size, size)
+    assert cold_memo._memo_stats()["flushes"] == 1
+    assert cold_memo._memo("test", owner, None, x + 3, None) is value  # kept
+
+
+def test_a_value_above_the_bound_is_read_only_and_not_kept(cold_memo, monkeypatch):
+    sc = build_scenario("hopf-s3", validate=False)
+    x = sc.domain.random_points(np.random.default_rng(0), 5)
+    small = sc.domain.metric_at(x[:1])
+    monkeypatch.setattr(cold_memo, "_MEMO_BYTES", small.nbytes + x[:1].nbytes)
+    held = _held(cold_memo)
+    first = sc.domain.metric_at(x)
+    assert not first.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        first[...] = 0.0
+    assert _held(cold_memo) == held  # the kept entries are kept, the new one is not
+    again = sc.domain.metric_at(x)
+    assert np.array_equal(first, again) and again is not first
+    assert cold_memo._memo_stats()["flushes"] == 0
+
+
+def test_the_full_hopf_s5_rule_metric_is_kept(cold_memo):
     sc = build_scenario("hopf-s5", validate=False)
     nodes = sc.domain.quadrature.nodes
     assert len(nodes) == 7776
     cold_memo._memo_clear()
     first = sc.domain.metric_at(nodes, check=False)
-    assert len(cold_memo._MEMO) == 0 and _held(cold_memo) == (0, 0, 0)
-    again = sc.domain.metric_at(nodes, check=False)
-    assert np.array_equal(first, again) and again is not first
-    assert cold_memo._memo_stats()["misses"] == 2
+    assert _held(cold_memo)[0] == first.nbytes + nodes.nbytes  # 1.87 MB
+    assert sc.domain.metric_at(nodes, check=False) is first
+    assert cold_memo._memo_stats()["misses"] == 1
+
+
+@pytest.mark.parametrize("sid", scenario_ids())
+def test_a_catalog_run_does_not_flush(sid, cold_memo, monkeypatch):
+    """The bound's sizing: a newly built catalog scenario runs every check at
+    seed 1 and the catalog order within _MEMO_BYTES."""
+    monkeypatch.setattr(scenarios, "_CACHE", {})
+    run_checks(RunConfig(sid, seed=1))
+    stats = cold_memo._memo_stats()
+    assert stats["flushes"] == 0 and 0 < stats["held_bytes"] <= cold_memo._MEMO_BYTES
 
 
 def _count_evaluations(monkeypatch):
@@ -166,7 +238,7 @@ def _count_evaluations(monkeypatch):
     monkeypatch.setattr(
         maps,
         "_projector",
-        counted("projector", maps._projector, lambda phi, x, ginv: (phi, None, x)),
+        counted("projector", maps._projector, lambda phi, x: (phi, None, x)),
     )
     return counts
 
@@ -198,6 +270,35 @@ def test_vertical_codifferential_formula_evaluates_each_point_set_once(
     counts = _count_evaluations(monkeypatch)
     vertical_codifferential_formula(sc.map, sc.J, V, pts)
     assert counts and max(counts.values()) == 1
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda sc: sasakian_hessian(
+            sc.map,
+            sc.contact,
+            sc.J,
+            random_variation_fields(sc.map, 1, np.random.default_rng(0))[0],
+        ),
+        lambda sc: killing_reduced_hessian(
+            sc.map,
+            sc.contact,
+            sc.J,
+            variation_from_killing(sc.map, killing_fields_sphere(1).perpendicular()[0]),
+        ),
+    ],
+    ids=["sasakian_hessian", "killing_reduced_hessian"],
+)
+def test_the_contact_hessians_evaluate_each_point_set_once(call, monkeypatch):
+    """On hopf-s3's catalog rule (13 824 nodes, an 82 944-row stencil) the
+    variation field asks for the jets the oracle already holds: a lookup."""
+    sc = build_scenario("hopf-s3", validate=False)
+    assert len(sc.domain.quadrature.nodes) == 13824
+    counts = _count_evaluations(monkeypatch)
+    call(sc)
+    assert counts and max(counts.values()) == 1
+    assert max(k[3][0] for k in counts) == 6 * 13824
 
 
 @pytest.mark.parametrize("n_points", [60, 100])
@@ -276,11 +377,10 @@ def test_no_public_callable_takes_a_jet():
     assert takes_jet == []
 
 
-def test_a_point_set_above_the_entry_bound_is_evaluated_once_per_call(monkeypatch):
-    """Where nothing is kept, g, g^-1, P_H and the jet still come from one evaluation."""
+def test_the_full_hopf_s5_rule_is_evaluated_once_per_call(monkeypatch):
+    """g, g^-1, P_H and the jet on the 7 776 nodes are each evaluated once."""
     sc = build_scenario("hopf-s5", validate=False)
     nodes = sc.domain.quadrature.nodes
-    assert nodes.nbytes > autodiff._MEMO_ENTRY_BYTES
     v = np.ones_like(nodes)
     counts = _count_evaluations(monkeypatch)
     for call in (
