@@ -294,13 +294,14 @@ def horizontal_lift(phi, x, E):
     """Horizontal vector X with dphi(X) = E (submersions only)."""
     dphi = _submersion_jet(phi, x).dphi  # RankDeficient unless dphi is onto
     adj = adjoint_differential(phi, x)
-    return _lift(adj, dphi @ adj, E)
+    return _lift(adj, dphi @ adj, np.asarray(E, float)[..., None, :])[..., 0, :]
 
 
 def _lift(adj, q, E):
-    """dphi^t q^-1 E from the adjoint and q = dphi dphi^t (shared by a family of E)."""
-    sol = np.linalg.solve(q, np.asarray(E, float)[..., None])[..., 0]
-    return np.einsum("...ia,...a->...i", adj, sol)
+    """dphi^t q^-1 E_k for a stack E (..., K, n) from the adjoint and
+    q = dphi dphi^t, each q factored once for the K vectors: (..., K, m)."""
+    sol = np.linalg.solve(q, E.swapaxes(-1, -2))
+    return np.einsum("...ia,...ak->...ki", adj, sol)
 
 
 def horizontal_frame(phi, x):

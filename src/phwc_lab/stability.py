@@ -100,7 +100,7 @@ def ambient_killing_field(M, A):
 
     def X(x):
         e, Je = tensor_jet(M.embedding, x, M.diff)
-        return _killing_components(e, Je, M.metric_at(x, check=False), A)
+        return _killing_components(e, Je, M.metric_at(x, check=False), A[None])[..., 0, :]
 
     return X
 
@@ -108,17 +108,19 @@ def ambient_killing_field(M, A):
 def _killing_components(e, Je, g, A):
     """Chart components of p -> A p from the embedding jet (e, Je) and the metric g.
 
-    A is one generator (d, d), or a stack of them against operands with a
-    broadcast axis for the stack.
+    A is a stack of K generators (K, d, d); e (..., d), Je (..., d, m) and
+    g (..., m, m) are the values at the points.  Each metric is factored
+    once for the K right-hand sides.  Returns (..., K, m).
     """
-    Ap = np.einsum("...ef,...f->...e", A, e)
-    rhs = np.einsum("...ei,...e->...i", Je, Ap)
-    return np.linalg.solve(g, rhs[..., None])[..., 0]
+    Ap = np.einsum("kef,...f->...ek", A, e)
+    rhs = np.einsum("...ei,...ek->...ik", Je, Ap)
+    return np.linalg.solve(g, rhs).swapaxes(-1, -2)
 
 
 def _killing_variation(dphi, e, Je, g, A):
-    """v = dphi(X_A) from the map differential, the embedding jet and the metric."""
-    return np.einsum("...ai,...i->...a", dphi, _killing_components(e, Je, g, A))
+    """v_k = dphi(X_(A_k)) for a stack A (K, d, d) from the map differential,
+    the embedding jet and the metric: (..., K, dim N)."""
+    return np.einsum("...ai,...ki->...ka", dphi, _killing_components(e, Je, g, A))
 
 
 def killing_lie_residual(M, A, x):
@@ -144,7 +146,7 @@ def variation_from_killing(phi, A):
     def v_fn(p):
         dphi = phi.jet(p).dphi
         e, Je = tensor_jet(M.embedding, p, M.diff)
-        return _killing_variation(dphi, e, Je, M.metric_at(p, check=False), A)
+        return _killing_variation(dphi, e, Je, M.metric_at(p, check=False), A[None])[..., 0, :]
 
     return VariationField(map_id=phi.name, v_fn=v_fn)
 
@@ -229,7 +231,8 @@ def killing_span(phi, gens):
     """The span of v_A = dphi(X_A) over the skew ambient generators A of gens.
 
     The flat index is the generator's position.  The embedding jet and the
-    metric are computed once per call for every generator.
+    metric are computed, and each metric factored, once per call for every
+    generator.
     """
     M = phi.domain
     gens = np.asarray(gens, dtype=float)
@@ -238,7 +241,7 @@ def killing_span(phi, gens):
         jet = phi.jet(p)
         e, Je = tensor_jet(M.embedding, p, M.diff)
         g = M.metric_at(p, check=False)
-        return _killing_variation(jet.dphi[:, None], e[:, None], Je[:, None], g[:, None], gens)
+        return _killing_variation(jet.dphi, e, Je, g, gens)
 
     return VariationSpan(phi.name, sections, (len(gens),))
 
@@ -426,7 +429,7 @@ def hessian_matrix(phi, J, span, rules=None, contact=None):
         if contact is not None:
             _submersion_jet(phi, p)  # the lift needs dphi onto
             adj = adjoint_differential(phi, p)
-            out.append(_lift(adj[:, None], (jet.dphi @ adj)[:, None], vv))
+            out.append(_lift(adj, jet.dphi @ adj, vv))
         return np.concatenate(out, axis=-1)
 
     def evaluate(x):
@@ -474,9 +477,8 @@ def hessian_matrix(phi, J, span, rules=None, contact=None):
             H += 0.5 * _weighted_gram(ginv @ dA @ ginv, dA, w)
             # Omega(b_k, nabla_Z b_l), symmetrized with H below
             dphiZ = np.einsum("...ai,...i->...a", dphi, z)
-            nabla_v = np.einsum("bkgi,bi->bkg", dv, z) + np.einsum(
-                "bgac,ba,bkc->bkg", gammaN, dphiZ, vv, optimize=True
-            )
+            gz = np.einsum("bgac,ba->bgc", gammaN, dphiZ)
+            nabla_v = np.einsum("bkgi,bi->bkg", dv, z) + vv @ gz.swapaxes(-1, -2)
             H += _weighted_gram(vv @ om, nabla_v, w)
             G += _weighted_gram(vv, vv @ h_y, w)
             if contact is None:
@@ -588,7 +590,7 @@ def _contact_frame(phi, ctx, nodes):
 
 def _pair_components(frame, dA, n):
     """The frame components of dA over |I| != |J| index pairs, zero elsewhere."""
-    D = np.einsum("...iI,...ij,...jJ->...IJ", frame, dA, frame, optimize=True)
+    D = frame.swapaxes(-1, -2) @ dA @ frame
     pair = np.arange(2 * n) // 2
     return D * (pair[:, None] != pair[None, :])
 

@@ -8,6 +8,7 @@ import pytest
 
 from phwc_lab.errors import EigenframeDegenerate, NotCritical, NotSasakianScenario
 from phwc_lab.geometry import covariant_derivative_vector, torus_offsets, torus_rules
+from phwc_lab.maps import _lift, adjoint_differential, horizontal_lift
 from phwc_lab.report import RunConfig, run_checks
 from phwc_lab.scenarios import build_scenario
 from phwc_lab import autodiff, report, stability
@@ -349,6 +350,42 @@ class TestKillingHessianFamily:
                 monkeypatch.setattr(module, "field_partials", counting)
         report._check_hessian(sc, cfg, None)
         assert nodes == [2 * 36] * 3
+
+    def test_hessian_check_factors_each_matrix_once(self, monkeypatch):
+        # the killing-s5 check: each metric (5 x 5) and each q = dphi dphi^t
+        # (4 x 4) is factored once for all six sections, at the 72 nodes of
+        # both torus rules and at their 720 stencil rows; with P_H's q and the
+        # contact phi at the nodes that is 2 x 792 + 2 x 72 matrices.  A stack
+        # (N, 1, k, k) against (N, 6, k, 1) would factor each one six times.
+        sc = build_scenario("hopf-s5", validate=False)
+        cfg = RunConfig("hopf-s5", checks=("hessian",), seed=1, hessian_generators=0)
+        real, stacks = np.linalg.solve, []
+
+        def recording(a, b):
+            stacks.append((np.shape(a)[:-2], np.shape(b)[:-2]))
+            return real(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", recording)
+        report._check_hessian(sc, cfg, None)
+        assert stacks and all(a == b for a, b in stacks)
+        assert sum(int(np.prod(a)) for a, _ in stacks) == 1728
+
+    def test_stacked_sections_and_lifts_match_single_fields(self):
+        # one factorization for six columns against six one-column solves,
+        # on a torus rule of the check: equal up to roundoff of the largest
+        # entry (the lifts' columns mix through q^-1; their sizes span 1 to 313)
+        sc = build_scenario("hopf-s5", validate=False)
+        phi, p = sc.map, sc.domain.node_rules[0].nodes
+        gens = killing_fields_sphere(2).perpendicular()
+        vv = killing_span(phi, gens).sections(p)
+        adj = adjoint_differential(phi, p)
+        lifts = _lift(adj, phi.jet(p).dphi @ adj, vv)
+        assert vv.shape[:2] == lifts.shape[:2] == (len(p), len(gens))
+        for k, A in enumerate(gens):
+            v = variation_from_killing(phi, A).v_at(p)
+            X = horizontal_lift(phi, p, vv[:, k])
+            assert np.max(np.abs(vv[:, k] - v)) <= 1e-14 * np.max(np.abs(vv))
+            assert np.max(np.abs(lifts[:, k] - X)) <= 1e-14 * np.max(np.abs(lifts))
 
     def test_one_evaluation_for_both_torus_rules(self, s5):
         # all six generators with contact: each rule's forms bitwise what a
