@@ -304,6 +304,47 @@ def _lift(adj, q, E):
     return np.einsum("...ia,...ak->...ki", adj, sol)
 
 
+def _along(dT, dphi):
+    """The partials of T o phi from those of T at phi(x), (N, *s, n), and dphi
+    (N, n, m), by the chain rule: (m, N, *s), derivative axis first."""
+    d = dT.reshape(len(dT), -1, dT.shape[-1]) @ dphi
+    return np.moveaxis(d.reshape(dT.shape[:-1] + dphi.shape[-1:]), -1, 0)
+
+
+def _lift_jet(phi, x, E, dE):
+    """The lifts X_k = dphi^t q^-1 E_k (horizontal_lift) of a stack E (N, K, n)
+    and their partials, from the partials dE (m, N, K, n) of E.
+
+    d(dphi^t) comes from phi's second jet and the metric jets, with
+    d(g^-1) = -g^-1 dg g^-1; each q = dphi dphi^t is factored once for the K
+    lifts and their partials, with d(q^-1) = -q^-1 dq q^-1.  RankDeficient
+    unless dphi is onto at x.  Returns X (N, K, m) and dX (m, N, K, m),
+    derivative axis first.
+    """
+    _submersion_jet(phi, x)
+    jet = phi.second_jet(x)
+    dphi, ddphi = jet.dphi, np.moveaxis(jet.d2phi, -1, 0)  # ddphi[i] = d_i dphi
+    dg = np.moveaxis(phi.domain.metric_jet(x)[1], -1, 0)
+    h, dh = phi.codomain.metric_jet(jet.y)
+    adj = adjoint_differential(phi, x)  # g^-1 dphi^T h
+    d_adj = phi.domain.inverse_metric_at(x) @ (
+        ddphi.swapaxes(-1, -2) @ h + dphi.swapaxes(-1, -2) @ _along(dh, dphi) - dg @ adj
+    )
+    q = dphi @ adj
+    dq = ddphi @ adj + dphi @ d_adj
+    N, K, n = E.shape
+    m = len(dE)
+    # columns: E_k, then d_i E_k and d_i q, derivative-major
+    rhs = [E.swapaxes(-1, -2), dE.transpose(1, 3, 0, 2), dq.transpose(1, 2, 0, 3)]
+    sol = np.linalg.solve(q, np.concatenate([r.reshape(N, n, -1) for r in rhs], axis=-1))
+    u = sol[..., :K]  # q^-1 E
+    du = np.moveaxis(sol[..., K : K + m * K].reshape(N, n, m, K), -2, 0)
+    du -= np.moveaxis(sol[..., K + m * K :].reshape(N, n, m, n), -2, 0) @ u
+    X = adj @ u
+    dX = d_adj @ u + adj @ du
+    return X.swapaxes(-1, -2), dX.swapaxes(-1, -2)
+
+
 def horizontal_frame(phi, x):
     """g-orthonormal horizontal frame columns (..., m, n), smooth in x.
 

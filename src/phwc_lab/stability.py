@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .autodiff import field_partials, tensor_jet
+from .autodiff import _check_finite, field_partials, tensor_jet, tensor_second
 from .errors import EigenframeDegenerate, NonFiniteIntegrand, NotCritical, NotSasakianScenario
 from .geometry import (
     _batch,
@@ -24,9 +24,7 @@ from .geometry import (
     two_form_norm2,
 )
 from .maps import (
-    _lift,
-    _submersion_jet,
-    adjoint_differential,
+    _lift_jet,
     horizontal_frame,
     horizontal_lift,
     pullback_metric,
@@ -34,7 +32,12 @@ from .maps import (
 )
 from .scenarios import ambient_complex_rotation
 from .structures import cond_b_residual, induced_f_structure, j_adapted_frame
-from .variational import criticality_residual, pullback_two_form_field, z_field
+from .variational import (
+    _omega_dphi_jet,
+    criticality_residual,
+    pullback_two_form_field,
+    z_field,
+)
 
 __all__ = [
     "VariationField",
@@ -117,6 +120,29 @@ def _killing_components(e, Je, g, A):
     return np.linalg.solve(g, rhs).swapaxes(-1, -2)
 
 
+def _killing_jet(e, Je, He, g, dg, A):
+    """X_k = g^-1 Je^T A_k e (``_killing_components``) for a stack A (K, d, d)
+    and the partials of X_k, from the embedding's second jet (e, Je, He) and
+    the metric jet (g, dg), derivative index last.
+
+    Each metric is factored once for the K right-hand sides, their partials
+    and the partials of g: d(g^-1) = -g^-1 dg g^-1.  Returns X (N, K, m) and
+    dX (m, N, K, m), derivative axis first.
+    """
+    N, m = Je.shape[0], Je.shape[-1]
+    K = len(A)
+    Ap = np.einsum("kef,nf->nek", A, e)  # (N, d, K)
+    Je_t = Je.swapaxes(-1, -2)
+    d_rhs = np.moveaxis(He, -1, 0).swapaxes(-1, -2) @ Ap + Je_t @ np.einsum("kef,nfi->inek", A, Je)
+    # columns: Je^T A_k e, then d_i (Je^T A_k e) and d_i g, derivative-major
+    rhs = [Je_t @ Ap, d_rhs.transpose(1, 2, 0, 3), dg.transpose(0, 1, 3, 2)]
+    sol = np.linalg.solve(g, np.concatenate([r.reshape(N, m, -1) for r in rhs], axis=-1))
+    X = sol[..., :K]
+    dX = np.moveaxis(sol[..., K : K + m * K].reshape(N, m, m, K), -2, 0)
+    dX -= np.moveaxis(sol[..., K + m * K :].reshape(N, m, m, m), -2, 0) @ X
+    return X.swapaxes(-1, -2), dX.swapaxes(-1, -2)
+
+
 def _killing_variation(dphi, e, Je, g, A):
     """v_k = dphi(X_(A_k)) for a stack A (K, d, d) from the map differential,
     the embedding jet and the metric: (..., K, dim N)."""
@@ -155,8 +181,9 @@ def variation_from_killing(phi, A):
 class VariationSpan:
     """The linear span of K basis sections b_k along a map.
 
-    ``sections(p)`` gives every b_k at the points p, (N, K, dim N); like a
-    VariationField's ``v_fn`` it asks for the map jet it needs.  A
+    ``section_jet(p)`` gives every b_k at the points p, (N, K, dim N), and
+    their exact first partials, (m, N, K, dim N) with the derivative axis
+    first; like a VariationField's ``v_fn`` it asks for the jets it needs.  A
     coefficient array c of ``shape`` (K entries, flat index k) names the
     section sum_k c_k b_k.  ``bandwidth`` B, if declared, bounds the Fourier
     modes of the sections' products along every periodic axis of the domain:
@@ -167,13 +194,17 @@ class VariationSpan:
     """
 
     map_id: str
-    sections: object
+    section_jet: object
     shape: tuple
     bandwidth: int | None = None
 
     @property
     def dim(self):
         return int(np.prod(self.shape))
+
+    def sections(self, p):
+        """Every b_k at the points p: (N, K, dim N)."""
+        return self.section_jet(p)[0]
 
     def field(self, c):
         """The section with coefficients c."""
@@ -196,7 +227,8 @@ def polynomial_span(phi, degree=2):
     The sections are b_(a,f) = feature_f(p) e_a, coefficient shape (dim N, F),
     flat index k = a * F + f.  A feature has Fourier degree <= ``degree`` in
     each theta of a torus chart, and the forms are bilinear in the sections,
-    so the span declares bandwidth 2 * degree.
+    so the span declares bandwidth 2 * degree.  The features' partials come
+    from the embedding's jet by the product rule.
     """
     if degree not in (1, 2):
         raise ValueError(f"polynomial_span takes degree 1 or 2, got {degree!r}")
@@ -205,45 +237,52 @@ def polynomial_span(phi, degree=2):
     n = phi.codomain.dim
 
     def features(p):
-        e = np.asarray(tensor_jet(embedding, p, M.diff)[0], dtype=float)
-        cols = [np.ones(len(p))]
+        """The features (N, F) and their partials (N, F, m)."""
+        e, de = tensor_jet(embedding, p, M.diff)
+        cols, dcols = [np.ones(len(p))], [np.zeros(de[:, 0].shape)]
         d = e.shape[1]
         cols.extend(e[:, i] for i in range(d))
+        dcols.extend(de[:, i] for i in range(d))
         if degree == 2:
             for i in range(d):
                 for j in range(i, d):
                     cols.append(e[:, i] * e[:, j])
-        return np.stack(cols, axis=1)
+                    dcols.append(de[:, i] * e[:, j, None] + e[:, i, None] * de[:, j])
+        return np.stack(cols, axis=1), np.stack(dcols, axis=1)
 
-    def sections(p):
-        feats = features(p)
+    def section_jet(p):
+        feats, dfeats = features(p)
         N, F = feats.shape
         out = np.zeros((N, n, F, n))
+        dout = np.zeros((M.dim, N, n, F, n))
         for a in range(n):
             out[:, a, :, a] = feats
-        return out.reshape(N, n * F, n)
+            dout[:, :, a, :, a] = np.moveaxis(dfeats, -1, 0)
+        return out.reshape(N, n * F, n), dout.reshape(M.dim, N, n * F, n)
 
-    n_feat = features(M.node_rules[0].nodes[:1]).shape[1]
-    return VariationSpan(phi.name, sections, (n, n_feat), bandwidth=2 * degree)
+    n_feat = features(M.node_rules[0].nodes[:1])[0].shape[1]
+    return VariationSpan(phi.name, section_jet, (n, n_feat), bandwidth=2 * degree)
 
 
 def killing_span(phi, gens):
     """The span of v_A = dphi(X_A) over the skew ambient generators A of gens.
 
-    The flat index is the generator's position.  The embedding jet and the
-    metric are computed, and each metric factored, once per call for every
+    The flat index is the generator's position.  The partials of v_A come by
+    the product rule from phi's second jet, the embedding's second jet and
+    the metric jet (``_killing_jet``), computed once per call for every
     generator.
     """
     M = phi.domain
     gens = np.asarray(gens, dtype=float)
 
-    def sections(p):
-        jet = phi.jet(p)
-        e, Je = tensor_jet(M.embedding, p, M.diff)
-        g = M.metric_at(p, check=False)
-        return _killing_variation(jet.dphi, e, Je, g, gens)
+    def section_jet(p):
+        mj = phi.second_jet(p)
+        X, dX = _killing_jet(*tensor_second(M.embedding, p, M.diff), *M.metric_jet(p), gens)
+        dphi_t = mj.dphi.swapaxes(-1, -2)
+        d_dphi_t = np.moveaxis(mj.d2phi, -1, 0).swapaxes(-1, -2)  # (d_i dphi)^T
+        return X @ dphi_t, dX @ dphi_t + X @ d_dphi_t
 
-    return VariationSpan(phi.name, sections, (len(gens),))
+    return VariationSpan(phi.name, section_jet, (len(gens),))
 
 
 def random_variation_fields(phi, count, rng, degree=2):
@@ -346,11 +385,10 @@ def hessian_suite(phi, J, v_fields):
     return out
 
 
-# stencil rows (2m per node) of one chunk of the forms' sums: each rule's
-# sums run over chunks of SPAN_BLOCK // (2m) of its nodes, in node order,
-# which fixes their rounding
-SPAN_BLOCK = 512
-# bytes of the stacked stencil values of one hessian_matrix evaluation batch
+# nodes of one chunk of the forms' sums: each rule's sums run over chunks of
+# SPAN_BLOCK of its nodes, in node order, which fixes their rounding
+SPAN_BLOCK = 64
+# bytes of the stacked partials of the pieces of one hessian_matrix evaluation batch
 SPAN_BATCH_BYTES = 1 << 20
 # eigenvalues of the Gram matrix below this fraction of its largest are null
 GRAM_RANK_CUT = 1e-10
@@ -395,21 +433,23 @@ def hessian_matrix(phi, J, span, rules=None, contact=None):
     of ``rules``, with H_kl = B(b_k, b_l) the polarized second variation and
     G_kl = integral h(b_k, b_l), so that the section with flat coefficients
     c has Hess = c.H.c and |v|^2 = c.G.c.  With a ``contact`` structure the
-    same stencil also carries the horizontal lifts X_k of the sections, and
+    pieces also carry the horizontal lifts X_k of the sections, and
     ``reduced`` and ``sasakian`` are the polarized forms of
     killing_reduced_hessian and sasakian_hessian.  ``rules`` are rules of
     the domain (default: its quadrature alone), e.g. from span_rule,
     ChartManifold.rule or geometry.torus_rules.
 
+    The partials of the pieces [b_k, iota_(b_k) Omega . dphi, X_k] are
+    exact: the span's ``section_jet`` gives (b, db), and the product rule
+    adds phi's second jet, Omega's jet (``omega_jet``) and, for the lifts,
+    the metric jets (``maps._lift_jet``).  No step enters H, G or Z.
     Every node-set evaluation runs once on the rules' nodes stacked in
     order: Z and the criticality gate of hessian_suite, then, a batch of
-    nodes at a time, one field_partials stencil of the pieces [b_k,
-    iota_(b_k) Omega . dphi, X_k], the pieces themselves, the map jet and
-    the Reeb and contact-frame values.  A batch holds at most
-    SPAN_BATCH_BYTES of stacked stencil values, one node's 2m rows if it
-    must hold more.  Each rule's forms sum over its own nodes in chunks of
-    SPAN_BLOCK // (2m) nodes, so they do not depend on the other rules or
-    on the batches.
+    nodes at a time, the pieces and their partials, the map jet and the
+    Reeb and contact-frame values.  A batch holds at most SPAN_BATCH_BYTES
+    of stacked partials, one node's if it must hold more.  Each rule's
+    forms sum over its own nodes in chunks of SPAN_BLOCK nodes, so they do
+    not depend on the other rules or on the batches.
     """
     M = phi.domain
     rules = [M.quadrature] if rules is None else list(rules)
@@ -421,25 +461,23 @@ def hessian_matrix(phi, J, span, rules=None, contact=None):
     nc = n // 2  # complex dimension of the codomain
     width = n + m if contact is None else n + 2 * m  # pieces of one section
 
-    def pieces(p):
-        """[b_k, iota_(b_k) Omega . dphi(, X_k)] at the points p: (N, K, width)."""
-        jet = phi.jet(p)
-        vv = span.sections(p)
-        out = [vv, vv @ (J.omega_at(jet.y) @ jet.dphi)]
-        if contact is not None:
-            _submersion_jet(phi, p)  # the lift needs dphi onto
-            adj = adjoint_differential(phi, p)
-            out.append(_lift(adj, jet.dphi @ adj, vv))
-        return np.concatenate(out, axis=-1)
-
     def evaluate(x):
-        """What the sums read at the nodes x, from one stencil of the pieces."""
-        jet = phi.jet(x)
+        """What the sums read at the nodes x: first the partials (N, K, width, m)
+        and the values (N, K, width) of the pieces."""
+        jet, om, om_dphi, d_om_dphi = _omega_dphi_jet(phi, J, x)
+        b, db = span.section_jet(x)
+        values, partials = [b, b @ om_dphi], [db, db @ om_dphi + b @ d_om_dphi]
+        if contact is not None:
+            X, dX = _lift_jet(phi, x, b, db)
+            values.append(X)
+            partials.append(dX)
+        partials = np.concatenate(partials, axis=-1)
+        _check_finite(partials)
         out = [
-            field_partials(pieces, x, phi.diff.fd_step),
-            pieces(x),
+            np.moveaxis(partials, 0, -1),
+            np.concatenate(values, axis=-1),
             jet.dphi,
-            J.omega_at(jet.y),
+            om,
             phi.codomain.christoffel_at(jet.y),
             phi.codomain.metric_at(jet.y, check=False),
             M.inverse_metric_at(x),
@@ -450,13 +488,12 @@ def hessian_matrix(phi, J, span, rules=None, contact=None):
         return out
 
     forms = np.zeros((len(rules), 2 if contact is None else 4, K, K))
-    size = max(1, SPAN_BLOCK // (2 * m))  # nodes a chunk
-    cap = max(1, SPAN_BATCH_BYTES // (2 * m * K * width * 8))  # nodes a batch
+    cap = max(1, SPAN_BATCH_BYTES // (K * width * m * 8))  # nodes a batch
     ends = np.cumsum([0] + [len(r.nodes) for r in rules])
     chunks = [
-        (lo, min(lo + size, hi), r)
+        (lo, min(lo + SPAN_BLOCK, hi), r)
         for r, (start, hi) in enumerate(zip(ends[:-1], ends[1:]))
-        for lo in range(start, hi, size)
+        for lo in range(start, hi, SPAN_BLOCK)
     ]
     for batch in _batches(chunks, cap):
         lo, hi = batch[0][0], batch[-1][1]

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .autodiff import _memo
+from .autodiff import _memo, field_partials, tensor_jet
 from .errors import (
     ComplexChartMissing,
     IsotropyFailure,
@@ -73,7 +73,7 @@ class AlmostHermitianStructure:
     derivative checks then use exact dual-number differentiation.
     """
 
-    memo_key = None  # as an f-structure, nothing derived from it is kept
+    memo_key = None  # as an f-structure, no F div F of it is kept
 
     def __init__(self, base, J, name="J", expr=None):
         self.base = base
@@ -98,6 +98,30 @@ class AlmostHermitianStructure:
         J = self.J_at(y)
         return np.einsum("...ki,...kj->...ij", J, h)
 
+    def J_jet(self, y):
+        """J and its partials at the points y (N, dim), derivative index last.
+
+        The partials come from ``expr`` by dual numbers when it is given,
+        else from central differences of J_at at y, on these rows only; the
+        differences are exact for a constant J.  Read-only; one evaluation
+        per point set.
+        """
+
+        def compute(p):
+            if self.expr is not None:
+                return self.J_at(p), tensor_jet(self.expr, p, self.base.diff)[1]
+            return self.J_at(p), field_partials(self.J_at, p, self.base.diff.fd_step)
+
+        return _memo("J_jet", self, self.base.diff, y, compute)
+
+    def omega_jet(self, y):
+        """Omega (omega_at) and its partials at the points y (N, dim), derivative
+        index last, by the product rule from J's jet and the metric jet."""
+        J, dJ = self.J_jet(y)
+        h, dh = self.base.metric_jet(y)
+        d_om = np.einsum("...kia,...kj->...ija", dJ, h)
+        return self.omega_at(y), d_om + np.einsum("...ki,...kja->...ija", J, dh)
+
     def check_invariants(self, points):
         """max |J^2 + I|, |J^T h J - h|, |Omega + Omega^T| at the points."""
         J = self.J_at(points)
@@ -111,12 +135,7 @@ class AlmostHermitianStructure:
 
     def check_kaehler(self, points, tol=1e-8):
         """Verify nabla J = 0 at the sample points; caches the verdict."""
-        dJ = None
-        if self.expr is not None:
-            from .autodiff import tensor_jet
-
-            _, dJ = tensor_jet(self.expr, points, self.base.diff)
-        nab = nabla_endomorphism(self.base, self.J_at, points, dF=dJ)
+        nab = nabla_endomorphism(self.base, self.J_at, points, dF=self.J_jet(points)[1])
         worst = float(np.max(np.abs(nab)))
         self.kaehler = worst < tol
         return worst

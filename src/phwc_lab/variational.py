@@ -15,6 +15,7 @@ from .errors import DimensionTooSmall, NotSemiconformal
 from .geometry import (
     TWO_FORM_CONVENTION,
     _batch,
+    _nabla_two_tensor,
     _norm,
     codifferential_two_form,
     endomorphism_divergence,
@@ -22,6 +23,7 @@ from .geometry import (
     two_form_norm2,
 )
 from .maps import (
+    _along,
     dilation_hwc,
     energy_density,
     horizontal_frame,
@@ -37,7 +39,7 @@ from .structures import (
     j_adapted_frame,
     phwc_residual,
 )
-from .autodiff import field_partials
+from .autodiff import _check_finite, field_partials
 
 __all__ = [
     "EnergyReport",
@@ -129,10 +131,34 @@ def fh_energy(phi, J, alpha, p_exponent=4.0, rule=None):
 # criticality
 
 
+def _omega_dphi_jet(phi, J, x):
+    """Omega dphi at the points x (N, m) and its partials (m, N, n, m),
+    derivative axis first, by the product rule from phi's second jet and
+    Omega's jet (``omega_jet``); with that jet and Omega."""
+    jet = phi.second_jet(x)
+    om, d_om = J.omega_jet(jet.y)
+    d_om_dphi = _along(d_om, jet.dphi) @ jet.dphi + om @ np.moveaxis(jet.d2phi, -1, 0)
+    return jet, om, om @ jet.dphi, d_om_dphi
+
+
 def z_field(phi, J, x):
-    """Z = sharp of the codifferential of the pullback 2-form."""
-    delta = codifferential_two_form(phi.domain, pullback_two_form_field(phi, J), x)
-    return phi.domain.sharp(x, delta)
+    """Z = sharp of the codifferential of the pullback 2-form, at (m,) or (N, m).
+
+    The partials of phi*Omega = dphi^T Omega dphi come by the product rule
+    from phi's second jet and Omega's jet (``omega_jet``), so no step enters
+    Z; (delta w)_k = -g^ij (nabla_i w)_jk.  The second jet is the one the
+    tension and criticality residuals read at the same points.
+    """
+    M = phi.domain
+    xb, squeeze = _batch(x)
+    jet, _, om_dphi, d_om_dphi = _omega_dphi_jet(phi, J, xb)
+    dphi_t = jet.dphi.swapaxes(-1, -2)
+    d_pb = np.moveaxis(jet.d2phi, -1, 0).swapaxes(-1, -2) @ om_dphi + dphi_t @ d_om_dphi
+    _check_finite(d_pb)
+    nab = _nabla_two_tensor(M, None, xb, Tv=dphi_t @ om_dphi, dT=np.moveaxis(d_pb, 0, -1))
+    delta = -np.einsum("...ij,...ijk->...k", M.inverse_metric_at(xb), nab)
+    z = M.sharp(xb, delta)
+    return z[0] if squeeze else z
 
 
 def _horizontal_norm(phi, x, v):
@@ -346,7 +372,7 @@ def tension_phwc(phi, J, x):
     if not J.kaehler:
         from .geometry import nabla_endomorphism
 
-        nabJ = nabla_endomorphism(phi.codomain, lambda y: J.J_at(y), jet.y)
+        nabJ = nabla_endomorphism(phi.codomain, J.J_at, jet.y, dF=J.J_jet(jet.y)[1])
         ginv = phi.domain.inverse_metric_at(xb)
         divphiJ = np.einsum(
             "...ij,...ai,...bj,...agb->...g", ginv, jet.dphi, jet.dphi, nabJ

@@ -101,7 +101,7 @@ def test_criterion_2_z_field_vertical_value():
 
 @pytest.fixture(scope="module")
 def killing_hessians():
-    # one stencil per scenario gives the Hessian, |v|^2, the reduced
+    # one evaluation per scenario gives the Hessian, |v|^2, the reduced
     # integrand and the Sasakian expansion of every filtered generator (the
     # diagonals of the Killing span's forms), on the hessian check's first
     # torus rule (one node per theta axis); the energy second-difference

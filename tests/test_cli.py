@@ -11,7 +11,7 @@ import pytest
 
 import phwc_lab
 
-from phwc_lab import cli
+from phwc_lab import cli, scenarios
 from phwc_lab.errors import ConfigError
 from phwc_lab.report import RunConfig, report_json, run_checks
 from phwc_lab.scenarios import scenario_ids
@@ -87,9 +87,17 @@ class TestRun:
     def test_out_of_range_flag_exit_2(self, capsys):
         assert run_cli(["run", "--scenario", "flat-holo", "--fd-step", "1.0"]) == 2
 
-    def test_registration_failure_exit_2(self, capsys):
-        # a coarse step breaks the criticality expectation at registration
-        code = run_cli(["run", "--scenario", "hopf-s3", "--checks", "phwc", "--fd-step", "1e-2"])
+    def test_registration_failure_exit_2(self, capsys, monkeypatch):
+        # hopf-s3's builder hands registration a non-critical map, the warped
+        # Hopf map, under hopf-s3's expectations: its criticality is refused
+        def warped_as_hopf_s3(order):
+            sc = scenarios._build_warped_hopf(order)
+            sc.expected = scenarios._build_hopf(1, order).expected
+            return sc
+
+        monkeypatch.setattr(scenarios, "_CACHE", {})
+        monkeypatch.setitem(scenarios._BUILDERS, "hopf-s3", warped_as_hopf_s3)
+        code = run_cli(["run", "--scenario", "hopf-s3", "--checks", "phwc"])
         assert code == 2
         err = capsys.readouterr().err
         assert "failed registration validation" in err

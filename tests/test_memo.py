@@ -213,6 +213,14 @@ def test_a_catalog_run_does_not_flush(sid, cold_memo, monkeypatch):
     assert stats["flushes"] == 0 and 0 < stats["held_bytes"] <= cold_memo._MEMO_BYTES
 
 
+def test_hopf_s7_at_order_8_flushes_once(cold_memo, monkeypatch):
+    """Above the catalog order the memo flushes: once on hopf-s7 at order 8
+    (512 nodes a torus rule), where no stencil row's jet is kept."""
+    monkeypatch.setattr(scenarios, "_CACHE", {})
+    run_checks(RunConfig("hopf-s7", quadrature_order=8, seed=1))
+    assert cold_memo._memo_stats()["flushes"] == 1
+
+
 def _count_evaluations(monkeypatch):
     """Count every uncached evaluation by (evaluator, owner, config, point set)."""
     counts = Counter()

@@ -6,9 +6,10 @@ import sys
 import numpy as np
 import pytest
 
+from phwc_lab.autodiff import field_partials
 from phwc_lab.errors import EigenframeDegenerate, NotCritical, NotSasakianScenario
 from phwc_lab.geometry import covariant_derivative_vector, torus_offsets, torus_rules
-from phwc_lab.maps import _lift, adjoint_differential, horizontal_lift
+from phwc_lab.maps import _lift, _lift_jet, adjoint_differential, horizontal_lift
 from phwc_lab.report import RunConfig, run_checks
 from phwc_lab.scenarios import build_scenario
 from phwc_lab import autodiff, report, stability
@@ -33,24 +34,17 @@ from phwc_lab.stability import (
     variation_l2_norm2,
     vertical_codifferential_formula,
 )
+from phwc_lab.variational import z_field
 
 
-def _stencils(monkeypatch):
-    """Record the stacked rows (2m per node) and the bytes of the stacked values
-    of each stability-module stencil."""
-    calls = []
-    real = stability.field_partials
+def _recorded_span(span, calls):
+    """The span with a section_jet that records the node count of each call."""
 
-    def recording(field, x, h):
-        def recorded(p):
-            values = np.asarray(field(p), dtype=float)
-            calls.append((len(p), values.nbytes))
-            return values
+    def section_jet(p):
+        calls.append(len(p))
+        return span.section_jet(p)
 
-        return real(recorded, x, h)
-
-    monkeypatch.setattr(stability, "field_partials", recording)
-    return calls
+    return stability.VariationSpan(span.map_id, section_jet, span.shape, span.bandwidth)
 
 
 @pytest.fixture(scope="module")
@@ -245,14 +239,14 @@ class TestSasakianHessian:
             assert abs(red / n2 + 4.0) < 0.04
 
 
-def _block_invariance(sc, span, contact, monkeypatch, one_block_rows, small_rows):
+def _block_invariance(sc, span, contact, monkeypatch, one_block, small_block):
     """The forms of one block against those of many blocks, within 1e-12 of each form's
     scale: its largest entry or the Gram matrix's (|v|^2), whichever is larger, since
     a neutral Hessian is summation roundoff at the |v|^2 scale."""
     [forms] = hessian_matrix(sc.map, sc.J, span, contact=contact)
-    monkeypatch.setattr(stability, "SPAN_BLOCK", one_block_rows)
+    monkeypatch.setattr(stability, "SPAN_BLOCK", one_block)
     [one] = hessian_matrix(sc.map, sc.J, span, contact=contact)
-    monkeypatch.setattr(stability, "SPAN_BLOCK", small_rows)
+    monkeypatch.setattr(stability, "SPAN_BLOCK", small_block)
     [many] = hessian_matrix(sc.map, sc.J, span, contact=contact)
     gram_scale = np.max(np.abs(forms.gram))
     for want, a, b in zip(forms, one, many):
@@ -264,12 +258,15 @@ def _block_invariance(sc, span, contact, monkeypatch, one_block_rows, small_rows
             assert np.max(np.abs(got - want)) <= 1e-12 * scale
 
 
-def _batch_rows(sc, span, contact, monkeypatch):
-    """Stencil rows of each batch; no stencil holds above SPAN_BATCH_BYTES of values."""
-    calls = _stencils(monkeypatch)
-    hessian_matrix(sc.map, sc.J, span, contact=contact)
-    assert max(nbytes for _, nbytes in calls) <= stability.SPAN_BATCH_BYTES
-    return [rows for rows, _ in calls]
+def _batch_nodes(sc, span, contact):
+    """Nodes of each evaluation batch; no batch holds above SPAN_BATCH_BYTES of
+    stacked partials, N x K x width x m doubles."""
+    calls = []
+    hessian_matrix(sc.map, sc.J, _recorded_span(span, calls), contact=contact)
+    m, n = sc.domain.dim, sc.codomain.dim
+    width = n + m if contact is None else n + 2 * m
+    assert max(calls) * span.dim * width * m * 8 <= stability.SPAN_BATCH_BYTES
+    return calls
 
 
 def _batch_invariance(sc, span, contact, monkeypatch, small_bytes):
@@ -289,21 +286,36 @@ class TestKillingHessianFamily:
 
     @pytest.mark.parametrize("sid, n, order, count", [("hopf-s3", 1, 10, None), ("hopf-s5", 2, 4, 2)])
     def test_equals_single_field_routines(self, sid, n, order, count):
-        sc = build_scenario(sid, quad_order=order, validate=False)
-        gens = killing_fields_sphere(n).perpendicular()[:count]
-        fields = [variation_from_killing(sc.map, A) for A in gens]
-        [forms] = hessian_matrix(sc.map, sc.J, killing_span(sc.map, gens), contact=sc.contact)
-        suite = hessian_suite(sc.map, sc.J, fields)
-        assert forms.hessian.shape == (len(gens), len(gens)) and len(suite) == len(gens)
-        for k, (v, (hv, n2)) in enumerate(zip(fields, suite)):
-            want = (
-                hv,
-                n2,
-                killing_reduced_hessian(sc.map, sc.contact, sc.J, v),
-                sasakian_hessian(sc.map, sc.contact, sc.J, v),
-            )
-            for form, value in zip(forms, want):
-                assert abs(form[k, k] - value) <= 1e-10 * n2
+        # the exact forms against the central-difference oracles at two steps:
+        # an oracle's gap is its own O(h^2) truncation, so it shrinks by
+        # (10/3)^2 ~ 11 from 1e-4 to 3e-5 (measured 11.0-11.2), and a gap that
+        # does not shrink would be an error of the forms.  Where an oracle
+        # differentiates nothing, or differentiates exactly (|v|^2; hopf-s5's
+        # reduced integrand), both gaps are roundoff.
+        gaps = []
+        for step in (1e-4, 3e-5):
+            sc = build_scenario(sid, quad_order=order, validate=False, fd_step=step)
+            gens = killing_fields_sphere(n).perpendicular()[:count]
+            fields = [variation_from_killing(sc.map, A) for A in gens]
+            [forms] = hessian_matrix(sc.map, sc.J, killing_span(sc.map, gens), contact=sc.contact)
+            suite = hessian_suite(sc.map, sc.J, fields)
+            assert forms.hessian.shape == (len(gens), len(gens)) and len(suite) == len(gens)
+            gap = []
+            for k, (v, (hv, n2)) in enumerate(zip(fields, suite)):
+                want = (
+                    hv,
+                    n2,
+                    killing_reduced_hessian(sc.map, sc.contact, sc.J, v),
+                    sasakian_hessian(sc.map, sc.contact, sc.J, v),
+                )
+                gap.append([abs(form[k, k] - value) / n2 for form, value in zip(forms, want)])
+            gaps.append(np.array(gap))
+        coarse, fine = gaps
+        assert np.all(fine < 3e-9)
+        truncated = coarse > 1e-12
+        assert np.all(fine[~truncated] < 1e-12)
+        assert np.all(np.abs(coarse[truncated] / fine[truncated] - (10 / 3) ** 2) < 1.5)
+        assert np.all(truncated[:, 0]) and np.all(truncated[:, 3])  # H and the Sasakian sum
 
     @pytest.mark.parametrize("sid, n, order", [("hopf-s3", 1, 8), ("hopf-s5", 2, 4)])
     def test_torus_rule_matches_the_full_rule(self, sid, n, order):
@@ -318,45 +330,57 @@ class TestKillingHessianFamily:
                 assert np.max(np.abs(np.diag(got) - want)) <= 1e-8 * np.min(full[1])
 
     def test_block_partition_does_not_change_values(self, hopf, fam1, monkeypatch):
-        # 2m = 6 rows a node: one block of the 1000 nodes, then 63 of 16
+        # one block of the 1000 nodes, then 63 of 16
         span = killing_span(hopf.map, fam1.perpendicular())
-        _block_invariance(hopf, span, hopf.contact, monkeypatch, 6 * 1000, 96)
+        _block_invariance(hopf, span, hopf.contact, monkeypatch, 1000, 16)
 
-    def test_stencils_hold_at_most_span_batch_bytes(self, hopf, fam1, monkeypatch):
-        rows = _batch_rows(hopf, killing_span(hopf.map, fam1.perpendicular()), hopf.contact, monkeypatch)
-        # 2 sections x 8 pieces x 8 B x 6 rows = 768 B a node: the 1000
-        # nodes are one batch, with two stencils: the pieces' and the Reeb field's
-        assert rows == [2 * hopf.domain.dim * len(hopf.domain.quadrature.nodes)] * 2
+    def test_partials_hold_at_most_span_batch_bytes(self, hopf, fam1):
+        # 2 sections x 8 pieces x 3 partials x 8 B = 384 B a node: the 1000
+        # nodes are one batch
+        span = killing_span(hopf.map, fam1.perpendicular())
+        assert _batch_nodes(hopf, span, hopf.contact) == [len(hopf.domain.quadrature.nodes)]
 
     def test_batches_do_not_change_values(self, hopf, fam1, monkeypatch):
-        # 20 000 B: batches of 26 nodes against chunks of 85
+        # 20 000 B: batches of 52 nodes against chunks of 64
         span = killing_span(hopf.map, fam1.perpendicular())
         _batch_invariance(hopf, span, hopf.contact, monkeypatch, 20_000)
 
-    def test_hessian_check_stencils_once_for_both_torus_rules(self, monkeypatch):
-        # the check over all six generators (the killing-s5 benchmark): Z's
-        # stencil, the pieces' and the Reeb field's, each once over the
-        # 2 x 36 nodes of both torus rules, not once per rule
+    def test_hessian_check_evaluates_one_second_jet_and_no_piece_stencil(self, monkeypatch):
+        # the check over all six generators (the killing-s5 benchmark): phi's
+        # second jet is evaluated once, on the 2 x 36 nodes of both torus
+        # rules stacked (Z, the gate and the one batch of the pieces share
+        # it), and so is the embedding's.  The only stencils are J's partials
+        # at the 72 images (4 codomain coordinates; J is constant) and the
+        # Reeb field's at the 72 nodes.
         sc = build_scenario("hopf-s5", validate=False)
         cfg = RunConfig("hopf-s5", checks=("hessian",), seed=1, hessian_generators=0)
-        real, nodes = autodiff.field_partials, []
+        real, stencils = autodiff.field_partials, []
 
         def counting(field, x, h):
-            nodes.append(len(x))
+            stencils.append(np.shape(x))
             return real(field, x, h)
 
         for name, module in list(sys.modules.items()):
             if name.startswith("phwc_lab") and getattr(module, "field_partials", None) is real:
                 monkeypatch.setattr(module, "field_partials", counting)
+        real_second, seconds = autodiff._second, []
+
+        def recording(fn, x, cfg):
+            seconds.append((fn, len(x)))
+            return real_second(fn, x, cfg)
+
+        monkeypatch.setattr(autodiff, "_second", recording)
         report._check_hessian(sc, cfg, None)
-        assert nodes == [2 * 36] * 3
+        assert sorted(stencils) == [(72, 4), (72, 5)]
+        assert seconds == [(sc.map.expr, 72), (sc.domain.embedding, 72)]
 
     def test_hessian_check_factors_each_matrix_once(self, monkeypatch):
-        # the killing-s5 check: each metric (5 x 5) and each q = dphi dphi^t
-        # (4 x 4) is factored once for all six sections, at the 72 nodes of
-        # both torus rules and at their 720 stencil rows; with P_H's q and the
-        # contact phi at the nodes that is 2 x 792 + 2 x 72 matrices.  A stack
-        # (N, 1, k, k) against (N, 6, k, 1) would factor each one six times.
+        # the killing-s5 check, at the 72 nodes of both torus rules: each
+        # metric (5 x 5) once for the six Killing sections and their partials
+        # and once for the contact phi, each q = dphi dphi^t (4 x 4) once for
+        # P_H and once for the six lifts and their partials: 4 x 72 matrices.
+        # A stack (N, 1, k, k) against (N, 6, k, 1) would factor each one six
+        # times.
         sc = build_scenario("hopf-s5", validate=False)
         cfg = RunConfig("hopf-s5", checks=("hessian",), seed=1, hessian_generators=0)
         real, stacks = np.linalg.solve, []
@@ -368,7 +392,7 @@ class TestKillingHessianFamily:
         monkeypatch.setattr(np.linalg, "solve", recording)
         report._check_hessian(sc, cfg, None)
         assert stacks and all(a == b for a, b in stacks)
-        assert sum(int(np.prod(a)) for a, _ in stacks) == 1728
+        assert sorted(stacks) == [((72,), (72,))] * 4
 
     def test_stacked_sections_and_lifts_match_single_fields(self):
         # one factorization for six columns against six one-column solves,
@@ -429,6 +453,37 @@ class TestKillingHessianFamily:
             hessian_suite(warped.map, warped.J, [v])
 
 
+class TestExactPartials:
+    """The partials of the sections and of their lifts against central differences
+    of the values: the gap is the differences' own O(h^2) truncation, so it
+    shrinks by (10/3)^2 ~ 11 from 1e-4 to 3e-5 (measured 11.0-11.2)."""
+
+    @pytest.mark.parametrize("sid, n", [("hopf-s5", 2), ("hopf-s3", None), ("hopf-s3-s2", None)])
+    def test_section_and_lift_partials_converge(self, sid, n):
+        sc = build_scenario(sid, quad_order=4, validate=False)
+        phi = sc.map
+        gens = None if n is None else killing_fields_sphere(n).perpendicular()
+        span = polynomial_span(phi) if gens is None else killing_span(phi, gens)
+        p = sc.domain.random_points(np.random.default_rng(0), 20, margin=0.05)
+        b, db = span.section_jet(p)
+        _, dX = _lift_jet(phi, p, b, db)
+
+        def lifts(q):
+            adj = adjoint_differential(phi, q)
+            return _lift(adj, phi.jet(q).dphi @ adj, span.sections(q))
+
+        gaps = []
+        for step in (1e-4, 3e-5):
+            gaps.append([
+                np.max(np.abs(np.moveaxis(exact, 0, -1) - fd)) / np.max(np.abs(fd))
+                for exact, fd in ((db, field_partials(span.sections, p, step)),
+                                  (dX, field_partials(lifts, p, step)))
+            ])
+        coarse, fine = np.array(gaps)
+        assert np.all(fine < 2e-7)
+        assert np.all(np.abs(coarse / fine - (10 / 3) ** 2) < 1.5)
+
+
 class TestHessianMatrix:
     """The span matrices against the field-by-field oracle."""
 
@@ -440,14 +495,25 @@ class TestHessianMatrix:
         return span, H, G
 
     def test_quadratic_forms_match_single_fields(self, hopf, span_matrices):
+        # the exact forms against the central-difference oracle at two steps:
+        # its gap is its own O(h^2) truncation and shrinks by (10/3)^2 ~ 11
+        # from 1e-4 to 3e-5 (measured 11.1); |v|^2 differentiates nothing
         span, H, G = span_matrices
-        for c in span.random_coefficients(3, np.random.default_rng(11)):
-            v = span.field(c)
-            hv, n2 = hessian(hopf.map, hopf.J, v), variation_l2_norm2(hopf.map, v)
-            flat = c.ravel()
-            assert abs(flat @ H @ flat - hv) <= 1e-10 * abs(hv)
-            assert abs(flat @ G @ flat - n2) <= 1e-10 * n2
-            assert rayleigh_quotients(H, G, flat[None])[0] == pytest.approx(hv / n2, rel=1e-10)
+        gaps = []
+        for step in (1e-4, 3e-5):
+            sc = build_scenario("hopf-s3", quad_order=10, validate=False, fd_step=step)
+            gap = []
+            for c in span.random_coefficients(3, np.random.default_rng(11)):
+                v = span.field(c)
+                hv, n2 = hessian(sc.map, sc.J, v), variation_l2_norm2(sc.map, v)
+                flat = c.ravel()
+                gap.append(abs(flat @ H @ flat - hv) / abs(hv))
+                assert abs(flat @ G @ flat - n2) <= 1e-10 * n2
+                assert rayleigh_quotients(H, G, flat[None])[0] == pytest.approx(hv / n2, rel=1e-7)
+            gaps.append(np.array(gap))
+        coarse, fine = gaps
+        assert np.all(fine < 3e-9)
+        assert np.all(np.abs(coarse / fine - (10 / 3) ** 2) < 1.5)
 
     def test_symmetric(self, span_matrices):
         _, H, G = span_matrices
@@ -456,18 +522,16 @@ class TestHessianMatrix:
 
     def test_block_partition_does_not_change_values(self, hopf, span_matrices, monkeypatch):
         assert len(hopf.domain.quadrature.nodes) == 1000
-        # 2m = 6 rows a node: one block, then 63 blocks of 16 nodes
-        _block_invariance(hopf, span_matrices[0], None, monkeypatch, 6 * 1000, 96)
+        # one block, then 63 blocks of 16 nodes
+        _block_invariance(hopf, span_matrices[0], None, monkeypatch, 1000, 16)
 
-    def test_stencils_hold_at_most_span_batch_bytes(self, hopf, span_matrices, monkeypatch):
-        # 30 sections x 5 pieces x 8 B x 6 rows = 7 200 B a node: a batch of
-        # 145 nodes holds one chunk of 85, so there are 12 stencils, 6 000 rows
-        rows = _batch_rows(hopf, span_matrices[0], None, monkeypatch)
-        assert len(rows) == 12
-        assert sum(rows) == 2 * hopf.domain.dim * len(hopf.domain.quadrature.nodes)
+    def test_partials_hold_at_most_span_batch_bytes(self, hopf, span_matrices):
+        # 30 sections x 5 pieces x 3 partials x 8 B = 3 600 B a node: a batch
+        # of 291 nodes holds four chunks of 64, so there are 4 batches
+        assert _batch_nodes(hopf, span_matrices[0], None) == [256, 256, 256, 232]
 
     def test_batches_do_not_change_values(self, hopf, span_matrices, monkeypatch):
-        # 200 000 B: batches of 27 nodes against chunks of 85
+        # 200 000 B: batches of 55 nodes against chunks of 64
         _batch_invariance(hopf, span_matrices[0], None, monkeypatch, 200_000)
 
     def test_one_evaluation_for_both_span_rules(self):
@@ -494,19 +558,35 @@ class TestHessianMatrix:
         [(H, G, _, _)] = hessian_matrix(catalog.map, catalog.J, span_matrices[0], [rule])
         assert np.array_equal(H, span_matrices[1]) and np.array_equal(G, span_matrices[2])
 
-    def test_stability_check_honours_fd_step(self):
-        # the check's span Hessian runs on the run's own scenario, so the
-        # run's central-difference step reaches it
-        def span_bound(fd_step):
-            cfg = RunConfig("hopf-s3", checks=("stability",), seed=1, fd_step=fd_step)
-            residuals = run_checks(cfg)["checks"]["stability"]["residuals"]
-            return residuals["span_nonnegativity"]["max"]
+    def test_span_forms_do_not_depend_on_fd_step(self):
+        # no step enters H, G or Z: the stability check's span bound and the
+        # hopf-s5 Killing forms are bitwise the same at two steps, and the
+        # criticality gate passes at every step DiffConfig admits.  The step
+        # still reaches the stencils that remain: the equivalence and
+        # semiconformal residuals move with it.
+        def run(fd_step, check):
+            cfg = RunConfig("hopf-s3", checks=(check,), seed=1, fd_step=fd_step)
+            return run_checks(cfg)["checks"][check]
 
-        sc = build_scenario("hopf-s3", quad_order=12, validate=False, fd_step=1e-4)
-        span = polynomial_span(sc.map)
-        [(H, G, _, _)] = hessian_matrix(sc.map, sc.J, span, [span_rule(sc.domain, span)])
-        assert span_bound(1e-4) == -float(span_spectrum(H, G)[0])
-        assert span_bound(1e-4) != span_bound(1e-5)
+        def span_bound(fd_step):
+            return run(fd_step, "stability")["residuals"]["span_nonnegativity"]["max"]
+
+        def killing_forms(fd_step):
+            sc = build_scenario("hopf-s5", validate=False, fd_step=fd_step)
+            span = killing_span(sc.map, killing_fields_sphere(2).perpendicular())
+            return hessian_matrix(sc.map, sc.J, span, sc.domain.node_rules, sc.contact)
+
+        assert span_bound(1e-4) == span_bound(1e-5)
+        for coarse, fine in zip(killing_forms(1e-4), killing_forms(1e-5)):
+            for a, b in zip(coarse, fine):
+                assert np.array_equal(a, b)
+        for fd_step in (1e-8, 1e-6, 1e-4, 1e-2):
+            sc = build_scenario("hopf-s3", validate=False, fd_step=fd_step)
+            nodes = np.concatenate([r.nodes for r in sc.domain.node_rules])
+            stability._require_critical(sc.map, sc.J, nodes, z_field(sc.map, sc.J, nodes))
+        for check in ("equivalence", "semiconformal"):
+            coarse, fine = (run(fd_step, check)["residuals"] for fd_step in (1e-3, 1e-5))
+            assert any(coarse[k]["max"] != fine[k]["max"] for k in fine)
 
     def test_gram_rank_and_span_bound(self, span_matrices):
         # |e|^2 = 1 on S^3 makes one feature combination vanish per output
@@ -554,9 +634,8 @@ class TestSpanRule:
     @pytest.mark.parametrize("fd_step, bound", [(1e-3, 1e-12), (1e-5, 1e-10)])
     def test_two_offsets_agree_at_bandwidth_plus_one(self, fd_step, bound):
         # B + 1 trapezoid nodes integrate the forms exactly, so the offset of
-        # the nodes does not matter; B nodes do not, and it does.  H also
-        # carries the stencil's roundoff, ~eps / fd_step, which differs
-        # between node sets: measured 2e-13 at fd_step 1e-3, 2e-11 at 1e-5
+        # the nodes does not matter; B nodes do not, and it does.  No step
+        # enters the forms: measured 3.4e-16 at both steps
         sc = build_scenario("hopf-s3", quad_order=12, validate=False, fd_step=fd_step)
         span = polynomial_span(sc.map)
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from phwc_lab.errors import DimensionTooSmall, NotPHWC, NotSemiconformal
-from phwc_lab.geometry import two_form_norm2
+from phwc_lab.geometry import codifferential_two_form, two_form_norm2
 from phwc_lab.maps import SmoothMap
 from phwc_lab.scenarios import build_scenario, flat_chart, standard_complex_structure
 from phwc_lab.structures import AlmostHermitianStructure, f_div_f, induced_f_structure
@@ -19,6 +19,7 @@ from phwc_lab.variational import (
     p_energy,
     criticality_equivalence,
     pullback_two_form,
+    pullback_two_form_field,
     semiconformal_criticality,
     tension_phwc,
     weyl_compat_residual,
@@ -140,6 +141,23 @@ class TestZFieldAndEq7:
         xi = sc.contact.xi_at(p)
         vert = np.einsum("ni,nij,nj->n", z, g, xi)
         assert np.max(np.abs(vert + 4.0)) < 1e-3
+
+    @pytest.mark.parametrize("sid", ["warped-hopf", "hopf-s3-s2", "hopf-s5"])
+    def test_equals_the_codifferential_of_the_pullback_form(self, sid):
+        # Z from exact jets against the central-difference codifferential of
+        # phi*Omega: the gap is the differences' O(h^2) truncation and shrinks
+        # by (10/3)^2 ~ 11 from 1e-4 to 3e-5 (measured 11.1); hopf-s3-s2's J
+        # is not constant, warped-hopf's Z is not vertical
+        gaps = []
+        for step in (1e-4, 3e-5):
+            sc = build_scenario(sid, quad_order=4, validate=False, fd_step=step)
+            M, p = sc.domain, sc.domain.random_points(np.random.default_rng(0), 20, margin=0.05)
+            ref = M.sharp(p, codifferential_two_form(M, pullback_two_form_field(sc.map, sc.J), p))
+            z = z_field(sc.map, sc.J, p)
+            gaps.append(np.max(np.abs(z - ref)) / np.max(np.abs(ref)))
+            assert np.array_equal(z_field(sc.map, sc.J, p[3]), z[3])
+        assert gaps[1] < 2e-7
+        assert abs(gaps[0] / gaps[1] - (10 / 3) ** 2) < 1.5
 
     def test_warped_noncritical_witness(self, warped, rng):
         p = warped.domain.random_points(rng, 60, margin=0.05)
