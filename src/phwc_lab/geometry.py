@@ -97,9 +97,70 @@ class QuadratureRule:
 @cache
 def _leggauss(order):
     """Gauss-Legendre nodes and weights on [-1, 1], read-only, computed once per order."""
-    t, w = np.polynomial.legendre.leggauss(order)
+    t, w = _gauss_legendre(order)
     t.flags.writeable = w.flags.writeable = False
     return t, w
+
+
+def _gauss_legendre(order):
+    """Gauss-Legendre nodes and weights on [-1, 1], bitwise those of
+    numpy.polynomial.legendre.leggauss, without importing numpy.polynomial.
+
+    numpy's algorithm, operation for operation: the eigenvalues of the
+    symmetric companion matrix of P_order, one Newton step by Clenshaw's
+    recursion, weights 1 / (P_(order-1) P'_order) scaled to sum to 2, and
+    both symmetrized about 0.
+    """
+    c = np.zeros(order + 1)
+    c[-1] = 1.0  # P_order
+    scl = 1.0 / np.sqrt(2 * np.arange(order) + 1)
+    mat = np.zeros((order, order))
+    top = mat.reshape(-1)[1 :: order + 1]
+    top[...] = np.arange(1, order) * scl[: order - 1] * scl[1:order]
+    mat.reshape(-1)[order :: order + 1] = top
+    x = np.linalg.eigvalsh(mat)
+    dy = _legval(x, c)
+    df = _legval(x, _legder(c))
+    x -= dy / df
+    fm = _legval(x, c[1:])
+    fm /= np.abs(fm).max()
+    df /= np.abs(df).max()
+    w = 1 / (fm * df)
+    w = (w + w[::-1]) / 2
+    x = (x - x[::-1]) / 2
+    w *= 2.0 / w.sum()
+    return x, w
+
+
+def _legval(x, c):
+    """sum_k c[k] P_k(x) by Clenshaw's recursion, in numpy's legval's order."""
+    if len(c) == 1:
+        c0, c1 = c[0], 0
+    elif len(c) == 2:
+        c0, c1 = c
+    else:
+        nd = len(c)
+        c0, c1 = c[-2], c[-1]
+        for i in range(3, len(c) + 1):
+            tmp = c0
+            nd = nd - 1
+            c0 = c[-i] - c1 * ((nd - 1) / nd)
+            c1 = tmp + c1 * x * ((2 * nd - 1) / nd)
+    return c0 + c1 * x
+
+
+def _legder(c):
+    """Legendre coefficients of the derivative of sum_k c[k] P_k, as numpy's legder."""
+    c = c.copy()
+    n = len(c) - 1
+    der = np.empty(n)
+    for j in range(n, 2, -1):
+        der[j - 1] = (2 * j - 1) * c[j]
+        c[j - 2] += c[j]
+    if n > 1:
+        der[1] = 3 * c[2]
+    der[0] = c[1]
+    return der
 
 
 def _gauss_axis(lo, hi, order, axis_map=None):

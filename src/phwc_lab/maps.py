@@ -311,17 +311,20 @@ def _along(dT, dphi):
     return np.moveaxis(d.reshape(dT.shape[:-1] + dphi.shape[-1:]), -1, 0)
 
 
-def _lift_jet(phi, x, E, dE):
-    """The lifts X_k = dphi^t q^-1 E_k (horizontal_lift) of a stack E (N, K, n)
-    and their partials, from the partials dE (m, N, K, n) of E.
+def _adjoint_jet(phi, x):
+    """The adjoint adj = dphi^t = g^-1 dphi^T h, q = dphi dphi^t and their
+    partials at the points x (N, m): (adj, d_adj, q, dq), with d_adj
+    (m, N, m, n) and dq (m, N, n, n), derivative axis first.
 
-    d(dphi^t) comes from phi's second jet and the metric jets, with
-    d(g^-1) = -g^-1 dg g^-1; each q = dphi dphi^t is factored once for the K
-    lifts and their partials, with d(q^-1) = -q^-1 dq q^-1.  RankDeficient
-    unless dphi is onto at x.  Returns X (N, K, m) and dX (m, N, K, m),
-    derivative axis first.
+    d(dphi^t) comes from phi's second jet and the metric jets by the product
+    rule, with d(g^-1) = -g^-1 dg g^-1.  Read-only; one evaluation per point
+    set.
     """
-    _submersion_jet(phi, x)
+    return _memo("adjoint_jet", phi, phi.diff, x, lambda p: _adjoint_jet_eval(phi, p))
+
+
+def _adjoint_jet_eval(phi, x):
+    """_adjoint_jet at x, evaluated."""
     jet = phi.second_jet(x)
     dphi, ddphi = jet.dphi, np.moveaxis(jet.d2phi, -1, 0)  # ddphi[i] = d_i dphi
     dg = np.moveaxis(phi.domain.metric_jet(x)[1], -1, 0)
@@ -330,8 +333,20 @@ def _lift_jet(phi, x, E, dE):
     d_adj = phi.domain.inverse_metric_at(x) @ (
         ddphi.swapaxes(-1, -2) @ h + dphi.swapaxes(-1, -2) @ _along(dh, dphi) - dg @ adj
     )
-    q = dphi @ adj
-    dq = ddphi @ adj + dphi @ d_adj
+    return adj, d_adj, dphi @ adj, ddphi @ adj + dphi @ d_adj
+
+
+def _lift_jet(phi, x, E, dE):
+    """The lifts X_k = dphi^t q^-1 E_k (horizontal_lift) of a stack E (N, K, n)
+    and their partials, from the partials dE (m, N, K, n) of E.
+
+    dphi^t, q = dphi dphi^t and their partials come from ``_adjoint_jet``;
+    each q is factored once for the K lifts and their partials, with
+    d(q^-1) = -q^-1 dq q^-1.  RankDeficient unless dphi is onto at x.
+    Returns X (N, K, m) and dX (m, N, K, m), derivative axis first.
+    """
+    _submersion_jet(phi, x)
+    adj, d_adj, q, dq = _adjoint_jet(phi, x)
     N, K, n = E.shape
     m = len(dE)
     # columns: E_k, then d_i E_k and d_i q, derivative-major
@@ -343,6 +358,29 @@ def _lift_jet(phi, x, E, dE):
     X = adj @ u
     dX = d_adj @ u + adj @ du
     return X.swapaxes(-1, -2), dX.swapaxes(-1, -2)
+
+
+def _projector_partials(phi, x):
+    """The partials d_i P_H (m, N, m, m) at the points x (N, m), derivative axis first.
+
+    The columns of P_H = dphi^t q^-1 dphi are the lifts of the columns of
+    dphi, so d P_H = d adj q^-1 dphi + adj q^-1 (d dphi - dq q^-1 dphi) is
+    their partials by ``_lift_jet``.
+    """
+    jet = phi.second_jet(x)
+    ddphi = np.moveaxis(jet.d2phi, -1, 0)  # ddphi[i] = d_i dphi
+    _, dX = _lift_jet(phi, x, jet.dphi.swapaxes(-1, -2), ddphi.swapaxes(-1, -2))
+    return dX.swapaxes(-1, -2)
+
+
+def _log_dilation_partials(phi, x):
+    """The partials d_i ln lambda^2 (N, m) at the points x (N, m), from exact jets.
+
+    lambda^2 = tr q / n with q = dphi dphi^t (dilation_hwc), so
+    d ln lambda^2 = tr dq / tr q.
+    """
+    _, _, q, dq = _adjoint_jet(phi, x)
+    return np.einsum("i...aa->...i", dq) / np.trace(q, axis1=-2, axis2=-1)[:, None]
 
 
 def horizontal_frame(phi, x):
@@ -362,11 +400,16 @@ def horizontal_frame(phi, x):
 
 
 def mean_curvature_fibres(phi, x):
-    """Mean curvature vector of the fibres (horizontal part), batched.
+    """Mean curvature vector of the fibres (horizontal part), batched, from exact jets.
 
-    The vertical frame field is built by projecting fixed coordinate fields
-    (chosen at the evaluation point, largest projected norm first) and
-    Gram-Schmidt; the field is differentiable wherever the rank is constant.
+    Frame-free: over a g-orthonormal vertical frame V_a, sum_a V_a V_a^T =
+    P_V g^-1, and P_H nabla_V V = P_H (nabla_V P_V) V because P_V V = V, so
+
+        mu = (1/(m-n)) P_H sum_ij (nabla_i P_V) (P_V g^-1)^ij,
+        nabla_i P_V = -d_i P_H + Gamma_i P_V - P_V Gamma_i,
+
+    with (Gamma_i)^k_l = Gamma^k_il and d_i P_H from ``_projector_partials``.
+    No step enters mu.  RankDeficient unless phi is a submersion at x.
     """
     xb, squeeze = _batch(x)
     m, n = phi.domain.dim, phi.codomain.dim
@@ -376,29 +419,12 @@ def mean_curvature_fibres(phi, x):
         out = np.zeros((len(xb), m))
         return out[0] if squeeze else out
     # the projector raises RankDeficient unless phi is a submersion at xb
-    g = phi.domain.metric_at(xb, check=False)
     phor = horizontal_projector(phi, xb)
-    pv = np.broadcast_to(np.eye(m), phor.shape) - phor  # = vertical_projector(phi, xb)
-    norms = np.einsum("...ik,...ij,...jk->...k", pv, g, pv)  # |P_V e_k|_g^2
-    sel = np.argsort(-norms, axis=-1, kind="stable")[:, :nv]  # frozen seeds
-
-    def vert_frame(p):
-        gp = phi.domain.metric_at(p, check=False)
-        php = horizontal_projector(phi, p)
-        pvp = np.broadcast_to(np.eye(m), php.shape) - php  # = vertical_projector(phi, p)
-        # stencil rows are shifted copies of the points, stacked shift-major
-        sel_p = sel[np.arange(len(p)) % len(sel)]
-        cols = np.take_along_axis(pvp, sel_p[:, None, :], axis=2)
-        return gram_schmidt(cols, gp)
-
-    h = phi.diff.fd_step
-    V0 = vert_frame(xb)
-    dV = field_partials(vert_frame, xb, h)  # (N, m, nv, m)
-    gamma = phi.domain.christoffel_at(xb)
-    nabla = np.einsum("...ia,...kai->...k", V0, dV) + np.einsum(
-        "...kij,...ia,...ja->...k", gamma, V0, V0
-    )
-    mu = np.einsum("...ki,...i->...k", phor, nabla) / nv
+    pv = np.eye(m) - phor  # = vertical_projector(phi, xb)
+    gam = np.moveaxis(phi.domain.christoffel_at(xb), -2, 0)  # gam[i] = Gamma_i
+    nabla = gam @ pv - pv @ gam - _projector_partials(phi, xb)  # nabla_i P_V
+    vv = pv @ phi.domain.inverse_metric_at(xb)  # P_V g^-1
+    mu = np.einsum("nkp,inpj,nij->nk", phor, nabla, vv) / nv
     return mu[0] if squeeze else mu
 
 

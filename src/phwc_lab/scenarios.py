@@ -185,7 +185,11 @@ def fs_chart(n, quad_orders=8, name=None):
 
 
 def standard_complex_structure(dim):
-    """J = multiplication by i on (u_1..u_k, v_1..v_k) coordinates."""
+    """J = multiplication by i on (u_1..u_k, v_1..v_k) coordinates.
+
+    A constant_endomorphism, so it carries its coordinate expression and
+    J_jet takes its zero partials by dual numbers.
+    """
     k = dim // 2
     J = np.zeros((dim, dim))
     J[:k, k:] = -np.eye(k)

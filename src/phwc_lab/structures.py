@@ -36,12 +36,18 @@ def _field(fn, x):
 
 
 def constant_endomorphism(mat):
-    """Wrap a constant matrix as a batch endomorphism field."""
+    """Wrap a constant matrix as a batch endomorphism field.
+
+    The field carries the same constant as a coordinate expression in its
+    ``expr`` attribute, so its partials are exact zeros by dual numbers.
+    """
     mat = np.asarray(mat, dtype=float)
+    entries = mat.tolist()
 
     def fn(x):
         return np.broadcast_to(mat, (len(x),) + mat.shape)
 
+    fn.expr = lambda x: entries
     return fn
 
 __all__ = [
@@ -70,7 +76,9 @@ class AlmostHermitianStructure:
 
     ``J`` is a batch field: points (N, dim) -> matrices (N, dim, dim).
     ``expr``, when given, is the same field as a coordinate expression;
-    derivative checks then use exact dual-number differentiation.
+    derivative checks then use exact dual-number differentiation.  It
+    defaults to the field's own ``expr`` attribute (constant_endomorphism
+    sets one).
     """
 
     memo_key = None  # as an f-structure, no F div F of it is kept
@@ -79,7 +87,7 @@ class AlmostHermitianStructure:
         self.base = base
         self.J_fn = J
         self.name = name
-        self.expr = expr
+        self.expr = getattr(J, "expr", None) if expr is None else expr
         self.kaehler = None  # set by check_kaehler
 
     def J_at(self, y):
@@ -102,9 +110,8 @@ class AlmostHermitianStructure:
         """J and its partials at the points y (N, dim), derivative index last.
 
         The partials come from ``expr`` by dual numbers when it is given,
-        else from central differences of J_at at y, on these rows only; the
-        differences are exact for a constant J.  Read-only; one evaluation
-        per point set.
+        else from central differences of J_at at y, on these rows only.
+        Read-only; one evaluation per point set.
         """
 
         def compute(p):
@@ -190,7 +197,10 @@ class ContactMetricStructure:
         self.name = name
 
     def phi_at(self, x):
-        return _field(self.phi_fn, x)
+        """phi at the points x; read-only, one evaluation per point set."""
+        xb, squeeze = _batch(x)
+        out = _memo("contact_phi", self, None, xb, lambda p: _field(self.phi_fn, p))
+        return out[0] if squeeze else out
 
     def xi_at(self, x):
         return _field(self.xi_fn, x)

@@ -24,6 +24,7 @@ from .geometry import (
 )
 from .maps import (
     _along,
+    _log_dilation_partials,
     dilation_hwc,
     energy_density,
     horizontal_frame,
@@ -39,7 +40,7 @@ from .structures import (
     j_adapted_frame,
     phwc_residual,
 )
-from .autodiff import _check_finite, field_partials
+from .autodiff import _check_finite
 
 __all__ = [
     "EnergyReport",
@@ -252,7 +253,7 @@ def semiconformal_criticality(phi, J, x):
       identity    = |F div F - (2n-2) grad_H ln(lambda) - (m-2n) mu|_g
     """
     xb, squeeze = _batch(x)
-    lam2, resid = dilation_hwc(phi, xb)
+    _, resid = dilation_hwc(phi, xb)
     if np.max(resid) > SEMICONFORMAL_GATE_TOL:
         raise NotSemiconformal(
             f"map {phi.name!r}: dilation residual {np.max(resid):.2e} "
@@ -260,17 +261,11 @@ def semiconformal_criticality(phi, J, x):
         )
     m = phi.domain.dim
     two_n = phi.codomain.dim
-    h = phi.diff.fd_step
-
-    def loglam2(p):
-        return np.log(dilation_hwc(phi, p)[0])
-
-    dll = field_partials(loglam2, xb, h)
-    grad = 0.5 * phi.domain.sharp(xb, dll)
+    mu = mean_curvature_fibres(phi, xb)  # RankDeficient unless a submersion at xb
+    grad = 0.5 * phi.domain.sharp(xb, _log_dilation_partials(phi, xb))
     g = phi.domain.metric_at(xb, check=False)
     ph = horizontal_projector(phi, xb)
     grad_h = np.einsum("...ij,...j->...i", ph, grad)
-    mu = mean_curvature_fibres(phi, xb)
 
     crit = (two_n - 4.0) * grad_h + (m - two_n) * mu
     r_crit = _norm(g, crit)

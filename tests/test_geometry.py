@@ -2,11 +2,15 @@
 
 import json
 import math
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import phwc_lab
 from phwc_lab import autodiff, geometry, maps
 from phwc_lab.autodiff import DiffConfig
 from phwc_lab.errors import DegenerateMetric, NonFiniteIntegrand, OutOfChart
@@ -445,14 +449,41 @@ class TestTorusRule:
                 assert abs(a - b) > 0.1 * M.quadrature.total_measure
 
 
+class TestGaussLegendre:
+    """numpy's Gauss-Legendre rule, computed without importing numpy.polynomial."""
+
+    def test_bitwise_numpy(self):
+        import numpy.polynomial.legendre as legendre
+
+        for order in range(1, 65):
+            t, w = geometry._leggauss(order)
+            want_t, want_w = legendre.leggauss(order)
+            assert t.tobytes() == want_t.tobytes(), order
+            assert w.tobytes() == want_w.tobytes(), order
+
+    def test_a_build_does_not_import_numpy_polynomial(self):
+        code = (
+            "import sys; from phwc_lab.scenarios import build_scenario; "
+            "build_scenario('hopf-s5'); print('numpy.polynomial' in sys.modules)"
+        )
+        env = dict(
+            os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=str(Path(phwc_lab.__file__).parents[1])
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.split() == ["False"]
+
+
 class TestLazyRules:
     """The full rule is built on first use; the node rules once per chart."""
 
     def test_gauss_legendre_once_per_order(self, monkeypatch):
         calls = []
-        real = np.polynomial.legendre.leggauss
+        real = geometry._gauss_legendre
         monkeypatch.setattr(
-            np.polynomial.legendre, "leggauss", lambda order: calls.append(order) or real(order)
+            geometry, "_gauss_legendre", lambda order: calls.append(order) or real(order)
         )
         geometry._leggauss.cache_clear()
         M = hopf_sphere_chart(2, 4)

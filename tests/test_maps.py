@@ -1,14 +1,19 @@
 """Map calculus: jets, adjoint, tension, pullbacks, fibre geometry."""
 
+import sys
+
 import numpy as np
 import pytest
 
-from phwc_lab.autodiff import DiffConfig
+from phwc_lab import autodiff
+from phwc_lab.autodiff import DiffConfig, field_partials
 from phwc_lab.errors import RankDeficient
-from phwc_lab.geometry import Box, ChartManifold, TangentVector
+from phwc_lab.geometry import Box, ChartManifold, TangentVector, gram_schmidt, metric_norms
 from phwc_lab.maps import (
     SVD_RANK_RTOL,
     SmoothMap,
+    _log_dilation_partials,
+    _projector_partials,
     _submersion_jet,
     adjoint_differential,
     dilation_hwc,
@@ -25,6 +30,8 @@ from phwc_lab.maps import (
     tension_field_direct,
 )
 from phwc_lab.scenarios import build_scenario, flat_chart, scenario_ids
+from phwc_lab.structures import f_div_f, induced_f_structure
+from phwc_lab.variational import semiconformal_criticality
 
 from conftest import sphere2_chart
 
@@ -373,6 +380,110 @@ class TestMeanCurvature:
         g = plane.metric_at(pts, check=False)
         norms = np.sqrt(np.einsum("ni,nij,nj->n", mu, g, mu))
         assert np.max(np.abs(norms - np.exp(-pts[:, 0]))) < 1e-6
+
+
+def _mu_by_frame_differences(phi, x, h):
+    """mu = (1/dim V) sum_a P_H nabla_(V_a) V_a over a g-orthonormal vertical
+    frame: the projected coordinate fields of largest g-norm at x, chosen at x
+    and kept for the shifted points, Gram-Schmidt, and the frame's partials
+    by central differences at step h."""
+    m, n = phi.domain.dim, phi.codomain.dim
+    ph = horizontal_projector(phi, x)
+    pv = np.eye(m) - ph
+    norms = np.einsum("nik,nij,njk->nk", pv, phi.domain.metric_at(x, check=False), pv)
+    seeds = np.argsort(-norms, axis=-1, kind="stable")[:, : m - n]
+
+    def frame(p):
+        cols = np.eye(m) - horizontal_projector(phi, p)
+        cols = np.take_along_axis(cols, seeds[np.arange(len(p)) % len(x)][:, None, :], axis=2)
+        return gram_schmidt(cols, phi.domain.metric_at(p, check=False))
+
+    V, dV = frame(x), field_partials(frame, x, h)
+    nabla = np.einsum("nia,nkai->nk", V, dV) + np.einsum(
+        "nkij,nia,nja->nk", phi.domain.christoffel_at(x), V, V
+    )
+    return np.einsum("nki,ni->nk", ph, nabla) / (m - n)
+
+
+@pytest.fixture(scope="module", params=["warped-hopf", "hopf-s5"])
+def fibred(request):
+    sc = build_scenario(request.param, validate=False)
+    return sc, sc.domain.random_points(np.random.default_rng(0), 20, margin=0.05)
+
+
+def _converges(gaps):
+    """Gaps at steps 1e-4 and 3e-5 of central differences that are their own
+    O(h^2) truncation: they shrink by (10/3)^2 ~ 11 (measured 11.1-11.2)."""
+    coarse, fine = gaps
+    assert fine < 1e-8
+    assert abs(coarse / fine - (10 / 3) ** 2) < 1.5
+
+
+class TestExactFibreJets:
+    """d P_H, mu and d ln lambda^2 from phi's second jet and the metric jets,
+    against central differences of the values."""
+
+    STEPS = (1e-4, 3e-5)
+
+    def test_projector_partials(self, fibred):
+        sc, p = fibred
+        exact = np.moveaxis(_projector_partials(sc.map, p), 0, -1)
+        gaps = []
+        for h in self.STEPS:
+            fd = field_partials(lambda q: horizontal_projector(sc.map, q), p, h)
+            gaps.append(np.max(np.abs(exact - fd)) / np.max(np.abs(fd)))
+        _converges(gaps)
+
+    def test_log_dilation_partials(self, fibred):
+        sc, p = fibred
+        exact = _log_dilation_partials(sc.map, p)
+        fds = [
+            field_partials(lambda q: np.log(dilation_hwc(sc.map, q)[0]), p, h) for h in self.STEPS
+        ]
+        if sc.id == "hopf-s5":
+            # a Riemannian submersion: lambda = 1, and the differences are roundoff
+            assert np.max(np.abs(exact)) <= 1e-14
+            assert all(np.max(np.abs(fd)) < 1e-9 for fd in fds)
+        else:
+            _converges([np.max(np.abs(exact - fd)) / np.max(np.abs(fd)) for fd in fds])
+
+    def test_mean_curvature_against_a_frame_stencil(self, fibred):
+        # mu reads d P_H only as P_H (nabla P_V) P_V, which the frame's
+        # truncation error does not reach: the stencil agrees to its roundoff
+        # (1e-12 to 1e-11) at both steps, so no h^2 ratio shows
+        sc, p = fibred
+        mu = mean_curvature_fibres(sc.map, p)
+        size = np.max(metric_norms(sc.domain, p, mu))
+        if sc.id == "warped-hopf":
+            assert size > 0.6
+        else:
+            assert size <= 1e-14
+        for h in self.STEPS:
+            assert np.max(np.abs(mu - _mu_by_frame_differences(sc.map, p, h))) < 1e-10
+
+    @pytest.mark.parametrize("sid", ["hopf-s3", "hopf-s5", "hopf-s7"])
+    def test_hopf_fibres_minimal_to_roundoff(self, sid):
+        # measured 1e-16 to 6e-16; the frame stencil gave 1e-11 to 5e-11
+        sc = build_scenario(sid, quad_order=3 if sid == "hopf-s7" else None, validate=False)
+        p = sc.domain.random_points(np.random.default_rng(1), 40, margin=0.05)
+        mu = mean_curvature_fibres(sc.map, p)
+        scale = np.max(np.abs(horizontal_projector(sc.map, p)))
+        assert np.max(metric_norms(sc.domain, p, mu)) <= 1e-14 * scale
+
+    def test_no_stencil(self, fibred, monkeypatch):
+        # with F div F kept, mean_curvature_fibres and semiconformal_criticality
+        # difference nothing
+        sc, p = fibred
+        f_div_f(induced_f_structure(sc.map, sc.J), p)
+        real, calls = autodiff.field_partials, []
+        for name, module in list(sys.modules.items()):
+            if name.startswith("phwc_lab") and getattr(module, "field_partials", None) is real:
+                monkeypatch.setattr(
+                    module, "field_partials", lambda f, x, h: calls.append(x) or real(f, x, h)
+                )
+        mean_curvature_fibres(sc.map, p)
+        semiconformal_criticality(sc.map, sc.J, p)
+        assert calls == []
 
 
 class TestDilationAndEnergy:

@@ -1,10 +1,14 @@
 """Catalog construction, registration validation, chart geometry oracles."""
 
+import sys
+
 import numpy as np
 import pytest
 
+from phwc_lab import autodiff, scenarios
 from phwc_lab.errors import OutOfChart, UnknownScenario
 from phwc_lab.maps import SmoothMap, pullback_metric
+from phwc_lab.report import RunConfig, run_checks
 from phwc_lab.scenarios import (
     build_scenario,
     flat_chart,
@@ -122,3 +126,32 @@ def test_builds_are_deterministic():
     c = _BUILDERS["hopf-s3"](6)
     assert np.array_equal(a.domain.quadrature.nodes, c.domain.quadrature.nodes)
     assert np.array_equal(a.domain.quadrature.weights, c.domain.quadrature.weights)
+
+
+class TestHopfS5Evaluations:
+    """What a cold build of hopf-s5 and the killing-s5 check evaluate."""
+
+    def test_registration_solves_the_contact_phi_once(self, monkeypatch):
+        # check_invariants and the Sasakian check read phi at the same 40
+        # samples: the metric there is factored once for them
+        monkeypatch.setattr(scenarios, "_CACHE", {})
+        real, stacks = np.linalg.solve, []
+        monkeypatch.setattr(
+            np.linalg, "solve", lambda a, b: stacks.append((np.shape(a), np.shape(b))) or real(a, b)
+        )
+        build_scenario("hopf-s5")
+        assert stacks.count(((40, 5, 5), (40, 5, 5))) == 1
+
+    def test_no_stencil_on_codomain_rows(self, monkeypatch):
+        # the constant J carries its expression, so its partials come by dual
+        # numbers: every remaining stencil runs on domain points
+        monkeypatch.setattr(scenarios, "_CACHE", {})
+        real, rows = autodiff.field_partials, []
+        for name, module in list(sys.modules.items()):
+            if name.startswith("phwc_lab") and getattr(module, "field_partials", None) is real:
+                monkeypatch.setattr(
+                    module, "field_partials", lambda f, x, h: rows.append(np.shape(x)) or real(f, x, h)
+                )
+        sc = build_scenario("hopf-s5")
+        run_checks(RunConfig("hopf-s5", checks=("hessian",), seed=1, hessian_generators=0))
+        assert rows and all(shape[-1] == sc.domain.dim for shape in rows)

@@ -349,9 +349,8 @@ class TestKillingHessianFamily:
         # the check over all six generators (the killing-s5 benchmark): phi's
         # second jet is evaluated once, on the 2 x 36 nodes of both torus
         # rules stacked (Z, the gate and the one batch of the pieces share
-        # it), and so is the embedding's.  The only stencils are J's partials
-        # at the 72 images (4 codomain coordinates; J is constant) and the
-        # Reeb field's at the 72 nodes.
+        # it), and so is the embedding's.  The only stencil is the Reeb
+        # field's at the 72 nodes: J is constant and declares its expression.
         sc = build_scenario("hopf-s5", validate=False)
         cfg = RunConfig("hopf-s5", checks=("hessian",), seed=1, hessian_generators=0)
         real, stencils = autodiff.field_partials, []
@@ -371,7 +370,7 @@ class TestKillingHessianFamily:
 
         monkeypatch.setattr(autodiff, "_second", recording)
         report._check_hessian(sc, cfg, None)
-        assert sorted(stencils) == [(72, 4), (72, 5)]
+        assert stencils == [(72, 5)]
         assert seconds == [(sc.map.expr, 72), (sc.domain.embedding, 72)]
 
     def test_hessian_check_factors_each_matrix_once(self, monkeypatch):

@@ -25,7 +25,7 @@ GOLDEN_ROWS = [
     ("stress_energy", "flat-holo", 100, 0.0, 0.0001, True, ""),
     ("pullback_metric_derivative", "hopf-s3", 100, 4.187240515318713e-06, 0.0001, True, ""),
     ("pushforward_parallelism", "hopf-s3", 100, 6.83287656437654e-07, 0.0001, True, ""),
-    ("semiconformal_divergence", "hopf-s3", 100, 1.9516539414646517e-07, 0.0001, True, ""),
+    ("semiconformal_divergence", "hopf-s3", 100, 1.9516531164900967e-07, 0.0001, True, ""),
     ("codifferential_expansion", "hopf-s3", 100, 2.924246918866664e-07, 0.0001, True, ""),
     ("vertical_codifferential", "hopf-s3", 60, 1.4162353512148229e-08, 0.0001, True, ""),
     ("sasakian_bracket", "hopf-s3", 100, 1.7763568394002505e-15, 0.0001, True, ""),
@@ -33,7 +33,7 @@ GOLDEN_ROWS = [
     ("stress_energy", "hopf-s3", 100, 5.072890293936303e-07, 0.0001, True, ""),
     ("pullback_metric_derivative", "hopf-s3-s2", 100, 9.090697083991017e-10, 0.0001, True, ""),
     ("pushforward_parallelism", "hopf-s3-s2", 100, 1.945561973355667e-07, 0.0001, True, ""),
-    ("semiconformal_divergence", "hopf-s3-s2", 100, 1.9516569824129526e-07, 0.0001, True, ""),
+    ("semiconformal_divergence", "hopf-s3-s2", 100, 1.951656981996619e-07, 0.0001, True, ""),
     ("codifferential_expansion", "hopf-s3-s2", 100, 1.944292537659513e-07, 0.0001, True, ""),
     ("vertical_codifferential", "hopf-s3-s2", 60, 1.4169645456973967e-08, 0.0001, True, ""),
     ("sasakian_bracket", "hopf-s3-s2", 100, 1.7763568394002505e-15, 0.0001, True, ""),
@@ -48,7 +48,7 @@ GOLDEN_ROWS = [
     ("stress_energy", "product-proj", 100, 4.694853147218209e-10, 0.0001, True, ""),
     ("pullback_metric_derivative", "warped-hopf", 100, 4.187240506020595e-06, 0.0001, True, ""),
     ("pushforward_parallelism", "warped-hopf", 100, 1.2355396315166538e-06, 0.0001, True, ""),
-    ("semiconformal_divergence", "warped-hopf", 100, 2.6244989749586984e-07, 0.0001, True, ""),
+    ("semiconformal_divergence", "warped-hopf", 100, 2.6244969298881723e-07, 0.0001, True, ""),
     ("codifferential_expansion", "warped-hopf", 100, 7.110620096178785e-07, 0.0001, True, ""),
     ("vertical_codifferential", "warped-hopf", 60, 3.4411897331665386e-08, 0.0001, True, ""),
     ("tension_agreement", "warped-hopf", 100, 1.0616747470618399e-06, 0.0001, True, ""),
