@@ -13,9 +13,11 @@ derivative table both types read; square, negative, positive, add,
 subtract, multiply, divide and power (constant exponent) through
 arithmetic.
 
-First derivatives default to dual numbers; second derivatives default to
-central differences of dual-computed first derivatives, which keeps the
-roundoff error near eps/h instead of eps/h^2.
+A coordinate expression is differentiated one way: exactly, by forward
+mode (Griewank & Walther, *Evaluating Derivatives*).  `tensor_jet` seeds
+`Dual` coordinates, `tensor_second` seeds `Jet2` coordinates; neither takes
+a step.  Central differences are for black-box batch fields only
+(`field_partials`), at the step of a `DiffConfig`.
 
 An expression returns a (nested) list or tuple of one common shape per
 level; every entry is a scalar, a (1,) array or an (N,) array over the N
@@ -23,14 +25,13 @@ points, and Dual or Jet2 entries carry values of those shapes.  Anything
 else, including an empty output, raises DifferentiationFailure naming the
 entry.
 
-A central-difference stencil is one batched evaluation: the 2m shifted
+A `field_partials` stencil is one batched evaluation: the 2m shifted
 copies of the N points are stacked shift-major into one (2m*N, m) batch, the
-field or expression runs once on it, and the differences come from the
-reshaped result.
+field runs once on it, and the differences come from the reshaped result.
 
-Expressions must be pure functions of their coordinates: `tensor_value` and
-`tensor_jet` evaluate each (expression, config, point set) once and hand
-out the kept, read-only result again (see `_memo`, which the metric
+Expressions must be pure functions of their coordinates: `tensor_value`,
+`tensor_jet` and `tensor_second` evaluate each (expression, point set) once
+and hand out the kept, read-only result again (see `_memo`, which the metric
 inverse, the Christoffel symbols, the horizontal projector and the induced
 f-structure share).  The memo lives as long as a scenario and holds at most
 `_MEMO_BYTES`.
@@ -57,24 +58,15 @@ __all__ = [
 
 @dataclass(frozen=True)
 class DiffConfig:
-    """How derivatives of coordinate expressions are taken.
+    """The step of the central differences of black-box fields (``field_partials``).
 
-    mode: "dual_number_forward" or "central_difference" (first derivatives).
-    fd_step: step for every central difference, clamped to [1e-8, 1e-2].
-    second_derivative_mode: "nested_dual" or "central_difference".
+    fd_step: in [1e-8, 1e-2].  Coordinate expressions take no step: their
+    jets are exact.
     """
 
-    mode: str = "dual_number_forward"
     fd_step: float = 1e-5
-    second_derivative_mode: str = "central_difference"
 
     def __post_init__(self):
-        if self.mode not in ("dual_number_forward", "central_difference"):
-            raise ConfigError(f"unknown differentiation mode {self.mode!r}")
-        if self.second_derivative_mode not in ("nested_dual", "central_difference"):
-            raise ConfigError(
-                f"unknown second_derivative_mode {self.second_derivative_mode!r}"
-            )
         if not (1e-8 <= self.fd_step <= 1e-2):
             raise ConfigError(f"fd_step {self.fd_step} outside [1e-8, 1e-2]")
 
@@ -382,8 +374,9 @@ def _memo(kind, owner, cfg, x, compute):
     ``owner`` is the object, or tuple of objects, whose value it is (an
     expression, a chart's metric, a map): the key holds it, so it is
     compared by identity and stays alive while its values do.  ``cfg`` is
-    the DiffConfig the value depends on, or None.  The points are keyed by
-    their bytes, not their identity, because every stencil is a fresh batch.
+    the DiffConfig whose step the value reads (a stencil's), or None.  The
+    points are keyed by their bytes, not their identity, because every
+    stencil is a fresh batch.
     The value (an array, or a tuple of arrays and plain values) is returned
     read-only, kept or not; a compute that raises keeps nothing.  The memo
     takes no lock: the library evaluates in one thread.
@@ -474,52 +467,40 @@ def _forward_eval(fn, x, cls):
     return (shape, val, der, sec) if second else (shape, val, der)
 
 
-def tensor_jet(fn, x, cfg=None):
-    """Value and first derivatives: (N, *shape), (N, *shape, m).
+def tensor_jet(fn, x):
+    """Value and exact first derivatives (dual numbers): (N, *shape), (N, *shape, m).
 
     Derivative index is last.  Accepts a single point (m,) and then drops the
-    batch axis.  Read-only; one evaluation per config and point set (``_memo``).
+    batch axis.  Read-only; one evaluation per point set (``_memo``).
     """
-    cfg = cfg or DiffConfig()
     x, squeeze = _points(x)
-    val, der = _memo("jet", fn, cfg, x, lambda p: _jet(fn, p, cfg))
+    val, der = _memo("jet", fn, None, x, lambda p: _jet(fn, p))
     return (val[0], der[0]) if squeeze else (val, der)
 
 
-def _jet(fn, x, cfg):
+def _jet(fn, x):
     """tensor_jet on a batch, evaluated."""
     n, m = x.shape
-    if cfg.mode == "dual_number_forward":
-        shape, val, der = _forward_eval(fn, x, Dual)
-    else:
-        val = tensor_value(fn, x)
-        shape = val.shape[1:]
-        der = _stencil(lambda p: tensor_value(fn, p), x, cfg.fd_step)
+    shape, val, der = _forward_eval(fn, x, Dual)
     _check_finite(val, der)
     return val.reshape((n,) + shape), der.reshape((n,) + shape + (m,))
 
 
-def tensor_second(fn, x, cfg=None):
-    """Value, first and second derivatives: last two axes of the second are (i, j).
+def tensor_second(fn, x):
+    """Value, exact first and second derivatives (Jet2): the last two axes of
+    the second are (i, j).
 
-    Read-only; one evaluation per config and point set (``_memo``).
+    Read-only; one evaluation per point set (``_memo``).
     """
-    cfg = cfg or DiffConfig()
     x, squeeze = _points(x)
-    out = _memo("second", fn, cfg, x, lambda p: _second(fn, p, cfg))
+    out = _memo("second", fn, None, x, lambda p: _second(fn, p))
     return tuple(a[0] for a in out) if squeeze else out
 
 
-def _second(fn, x, cfg):
+def _second(fn, x):
     """tensor_second on a batch, evaluated."""
     n, m = x.shape
-    if cfg.second_derivative_mode == "nested_dual":
-        shape, val, der, sec = _forward_eval(fn, x, Jet2)
-    else:
-        val, der = tensor_jet(fn, x, cfg)
-        shape = val.shape[1:]
-        sec = _stencil(lambda p: tensor_jet(fn, p, cfg)[1], x, cfg.fd_step)
-        sec = 0.5 * (sec + np.swapaxes(sec, -1, -2))
+    shape, val, der, sec = _forward_eval(fn, x, Jet2)
     _check_finite(val, der, sec)
     return (
         val.reshape((n,) + shape),

@@ -333,7 +333,7 @@ class ChartManifold:
 
     def metric_jet(self, x):
         """(g, dg) with dg[..., i, j, l] the l-th partial of g_ij."""
-        return tensor_jet(self.metric_fn, x, self.diff)
+        return tensor_jet(self.metric_fn, x)
 
     def volume_weight(self, x):
         det = np.linalg.det(self._g(x))
@@ -342,7 +342,7 @@ class ChartManifold:
     def christoffel_at(self, x):
         """Levi-Civita symbols Gamma^k_ij, symmetric in (i, j); read-only, once per point set."""
         self.require_inside(x)
-        return _memo("christoffel", self.metric_fn, self.diff, x, self._christoffel)
+        return _memo("christoffel", self.metric_fn, None, x, self._christoffel)
 
     def _christoffel(self, x):
         g, dg = self.metric_jet(x)

@@ -77,11 +77,11 @@ class SmoothMap:
         return tensor_value(self.expr, x)
 
     def jet(self, x):
-        y, dphi = tensor_jet(self.expr, x, self.diff)
+        y, dphi = tensor_jet(self.expr, x)
         return MapJet(x=np.asarray(x, float), y=y, dphi=dphi)
 
     def second_jet(self, x):
-        y, dphi, d2phi = tensor_second(self.expr, x, self.diff)
+        y, dphi, d2phi = tensor_second(self.expr, x)
         return MapJet(x=np.asarray(x, float), y=y, dphi=dphi, d2phi=d2phi)
 
     def require_in_codomain(self, x):
@@ -275,7 +275,7 @@ def horizontal_projector(phi, x):
 
     Read-only; one evaluation per point set.
     """
-    return _memo("horizontal_projector", phi, phi.diff, x, lambda p: _projector(phi, p))
+    return _memo("horizontal_projector", phi, None, x, lambda p: _projector(phi, p))
 
 
 def _projector(phi, x):
@@ -320,7 +320,7 @@ def _adjoint_jet(phi, x):
     rule, with d(g^-1) = -g^-1 dg g^-1.  Read-only; one evaluation per point
     set.
     """
-    return _memo("adjoint_jet", phi, phi.diff, x, lambda p: _adjoint_jet_eval(phi, p))
+    return _memo("adjoint_jet", phi, None, x, lambda p: _adjoint_jet_eval(phi, p))
 
 
 def _adjoint_jet_eval(phi, x):
@@ -410,22 +410,27 @@ def mean_curvature_fibres(phi, x):
 
     with (Gamma_i)^k_l = Gamma^k_il and d_i P_H from ``_projector_partials``.
     No step enters mu.  RankDeficient unless phi is a submersion at x.
+    Read-only; one evaluation per point set.
     """
     xb, squeeze = _batch(x)
+    mu = _memo("mean_curvature", phi, None, xb, lambda p: _mean_curvature(phi, p))
+    return mu[0] if squeeze else mu
+
+
+def _mean_curvature(phi, x):
+    """mean_curvature_fibres at x (N, m), evaluated."""
     m, n = phi.domain.dim, phi.codomain.dim
     nv = m - n
     if nv == 0:
-        _submersion_jet(phi, xb)
-        out = np.zeros((len(xb), m))
-        return out[0] if squeeze else out
-    # the projector raises RankDeficient unless phi is a submersion at xb
-    phor = horizontal_projector(phi, xb)
-    pv = np.eye(m) - phor  # = vertical_projector(phi, xb)
-    gam = np.moveaxis(phi.domain.christoffel_at(xb), -2, 0)  # gam[i] = Gamma_i
-    nabla = gam @ pv - pv @ gam - _projector_partials(phi, xb)  # nabla_i P_V
-    vv = pv @ phi.domain.inverse_metric_at(xb)  # P_V g^-1
-    mu = np.einsum("nkp,inpj,nij->nk", phor, nabla, vv) / nv
-    return mu[0] if squeeze else mu
+        _submersion_jet(phi, x)
+        return np.zeros((len(x), m))
+    # the projector raises RankDeficient unless phi is a submersion at x
+    phor = horizontal_projector(phi, x)
+    pv = np.eye(m) - phor  # = vertical_projector(phi, x)
+    gam = np.moveaxis(phi.domain.christoffel_at(x), -2, 0)  # gam[i] = Gamma_i
+    nabla = gam @ pv - pv @ gam - _projector_partials(phi, x)  # nabla_i P_V
+    vv = pv @ phi.domain.inverse_metric_at(x)  # P_V g^-1
+    return np.einsum("nkp,inpj,nij->nk", phor, nabla, vv) / nv
 
 
 def stress_energy_residual(phi, x, Z=None):

@@ -40,11 +40,6 @@ __all__ = [
     "hopf_map_expr",
 ]
 
-# Built-in expressions are dual-safe; exact second derivatives keep the
-# residual checks meaningful at quadrature nodes near the chart poles.
-BUILTIN_DIFF = DiffConfig(second_derivative_mode="nested_dual")
-
-
 @dataclass
 class Scenario:
     id: str
@@ -57,10 +52,6 @@ class Scenario:
     expected: dict = dc_field(default_factory=dict)
     tolerances: dict = dc_field(default_factory=dict)  # overrides of validation.TOLERANCES
     n_complex: int = 1  # complex dimension of the codomain
-
-    def map_with(self, diff):
-        """The same map under a different differentiation config."""
-        return SmoothMap(self.map.name, self.domain, self.codomain, self.map.expr, diff=diff)
 
 
 # ---------------------------------------------------------------------------
@@ -75,7 +66,6 @@ def flat_chart(dim, half=1.0, quad_orders=6, name=None, complex_pairs=None):
         Box(tuple([-half] * dim), tuple([half] * dim)),
         quad_orders=quad_orders,
         complex_pairs=complex_pairs,
-        diff=BUILTIN_DIFF,
     )
 
 
@@ -133,7 +123,6 @@ def hopf_sphere_chart(n, quad_orders, warp=None, name=None):
         box,
         quad_orders=quad_orders,
         embedding=embedding,
-        diff=BUILTIN_DIFF,
     )
 
 
@@ -180,7 +169,6 @@ def fs_chart(n, quad_orders=8, name=None):
         axis_maps=axis_maps,
         sample_box=Box(tuple([-3.0] * dim), tuple([3.0] * dim)),
         complex_pairs=[(a, n + a) for a in range(n)],
-        diff=BUILTIN_DIFF,
     )
 
 
@@ -242,7 +230,7 @@ def sasakian_structure(chart, n):
         return np.broadcast_to(xi_comps, (len(x), m))
 
     def phi_field(x):
-        _, Je = tensor_jet(chart.embedding, x, chart.diff)
+        _, Je = tensor_jet(chart.embedding, x)
         g = chart.metric_at(x, check=False)
         rhs = np.einsum("...ei,ef,...fj->...ij", Je, J0, Je)
         return np.linalg.solve(g, rhs)
@@ -265,7 +253,6 @@ def s2_half_chart(quad_orders=24):
         metric,
         Box((0.0, -2 * np.pi), (np.pi, 2 * np.pi), periodic=(1,)),
         quad_orders=quad_orders,
-        diff=BUILTIN_DIFF,
     )
 
     def J_field(y):
@@ -288,7 +275,7 @@ def s2_half_chart(quad_orders=24):
 def _hopf_family(n, quad_order, warp=None, sid=None):
     dom = hopf_sphere_chart(n, quad_order, warp=warp, name=None if warp is None else "S3-warped")
     cod = fs_chart(n, quad_orders=8)
-    phi = SmoothMap(sid or f"hopf-s{2 * n + 1}", dom, cod, hopf_map_expr(n), diff=BUILTIN_DIFF)
+    phi = SmoothMap(sid or f"hopf-s{2 * n + 1}", dom, cod, hopf_map_expr(n))
     J = AlmostHermitianStructure(cod, standard_complex_structure(2 * n), name=f"J-CP{n}")
     contact = None if warp is not None else sasakian_structure(dom, n)
     return dom, cod, phi, J, contact
@@ -355,7 +342,7 @@ def _build_flat_holo(quad_order):
     def expr(x):
         return [x[0], x[2]]
 
-    phi = SmoothMap("flat-holo", dom, cod, expr, diff=BUILTIN_DIFF)
+    phi = SmoothMap("flat-holo", dom, cod, expr)
     J = AlmostHermitianStructure(cod, standard_complex_structure(2), name="J-C1")
     sc = Scenario(
         id="flat-holo",
@@ -395,13 +382,12 @@ def _build_product_proj(quad_order):
         param_box=Box((-half, -half, 0.0), (half, half, 2 * np.pi)),
         axis_maps=[(np.tan, lambda t: 1.0 / np.cos(t) ** 2)] * 2 + [None],
         sample_box=Box((-3.0, -3.0, 0.0), (3.0, 3.0, 2 * np.pi)),
-        diff=BUILTIN_DIFF,
     )
 
     def expr(x):
         return [x[0], x[1]]
 
-    phi = SmoothMap("product-proj", dom, base, expr, diff=BUILTIN_DIFF)
+    phi = SmoothMap("product-proj", dom, base, expr)
     J = AlmostHermitianStructure(base, standard_complex_structure(2), name="J-CP1")
     return Scenario(
         id="product-proj",
@@ -428,7 +414,7 @@ def _build_hopf_s3_s2(quad_order):
     def expr(x):
         return [2.0 * x[0], x[2] - x[1]]
 
-    phi = SmoothMap("hopf-s3-s2", dom, cod, expr, diff=BUILTIN_DIFF)
+    phi = SmoothMap("hopf-s3-s2", dom, cod, expr)
     J = AlmostHermitianStructure(cod, J_field, name="J-S2(1/2)", expr=J_expr)
     return Scenario(
         id="hopf-s3-s2",
@@ -481,12 +467,12 @@ def build_scenario(scenario_id, quad_order=None, validate=True, seed=0, fd_step=
 
     Validation re-derives the declared "expected" block with the checking
     modules at seeded sample points; see ``validation.validate_scenario``.
-    ``fd_step`` overrides the central-difference step of every chart and map
-    in the scenario.  Building one empties the memo of evaluations by point
-    set (``autodiff._memo``): its values live as long as their scenario.
+    ``fd_step`` overrides the step of the black-box stencils
+    (``autodiff.field_partials``) of every chart and map in the scenario;
+    expression jets take no step.  Building one empties the memo of
+    evaluations by point set (``autodiff._memo``): its values live as long as
+    their scenario.
     """
-    from dataclasses import replace
-
     if scenario_id not in _BUILDERS:
         raise UnknownScenario(
             f"unknown scenario {scenario_id!r}; known: {', '.join(scenario_ids())}"
@@ -499,7 +485,7 @@ def build_scenario(scenario_id, quad_order=None, validate=True, seed=0, fd_step=
     sc = _BUILDERS[scenario_id](order)
     if fd_step is not None:
         for obj in (sc.domain, sc.codomain, sc.map):
-            obj.diff = replace(obj.diff, fd_step=fd_step)
+            obj.diff = DiffConfig(fd_step)
     if validate:
         from .validation import validate_scenario
 

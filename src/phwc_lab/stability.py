@@ -102,7 +102,7 @@ def ambient_killing_field(M, A):
     A = np.asarray(A, dtype=float)
 
     def X(x):
-        e, Je = tensor_jet(M.embedding, x, M.diff)
+        e, Je = tensor_jet(M.embedding, x)
         return _killing_components(e, Je, M.metric_at(x, check=False), A[None])[..., 0, :]
 
     return X
@@ -171,7 +171,7 @@ def variation_from_killing(phi, A):
 
     def v_fn(p):
         dphi = phi.jet(p).dphi
-        e, Je = tensor_jet(M.embedding, p, M.diff)
+        e, Je = tensor_jet(M.embedding, p)
         return _killing_variation(dphi, e, Je, M.metric_at(p, check=False), A[None])[..., 0, :]
 
     return VariationField(map_id=phi.name, v_fn=v_fn)
@@ -238,7 +238,7 @@ def polynomial_span(phi, degree=2):
 
     def features(p):
         """The features (N, F) and their partials (N, F, m)."""
-        e, de = tensor_jet(embedding, p, M.diff)
+        e, de = tensor_jet(embedding, p)
         cols, dcols = [np.ones(len(p))], [np.zeros(de[:, 0].shape)]
         d = e.shape[1]
         cols.extend(e[:, i] for i in range(d))
@@ -277,7 +277,7 @@ def killing_span(phi, gens):
 
     def section_jet(p):
         mj = phi.second_jet(p)
-        X, dX = _killing_jet(*tensor_second(M.embedding, p, M.diff), *M.metric_jet(p), gens)
+        X, dX = _killing_jet(*tensor_second(M.embedding, p), *M.metric_jet(p), gens)
         dphi_t = mj.dphi.swapaxes(-1, -2)
         d_dphi_t = np.moveaxis(mj.d2phi, -1, 0).swapaxes(-1, -2)  # (d_i dphi)^T
         return X @ dphi_t, dX @ dphi_t + X @ d_dphi_t

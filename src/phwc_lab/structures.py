@@ -110,16 +110,18 @@ class AlmostHermitianStructure:
         """J and its partials at the points y (N, dim), derivative index last.
 
         The partials come from ``expr`` by dual numbers when it is given,
-        else from central differences of J_at at y, on these rows only.
+        else from central differences of J_at at y, on these rows only; only
+        those read the step, so only they are kept under the DiffConfig.
         Read-only; one evaluation per point set.
         """
 
         def compute(p):
             if self.expr is not None:
-                return self.J_at(p), tensor_jet(self.expr, p, self.base.diff)[1]
+                return self.J_at(p), tensor_jet(self.expr, p)[1]
             return self.J_at(p), field_partials(self.J_at, p, self.base.diff.fd_step)
 
-        return _memo("J_jet", self, self.base.diff, y, compute)
+        step = None if self.expr is not None else self.base.diff
+        return _memo("J_jet", self, step, y, compute)
 
     def omega_jet(self, y):
         """Omega (omega_at) and its partials at the points y (N, dim), derivative

@@ -1,9 +1,12 @@
 """Identity suites: every two-route identity checked at seeded random points.
 
 Each suite pits two independently computed sides of an identity against each
-other (second derivatives by central differences of dual-exact first
-derivatives, i.e. the package-default config), so a pass certifies both code
-paths at once.  These back the `identities` CLI subcommand and the
+other, so a pass certifies both code paths at once.  The suites run on the
+scenario's own map: its second jets are the exact ones the checks read, and
+they share the scenario's memo of evaluations by point set, so a point set
+the checks already asked for is a lookup.  What remains of a residual is the
+truncation of the black-box stencils (``autodiff.field_partials``) and
+roundoff.  These back the `identities` CLI subcommand and the
 acceptance tests.
 """
 
@@ -13,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import DiffConfig
 from .geometry import TangentVector, metric_norms
 from .maps import (
     fibre_splitting,
@@ -65,7 +67,7 @@ class SuiteResult:
 def identity_suites(sc, n_points=100, seed=0, suites=None):
     """Run the applicable identity suites for one scenario."""
     rng = np.random.default_rng(seed)
-    phi = sc.map_with(DiffConfig(fd_step=sc.map.diff.fd_step))
+    phi = sc.map
     pts = sc.domain.random_points(rng, n_points, margin=SAMPLE_MARGIN)
     # NotPHWC before any suite runs; most suites ask for the induced F
     induced_f_structure(phi, sc.J)

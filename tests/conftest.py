@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from phwc_lab import autodiff
-from phwc_lab.autodiff import DiffConfig
 from phwc_lab.geometry import Box, ChartManifold
 
 
@@ -58,11 +57,6 @@ def s2():
 @pytest.fixture
 def rng():
     return np.random.default_rng(0)
-
-
-@pytest.fixture(scope="session")
-def fd_config():
-    return DiffConfig(mode="central_difference")
 
 
 @pytest.fixture(autouse=True)

@@ -1,5 +1,6 @@
-"""Differentiation engine: duals, second-order jets, mode agreement."""
+"""Differentiation engine: duals, second-order jets, exact jets against stencils."""
 
+import dataclasses
 import re
 
 import numpy as np
@@ -26,16 +27,15 @@ X = np.array([[0.3, 0.7], [1.1, -0.4], [0.05, 0.9]])
 
 class TestConfig:
     def test_defaults(self):
-        cfg = DiffConfig()
-        assert cfg.mode == "dual_number_forward"
-        assert cfg.second_derivative_mode == "central_difference"
-        assert cfg.fd_step == 1e-5
+        # the stencil step is the one knob: expressions have exact jets only
+        assert [f.name for f in dataclasses.fields(DiffConfig)] == ["fd_step"]
+        assert DiffConfig().fd_step == 1e-5
 
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"mode": "backward"},
-            {"second_derivative_mode": "complex_step"},
+            {"fd_step": 0.0},
+            {"fd_step": -1e-5},
             {"fd_step": 1e-9},
             {"fd_step": 0.5},
         ],
@@ -55,12 +55,13 @@ class TestFirstDerivatives:
         assert np.allclose(der[:, 2], 0.0)
 
     def test_modes_agree(self):
+        # the dual jet against the default-step stencil of the value; the
         # bound assumes moderate third derivatives, so sample a tame region
-        cfg = DiffConfig(mode="central_difference")
+        h = DiffConfig().fd_step
         Xt = np.array([[0.3, 0.7], [0.5, -0.4], [0.05, 0.6]])
         _, d_dual = tensor_jet(expr_hard, Xt)
-        _, d_fd = tensor_jet(expr_hard, Xt, cfg)
-        assert np.max(np.abs(d_dual - d_fd)) < 10 * cfg.fd_step**2
+        d_fd = field_partials(lambda p: tensor_value(expr_hard, p), Xt, h)
+        assert np.max(np.abs(d_dual - d_fd)) < 10 * h**2
 
     def test_single_point(self):
         v, d = tensor_jet(expr, X[0])
@@ -75,12 +76,13 @@ class TestFirstDerivatives:
 
 class TestSecondDerivatives:
     def test_nested_matches_central(self):
-        _, _, s_fd = tensor_second(expr_hard, X)
-        _, _, s_nd = tensor_second(expr_hard, X, DiffConfig(second_derivative_mode="nested_dual"))
+        # the Jet2 Hessian against the default-step stencil of the dual jet
+        s_fd = field_partials(lambda p: tensor_jet(expr_hard, p)[1], X, DiffConfig().fd_step)
+        _, _, s_nd = tensor_second(expr_hard, X)
         assert np.max(np.abs(s_fd - s_nd)) < 1e-7
 
     def test_nested_exact_values(self):
-        _, _, s = tensor_second(expr, X, DiffConfig(second_derivative_mode="nested_dual"))
+        _, _, s = tensor_second(expr, X)
         assert np.allclose(s[:, 0, 0, 0], -np.sin(X[:, 0]) * X[:, 1])
         assert np.allclose(s[:, 0, 0, 1], np.cos(X[:, 0]))
         assert np.allclose(s[:, 1, 1, 1], np.exp(X[:, 1]))
@@ -214,18 +216,6 @@ class TestStackedStencil:
         f = lambda P: np.stack([np.sin(P[:, 0]) * np.exp(P[:, 1]), P[:, 0] ** 3 / (1.0 + P[:, 1] ** 2)], axis=1)
         assert np.array_equal(field_partials(f, X, 1e-5), _per_shift_partials(f, X, 1e-5))
 
-    def test_tensor_second_equals_per_shift_loop(self):
-        from phwc_lab.scenarios import build_scenario
-
-        M = build_scenario("hopf-s3", validate=False).domain
-        x = M.random_points(np.random.default_rng(3), 7, margin=0.05)
-        cfg = DiffConfig()  # the chart's own config takes nested duals
-        val, der, sec = tensor_second(M.metric_fn, x, cfg)
-        ref = _per_shift_partials(lambda p: tensor_jet(M.metric_fn, p, cfg)[1], x, cfg.fd_step)
-        v0, d0 = tensor_jet(M.metric_fn, x, cfg)
-        assert np.array_equal(val, v0) and np.array_equal(der, d0)
-        assert np.array_equal(sec, 0.5 * (ref + np.swapaxes(ref, -1, -2)))
-
     def test_shift_major_order(self):
         seen = []
         field_partials(lambda P: seen.append(P.copy()) or P[:, 0], X, 1e-3)
@@ -237,29 +227,6 @@ class TestStackedStencil:
         calls = []
         field_partials(lambda P: calls.append(len(P)) or np.sin(P), X, 1e-5)
         assert calls == [2 * 2 * len(X)]
-
-    def test_tensor_second_is_two_jet_calls(self, monkeypatch):
-        from phwc_lab import autodiff
-
-        calls = []
-        real = autodiff.tensor_jet
-
-        def counting(fn, x, cfg=None):
-            calls.append(len(x))
-            return real(fn, x, cfg)
-
-        monkeypatch.setattr(autodiff, "tensor_jet", counting)
-        tensor_second(expr_hard, X)
-        assert calls == [len(X), 2 * 2 * len(X)]  # centre, then the whole stencil
-
-    def test_central_difference_jet_is_two_value_calls(self, monkeypatch):
-        from phwc_lab import autodiff
-
-        calls = []
-        real = autodiff.tensor_value
-        monkeypatch.setattr(autodiff, "tensor_value", lambda fn, x: calls.append(len(x)) or real(fn, x))
-        tensor_jet(expr_hard, X, DiffConfig(mode="central_difference"))
-        assert calls == [len(X), 2 * 2 * len(X)]
 
     def test_unrepeated_per_point_data_is_refused(self):
         data = np.arange(len(X), dtype=float)
@@ -273,13 +240,7 @@ def test_tensor_value_broadcasts_constants():
     assert np.array_equal(out, np.stack([np.full(3, 1.0), np.full(3, 3.0), X[:, 0]], axis=1))
 
 
-NESTED = DiffConfig(second_derivative_mode="nested_dual")
-
-EVALUATORS = {
-    "value": lambda fn, x: tensor_value(fn, x),
-    "dual": lambda fn, x: tensor_jet(fn, x),
-    "nested_dual": lambda fn, x: tensor_second(fn, x, NESTED),
-}
+EVALUATORS = {"value": tensor_value, "dual": tensor_jet, "nested_dual": tensor_second}
 
 
 class TestMalformedOutput:
@@ -431,7 +392,7 @@ def test_assembly_equals_broadcast_reference(sid):
     for name, fn, pts in _catalog_expressions(sid):
         for x in (pts, pts[0]):
             assert np.array_equal(tensor_value(fn, x), _reference_at(_reference_value, fn, x)), name
-            for got, want in zip(tensor_jet(fn, x, DiffConfig()), _reference_at(_reference_dual, fn, x)):
+            for got, want in zip(tensor_jet(fn, x), _reference_at(_reference_dual, fn, x)):
                 assert np.array_equal(got, want), name
-            for got, want in zip(tensor_second(fn, x, NESTED), _reference_at(_reference_jet2, fn, x)):
+            for got, want in zip(tensor_second(fn, x), _reference_at(_reference_jet2, fn, x)):
                 assert np.array_equal(got, want), name

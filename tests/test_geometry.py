@@ -12,7 +12,7 @@ import pytest
 
 import phwc_lab
 from phwc_lab import autodiff, geometry, maps
-from phwc_lab.autodiff import DiffConfig
+from phwc_lab.autodiff import field_partials, tensor_value
 from phwc_lab.errors import DegenerateMetric, NonFiniteIntegrand, OutOfChart
 from phwc_lab.geometry import (
     Box,
@@ -255,13 +255,12 @@ class TestChristoffel:
         assert np.max(np.abs(gam - np.swapaxes(gam, -1, -2))) < 1e-9
 
     def test_dual_vs_fd_modes(self, rng):
-        s2d = sphere2_chart(quad_orders=4)
-        s2f = sphere2_chart(quad_orders=4)
-        s2f.diff = DiffConfig(mode="central_difference")
-        pts = s2d.random_points(rng, 20)
-        gd = s2d.metric_jet(pts)[1]
-        gf = s2f.metric_jet(pts)[1]
-        assert np.max(np.abs(gd - gf)) < 10 * s2f.diff.fd_step**2
+        # the dual metric jet against the chart-step stencil of the metric value
+        s2 = sphere2_chart(quad_orders=4)
+        pts = s2.random_points(rng, 20)
+        h = s2.diff.fd_step
+        gf = field_partials(lambda p: tensor_value(s2.metric_fn, p), pts, h)
+        assert np.max(np.abs(s2.metric_jet(pts)[1] - gf)) < 10 * h**2
 
     def test_metric_compatibility(self, s2, rng):
         # directional derivative of g(Y, Z) = g(nabla_X Y, Z) + g(Y, nabla_X Z)

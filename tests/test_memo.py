@@ -2,8 +2,8 @@
 
 Every metric, inverse, Christoffel symbol, map jet, horizontal projector and
 induced F is computed once per point set and handed out again, read-only.
-Reuse must not move a bit of a report and must respect the differentiation
-config.  The memo lives as long as its scenario (a build empties it) and
+Reuse must not move a bit of a report, and a value that reads the stencil
+step is kept under it.  The memo lives as long as its scenario (a build empties it) and
 holds at most ``_MEMO_BYTES``: a store past that bound empties it first, and
 a larger value is handed out without being kept.  Every test starts from an
 empty memo (the ``cold_memo`` fixture of conftest).
@@ -19,7 +19,7 @@ import pytest
 
 import phwc_lab
 from phwc_lab import autodiff, maps, scenarios
-from phwc_lab.autodiff import DiffConfig, tensor_jet, tensor_second, tensor_value
+from phwc_lab.autodiff import DiffConfig, tensor_second, tensor_value
 from phwc_lab.errors import DifferentiationFailure
 from phwc_lab.maps import SmoothMap, fibre_splitting, horizontal_projector
 from phwc_lab.report import RunConfig, report_json, run_checks, run_identities
@@ -34,6 +34,7 @@ from phwc_lab.stability import (
     variation_from_killing,
     vertical_codifferential_formula,
 )
+from phwc_lab.structures import AlmostHermitianStructure
 from phwc_lab.suites import identity_suites
 from phwc_lab.variational import (
     cond_1_1_residual,
@@ -72,16 +73,21 @@ def test_jets_are_keyed_by_the_differentiation_config(cold_memo):
     cold_memo._memo_clear()
     run(1e-5)
     assert run(1e-4) == cold
-    x = np.array([[0.3, 0.7], [1.1, -0.4]])
-
-    def fn(c):
-        return [np.sin(c[0]) * c[1] ** 3]
-
-    fine, coarse = (DiffConfig(mode="central_difference", fd_step=h) for h in (1e-5, 1e-2))
-    d_fine = tensor_jet(fn, x, fine)[1]
-    d_coarse = tensor_jet(fn, x, coarse)[1]
+    # the step keys only the values that read it: the stencil partials of a
+    # J without an expression, not the exact ones of a J with one
+    chart, J_field, J_expr = scenarios.s2_half_chart()
+    stencil, exact = AlmostHermitianStructure(chart, J_field), AlmostHermitianStructure(
+        chart, J_field, expr=J_expr
+    )
+    y = np.array([[0.9, 0.3], [1.7, -2.0]])
+    d_fine, d_exact = stencil.J_jet(y)[1], exact.J_jet(y)[1]
+    chart.diff = DiffConfig(fd_step=1e-2)
+    d_coarse = stencil.J_jet(y)[1]
     assert not np.array_equal(d_fine, d_coarse)
-    assert np.array_equal(tensor_jet(fn, x, coarse)[1], d_coarse)
+    assert stencil.J_jet(y)[1] is d_coarse
+    assert exact.J_jet(y)[1] is d_exact
+    chart.diff = DiffConfig(fd_step=1e-5)
+    assert stencil.J_jet(y)[1] is d_fine
 
 
 def test_outputs_are_read_only():
@@ -95,7 +101,7 @@ def test_outputs_are_read_only():
             M.christoffel_at(p),
             *M.metric_jet(p),
             phi.value(p),
-            *tensor_second(phi.expr, p, phi.diff),
+            *tensor_second(phi.expr, p),
             horizontal_projector(phi, p),
             phi.jet(p).dphi,
         ]
@@ -222,7 +228,8 @@ def test_hopf_s7_at_order_8_flushes_once(cold_memo, monkeypatch):
 
 
 def _count_evaluations(monkeypatch):
-    """Count every uncached evaluation by (evaluator, owner, config, point set)."""
+    """Count every uncached evaluation by (evaluator, owner, config, point set);
+    an expression's jets take no config (None)."""
     counts = Counter()
 
     def counted(name, real, owner_config):
@@ -238,10 +245,10 @@ def _count_evaluations(monkeypatch):
         autodiff, "_value", counted("value", autodiff._value, lambda fn, x: (fn, None, x))
     )
     monkeypatch.setattr(
-        autodiff, "_jet", counted("jet", autodiff._jet, lambda fn, x, cfg: (fn, cfg, x))
+        autodiff, "_jet", counted("jet", autodiff._jet, lambda fn, x: (fn, None, x))
     )
     monkeypatch.setattr(
-        autodiff, "_second", counted("second", autodiff._second, lambda fn, x, cfg: (fn, cfg, x))
+        autodiff, "_second", counted("second", autodiff._second, lambda fn, x: (fn, None, x))
     )
     monkeypatch.setattr(
         maps,
@@ -329,13 +336,15 @@ def test_the_consumers_of_F_evaluate_each_point_set_once(call, n_points, monkeyp
 
 
 def test_the_induced_rank_is_probed_once_per_map_and_structure(monkeypatch):
-    """identity_suites constructs the induced F six times on one map; the
-    rank probe at the first node-rule node runs on the first construction only,
-    however often the memo has dropped that one-row point set since."""
-    sc = build_scenario("hopf-s5")
-    probe = np.ascontiguousarray(sc.domain.node_rules[0].nodes[:1])
+    """Registration and identity_suites construct the induced F of the
+    scenario's map many times; the rank probe at the first node-rule node
+    runs on the first construction only, however often the memo has dropped
+    that one-row point set since."""
+    monkeypatch.setattr(scenarios, "_CACHE", {})
     counts = _count_evaluations(monkeypatch)
+    sc = build_scenario("hopf-s5")
     identity_suites(sc, n_points=100, seed=1)
+    probe = np.ascontiguousarray(sc.domain.node_rules[0].nodes[:1])
     at_probe = Counter()
     for key, n in counts.items():
         if key[3:] == (probe.shape, probe.tobytes()):
@@ -399,3 +408,17 @@ def test_the_full_hopf_s5_rule_is_evaluated_once_per_call(monkeypatch):
         call()
         assert counts and max(counts.values()) == 1
     assert {k[0] for k in counts} == {"value", "jet", "projector"}
+
+
+@pytest.mark.parametrize("sid", ["hopf-s3", "hopf-s5", "warped-hopf"])
+def test_the_semiconformal_check_takes_the_fibres_mean_curvature_once(sid, monkeypatch):
+    """The criticality combination and the mean_curvature row read one mu at
+    the check's 60 points: d P_H is evaluated once there."""
+    sc = build_scenario(sid)
+    calls = []
+    real = maps._projector_partials
+    monkeypatch.setattr(
+        maps, "_projector_partials", lambda phi, x: calls.append(np.shape(x)) or real(phi, x)
+    )
+    run_checks(RunConfig(sid, checks=("semiconformal",), seed=1))
+    assert calls == [(60, sc.domain.dim)]

@@ -20,6 +20,10 @@ Every scenario's identity table, ``run_identities(sid, n_points=100,
 seed=1)``, recorded in ``golden/identities_<scenario>_seed1.json`` as the
 `identities --json` subcommand writes it.  These must match byte for byte:
 sharing an evaluation between suites or checks moves no bit of a residual.
+Changing how a derivative is taken does: the hopf-s3, hopf-s5, hopf-s7 and
+warped-hopf tables were re-recorded (six rows each) when the suites moved
+from central-difference second derivatives of a copy of the map to the exact
+second jets of the scenario's own map, which the checks read.
 """
 
 import json

@@ -364,9 +364,9 @@ class TestKillingHessianFamily:
                 monkeypatch.setattr(module, "field_partials", counting)
         real_second, seconds = autodiff._second, []
 
-        def recording(fn, x, cfg):
+        def recording(fn, x):
             seconds.append((fn, len(x)))
-            return real_second(fn, x, cfg)
+            return real_second(fn, x)
 
         monkeypatch.setattr(autodiff, "_second", recording)
         report._check_hessian(sc, cfg, None)
