@@ -4,6 +4,10 @@ A chart is an axis-aligned box of coordinates with a metric expression.
 Built-in geometries cover their manifold minus a measure-zero set, so
 integrals are unaffected and pointwise checks sample the interior.
 All evaluators accept a single point ``(m,)`` or a batch ``(N, m)``.
+Node-batch contractions that are matrix products, or chains of them, run as
+``@`` on swapaxes/reshape views (``_apply_first``, ``_contract_first``);
+mat-vecs, quadratic forms and traces stay einsum, and no einsum call passes
+the ``optimize`` keyword.
 """
 
 from __future__ import annotations
@@ -351,7 +355,7 @@ class ChartManifold:
         d = np.moveaxis(dg, -1, -3)  # d[..., l, i, j] = partial_l g_ij
         term = np.swapaxes(d, -3, -2) + np.swapaxes(d, -3, -1) - d
         # term[..., l, i, j] = d_i g_lj + d_j g_li - d_l g_ij  (g symmetric)
-        return 0.5 * np.einsum("...kl,...lij->...kij", ginv, term)
+        return 0.5 * _apply_first(ginv, term)  # ...kl,...lij->...kij
 
     # -- frames and musical isomorphisms --------------------------------------
     def frame_at(self, x, rotation=None):
@@ -483,8 +487,8 @@ def _nabla_two_tensor(M, T, x, Tv=None, dT=None):
     if dT is None:
         dT = field_partials(lambda p: np.asarray(T(p), dtype=float), x, M.diff.fd_step)
     dT = np.moveaxis(dT, -1, -3)  # derivative index first
-    corr1 = np.einsum("...lij,...lk->...ijk", gamma, Tv, optimize=True)
-    corr2 = np.einsum("...lik,...jl->...ijk", gamma, Tv, optimize=True)
+    corr1 = _contract_first(gamma, Tv)  # ...lij,...lk->...ijk
+    corr2 = _apply_first(Tv, gamma).swapaxes(-3, -2)  # ...lik,...jl->...ijk
     return dT - corr1 - corr2
 
 
@@ -507,8 +511,8 @@ def codifferential_two_form(M, omega, x, rotation=None, omega_values=None, omega
     xb, squeeze = _batch(x)
     nab = _nabla_two_tensor(M, omega, xb, Tv=omega_values, dT=omega_partials)
     E = M.frame_at(xb, rotation=rotation)
-    proj = np.einsum("...ia,...ja->...ij", E, E)  # = g^{-1} for any ON frame
-    out = -np.einsum("...ij,...ijk->...k", proj, nab, optimize=True)
+    proj = E @ E.swapaxes(-1, -2)  # ...ia,...ja->...ij; = g^{-1} for any ON frame
+    out = -np.einsum("...ij,...ijk->...k", proj, nab)
     return out[0] if squeeze else out
 
 
@@ -527,11 +531,10 @@ def nabla_endomorphism(M, F, x, extra_gamma=None, dF=None):
     if dF is None:
         dF = field_partials(lambda p: np.asarray(F(p), dtype=float), xb, M.diff.fd_step)
     dF = np.moveaxis(dF, -1, -3)  # (..., i, k, j)
-    nab = (
-        dF
-        + np.einsum("...kil,...lj->...ikj", gamma, Fv)
-        - np.einsum("...lij,...kl->...ikj", gamma, Fv)
-    )
+    m = gamma.shape[-1]
+    up = (gamma.reshape(gamma.shape[:-3] + (m * m, m)) @ Fv).reshape(gamma.shape)
+    # + ...kil,...lj->...ikj - ...lij,...kl->...ikj
+    nab = dF + (up - _apply_first(Fv, gamma)).swapaxes(-3, -2)
     return nab[0] if squeeze else nab
 
 
@@ -554,6 +557,18 @@ def lie_bracket(M, X, Y, x):
     dY = field_partials(lambda p: np.asarray(Y(p), dtype=float), xb, h)
     out = np.einsum("...i,...ki->...k", Xv, dY) - np.einsum("...i,...ki->...k", Yv, dX)
     return out[0] if squeeze else out
+
+
+def _apply_first(A, T):
+    """sum_q A[..., p, q] T[..., q, r, s], (..., p, r, s): A on T's first index, one matmul."""
+    out = A @ T.reshape(T.shape[:-2] + (-1,))
+    return out.reshape(out.shape[:-1] + T.shape[-2:])
+
+
+def _contract_first(T, B):
+    """sum_q T[..., q, r, s] B[..., q, p], (..., r, s, p): B on T's first index, one matmul."""
+    out = T.reshape(T.shape[:-2] + (-1,)).swapaxes(-1, -2) @ B
+    return out.reshape(out.shape[:-2] + T.shape[-2:] + out.shape[-1:])
 
 
 def _cholesky_clears(a, floor):
@@ -596,8 +611,8 @@ def metric_norms(M, x, v):
 def two_form_norm2(M, x, omega):
     """Squared norm of a 2-form value under the a<b convention.
 
-    sum_{a<b} w(e_a, e_b)^2 = (1/2) tr(g^-1 w g^-1 w^T), frame independent.
+    sum_{a<b} w(e_a, e_b)^2 = (1/2) tr(g^-1 w g^-1 w^T) = -(1/2) tr(a a) with
+    a = g^-1 w, as w^T = -w; frame independent.
     """
-    ginv = M.inverse_metric_at(x)
-    w = np.asarray(omega, dtype=float)
-    return 0.5 * np.einsum("...ij,...jk,...kl,...li->...", ginv, w, ginv, -w)
+    a = M.inverse_metric_at(x) @ np.asarray(omega, dtype=float)
+    return -0.5 * np.einsum("...ij,...ji->...", a, a)  # ...ij,...jk,...kl,...li->...

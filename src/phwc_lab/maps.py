@@ -12,7 +12,7 @@ import numpy as np
 
 from .autodiff import _memo, field_partials, tensor_jet, tensor_second, tensor_value
 from .errors import OutOfChart, RankDeficient
-from .geometry import _batch, _cholesky_clears, gram_schmidt
+from .geometry import _apply_first, _batch, _cholesky_clears, gram_schmidt
 
 __all__ = [
     "SmoothMap",
@@ -151,8 +151,11 @@ def second_fundamental_form_tensor(phi, x):
     jet = phi.second_jet(x)
     gm = phi.domain.christoffel_at(x)
     gn = phi.codomain.christoffel_at(jet.y)
-    term_m = np.einsum("...gk,...kij->...gij", jet.dphi, gm)
-    term_n = np.einsum("...gab,...ai,...bj->...gij", gn, jet.dphi, jet.dphi, optimize=True)
+    dphi = jet.dphi
+    n, m = dphi.shape[-2:]
+    term_m = _apply_first(dphi, gm)  # ...gk,...kij->...gij
+    gn_dphi = (gn.reshape(gn.shape[:-3] + (n * n, n)) @ dphi).reshape(gn.shape[:-1] + (m,))
+    term_n = dphi.swapaxes(-1, -2)[..., None, :, :] @ gn_dphi  # ...gab,...ai,...bj->...gij
     return jet.d2phi - term_m + term_n
 
 
@@ -301,7 +304,7 @@ def _lift(adj, q, E):
     """dphi^t q^-1 E_k for a stack E (..., K, n) from the adjoint and
     q = dphi dphi^t, each q factored once for the K vectors: (..., K, m)."""
     sol = np.linalg.solve(q, E.swapaxes(-1, -2))
-    return np.einsum("...ia,...ak->...ki", adj, sol)
+    return (adj @ sol).swapaxes(-1, -2)  # ...ia,...ak->...ki
 
 
 def _along(dT, dphi):
@@ -395,8 +398,7 @@ def horizontal_frame(phi, x):
     # generic fixed mixing avoids seeds falling into the vertical space
     rng = np.random.default_rng(12345)
     mix = rng.normal(size=(m, m)) + np.eye(m) * m
-    seeds = np.einsum("...ij,jk->...ik", ph, mix[:, :n])
-    return gram_schmidt(seeds, g)
+    return gram_schmidt(ph @ mix[:, :n], g)  # ...ij,jk->...ik
 
 
 def mean_curvature_fibres(phi, x):
@@ -430,7 +432,8 @@ def _mean_curvature(phi, x):
     gam = np.moveaxis(phi.domain.christoffel_at(x), -2, 0)  # gam[i] = Gamma_i
     nabla = gam @ pv - pv @ gam - _projector_partials(phi, x)  # nabla_i P_V
     vv = pv @ phi.domain.inverse_metric_at(x)  # P_V g^-1
-    return np.einsum("nkp,inpj,nij->nk", phor, nabla, vv) / nv
+    # nkp,inpj,nij->nk as two contractions
+    return np.einsum("nkp,np->nk", phor, np.einsum("inpj,nij->np", nabla, vv)) / nv
 
 
 def stress_energy_residual(phi, x, Z=None):

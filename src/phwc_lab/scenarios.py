@@ -232,7 +232,7 @@ def sasakian_structure(chart, n):
     def phi_field(x):
         _, Je = tensor_jet(chart.embedding, x)
         g = chart.metric_at(x, check=False)
-        rhs = np.einsum("...ei,ef,...fj->...ij", Je, J0, Je)
+        rhs = Je.swapaxes(-1, -2) @ J0 @ Je  # ...ei,ef,...fj->...ij
         return np.linalg.solve(g, rhs)
 
     return ContactMetricStructure(chart, phi_field, xi, name=f"sasakian-{chart.name}")

@@ -115,8 +115,8 @@ def _killing_components(e, Je, g, A):
     g (..., m, m) are the values at the points.  Each metric is factored
     once for the K right-hand sides.  Returns (..., K, m).
     """
-    Ap = np.einsum("kef,...f->...ek", A, e)
-    rhs = np.einsum("...ei,...ek->...ik", Je, Ap)
+    Ap = (e @ A.reshape(-1, A.shape[-1]).T).reshape(e.shape[:-1] + A.shape[:2])
+    rhs = Je.swapaxes(-1, -2) @ Ap.swapaxes(-1, -2)  # kef,...f->...ek; ...ei,...ek->...ik
     return np.linalg.solve(g, rhs).swapaxes(-1, -2)
 
 
@@ -131,9 +131,11 @@ def _killing_jet(e, Je, He, g, dg, A):
     """
     N, m = Je.shape[0], Je.shape[-1]
     K = len(A)
-    Ap = np.einsum("kef,nf->nek", A, e)  # (N, d, K)
+    A_t = A.reshape(-1, A.shape[-1]).T  # (f, K*d)
+    Ap = (e @ A_t).reshape(N, K, -1).swapaxes(-1, -2)  # kef,nf->nek: (N, d, K)
     Je_t = Je.swapaxes(-1, -2)
-    d_rhs = np.moveaxis(He, -1, 0).swapaxes(-1, -2) @ Ap + Je_t @ np.einsum("kef,nfi->inek", A, Je)
+    AJe = (Je_t @ A_t).reshape(N, m, K, -1).transpose(1, 0, 3, 2)  # kef,nfi->inek
+    d_rhs = np.moveaxis(He, -1, 0).swapaxes(-1, -2) @ Ap + Je_t @ AJe
     # columns: Je^T A_k e, then d_i (Je^T A_k e) and d_i g, derivative-major
     rhs = [Je_t @ Ap, d_rhs.transpose(1, 2, 0, 3), dg.transpose(0, 1, 3, 2)]
     sol = np.linalg.solve(g, np.concatenate([r.reshape(N, m, -1) for r in rhs], axis=-1))
@@ -146,7 +148,7 @@ def _killing_jet(e, Je, He, g, dg, A):
 def _killing_variation(dphi, e, Je, g, A):
     """v_k = dphi(X_(A_k)) for a stack A (K, d, d) from the map differential,
     the embedding jet and the metric: (..., K, dim N)."""
-    return np.einsum("...ai,...ki->...ka", dphi, _killing_components(e, Je, g, A))
+    return _killing_components(e, Je, g, A) @ dphi.swapaxes(-1, -2)  # ...ai,...ki->...ka
 
 
 def killing_lie_residual(M, A, x):
@@ -158,8 +160,8 @@ def killing_lie_residual(M, A, x):
     g, dg = M.metric_jet(xb)
     lie = (
         np.einsum("...k,...ijk->...ij", Xv, dg)
-        + np.einsum("...kj,...ki->...ij", g, dX)
-        + np.einsum("...ik,...kj->...ij", g, dX)
+        + dX.swapaxes(-1, -2) @ g  # ...kj,...ki->...ij
+        + g @ dX  # ...ik,...kj->...ij
     )
     return np.max(np.abs(lie), axis=(-1, -2))
 
@@ -188,9 +190,13 @@ class VariationSpan:
     section sum_k c_k b_k.  ``bandwidth`` B, if declared, bounds the Fourier
     modes of the sections' products along every periodic axis of the domain:
     none has |k| > B.  B bounds the forms' integrands, so B + 1 trapezoid
-    nodes a period integrate them exactly (``span_rule``), only for a map
-    whose factors in them (dphi, h, Omega, Gamma at phi(x)) do not depend on
-    theta; nothing checks that at run time yet (ROADMAP item 1(b)).
+    nodes a period integrate them exactly (``span_rule``) for a map that is
+    equivariant under the torus the periodic axes parametrize, as the
+    catalog's Hopf maps are.  The map's factors in the integrands (dphi, h,
+    Omega, Gamma at phi(x)) do depend on theta; equivariance is what holds:
+    the T = 5 rule matched the 7-shift torus average of the one-node forms
+    within 3e-14 on hopf-s5 and hopf-s7.  Nothing checks B at run time yet
+    (ROADMAP item 4(b)).
     """
 
     map_id: str
@@ -367,9 +373,9 @@ def hessian(phi, J, v, *, allow_noncritical=False, z_nodes=None):
     term1 = two_form_norm2(M, nodes, dA)
     dphiZ = np.einsum("...ai,...i->...a", jet.dphi, z_nodes)
     nabla_v = np.einsum("...gi,...i->...g", dv, z_nodes) + np.einsum(
-        "...gab,...a,...b->...g", gammaN, dphiZ, vv, optimize=True
+        "...gab,...a,...b->...g", gammaN, dphiZ, vv
     )
-    term2 = np.einsum("...a,...ab,...b->...", vv, om, nabla_v, optimize=True)
+    term2 = np.einsum("...a,...ab,...b->...", vv, om, nabla_v)
     return M.integrate(term1 + term2)
 
 
@@ -546,9 +552,10 @@ def span_rule(M, span, orders=None):
     On a chart with periodic axes and a span that declares its bandwidth B:
     Gauss-Legendre at ``orders`` (default the chart's) on the other axes and
     B + 1 trapezoid nodes on each periodic axis, at the offsets of the first
-    torus rule.  It is exact along theta as long as the factors the map
-    brings into the integrands do not depend on theta, the assumption of the
-    torus rules.  Otherwise Gauss-Legendre at ``orders`` on every axis.
+    torus rule.  It is exact along theta for a map equivariant under the
+    torus of the periodic axes (see VariationSpan), although the factors the
+    map brings into the integrands depend on theta.  Otherwise Gauss-Legendre
+    at ``orders`` on every axis.
     """
     if span.bandwidth is None:
         return M.rule(orders)
@@ -621,8 +628,7 @@ def _contact_frame(phi, ctx, nodes):
     H = horizontal_frame(phi, nodes)
     rng = np.random.default_rng(777)
     mix = rng.normal(size=(2 * n, n)) + np.eye(2 * n)[:, :n]
-    seeds = np.einsum("...ia,ab->...ib", H, mix)
-    return j_adapted_frame(g, ph_tensor, n, seeds=seeds)
+    return j_adapted_frame(g, ph_tensor, n, seeds=H @ mix)  # ...ia,ab->...ib
 
 
 def _pair_components(frame, dA, n):
@@ -708,6 +714,15 @@ def bracket_identity_sasakian(contact, X, x):
 # vertical codifferential formula (eigenvalue form)
 
 
+def _cluster_projector(H, T, g, i0, i1):
+    """The g-orthogonal projector onto H v for the eigenvectors v, i0..i1 - 1 in
+    ascending order, of H^T T H: T the pullback metric and H (..., m, k) a
+    g-orthonormal horizontal frame."""
+    _, vec = np.linalg.eigh(H.swapaxes(-1, -2) @ T @ H)  # ...ia,...ij,...jb->...ab
+    cols = H @ vec[..., i0:i1]  # ...ia,...ab->...ib
+    return cols @ (cols.swapaxes(-1, -2) @ g)  # ...ia,...ja,...jk->...ik
+
+
 def vertical_codifferential_formula(phi, J, V, x, cluster_tol=1e-6):
     """Both sides of -delta(phi*Omega)(V) = sum_i lambda_i^2 g([E_i, F E_i], V).
 
@@ -752,19 +767,14 @@ def vertical_codifferential_formula(phi, J, V, x, cluster_tol=1e-6):
     generic = rng.normal(size=(M.dim, M.dim)) + np.eye(M.dim) * M.dim
 
     def cluster_projector(p, i0, i1):
-        Hp = horizontal_frame(phi, p)
-        Tp = pullback_metric(phi, p)
-        Mp = np.einsum("...ia,...ij,...jb->...ab", Hp, Tp, Hp)
-        w, vec = np.linalg.eigh(Mp)
-        cols = np.einsum("...ia,...ab->...ib", Hp, vec[..., i0:i1])
         gp = M.metric_at(p, check=False)
-        return np.einsum("...ia,...ja,...jk->...ik", cols, cols, gp)
+        return _cluster_projector(horizontal_frame(phi, p), pullback_metric(phi, p), gp, i0, i1)
 
     def frame_field(p, i0, i1):
         Pp = cluster_projector(p, i0, i1)
         gp = M.metric_at(p, check=False)
         Fp = np.asarray(F.F_at(p), float)
-        seeds = np.einsum("...ij,jk->...ik", Pp, generic[:, : (i1 - i0) // 2])
+        seeds = Pp @ generic[:, : (i1 - i0) // 2]  # ...ij,jk->...ik
         return j_adapted_frame(gp, Fp, (i1 - i0) // 2, seeds=seeds)
 
     why = {}  # degenerate point -> reason, from its first failing cluster

@@ -18,7 +18,9 @@ from .errors import (
     RankDeficient,
 )
 from .geometry import (
+    _apply_first,
     _batch,
+    _contract_first,
     _norm,
     endomorphism_divergence,
     gram_schmidt,
@@ -104,7 +106,7 @@ class AlmostHermitianStructure:
         """Fundamental 2-form Omega(X, Y) = h(JX, Y), i.e. Omega = J^T h."""
         h = self.base.metric_at(y, check=False)
         J = self.J_at(y)
-        return np.einsum("...ki,...kj->...ij", J, h)
+        return J.swapaxes(-1, -2) @ h  # ...ki,...kj->...ij
 
     def J_jet(self, y):
         """J and its partials at the points y (N, dim), derivative index last.
@@ -128,16 +130,17 @@ class AlmostHermitianStructure:
         index last, by the product rule from J's jet and the metric jet."""
         J, dJ = self.J_jet(y)
         h, dh = self.base.metric_jet(y)
-        d_om = np.einsum("...kia,...kj->...ija", dJ, h)
-        return self.omega_at(y), d_om + np.einsum("...ki,...kja->...ija", J, dh)
+        d_om = _contract_first(dJ, h).swapaxes(-1, -2)  # ...kia,...kj->...ija
+        J_dh = _apply_first(J.swapaxes(-1, -2), dh)  # ...ki,...kja->...ija
+        return self.omega_at(y), d_om + J_dh
 
     def check_invariants(self, points):
         """max |J^2 + I|, |J^T h J - h|, |Omega + Omega^T| at the points."""
         J = self.J_at(points)
         h = self.base.metric_at(points, check=False)
         eye = np.eye(self.base.dim)
-        r1 = np.max(np.abs(np.einsum("...ik,...kj->...ij", J, J) + eye))
-        r2 = np.max(np.abs(np.einsum("...ki,...kl,...lj->...ij", J, h, J) - h))
+        r1 = np.max(np.abs(J @ J + eye))  # ...ik,...kj->...ij
+        r2 = np.max(np.abs(J.swapaxes(-1, -2) @ h @ J - h))  # ...ki,...kl,...lj->...ij
         om = self.omega_at(points)
         r3 = np.max(np.abs(om + np.swapaxes(om, -1, -2)))
         return max(r1, r2, r3)
@@ -176,11 +179,10 @@ class MetricFStructure:
         """
         F = np.asarray(self.F_at(points), dtype=float)
         g = self.base.metric_at(points, check=False)
-        F3 = np.einsum("...ij,...jk,...kl->...il", F, F, F)
-        r1 = np.max(np.abs(F3 + F))
-        skew = np.einsum("...ki,...kj->...ij", F, g)  # F^T g
-        r2 = np.max(np.abs(skew + np.einsum("...ik,...kj->...ij", g, F)))
-        ranks = np.round(np.einsum("...ii->...", -np.einsum("...ij,...jk->...ik", F, F)))
+        F2 = F @ F  # ...ij,...jk->...ik
+        r1 = np.max(np.abs(F2 @ F + F))  # ...ij,...jk,...kl->...il
+        r2 = np.max(np.abs(F.swapaxes(-1, -2) @ g + g @ F))  # F^T g + g F
+        ranks = np.round(-np.einsum("...ii->...", F2))
         if self.rank is None:
             self.rank = int(ranks.flat[0])
         r3 = 0.0 if np.all(ranks == self.rank) else np.inf
@@ -223,10 +225,10 @@ class ContactMetricStructure:
         eta = self.eta_at(points)
         g = self.base.metric_at(points, check=False)
         eye = np.eye(self.base.dim)
-        phi2 = np.einsum("...ij,...jk->...ik", ph, ph)
+        phi2 = ph @ ph  # ...ij,...jk->...ik
         r1 = np.max(np.abs(phi2 + eye - np.einsum("...i,...j->...ij", xi, eta)))
         r2 = np.max(np.abs(np.einsum("...i,...i->...", eta, xi) - 1.0))
-        gphi = np.einsum("...ki,...kl,...lj->...ij", ph, g, ph)
+        gphi = ph.swapaxes(-1, -2) @ g @ ph  # ...ki,...kl,...lj->...ij
         r3 = np.max(np.abs(gphi - g + np.einsum("...i,...j->...ij", eta, eta)))
         return max(r1, r2, r3)
 
@@ -307,11 +309,12 @@ def phwc_residual_coordinates(phi, x):
         )
     jet = phi.jet(x)
     ginv = phi.domain.inverse_metric_at(x)
-    zd = np.stack(
-        [jet.dphi[..., re, :] + 1j * jet.dphi[..., im, :] for re, im in pairs], axis=-2
-    )
-    # sesquilinear-free product: g^ij dphi^a_i dphi^b_j (complex bilinear)
-    prod = np.einsum("...ij,...ai,...bj->...ab", ginv, zd, zd)
+    # sesquilinear-free product: g^ij dphi^a_i dphi^b_j (complex bilinear), from
+    # the real blocks of the rows S = [Re dphi^a; Im dphi^a] (see _isotropy_and_f)
+    p = len(pairs)
+    S = jet.dphi[..., [re for re, _ in pairs] + [im for _, im in pairs], :]
+    P = S @ ginv @ S.swapaxes(-1, -2)  # real blocks of ...ij,...ai,...bj->...ab
+    prod = P[..., :p, :p] - P[..., p:, p:] + 1j * (P[..., :p, p:] + P[..., p:, :p])
     return np.max(np.abs(prod), axis=(-1, -2))
 
 
@@ -343,18 +346,14 @@ def induced_f_structure(phi, J):
         adj = adjoint_differential(phi, x)
         _require_phwc(phi, _commutator_norm(jet.dphi, adj, Jv))
         u = j_adapted_frame(h, Jv, n_pairs)
-        a = np.einsum("...ia,...ab->...ib", adj, u[..., 0::2])
-        b = np.einsum("...ia,...ab->...ib", adj, u[..., 1::2])
-        cols = a - 1j * b  # dphi^t (u - i J u)
+        cols = adj @ u[..., 0::2] - 1j * (adj @ u[..., 1::2])  # dphi^t (u - i J u)
         B, kept = _complex_orthonormalize(cols, g)
-        iso = np.einsum("...ik,...ij,...jl->...kl", B, g.astype(complex), B)
+        iso, F = _isotropy_and_f(B, g)
         if np.max(np.abs(iso)) > 1e-8:
             raise IsotropyFailure(
                 f"map {phi.name!r}: pulled-back (1,0)-space is not isotropic "
                 f"({np.max(np.abs(iso)):.3e}); PHWC fails"
             )
-        bb = np.einsum("...ik,...jk->...ij", B, B.conj())
-        F = -2.0 * np.einsum("...ij,...jk->...ik", bb.imag, g)
         return F, kept
 
     def F_and_rank(x):
@@ -372,6 +371,22 @@ def induced_f_structure(phi, J):
         name=f"F^{phi.name}",
         memo_key=key,
     )
+
+
+def _isotropy_and_f(B, g):
+    """B^T g B, zero iff the span of the columns of B (..., m, k) is
+    isotropic, and F = -2 Im(B B^H) g, for B Hermitian-orthonormal in g.
+
+    Real products only, of S = [Re B | Im B] and with Im(B B^H) =
+    Im B Re B^T - Re B Im B^T: a complex matmul would page in BLAS's
+    complex kernels, about 0.3 MiB of peak RSS.
+    """
+    k = B.shape[-1]
+    S = np.concatenate([B.real, B.imag], axis=-1)
+    P = S.swapaxes(-1, -2) @ g @ S  # real blocks of ...ik,...ij,...jl->...kl
+    iso = P[..., :k, :k] - P[..., k:, k:] + 1j * (P[..., :k, k:] + P[..., k:, :k])
+    W = B.imag @ B.real.swapaxes(-1, -2)
+    return iso, -2.0 * ((W - W.swapaxes(-1, -2)) @ g)  # ...ik,...jk->...ij; ...ij,...jk->...ik
 
 
 def _complex_orthonormalize(cols, g):
@@ -417,10 +432,9 @@ def holomorphy_residual(phi, F_M, F_N, x):
     h = phi.codomain.metric_at(jet.y, check=False)
     E = phi.domain.frame_at(x)
     X = E  # columns
-    dX = np.einsum("...ai,...ik->...ak", jet.dphi, X)
-    dFX = np.einsum("...ai,...ij,...jk->...ak", jet.dphi, FM, X)
-    D = dFX - np.einsum("...ab,...bk->...ak", FN, dX)
-    D2 = np.einsum("...ab,...bc,...ck->...ak", FN, FN, D)
+    dX = jet.dphi @ X  # ...ai,...ik->...ak
+    D = jet.dphi @ (FM @ X) - FN @ dX  # ...ai,...ij,...jk->...ak minus ...ab,...bk->...ak
+    D2 = FN @ (FN @ D)  # ...ab,...bc,...ck->...ak
     num = np.sqrt(np.einsum("...ak,...ab,...bk->...k", D2, h, D2))
     den = 1.0 + np.sqrt(np.einsum("...ak,...ab,...bk->...k", dX, h, dX))
     return np.max(num / den, axis=-1)
@@ -449,10 +463,9 @@ def phh_residual(phi, J, x):
     H = horizontal_frame(phi, xb)
     nab = nabla_endomorphism(phi.domain, lambda p: np.asarray(F.F_at(p), float), xb)
     Fv = np.asarray(F.F_at(xb), dtype=float)
-    # F((nabla_{H_a} F) H_b) for all horizontal pairs
-    v = np.einsum(
-        "...kl,...ia,...ilj,...jb->...kab", Fv, H, nab, H
-    )
+    # F((nabla_{H_a} F) H_b) for all horizontal pairs: ...kl,...ia,...ilj,...jb->...kab
+    HnH = H.swapaxes(-1, -2)[..., None, :, :] @ nab.swapaxes(-3, -2) @ H[..., None, :, :]
+    v = _apply_first(Fv, HnH)
     g = phi.domain.metric_at(xb, check=False)
     norms = np.sqrt(np.einsum("...kab,...kl,...lab->...ab", v, g, v))
     out = np.max(norms, axis=(-1, -2))
@@ -462,13 +475,12 @@ def phh_residual(phi, J, x):
 def _im_f_basis(F, x, g):
     """Deterministic orthonormal basis of (Ker F)^perp = im F, batched."""
     Fv = np.asarray(F.F_at(x), dtype=float)
-    proj = -np.einsum("...ij,...jk->...ik", Fv, Fv)  # projector onto im F
+    proj = -(Fv @ Fv)  # ...ij,...jk->...ik; projector onto im F
     k = int(round(float(np.einsum("...ii->...", proj).flat[0])))
     rng = np.random.default_rng(2024)
     m = Fv.shape[-1]
     mix = rng.normal(size=(m, m)) + np.eye(m) * m
-    seeds = np.einsum("...ij,jk->...ik", proj, mix[:, :k])
-    return gram_schmidt(seeds, g), k
+    return gram_schmidt(proj @ mix[:, :k], g), k  # ...ij,jk->...ik
 
 
 def _cond_b_vectors(F, x):

@@ -14,7 +14,9 @@ import numpy as np
 from .errors import DimensionTooSmall, NotSemiconformal
 from .geometry import (
     TWO_FORM_CONVENTION,
+    _apply_first,
     _batch,
+    _contract_first,
     _nabla_two_tensor,
     _norm,
     codifferential_two_form,
@@ -182,7 +184,7 @@ def _nabla_pullback_tensor(phi, x):
     jet = phi.second_jet(x)
     nd = second_fundamental_form_tensor(phi, x)
     h = phi.codomain.metric_at(jet.y, check=False)
-    t1 = np.einsum("...aij,...ab,...bk->...ijk", nd, h, jet.dphi)
+    t1 = _contract_first(nd, h @ jet.dphi)  # ...aij,...ab,...bk->...ijk
     return t1 + np.swapaxes(t1, -1, -2)
 
 
@@ -224,9 +226,8 @@ def criticality_equivalence(phi, J, x):
     E = frame[..., :, 0::2]
     FE = frame[..., :, 1::2]
     nabT = _nabla_pullback_tensor(phi, xb)
-    s_cov = np.einsum("...ia,...ja,...ijk->...k", E, FE, nabT) - np.einsum(
-        "...ia,...ja,...ijk->...k", FE, E, nabT
-    )
+    W = E @ FE.swapaxes(-1, -2)  # ...ia,...ja->...ij
+    s_cov = np.einsum("...ij,...ijk->...k", W - W.swapaxes(-1, -2), nabT)
     r_sum = _max_over_horizontal(phi, xb, s_cov)
 
     T = pullback_metric(phi, xb)
@@ -369,9 +370,8 @@ def tension_phwc(phi, J, x):
 
         nabJ = nabla_endomorphism(phi.codomain, J.J_at, jet.y, dF=J.J_jet(jet.y)[1])
         ginv = phi.domain.inverse_metric_at(xb)
-        divphiJ = np.einsum(
-            "...ij,...ai,...bj,...agb->...g", ginv, jet.dphi, jet.dphi, nabJ
-        )
+        Q = jet.dphi @ ginv @ jet.dphi.swapaxes(-1, -2)  # ...ij,...ai,...bj->...ab
+        divphiJ = np.einsum("...ab,...agb->...g", Q, nabJ)
         Jv = J.J_at(jet.y)
         tau = tau + np.einsum("...ga,...a->...g", Jv, divphiJ)
     return tau[0] if squeeze else tau
@@ -397,13 +397,14 @@ def cond_1_1_residual(phi, J, x):
     h = phi.codomain.metric_at(jet.y, check=False)
     Jv = J.J_at(jet.y)
 
-    FH = np.einsum("...ij,...jb->...ib", Fv, H)
+    Ht = H.swapaxes(-1, -2)[..., None, :, :]
+    FH = (Fv @ H)[..., None, :, :]  # ...ij,...jb->...ib
     # (nabla_{H_a} F) H_b, then pushed through dphi
-    nabF_ab = np.einsum("...ia,...ikj,...jb->...kab", H, nabF, H)
-    dphi_nabF = np.einsum("...gk,...kab->...gab", jet.dphi, nabF_ab)
-    nd_X_FY = np.einsum("...gij,...ia,...jb->...gab", nd, H, FH)
-    nd_X_Y = np.einsum("...gij,...ia,...jb->...gab", nd, H, H)
-    J_nd = np.einsum("...gc,...cab->...gab", Jv, nd_X_Y)
+    nabF_ab = Ht @ nabF.swapaxes(-3, -2) @ H[..., None, :, :]  # ...ia,...ikj,...jb->...kab
+    dphi_nabF = _apply_first(jet.dphi, nabF_ab)  # ...gk,...kab->...gab
+    nd_X_FY = Ht @ nd @ FH  # ...gij,...ia,...jb->...gab
+    nd_X_Y = Ht @ nd @ H[..., None, :, :]  # ...gij,...ia,...jb->...gab
+    J_nd = _apply_first(Jv, nd_X_Y)  # ...gc,...cab->...gab
 
     ident = dphi_nabF + nd_X_FY - J_nd
     r_ident = np.sqrt(np.einsum("...gab,...gc,...cab->...ab", ident, h, ident))
@@ -411,7 +412,7 @@ def cond_1_1_residual(phi, J, x):
 
     # membership defect: project nabla dphi(X, Y + iFY) onto T^(0,1)N
     C = nd_X_Y + 1j * nd_X_FY
-    JC = np.einsum("...gc,...cab->...gab", Jv.astype(complex), C)
+    JC = J_nd + 1j * _apply_first(Jv, nd_X_FY)  # ...gc,...cab->...gab
     P = 0.5 * (C + 1j * JC)
     r_cond = np.sqrt(
         np.abs(np.einsum("...gab,...gc,...cab->...ab", np.conj(P), h.astype(complex), P))

@@ -29,34 +29,34 @@ GOLDEN_ROWS = [
     ("tension_agreement", "flat-holo", 100, 0.0, 0.0001, True, ""),
     ("stress_energy", "flat-holo", 100, 0.0, 0.0001, True, ""),
     ("pullback_metric_derivative", "hopf-s3", 100, 9.45376332772696e-10, 0.0001, True, ""),
-    ("pushforward_parallelism", "hopf-s3", 100, 1.9455121957308037e-07, 0.0001, True, ""),
+    ("pushforward_parallelism", "hopf-s3", 100, 1.94551219577758e-07, 0.0001, True, ""),
     ("semiconformal_divergence", "hopf-s3", 100, 1.9516531166288746e-07, 0.0001, True, ""),
-    ("codifferential_expansion", "hopf-s3", 100, 1.9439559963882967e-07, 0.0001, True, ""),
-    ("vertical_codifferential", "hopf-s3", 60, 1.4162353512148229e-08, 0.0001, True, ""),
+    ("codifferential_expansion", "hopf-s3", 100, 1.9439559959550897e-07, 0.0001, True, ""),
+    ("vertical_codifferential", "hopf-s3", 60, 1.4169297735122655e-08, 0.0001, True, ""),
     ("sasakian_bracket", "hopf-s3", 100, 1.7763568394002505e-15, 0.0001, True, ""),
     ("tension_agreement", "hopf-s3", 100, 1.9516530899405237e-07, 0.0001, True, ""),
     ("stress_energy", "hopf-s3", 100, 1.0190685032903181e-10, 0.0001, True, ""),
     ("pullback_metric_derivative", "hopf-s3-s2", 100, 9.090697083991017e-10, 0.0001, True, ""),
-    ("pushforward_parallelism", "hopf-s3-s2", 100, 1.945561973355667e-07, 0.0001, True, ""),
+    ("pushforward_parallelism", "hopf-s3-s2", 100, 1.9455619731995368e-07, 0.0001, True, ""),
     ("semiconformal_divergence", "hopf-s3-s2", 100, 1.951656981996619e-07, 0.0001, True, ""),
-    ("codifferential_expansion", "hopf-s3-s2", 100, 1.944292537659513e-07, 0.0001, True, ""),
-    ("vertical_codifferential", "hopf-s3-s2", 60, 1.4169645456973967e-08, 0.0001, True, ""),
+    ("codifferential_expansion", "hopf-s3-s2", 100, 1.9442925376207395e-07, 0.0001, True, ""),
+    ("vertical_codifferential", "hopf-s3-s2", 60, 1.4169703188571248e-08, 0.0001, True, ""),
     ("sasakian_bracket", "hopf-s3-s2", 100, 1.7763568394002505e-15, 0.0001, True, ""),
     ("tension_agreement", "hopf-s3-s2", 100, 1.9516569890742907e-07, 0.0001, True, ""),
     ("stress_energy", "hopf-s3-s2", 100, 3.099946335003176e-11, 0.0001, True, ""),
     ("pullback_metric_derivative", "product-proj", 100, 9.896010237934178e-11, 0.0001, True, ""),
-    ("pushforward_parallelism", "product-proj", 100, 3.2006408449775064e-10, 0.0001, True, ""),
+    ("pushforward_parallelism", "product-proj", 100, 3.2006408449775054e-10, 0.0001, True, ""),
     ("semiconformal_divergence", "product-proj", 100, 3.7394402838862054e-10, 0.0001, True, ""),
     ("codifferential_expansion", "product-proj", 100, 9.655734165912157e-10, 0.0001, True, ""),
     ("vertical_codifferential", "product-proj", 60, 0.0, 0.0001, True, ""),
     ("tension_agreement", "product-proj", 100, 3.7394402838862054e-10, 0.0001, True, ""),
     ("stress_energy", "product-proj", 100, 4.694853147218209e-10, 0.0001, True, ""),
     ("pullback_metric_derivative", "warped-hopf", 100, 9.453764437949985e-10, 0.0001, True, ""),
-    ("pushforward_parallelism", "warped-hopf", 100, 3.5179838213520077e-07, 0.0001, True, ""),
-    ("semiconformal_divergence", "warped-hopf", 100, 2.6244969296817996e-07, 0.0001, True, ""),
-    ("codifferential_expansion", "warped-hopf", 100, 4.7269960737413683e-07, 0.0001, True, ""),
-    ("vertical_codifferential", "warped-hopf", 60, 3.4411897331665386e-08, 0.0001, True, ""),
-    ("tension_agreement", "warped-hopf", 100, 3.5291792358550474e-07, 0.0001, True, ""),
+    ("pushforward_parallelism", "warped-hopf", 100, 3.517983840899941e-07, 0.0001, True, ""),
+    ("semiconformal_divergence", "warped-hopf", 100, 2.624496944336626e-07, 0.0001, True, ""),
+    ("codifferential_expansion", "warped-hopf", 100, 4.726996098894951e-07, 0.0001, True, ""),
+    ("vertical_codifferential", "warped-hopf", 60, 3.4420815531177595e-08, 0.0001, True, ""),
+    ("tension_agreement", "warped-hopf", 100, 3.529179255397919e-07, 0.0001, True, ""),
     ("stress_energy", "warped-hopf", 100, 5.46232836740046e-10, 0.0001, True, ""),
 ]
 
