@@ -10,7 +10,7 @@ built-in geometries the checks run against; `report`/`cli` wrap everything
 for the command line.
 """
 
-from .autodiff import DiffConfig, Dual, Jet2
+from .autodiff import Dual, Jet2
 from .errors import (
     ComplexChartMissing,
     ConfigError,
@@ -41,7 +41,6 @@ from .stability import VariationField
 from .variational import EnergyReport
 
 __all__ = [
-    "DiffConfig",
     "Dual",
     "Jet2",
     "Box",

@@ -17,7 +17,9 @@ A coordinate expression is differentiated one way: exactly, by forward
 mode (Griewank & Walther, *Evaluating Derivatives*).  `tensor_jet` seeds
 `Dual` coordinates, `tensor_second` seeds `Jet2` coordinates; neither takes
 a step.  Central differences are for black-box batch fields only
-(`field_partials`), at the step of a `DiffConfig`.
+(`field_partials`): the FD oracles, the direct sides of the identity suites
+and a structure given without an expression.  They read their step from
+`FD_STEP` at call time; no check of a run differentiates by a step.
 
 An expression returns a (nested) list or tuple of one common shape per
 level; every entry is a scalar, a (1,) array or an (N,) array over the N
@@ -39,14 +41,11 @@ f-structure share).  The memo lives as long as a scenario and holds at most
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import ConfigError, DifferentiationFailure
+from .errors import DifferentiationFailure
 
 __all__ = [
-    "DiffConfig",
     "Dual",
     "Jet2",
     "tensor_value",
@@ -56,19 +55,9 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class DiffConfig:
-    """The step of the central differences of black-box fields (``field_partials``).
-
-    fd_step: in [1e-8, 1e-2].  Coordinate expressions take no step: their
-    jets are exact.
-    """
-
-    fd_step: float = 1e-5
-
-    def __post_init__(self):
-        if not (1e-8 <= self.fd_step <= 1e-2):
-            raise ConfigError(f"fd_step {self.fd_step} outside [1e-8, 1e-2]")
+# The step of the central differences of black-box fields; callers pass it to
+# ``field_partials`` as ``autodiff.FD_STEP``, read at call time.
+FD_STEP = 1e-5
 
 
 def _pay(c, b):
@@ -368,21 +357,20 @@ def _freeze(value):
     return 0
 
 
-def _memo(kind, owner, cfg, x, compute):
-    """compute(x), once per (kind, owner, cfg, shape and bytes of the points x).
+def _memo(kind, owner, x, compute):
+    """compute(x), once per (kind, owner, shape and bytes of the points x).
 
     ``owner`` is the object, or tuple of objects, whose value it is (an
     expression, a chart's metric, a map): the key holds it, so it is
-    compared by identity and stays alive while its values do.  ``cfg`` is
-    the DiffConfig whose step the value reads (a stencil's), or None.  The
-    points are keyed by their bytes, not their identity, because every
-    stencil is a fresh batch.
+    compared by identity and stays alive while its values do.  The points
+    are keyed by their bytes, not their identity, because every stencil is a
+    fresh batch.
     The value (an array, or a tuple of arrays and plain values) is returned
     read-only, kept or not; a compute that raises keeps nothing.  The memo
     takes no lock: the library evaluates in one thread.
     """
     x = np.asarray(x, dtype=float)
-    key = (kind, owner, cfg, x.shape, x.tobytes())
+    key = (kind, owner, x.shape, x.tobytes())
     entry = _MEMO.get(key)
     if entry is not None:
         _MEMO_COUNTS["hits"] += 1
@@ -422,7 +410,7 @@ def tensor_value(fn, x):
     Read-only; one evaluation per point set (``_memo``).
     """
     x, squeeze = _points(x)
-    out = _memo("value", fn, None, x, lambda p: _value(fn, p))
+    out = _memo("value", fn, x, lambda p: _value(fn, p))
     return out[0] if squeeze else out
 
 
@@ -474,7 +462,7 @@ def tensor_jet(fn, x):
     batch axis.  Read-only; one evaluation per point set (``_memo``).
     """
     x, squeeze = _points(x)
-    val, der = _memo("jet", fn, None, x, lambda p: _jet(fn, p))
+    val, der = _memo("jet", fn, x, lambda p: _jet(fn, p))
     return (val[0], der[0]) if squeeze else (val, der)
 
 
@@ -493,7 +481,7 @@ def tensor_second(fn, x):
     Read-only; one evaluation per point set (``_memo``).
     """
     x, squeeze = _points(x)
-    out = _memo("second", fn, None, x, lambda p: _second(fn, p))
+    out = _memo("second", fn, x, lambda p: _second(fn, p))
     return tuple(a[0] for a in out) if squeeze else out
 
 
@@ -540,9 +528,9 @@ def field_partials(field, x, h):
     field maps (K, m) points to an array (K, *s), row by row; returns (N, *s, m)
     for x (N, m).  The stencil calls it once, on the 2m shifted copies of x
     stacked shift-major (K = 2m*N), so a field that carries per-point data
-    must repeat that data for every shift.  Used wherever a quantity is only
-    available through numerical constructions (pullback tensors, frames,
-    induced structures).
+    must repeat that data for every shift.  Its callers pass ``FD_STEP``: the
+    FD oracles, the direct sides of the identity suites, and a structure or
+    field that comes without a coordinate expression.
     """
     x, squeeze = _points(x)
     out = _stencil(field, x, h)

@@ -55,13 +55,6 @@ def _parser():
     run.add_argument("--alpha", type=float, default=None, help="coupling constant")
     run.add_argument("--p", type=float, default=None, help="p-energy exponent")
     run.add_argument("--order", type=int, default=None, help="quadrature nodes per axis")
-    run.add_argument(
-        "--fd-step", type=float, default=None,
-        help="step of the central differences of black-box fields, in [1e-8, 1e-2] "
-        "(default 1e-5); expression jets are exact and take none.  It reaches the "
-        "equivalence and weyl residuals, tension_two_routes and semiconformal "
-        "divergence_identity (docs/report-schema.md)",
-    )
     run.add_argument("--seed", type=int, default=None, help="RNG seed for sample points")
     run.add_argument("--sample-points", type=int, default=None)
     run.add_argument("--stability-fields", type=int, default=None)
@@ -104,7 +97,6 @@ def _build_config(args):
         ("alpha", "alpha"),
         ("p", "p"),
         ("order", "quadrature_order"),
-        ("fd_step", "fd_step"),
         ("seed", "seed"),
         ("sample_points", "sample_points"),
         ("stability_fields", "stability_fields"),

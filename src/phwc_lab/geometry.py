@@ -17,7 +17,8 @@ from functools import cache, cached_property
 
 import numpy as np
 
-from .autodiff import DiffConfig, _memo, field_partials, tensor_jet, tensor_value
+from . import autodiff
+from .autodiff import _memo, field_partials, tensor_jet, tensor_value
 from .errors import (
     DegenerateMetric,
     NonFiniteIntegrand,
@@ -229,13 +230,11 @@ class ChartManifold:
         embedding=None,
         complex_pairs=None,
         sample_box=None,
-        diff=None,
     ):
         self.name = name
         self.metric_fn = metric
         self.box = box
         self.dim = box.dim
-        self.diff = diff or DiffConfig()
         self.embedding = embedding
         self.complex_pairs = tuple(complex_pairs) if complex_pairs else None
         self.sample_box = sample_box or (box if box.finite() else None)
@@ -305,15 +304,22 @@ class ChartManifold:
         return tensor_value(self.metric_fn, x)
 
     def _require_nondegenerate(self, g):
-        """Raise DegenerateMetric unless every eigenvalue of g is above the fixed guard.
+        """Raise DegenerateMetric unless g has a positive diagonal D and every
+        eigenvalue of the Jacobi-scaled D^-1/2 g D^-1/2 is above the fixed guard.
 
-        ``_cholesky_clears`` clears most matrices from one Cholesky factor;
-        only the rest go to eigvalsh.  A cleared matrix is above the guard, so
-        the minimum of the rest is the minimum the message reports.  Both
-        read the guard from one line.
+        The scaled matrix does not see the scale of the coordinates (Golub &
+        Van Loan, Matrix Computations): near a Hopf chart's pole the factors
+        s_k^2 take g's eigenvalues to 0 while it stays near I.  A matrix with
+        a diagonal entry <= 0 is tested unscaled, so the message reports its
+        own smallest eigenvalue.  ``_cholesky_clears`` clears most matrices
+        from one Cholesky factor; only the rest go to eigvalsh, whose minimum
+        the message reports.  Both read the guard from one line.
         """
         floor = 1e-12
         g = np.reshape(g, (-1,) + np.shape(g)[-2:])
+        d = np.diagonal(g, axis1=-2, axis2=-1)
+        s = 1.0 / np.sqrt(np.where(np.all(d > 0, axis=-1, keepdims=True), d, 1.0))
+        g = s[:, :, None] * g * s[:, None, :]
         g = g[~_cholesky_clears(g, floor)]
         if len(g):
             w = np.min(np.linalg.eigvalsh(g))
@@ -331,9 +337,7 @@ class ChartManifold:
 
     def inverse_metric_at(self, x):
         """g(x)^-1, read-only; one inversion per point set."""
-        return _memo(
-            "inverse_metric", self.metric_fn, None, x, lambda p: np.linalg.inv(self._g(p))
-        )
+        return _memo("inverse_metric", self.metric_fn, x, lambda p: np.linalg.inv(self._g(p)))
 
     def metric_jet(self, x):
         """(g, dg) with dg[..., i, j, l] the l-th partial of g_ij."""
@@ -346,7 +350,7 @@ class ChartManifold:
     def christoffel_at(self, x):
         """Levi-Civita symbols Gamma^k_ij, symmetric in (i, j); read-only, once per point set."""
         self.require_inside(x)
-        return _memo("christoffel", self.metric_fn, None, x, self._christoffel)
+        return _memo("christoffel", self.metric_fn, x, self._christoffel)
 
     def _christoffel(self, x):
         g, dg = self.metric_jet(x)
@@ -451,14 +455,19 @@ def gram_schmidt(vecs, g):
 # tensor-field calculus (fields are batch callables (N, m) -> arrays)
 
 
-def covariant_derivative_vector(M, X, Y, x):
-    """(nabla_X Y)^k = X^i d_i Y^k + Gamma^k_ij X^i Y^j at x."""
+def covariant_derivative_vector(M, X, Y, x, dY=None):
+    """(nabla_X Y)^k = X^i d_i Y^k + Gamma^k_ij X^i Y^j at x.
+
+    ``dY`` passes precomputed partials of Y at the batch x (derivative index
+    last); without it they are central differences.
+    """
     xb, squeeze = _batch(x)
     M.require_inside(xb)
     gamma = M.christoffel_at(xb)
     Xv = np.asarray(X(xb), dtype=float)
     Yv = np.asarray(Y(xb), dtype=float)
-    dY = field_partials(lambda p: np.asarray(Y(p), dtype=float), xb, M.diff.fd_step)
+    if dY is None:
+        dY = field_partials(lambda p: np.asarray(Y(p), dtype=float), xb, autodiff.FD_STEP)
     out = np.einsum("...i,...ki->...k", Xv, dY) + np.einsum(
         "...kij,...i,...j->...k", gamma, Xv, Yv
     )
@@ -470,7 +479,7 @@ def divergence_vector_field(M, X, x):
     xb, squeeze = _batch(x)
     gamma = M.christoffel_at(xb)
     Xv = np.asarray(X(xb), dtype=float)
-    dX = field_partials(lambda p: np.asarray(X(p), dtype=float), xb, M.diff.fd_step)
+    dX = field_partials(lambda p: np.asarray(X(p), dtype=float), xb, autodiff.FD_STEP)
     out = np.einsum("...kk->...", dX) + np.einsum("...kkj,...j->...", gamma, Xv)
     return out[0] if squeeze else out
 
@@ -485,7 +494,7 @@ def _nabla_two_tensor(M, T, x, Tv=None, dT=None):
     if Tv is None:
         Tv = np.asarray(T(x), dtype=float)
     if dT is None:
-        dT = field_partials(lambda p: np.asarray(T(p), dtype=float), x, M.diff.fd_step)
+        dT = field_partials(lambda p: np.asarray(T(p), dtype=float), x, autodiff.FD_STEP)
     dT = np.moveaxis(dT, -1, -3)  # derivative index first
     corr1 = _contract_first(gamma, Tv)  # ...lij,...lk->...ijk
     corr2 = _apply_first(Tv, gamma).swapaxes(-3, -2)  # ...lik,...jl->...ijk
@@ -529,7 +538,7 @@ def nabla_endomorphism(M, F, x, extra_gamma=None, dF=None):
         gamma = gamma + extra_gamma(xb)
     Fv = np.asarray(F(xb), dtype=float)
     if dF is None:
-        dF = field_partials(lambda p: np.asarray(F(p), dtype=float), xb, M.diff.fd_step)
+        dF = field_partials(lambda p: np.asarray(F(p), dtype=float), xb, autodiff.FD_STEP)
     dF = np.moveaxis(dF, -1, -3)  # (..., i, k, j)
     m = gamma.shape[-1]
     up = (gamma.reshape(gamma.shape[:-3] + (m * m, m)) @ Fv).reshape(gamma.shape)
@@ -538,10 +547,13 @@ def nabla_endomorphism(M, F, x, extra_gamma=None, dF=None):
     return nab[0] if squeeze else nab
 
 
-def endomorphism_divergence(M, F, x, extra_gamma=None):
-    """div F = trace nabla F for an endomorphism field F (..., k_up, j_low)."""
+def endomorphism_divergence(M, F, x, extra_gamma=None, dF=None):
+    """div F = trace nabla F for an endomorphism field F (..., k_up, j_low).
+
+    ``extra_gamma`` and ``dF`` as in nabla_endomorphism.
+    """
     xb, squeeze = _batch(x)
-    nab = nabla_endomorphism(M, F, xb, extra_gamma=extra_gamma)
+    nab = nabla_endomorphism(M, F, xb, extra_gamma=extra_gamma, dF=dF)
     ginv = M.inverse_metric_at(xb)
     out = np.einsum("...ij,...ikj->...k", ginv, nab)
     return out[0] if squeeze else out
@@ -550,7 +562,7 @@ def endomorphism_divergence(M, F, x, extra_gamma=None):
 def lie_bracket(M, X, Y, x):
     """[X, Y]^k = X^i d_i Y^k - Y^i d_i X^k (chart computation)."""
     xb, squeeze = _batch(x)
-    h = M.diff.fd_step
+    h = autodiff.FD_STEP
     Xv = np.asarray(X(xb), dtype=float)
     Yv = np.asarray(Y(xb), dtype=float)
     dX = field_partials(lambda p: np.asarray(X(p), dtype=float), xb, h)

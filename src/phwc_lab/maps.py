@@ -10,6 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import autodiff
 from .autodiff import _memo, field_partials, tensor_jet, tensor_second, tensor_value
 from .errors import OutOfChart, RankDeficient
 from .geometry import _apply_first, _batch, _cholesky_clears, gram_schmidt
@@ -64,12 +65,11 @@ class FibreSplitting:
 class SmoothMap:
     """Coordinate expression of a map between chart manifolds."""
 
-    def __init__(self, name, domain, codomain, expr, diff=None):
+    def __init__(self, name, domain, codomain, expr):
         self.name = name
         self.domain = domain
         self.codomain = codomain
         self.expr = expr
-        self.diff = diff or domain.diff
         self._rank_profile = None
         self._f_ranks = {}  # rank of the induced F of each J (structures.induced_f_structure)
 
@@ -278,7 +278,7 @@ def horizontal_projector(phi, x):
 
     Read-only; one evaluation per point set.
     """
-    return _memo("horizontal_projector", phi, None, x, lambda p: _projector(phi, p))
+    return _memo("horizontal_projector", phi, x, lambda p: _projector(phi, p))
 
 
 def _projector(phi, x):
@@ -323,7 +323,7 @@ def _adjoint_jet(phi, x):
     rule, with d(g^-1) = -g^-1 dg g^-1.  Read-only; one evaluation per point
     set.
     """
-    return _memo("adjoint_jet", phi, None, x, lambda p: _adjoint_jet_eval(phi, p))
+    return _memo("adjoint_jet", phi, x, lambda p: _adjoint_jet_eval(phi, p))
 
 
 def _adjoint_jet_eval(phi, x):
@@ -415,7 +415,7 @@ def mean_curvature_fibres(phi, x):
     Read-only; one evaluation per point set.
     """
     xb, squeeze = _batch(x)
-    mu = _memo("mean_curvature", phi, None, xb, lambda p: _mean_curvature(phi, p))
+    mu = _memo("mean_curvature", phi, xb, lambda p: _mean_curvature(phi, p))
     return mu[0] if squeeze else mu
 
 
@@ -449,7 +449,7 @@ def stress_energy_residual(phi, x, Z=None):
         Z = np.zeros((len(xb), phi.domain.dim))
         Z[:, 0] = 1.0
     Z = np.broadcast_to(np.asarray(Z, float), (len(xb), phi.domain.dim))
-    de = field_partials(lambda p: energy_density(phi, p), xb, phi.diff.fd_step)
+    de = field_partials(lambda p: energy_density(phi, p), xb, autodiff.FD_STEP)
     divT = divergence_two_tensor(phi.domain, lambda p: pullback_metric(phi, p), xb)
     jet = phi.second_jet(xb)
     tau = tension_field_direct(phi, xb)

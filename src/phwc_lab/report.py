@@ -55,7 +55,6 @@ SCHEMA = "phwc-lab-report/1"
 # every numeric RunConfig field and the values it takes; None means a default rule
 _NUMERIC_FIELDS = {
     "quadrature_order": "an integer or None",
-    "fd_step": "a number",
     "alpha": "a number",
     "p": "a number",
     "seed": "an integer",
@@ -73,7 +72,6 @@ class RunConfig:
     scenario_id: str
     checks: tuple = CHECK_NAMES
     quadrature_order: int | None = None
-    fd_step: float = 1e-5
     alpha: float = 1.0e6
     p: float = 4.0
     seed: int = 0
@@ -101,8 +99,6 @@ class RunConfig:
             raise ConfigError("quadrature_order must be in [2, 64]")
         if self.stability_order is not None and not (2 <= self.stability_order <= 64):
             raise ConfigError("stability_order must be None or an integer in [2, 64]")
-        if not (1e-8 <= self.fd_step <= 1e-2):
-            raise ConfigError("fd_step must be in [1e-8, 1e-2]")
         if not self.alpha >= 0:
             raise ConfigError("alpha must be >= 0")
         if not self.p > 1:
@@ -501,8 +497,7 @@ _CHECKS = {
 
 def run_checks(cfg):
     """Build the scenario, run the selected checks, return the report body."""
-    fd = None if cfg.fd_step == 1e-5 else cfg.fd_step
-    sc = build_scenario(cfg.scenario_id, quad_order=cfg.quadrature_order, fd_step=fd)
+    sc = build_scenario(cfg.scenario_id, quad_order=cfg.quadrature_order)
     rng = np.random.default_rng(cfg.seed)
     pts = sc.domain.random_points(rng, cfg.sample_points, margin=0.03)
     checks = {}

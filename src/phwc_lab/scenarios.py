@@ -19,7 +19,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .autodiff import DiffConfig, _memo_empty, tensor_jet
+from .autodiff import _memo_empty, tensor_jet
 from .errors import UnknownScenario
 from .geometry import Box, ChartManifold
 from .maps import SmoothMap
@@ -228,6 +228,9 @@ def sasakian_structure(chart, n):
 
     def xi(x):
         return np.broadcast_to(xi_comps, (len(x), m))
+
+    entries = xi_comps.tolist()
+    xi.expr = lambda x: entries  # constant in the chart: exact zero partials
 
     def phi_field(x):
         _, Je = tensor_jet(chart.embedding, x)
@@ -462,30 +465,24 @@ def scenario_ids():
     return sorted(_BUILDERS)
 
 
-def build_scenario(scenario_id, quad_order=None, validate=True, seed=0, fd_step=None):
+def build_scenario(scenario_id, quad_order=None, validate=True, seed=0):
     """Construct (and by default validate) a catalog scenario.
 
     Validation re-derives the declared "expected" block with the checking
     modules at seeded sample points; see ``validation.validate_scenario``.
-    ``fd_step`` overrides the step of the black-box stencils
-    (``autodiff.field_partials``) of every chart and map in the scenario;
-    expression jets take no step.  Building one empties the memo of
-    evaluations by point set (``autodiff._memo``): its values live as long as
-    their scenario.
+    Building one empties the memo of evaluations by point set
+    (``autodiff._memo``): its values live as long as their scenario.
     """
     if scenario_id not in _BUILDERS:
         raise UnknownScenario(
             f"unknown scenario {scenario_id!r}; known: {', '.join(scenario_ids())}"
         )
     order = quad_order or _DEFAULT_ORDERS[scenario_id]
-    key = (scenario_id, order, validate, seed, fd_step)
+    key = (scenario_id, order, validate, seed)
     if key in _CACHE:
         return _CACHE[key]
     _memo_empty()
     sc = _BUILDERS[scenario_id](order)
-    if fd_step is not None:
-        for obj in (sc.domain, sc.codomain, sc.map):
-            obj.diff = DiffConfig(fd_step)
     if validate:
         from .validation import validate_scenario
 

@@ -13,11 +13,12 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import autodiff
 from .autodiff import _check_finite, field_partials, tensor_jet, tensor_second
 from .errors import EigenframeDegenerate, NonFiniteIntegrand, NotCritical, NotSasakianScenario
 from .geometry import (
+    _apply_first,
     _batch,
-    _norm,
     codifferential_two_form,
     lie_bracket,
     torus_offsets,
@@ -25,6 +26,7 @@ from .geometry import (
 )
 from .maps import (
     _lift_jet,
+    _projector_partials,
     horizontal_frame,
     horizontal_lift,
     pullback_metric,
@@ -156,7 +158,7 @@ def killing_lie_residual(M, A, x):
     X = ambient_killing_field(M, A)
     xb, _ = _batch(x)
     Xv = np.asarray(X(xb), dtype=float)
-    dX = field_partials(X, xb, M.diff.fd_step)
+    dX = field_partials(X, xb, autodiff.FD_STEP)
     g, dg = M.metric_jet(xb)
     lie = (
         np.einsum("...k,...ijk->...ij", Xv, dg)
@@ -349,8 +351,7 @@ def hessian(phi, J, v, *, allow_noncritical=False, z_nodes=None):
             pieces.append(pb.reshape(len(p), -1))
         return np.concatenate(pieces, axis=-1)
 
-    h = phi.diff.fd_step
-    parts = field_partials(fused, nodes, h)
+    parts = field_partials(fused, nodes, autodiff.FD_STEP)
     dv = parts[:, :n, :]
     dA_part = parts[:, n : n + m, :]  # (..., j, i) = d_i A_j
     dA = np.swapaxes(dA_part, -1, -2) - dA_part
@@ -592,8 +593,7 @@ def _reeb_context(phi, contact, nodes):
     M = phi.domain
     return (
         M.christoffel_at(nodes),
-        contact.xi_at(nodes),
-        field_partials(lambda p: contact.xi_at(p), nodes, phi.diff.fd_step),
+        *contact.xi_jet(nodes),
         M.metric_at(nodes, check=False),
         contact.phi_at(nodes),
     )
@@ -650,7 +650,6 @@ def sasakian_hessian(phi, contact, J, v):
     nodes = M.quadrature.nodes
     m = M.dim
     n = phi.codomain.dim // 2
-    h = phi.diff.fd_step
 
     def fused(p):
         jetp = phi.jet(p)
@@ -660,7 +659,7 @@ def sasakian_hessian(phi, contact, J, v):
         Xv = horizontal_lift(phi, p, vv)
         return np.concatenate([A, Xv], axis=-1)
 
-    parts = field_partials(fused, nodes, h)
+    parts = field_partials(fused, nodes, autodiff.FD_STEP)
     dA_part = parts[:, :m, :]
     dX = parts[:, m:, :]
     dA = np.swapaxes(dA_part, -1, -2) - dA_part
@@ -690,7 +689,7 @@ def killing_reduced_hessian(phi, contact, J, v):
         return horizontal_lift(phi, p, v.v_at(p))
 
     # one stencil serves both the divergence and the bracket with xi
-    dX = field_partials(Xv_field, nodes, phi.diff.fd_step)
+    dX = field_partials(Xv_field, nodes, autodiff.FD_STEP)
     return M.integrate(_reeb_terms(_reeb_context(phi, contact, nodes), Xv_field(nodes), dX, n))
 
 
@@ -778,7 +777,7 @@ def vertical_codifferential_formula(phi, J, V, x, cluster_tol=1e-6):
         return j_adapted_frame(gp, Fp, (i1 - i0) // 2, seeds=seeds)
 
     why = {}  # degenerate point -> reason, from its first failing cluster
-    h = phi.diff.fd_step
+    h = autodiff.FD_STEP
     for gi, layout in enumerate(layouts):
         bounds = [0, *(np.flatnonzero(layout) + 1), len(layout) + 1]
         clusters = list(zip(bounds[:-1], bounds[1:]))
@@ -900,32 +899,23 @@ def killing_fields_sphere(n):
 def stability_conditions(phi, J, x):
     """Residuals of the two sufficient weak-stability conditions.
 
-    cond_a: max vertical component of [H_a, H_b] over a horizontal frame
-    (integrability of the horizontal distribution); cond_b: the f-structure
-    condition sampled over horizontal unit vectors.
+    cond_a: the largest vertical component of [H_a, H_b] over a g-orthonormal
+    horizontal frame (integrability of the horizontal distribution).  For
+    horizontal X, Y it is O'Neill's integrability tensor, P_V [X, Y] =
+    P_V ((d_X P_H) Y - (d_Y P_H) X) (O'Neill, Michigan Math. J. 13, 1966),
+    read from the exact partials of P_H (``maps._projector_partials``) at
+    the frame's values: no frame is differentiated and no step enters.
+    cond_b: the f-structure condition sampled over horizontal unit vectors.
     """
     xb, _ = _batch(x)
     F = induced_f_structure(phi, J)
-    h = phi.diff.fd_step
-
-    def H_field(p):
-        return horizontal_frame(phi, p)
-
-    H0 = H_field(xb)
-    dH = field_partials(H_field, xb, h)  # (N, m, a, m)
+    H = horizontal_frame(phi, xb)
+    dP = np.moveaxis(_projector_partials(phi, xb), 0, 1)  # (N, i, m, m) = d_i P_H
+    # (d_{H_a} P_H) H_b at [..., a, :, b]: ...ia,...ikl,...lb->...akb
+    DH = _apply_first(H.swapaxes(-1, -2), dP) @ H[:, None]
+    brv = vertical_projector(phi, xb)[:, None] @ (DH - DH.transpose(0, 3, 2, 1))
     g = phi.domain.metric_at(xb, check=False)
-    pv = vertical_projector(phi, xb)
-    n = H0.shape[-1]
-    worst = 0.0
-    for a in range(n):
-        for b in range(a + 1, n):
-            br = np.einsum("...i,...ki->...k", H0[..., a], dH[..., :, b, :]) - np.einsum(
-                "...i,...ki->...k", H0[..., b], dH[..., :, a, :]
-            )
-            brv = np.einsum("...ij,...j->...i", pv, br)
-            nrm = _norm(g, brv)
-            worst = np.maximum(worst, nrm)
-    cond_a = float(np.max(worst))
+    cond_a = float(np.sqrt(np.max(np.einsum("nakb,nkl,nalb->nab", brv, g, brv))))
     cond_b = float(np.max(cond_b_residual(F, xb)))
     return {
         "cond_a_integrability": cond_a,

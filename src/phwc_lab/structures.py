@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import autodiff
 from .autodiff import _memo, field_partials, tensor_jet
 from .errors import (
     ComplexChartMissing,
@@ -27,7 +28,7 @@ from .geometry import (
     metric_norms,
     nabla_endomorphism,
 )
-from .maps import adjoint_differential, horizontal_frame
+from .maps import _adjoint_jet, _along, adjoint_differential, horizontal_frame
 
 
 def _field(fn, x):
@@ -35,6 +36,25 @@ def _field(fn, x):
     xb, squeeze = _batch(x)
     out = np.asarray(fn(xb), dtype=float)
     return out[0] if squeeze else out
+
+
+def _field_jet(kind, owner, at, x, expr=None, partials=None):
+    """(at(x), its partials) at the points x (N, m), derivative index last.
+
+    The partials come from the coordinate expression ``expr`` by dual numbers,
+    or are ``partials(x)``, or else central differences of ``at`` at
+    ``autodiff.FD_STEP``.  Read-only; one evaluation per point set, kept
+    under (kind, owner).
+    """
+
+    def compute(p):
+        if expr is not None:
+            return at(p), tensor_jet(expr, p)[1]
+        if partials is not None:
+            return at(p), partials(p)
+        return at(p), field_partials(at, p, autodiff.FD_STEP)
+
+    return _memo(kind, owner, x, compute)
 
 
 def constant_endomorphism(mat):
@@ -98,6 +118,9 @@ class AlmostHermitianStructure:
     def F_at(self, y):  # a J is an f-structure of full rank
         return self.J_at(y)
 
+    def F_jet(self, y):
+        return self.J_jet(y)
+
     @property
     def rank(self):
         return self.base.dim
@@ -112,18 +135,10 @@ class AlmostHermitianStructure:
         """J and its partials at the points y (N, dim), derivative index last.
 
         The partials come from ``expr`` by dual numbers when it is given,
-        else from central differences of J_at at y, on these rows only; only
-        those read the step, so only they are kept under the DiffConfig.
-        Read-only; one evaluation per point set.
+        else from central differences of J_at at y.  Read-only; one
+        evaluation per point set.
         """
-
-        def compute(p):
-            if self.expr is not None:
-                return self.J_at(p), tensor_jet(self.expr, p)[1]
-            return self.J_at(p), field_partials(self.J_at, p, self.base.diff.fd_step)
-
-        step = None if self.expr is not None else self.base.diff
-        return _memo("J_jet", self, step, y, compute)
+        return _field_jet("J_jet", self, self.J_at, y, expr=self.expr)
 
     def omega_jet(self, y):
         """Omega (omega_at) and its partials at the points y (N, dim), derivative
@@ -157,20 +172,31 @@ class MetricFStructure:
     """Endomorphism field F with F^3 + F = 0, skew-adjoint for the metric.
 
     ``F`` is a batch field: points (N, dim) -> matrices (N, dim, dim).
-    ``memo_key`` is the (owner, DiffConfig) under which the memo of autodiff
-    keeps F's values, or None; with it, what is derived from F alone (F div
-    F) is kept under the same key.
+    ``partials``, when given, is a batch field of F's exact partials, (N, dim)
+    -> (N, dim, dim, dim) with the derivative index last.  ``memo_key`` is the
+    owner under which the memo of autodiff keeps F's values, or None; with
+    it, what is derived from F alone (its jet, F div F) is kept under the
+    same key.
     """
 
-    def __init__(self, base, F, rank=None, name="F", memo_key=None):
+    def __init__(self, base, F, rank=None, name="F", memo_key=None, partials=None):
         self.base = base
         self.F_fn = F
         self.rank = rank
         self.name = name
         self.memo_key = memo_key
+        self.partials = partials
 
     def F_at(self, x):
         return _field(self.F_fn, x)
+
+    def F_jet(self, x):
+        """F and its partials at the points x (N, dim), derivative index last.
+
+        The partials are ``partials``' when it is given, else central
+        differences of F_at at x.  Read-only; one evaluation per point set.
+        """
+        return _field_jet("F_jet", self.memo_key or self, self.F_at, x, partials=self.partials)
 
     def check_invariants(self, points):
         """max |F^3 + F| and |F^T g + g F| at the points; inf if the rank varies.
@@ -192,22 +218,36 @@ class MetricFStructure:
 
 
 class ContactMetricStructure:
-    """(phi, xi, eta, g) data of a metric almost contact manifold."""
+    """(phi, xi, eta, g) data of a metric almost contact manifold.
+
+    ``xi`` carries, in its ``expr`` attribute, the same field as a
+    coordinate expression when one is known (the catalog's xi is constant in
+    the chart); its partials then come by dual numbers.
+    """
 
     def __init__(self, base, phi, xi, name="contact"):
         self.base = base
         self.phi_fn = phi  # batch field (N, m) -> (N, m, m)
         self.xi_fn = xi  # batch field (N, m) -> (N, m)
+        self.xi_expr = getattr(xi, "expr", None)
         self.name = name
 
     def phi_at(self, x):
         """phi at the points x; read-only, one evaluation per point set."""
         xb, squeeze = _batch(x)
-        out = _memo("contact_phi", self, None, xb, lambda p: _field(self.phi_fn, p))
+        out = _memo("contact_phi", self, xb, lambda p: _field(self.phi_fn, p))
         return out[0] if squeeze else out
 
     def xi_at(self, x):
         return _field(self.xi_fn, x)
+
+    def xi_jet(self, x):
+        """xi and its partials at the points x (N, m), derivative index last.
+
+        Exact from xi's ``expr`` when it has one, else central differences of
+        xi_at.  Read-only; one evaluation per point set.
+        """
+        return _field_jet("xi_jet", self, self.xi_at, x, expr=self.xi_expr)
 
     def eta_at(self, x):
         g = self.base.metric_at(x, check=False)
@@ -327,14 +367,14 @@ def induced_f_structure(phi, J):
     coordinate order, and columns are orthonormalized in natural order, so
     the construction is smooth wherever the rank is constant.
 
-    F's values are read-only and kept by point set for (phi, J) in the
-    memo of autodiff, so every F of the same phi and J that is asked again
-    for F, nabla F or div F at the same points, or at the same stencil,
-    evaluates nothing twice.  F div F is kept under the same key
-    (``memo_key``), so asking for it again runs no stencil.
+    F's partials are exact (``_induced_f_partials``), so nabla F, div F and
+    everything built on them take no step.  F's values, its jet and F div F
+    are read-only and kept by point set for (phi, J) (``memo_key``) in the
+    memo of autodiff, so every F of the same phi and J evaluates nothing
+    twice at the same points.
     """
     n_pairs = phi.codomain.dim // 2
-    key = ((phi, J), phi.diff)
+    key = (phi, J)
 
     def F_at(x):
         """F at the points x (N, m), and dim_C W."""
@@ -357,7 +397,10 @@ def induced_f_structure(phi, J):
         return F, kept
 
     def F_and_rank(x):
-        return _memo("induced_f_structure", *key, x, F_at)
+        return _memo("induced_f_structure", key, x, F_at)
+
+    def partials(x):
+        return _induced_f_partials(phi, J, x, F_and_rank(x)[1])
 
     # rank = 2 * dim_C W; probed at a node of the domain's node rules on the
     # first construction for this J and kept on phi, as its rank profile is
@@ -370,7 +413,49 @@ def induced_f_structure(phi, J):
         rank=phi._f_ranks[J],
         name=f"F^{phi.name}",
         memo_key=key,
+        partials=partials,
     )
+
+
+def _induced_f_partials(phi, J, x, kept):
+    """The partials of the induced F at the points x (N, m), derivative index
+    last, from exact jets; ``kept`` is dim_C W.
+
+    F = -2 Im(C Q^+ C^H) g with C = dphi^t (I - i J) and Q = C^H g C: the
+    columns of C span W, so C Q^+ C^H = B B^H.  The product rule runs on the
+    adjoint's jet (``maps._adjoint_jet``), J's jet along dphi and the metric
+    jet, and Q^+ is differentiated at its constant rank (Golub & Pereyra,
+    SIAM J. Numer. Anal. 10, 1973):
+        dQ^+ = -Q^+ dQ Q^+ + Q^+^2 dQ (I - Q Q^+) + (I - Q^+ Q) dQ Q^+^2.
+    Every product is real (see _isotropy_and_f): the complex X + iY acts as
+    the real [[X, -Y], [Y, X]], whose row blocks for C are T = [Re C | -Im C]
+    and U = [Im C | Re C]; so Q is T^T g T + U^T g U, of rank 2 dim_C W, and
+    Im(C Q^+ C^H) = U Q^+ T^T.
+    """
+    jet = phi.jet(x)
+    adj, d_adj, _, _ = _adjoint_jet(phi, x)
+    g, dg = phi.domain.metric_jet(x)
+    dg = np.moveaxis(dg, -1, 0)  # derivative axis first, as d_adj's
+    Jv, dJ = J.J_jet(jet.y)
+    im_c = -(adj @ Jv)
+    d_im_c = -(d_adj @ Jv + adj @ _along(dJ, jet.dphi))
+    T = np.concatenate([adj, -im_c], axis=-1)
+    U = np.concatenate([im_c, adj], axis=-1)
+    dT = np.concatenate([d_adj, -d_im_c], axis=-1)
+    dU = np.concatenate([d_im_c, d_adj], axis=-1)
+    Tt, Ut = T.swapaxes(-1, -2), U.swapaxes(-1, -2)
+    w, V = np.linalg.eigh(Tt @ g @ T + Ut @ g @ U)
+    V = V[..., -2 * kept :]
+    Qp = (V / w[..., None, -2 * kept :]) @ V.swapaxes(-1, -2)
+    Y = Tt @ (g @ dT) + Ut @ (g @ dU)
+    dQ = Y + Y.swapaxes(-1, -2) + Tt @ dg @ T + Ut @ dg @ U
+    # Q^+^2 dQ (I - Q Q^+), its transpose, and -Q^+ dQ Q^+
+    B = Qp @ Qp @ (dQ - (dQ @ V) @ V.swapaxes(-1, -2))
+    dQp = B + B.swapaxes(-1, -2) - Qp @ dQ @ Qp
+    QpTt = Qp @ Tt
+    im_p = U @ QpTt
+    d_im_p = dU @ QpTt + (U @ Qp) @ dT.swapaxes(-1, -2) + U @ dQp @ Tt
+    return np.moveaxis(-2.0 * (d_im_p @ g + im_p @ dg), 0, -1)
 
 
 def _isotropy_and_f(B, g):
@@ -448,12 +533,13 @@ def f_div_f(F, x):
     """
 
     def compute(p):
-        div = endomorphism_divergence(F.base, lambda q: np.asarray(F.F_at(q), float), p)
-        return np.einsum("...ij,...j->...i", np.asarray(F.F_at(p), float), div)
+        Fv, dF = F.F_jet(p)
+        div = endomorphism_divergence(F.base, F.F_at, p, dF=dF)
+        return np.einsum("...ij,...j->...i", Fv, div)
 
     if F.memo_key is None:
         return compute(x)
-    return _memo("f_div_f", *F.memo_key, x, compute)
+    return _memo("f_div_f", F.memo_key, x, compute)
 
 
 def phh_residual(phi, J, x):
@@ -461,8 +547,8 @@ def phh_residual(phi, J, x):
     F = induced_f_structure(phi, J)
     xb, squeeze = _batch(x)
     H = horizontal_frame(phi, xb)
-    nab = nabla_endomorphism(phi.domain, lambda p: np.asarray(F.F_at(p), float), xb)
-    Fv = np.asarray(F.F_at(xb), dtype=float)
+    Fv, dF = F.F_jet(xb)
+    nab = nabla_endomorphism(phi.domain, F.F_at, xb, dF=dF)
     # F((nabla_{H_a} F) H_b) for all horizontal pairs: ...kl,...ia,...ilj,...jb->...kab
     HnH = H.swapaxes(-1, -2)[..., None, :, :] @ nab.swapaxes(-3, -2) @ H[..., None, :, :]
     v = _apply_first(Fv, HnH)
@@ -494,34 +580,28 @@ def _cond_b_vectors(F, x):
     return vecs
 
 
-def _cond_b_expression(F, x, X, nab):
-    """(nabla_X F)X + (nabla_{FX} F)(FX) from nab = nabla F at x."""
-    Fv = np.asarray(F.F_at(x), dtype=float)
-    FX = np.einsum("...ij,...j->...i", Fv, X)
-    t1 = np.einsum("...i,...ikj,...j->...k", X, nab, X)
-    t2 = np.einsum("...i,...ikj,...j->...k", FX, nab, FX)
-    return t1 + t2
-
-
-def cond_b_residual(F, x):
-    """max_X |(nabla_X F)X + (nabla_FX F)(FX)| over unit horizontal samples."""
+def _cond_b_norms(F, x, apply_F):
+    """|(nabla_X F)X + (nabla_FX F)(FX)|_g, with F applied to it when
+    ``apply_F``, largest over the sample vectors X of _cond_b_vectors."""
     xb, squeeze = _batch(x)
-    nab = nabla_endomorphism(F.base, lambda p: np.asarray(F.F_at(p), float), xb)
+    Fv, dF = F.F_jet(xb)
+    nab = nabla_endomorphism(F.base, F.F_at, xb, dF=dF)
     worst = 0.0
     for X in _cond_b_vectors(F, xb):
-        v = _cond_b_expression(F, xb, X, nab)
+        FX = np.einsum("...ij,...j->...i", Fv, X)
+        v = np.einsum("...i,...ikj,...j->...k", X, nab, X)
+        v = v + np.einsum("...i,...ikj,...j->...k", FX, nab, FX)
+        if apply_F:
+            v = np.einsum("...ij,...j->...i", Fv, v)
         worst = np.maximum(worst, metric_norms(F.base, xb, v))
     return worst[0] if squeeze else worst
 
 
+def cond_b_residual(F, x):
+    """max_X |(nabla_X F)X + (nabla_FX F)(FX)| over unit horizontal samples."""
+    return _cond_b_norms(F, x, apply_F=False)
+
+
 def cond_div_residual(F, x):
     """Same expression with F applied, sampled over Ker(F^2 + I)."""
-    xb, squeeze = _batch(x)
-    nab = nabla_endomorphism(F.base, lambda p: np.asarray(F.F_at(p), float), xb)
-    Fv = np.asarray(F.F_at(xb), dtype=float)
-    worst = 0.0
-    for X in _cond_b_vectors(F, xb):
-        v = _cond_b_expression(F, xb, X, nab)
-        Fv_v = np.einsum("...ij,...j->...i", Fv, v)
-        worst = np.maximum(worst, metric_norms(F.base, xb, Fv_v))
-    return worst[0] if squeeze else worst
+    return _cond_b_norms(F, x, apply_F=True)

@@ -4,10 +4,13 @@ Each suite pits two independently computed sides of an identity against each
 other, so a pass certifies both code paths at once.  The suites run on the
 scenario's own map: its second jets are the exact ones the checks read, and
 they share the scenario's memo of evaluations by point set, so a point set
-the checks already asked for is a lookup.  What remains of a residual is the
-truncation of the black-box stencils (``autodiff.field_partials``) and
-roundoff.  These back the `identities` CLI subcommand and the
-acceptance tests.
+the checks already asked for is a lookup.  Where both sides come from exact
+jets (the induced F's, delta(phi*Omega)) what remains of a residual is
+roundoff; where one side differences a field by a stencil
+(``autodiff.field_partials`` at ``autodiff.FD_STEP``: the direct side of
+pullback_metric_derivative, the eigenframes of vertical_codifferential,
+the energy density of stress_energy), it is that stencil's truncation.
+These back the `identities` CLI subcommand and the acceptance tests.
 """
 
 from __future__ import annotations

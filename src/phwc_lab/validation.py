@@ -218,7 +218,7 @@ def _check_sasakian(sc, pts, problems):
     rng = np.random.default_rng(1)
     Xc = rng.normal(size=(len(pts), M.dim))
     X = lambda p: np.broadcast_to(Xc[: len(p)], (len(p), M.dim))
-    nab = covariant_derivative_vector(M, X, lambda p: contact.xi_at(p), pts)
+    nab = covariant_derivative_vector(M, X, contact.xi_at, pts, dY=contact.xi_jet(pts)[1])
     phiX = np.einsum("...ij,...j->...i", contact.phi_at(pts), Xc)
     r = float(np.max(metric_norms(M, pts, phiX + nab)))
     _require_below(sc, "sasakian_identity", r, "phi X = -nabla_X xi", problems)

@@ -19,7 +19,6 @@ from .geometry import (
     _contract_first,
     _nabla_two_tensor,
     _norm,
-    codifferential_two_form,
     endomorphism_divergence,
     metric_norms,
     two_form_norm2,
@@ -144,23 +143,28 @@ def _omega_dphi_jet(phi, J, x):
     return jet, om, om @ jet.dphi, d_om_dphi
 
 
-def z_field(phi, J, x):
-    """Z = sharp of the codifferential of the pullback 2-form, at (m,) or (N, m).
+def _pullback_codifferential(phi, J, x):
+    """delta(phi*Omega) at the points x (N, m), from exact jets.
 
     The partials of phi*Omega = dphi^T Omega dphi come by the product rule
-    from phi's second jet and Omega's jet (``omega_jet``), so no step enters
-    Z; (delta w)_k = -g^ij (nabla_i w)_jk.  The second jet is the one the
+    from phi's second jet and Omega's jet (``omega_jet``), so no step enters;
+    (delta w)_k = -g^ij (nabla_i w)_jk.  The second jet is the one the
     tension and criticality residuals read at the same points.
     """
     M = phi.domain
-    xb, squeeze = _batch(x)
-    jet, _, om_dphi, d_om_dphi = _omega_dphi_jet(phi, J, xb)
+    jet, _, om_dphi, d_om_dphi = _omega_dphi_jet(phi, J, x)
     dphi_t = jet.dphi.swapaxes(-1, -2)
     d_pb = np.moveaxis(jet.d2phi, -1, 0).swapaxes(-1, -2) @ om_dphi + dphi_t @ d_om_dphi
     _check_finite(d_pb)
-    nab = _nabla_two_tensor(M, None, xb, Tv=dphi_t @ om_dphi, dT=np.moveaxis(d_pb, 0, -1))
-    delta = -np.einsum("...ij,...ijk->...k", M.inverse_metric_at(xb), nab)
-    z = M.sharp(xb, delta)
+    nab = _nabla_two_tensor(M, None, x, Tv=dphi_t @ om_dphi, dT=np.moveaxis(d_pb, 0, -1))
+    return -np.einsum("...ij,...ijk->...k", M.inverse_metric_at(x), nab)
+
+
+def z_field(phi, J, x):
+    """Z = sharp of the codifferential of the pullback 2-form, at (m,) or (N, m);
+    no step enters it (``_pullback_codifferential``)."""
+    xb, squeeze = _batch(x)
+    z = phi.domain.sharp(xb, _pullback_codifferential(phi, J, xb))
     return z[0] if squeeze else z
 
 
@@ -208,13 +212,13 @@ def criticality_equivalence(phi, J, x):
     _require_phwc(phi, phwc_residual(phi, J, xb))
 
     g = phi.domain.metric_at(xb, check=False)
-    Fv = F.F_at(xb)
-    divF = endomorphism_divergence(phi.domain, lambda p: F.F_at(p), xb)
+    Fv, dF = F.F_jet(xb)
+    divF = endomorphism_divergence(phi.domain, F.F_at, xb, dF=dF)
     FdivF = np.einsum("...ij,...j->...i", Fv, divF)
     r_cosym = _norm(g, FdivF)
 
     # the codifferential of phi*Omega once: Z and the proof identity share it
-    delta = codifferential_two_form(phi.domain, pullback_two_form_field(phi, J), xb)
+    delta = _pullback_codifferential(phi, J, xb)
     z = phi.domain.sharp(xb, delta)  # z_field
     r_crit = criticality_residual(phi, J, xb, z=z)
 
@@ -334,10 +338,8 @@ def compatible_weyl_theta(M, F):
 
 def f_div_f_weyl(M, F, x, connection):
     """F(div^D F) for a Weyl connection D."""
-    div = endomorphism_divergence(
-        M, lambda p: F.F_at(p), x, extra_gamma=connection.gamma_correction
-    )
-    Fv = np.asarray(F.F_at(x), dtype=float)
+    Fv, dF = F.F_jet(x)
+    div = endomorphism_divergence(M, F.F_at, x, extra_gamma=connection.gamma_correction, dF=dF)
     return np.einsum("...ij,...j->...i", Fv, div)
 
 
@@ -391,8 +393,8 @@ def cond_1_1_residual(phi, J, x):
     from .geometry import nabla_endomorphism
 
     H = horizontal_frame(phi, xb)
-    Fv = F.F_at(xb)
-    nabF = nabla_endomorphism(phi.domain, lambda p: F.F_at(p), xb)
+    Fv, dF = F.F_jet(xb)
+    nabF = nabla_endomorphism(phi.domain, F.F_at, xb, dF=dF)
     nd = second_fundamental_form_tensor(phi, xb)
     h = phi.codomain.metric_at(jet.y, check=False)
     Jv = J.J_at(jet.y)

@@ -17,6 +17,7 @@ import time
 import numpy as np
 import pytest
 
+from phwc_lab import autodiff
 from phwc_lab.autodiff import field_partials
 from phwc_lab.geometry import torus_rules, two_form_norm2
 from phwc_lab.maps import tension_field_direct
@@ -165,7 +166,7 @@ def _energy_second_difference(sc, v):
     nodes = M.quadrature.nodes
     jet = sc.map.jet(nodes)
     vv = v.v_at(nodes)
-    dv = field_partials(v.v_at, nodes, sc.map.diff.fd_step)
+    dv = field_partials(v.v_at, nodes, autodiff.FD_STEP)
 
     def energy(t):
         d = jet.dphi + t * dv

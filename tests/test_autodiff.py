@@ -1,13 +1,15 @@
 """Differentiation engine: duals, second-order jets, exact jets against stencils."""
 
-import dataclasses
 import re
 
 import numpy as np
 import pytest
 
-from phwc_lab.autodiff import DiffConfig, Dual, Jet2, field_partials, tensor_jet, tensor_second, tensor_value
+import phwc_lab
+from phwc_lab import autodiff
+from phwc_lab.autodiff import Dual, Jet2, field_partials, tensor_jet, tensor_second, tensor_value
 from phwc_lab.errors import ConfigError, DifferentiationFailure
+from phwc_lab.report import RunConfig
 
 
 def expr(x):
@@ -27,9 +29,10 @@ X = np.array([[0.3, 0.7], [1.1, -0.4], [0.05, 0.9]])
 
 class TestConfig:
     def test_defaults(self):
-        # the stencil step is the one knob: expressions have exact jets only
-        assert [f.name for f in dataclasses.fields(DiffConfig)] == ["fd_step"]
-        assert DiffConfig().fd_step == 1e-5
+        # one fixed step for the black-box stencils of the oracles and the
+        # identity suites; no configuration object carries a step
+        assert autodiff.FD_STEP == 1e-5
+        assert not hasattr(autodiff, "DiffConfig") and not hasattr(phwc_lab, "DiffConfig")
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -38,11 +41,14 @@ class TestConfig:
             {"fd_step": -1e-5},
             {"fd_step": 1e-9},
             {"fd_step": 0.5},
+            {"fd_step": 1e-5},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
-        with pytest.raises(ConfigError):
-            DiffConfig(**kwargs)
+        # no run differentiates by a step, so a run configuration refuses one
+        # at any value, the former default included
+        with pytest.raises(ConfigError, match="unknown config keys: fd_step"):
+            RunConfig.from_mapping({"scenario_id": "flat-holo", **kwargs})
 
 
 class TestFirstDerivatives:
@@ -57,7 +63,7 @@ class TestFirstDerivatives:
     def test_modes_agree(self):
         # the dual jet against the default-step stencil of the value; the
         # bound assumes moderate third derivatives, so sample a tame region
-        h = DiffConfig().fd_step
+        h = autodiff.FD_STEP
         Xt = np.array([[0.3, 0.7], [0.5, -0.4], [0.05, 0.6]])
         _, d_dual = tensor_jet(expr_hard, Xt)
         d_fd = field_partials(lambda p: tensor_value(expr_hard, p), Xt, h)
@@ -77,7 +83,7 @@ class TestFirstDerivatives:
 class TestSecondDerivatives:
     def test_nested_matches_central(self):
         # the Jet2 Hessian against the default-step stencil of the dual jet
-        s_fd = field_partials(lambda p: tensor_jet(expr_hard, p)[1], X, DiffConfig().fd_step)
+        s_fd = field_partials(lambda p: tensor_jet(expr_hard, p)[1], X, autodiff.FD_STEP)
         _, _, s_nd = tensor_second(expr_hard, X)
         assert np.max(np.abs(s_fd - s_nd)) < 1e-7
 

@@ -85,7 +85,19 @@ class TestRun:
                         "--tol", "phwcc=1e-30"]) == 2
 
     def test_out_of_range_flag_exit_2(self, capsys):
-        assert run_cli(["run", "--scenario", "flat-holo", "--fd-step", "1.0"]) == 2
+        assert run_cli(["run", "--scenario", "flat-holo", "--order", "1"]) == 2
+        assert capsys.readouterr().err == "configuration error: quadrature_order must be in [2, 64]\n"
+
+    def test_fd_step_is_a_usage_error(self, capsys):
+        # no run entry differentiates by a step, so there is no step to set
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["run", "--help"])
+        assert exc.value.code == 0
+        assert "--seed" in (usage := capsys.readouterr().out) and "--fd-step" not in usage
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["run", "--scenario", "flat-holo", "--fd-step", "1e-5"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --fd-step" in capsys.readouterr().err
 
     def test_registration_failure_exit_2(self, capsys, monkeypatch):
         # hopf-s3's builder hands registration a non-critical map, the warped
@@ -184,7 +196,7 @@ class TestRun:
     @pytest.mark.parametrize(
         "config, flags, key",
         [
-            ({"fd_step": "1e-5"}, [], "fd_step"),
+            ({"fd_step": "1e-5"}, [], "fd_step"),  # an unknown key, whatever its value
             ({"sample_points": 10.5}, [], "sample_points"),
             ({}, ["--tol", "phwc=abc"], "phwc"),
             ({"tolerances": {"phwc": "x"}}, [], "phwc"),
@@ -262,7 +274,7 @@ class TestRunConfig:
 
     @pytest.mark.parametrize(
         "key,value",
-        [("quadrature_order", 1), ("fd_step", 1.0), ("alpha", -1.0), ("p", 0.5),
+        [("quadrature_order", 1), ("seed", -1), ("alpha", -1.0), ("p", 0.5),
          ("sample_points", 1), ("stability_fields", 0), ("stability_order", 0),
          ("stability_order", 1), ("stability_order", 2.5), ("stability_order", -2),
          ("stability_order", 65)],

@@ -17,7 +17,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from phwc_lab import geometry, maps, scenarios, stability, structures, variational
+from phwc_lab import autodiff, geometry, maps, scenarios, stability, structures, variational
 from phwc_lab.autodiff import field_partials, tensor_jet
 from phwc_lab.geometry import ChartManifold, gram_schmidt
 
@@ -244,7 +244,7 @@ def test_killing_lie_residual(rng):
     A = rng.normal(size=(4, 4))  # not skew: the residual is O(1)
     x = M.random_points(rng, N)
     X = stability.ambient_killing_field(M, A)
-    Xv, dX = X(x), field_partials(X, x, M.diff.fd_step)
+    Xv, dX = X(x), field_partials(X, x, autodiff.FD_STEP)
     g, dg = M.metric_jet(x)
     lie = (
         np.einsum("...k,...ijk->...ij", Xv, dg)
@@ -421,9 +421,10 @@ def test_holomorphy_residual(rng):
 def test_phh_residual(rng, monkeypatch):
     Fv, H, nab = rng.normal(size=(N, m, m)), rng.normal(size=(N, m, 4)), rng.normal(size=(N, m, m, m))
     g = _spd(rng, N, m, m)
-    monkeypatch.setattr(structures, "induced_f_structure", lambda phi, J: SimpleNamespace(F_at=lambda p: Fv))
+    F = SimpleNamespace(F_at=lambda p: Fv, F_jet=lambda p: (Fv, None))
+    monkeypatch.setattr(structures, "induced_f_structure", lambda phi, J: F)
     monkeypatch.setattr(structures, "horizontal_frame", lambda phi, x: H)
-    monkeypatch.setattr(structures, "nabla_endomorphism", lambda M, F, x: nab)
+    monkeypatch.setattr(structures, "nabla_endomorphism", lambda M, F, x, dF: nab)
     phi = SimpleNamespace(domain=SimpleNamespace(metric_at=lambda x, check=False: g))
     v = np.einsum("...kl,...ia,...ilj,...jb->...kab", Fv, H, nab, H)
     norms = np.sqrt(np.einsum("...kab,...kl,...lab->...ab", v, g, v))
@@ -500,10 +501,11 @@ def test_cond_1_1_residual(rng, monkeypatch):
         _spd(rng, N, n, n))
     monkeypatch.setattr(variational, "phwc_residual", lambda phi, J, x: None)
     monkeypatch.setattr(variational, "_require_phwc", lambda phi, r: None)
-    monkeypatch.setattr(variational, "induced_f_structure", lambda phi, J: SimpleNamespace(F_at=lambda p: Fv))
+    F = SimpleNamespace(F_at=lambda p: Fv, F_jet=lambda p: (Fv, None))
+    monkeypatch.setattr(variational, "induced_f_structure", lambda phi, J: F)
     monkeypatch.setattr(variational, "horizontal_frame", lambda phi, x: H)
     monkeypatch.setattr(variational, "second_fundamental_form_tensor", lambda phi, x: nd)
-    monkeypatch.setattr(geometry, "nabla_endomorphism", lambda M, F, x: nabF)
+    monkeypatch.setattr(geometry, "nabla_endomorphism", lambda M, F, x, dF: nabF)
     phi = SimpleNamespace(
         second_jet=lambda x: SimpleNamespace(dphi=dphi, y=None),
         domain=None,

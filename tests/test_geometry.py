@@ -72,6 +72,10 @@ class TestMetric:
             s2.metric_at(np.array([-0.1, 0.0]))
 
     def test_degenerate_metric(self):
+        # x^2 dx^2 + dy^2 loses rank on the slice x = 0.  Beside it only the
+        # coordinate factor x^2 is small: the Jacobi-scaled metric is I there,
+        # so the guard passes x = 1e-9 (g = diag(1e-18, 1)), which a floor on
+        # g's own eigenvalues rejected
         chart = ChartManifold(
             "pinched",
             lambda x: [[x[0] * x[0], 0.0], [0.0, 1.0]],
@@ -79,7 +83,8 @@ class TestMetric:
             quad_orders=4,
         )
         with pytest.raises(DegenerateMetric):
-            chart.metric_at(np.array([1e-9, 0.0]))
+            chart.metric_at(np.array([0.0, 0.0]))
+        chart.metric_at(np.array([1e-9, 0.0]))
 
     def test_volume_weight_matches_det(self, s2, rng):
         pts = s2.random_points(rng, 50)
@@ -103,8 +108,13 @@ def eigenvalue_chart():
 
 
 def _exact_message(chart, x):
-    """The DegenerateMetric message of the exact test over every matrix at x."""
-    w = np.min(_EIGVALSH(chart.metric_at(x, check=False)))
+    """The DegenerateMetric message of the exact test over every matrix at x:
+    the smallest eigenvalue of the Jacobi-scaled D^-1/2 g D^-1/2, or of g
+    itself where its diagonal D is not positive."""
+    g = np.reshape(chart.metric_at(x, check=False), (-1, 3, 3))
+    d = np.diagonal(g, axis1=1, axis2=2)
+    s = np.where(np.all(d > 0, axis=1, keepdims=True), 1.0 / np.sqrt(np.abs(d)), 1.0)
+    w = np.min(_EIGVALSH(s[:, :, None] * g * s[:, None, :]))
     return f"metric on {chart.name!r} has min eigenvalue {w:.3e}"
 
 
@@ -147,9 +157,11 @@ class TestNondegeneracyGuard:
         assert exact_rows == []
 
     def test_one_bad_matrix_in_a_batch_raises(self, exact_rows, rng):
+        # eigenvalues (1, 5e-14, 2): 4.0e-13 after Jacobi scaling in this frame
+        # ((1, 5e-13, 2) scales to 4.0e-12, above the guard)
         chart = eigenvalue_chart()
         x = rng.uniform(0.1, 3.0, size=(10, 3))
-        x[6] = (1.0, 5e-13, 2.0)
+        x[6] = (1.0, 5e-14, 2.0)
         with pytest.raises(DegenerateMetric) as err:
             chart.metric_at(x)
         assert str(err.value) == _exact_message(chart, x)
@@ -181,6 +193,34 @@ class TestNondegeneracyGuard:
             assert np.all(w[cleared] >= 100 * (1 - 1e-6) * np.broadcast_to(floor, w.shape)[cleared])
             assert np.all(w[cleared] >= 1e-10 * (1 - 1e-6) * tr[cleared])
         assert not _cholesky_clears(a, 1e-12).all()
+
+
+    def test_a_diagonal_rescaling_moves_no_verdict(self):
+        # the guard reads D^-1/2 g D^-1/2, which a rescaling of the coordinates
+        # leaves as it is: a well-conditioned metric with a factor 1e-8 on one
+        # axis passes, one with rank loss raises at every scale
+        chart = eigenvalue_chart()
+        for lam, degenerate in (((0.5, 1.0, 2.0), False), ((5e-14, 1.0, 2.0), True)):
+            g = chart.metric_at(np.array(lam), check=False)
+            for c in (1.0, 1e-4, 1e-8):
+                D = np.diag([c, 1.0, 1.0])
+                scaled = ChartManifold("scaled", lambda x, a=(D @ g @ D).tolist(): a, chart.box)
+                if degenerate:
+                    with pytest.raises(DegenerateMetric):
+                        scaled.metric_at(np.zeros(3))
+                else:
+                    scaled.metric_at(np.zeros(3))
+
+    @pytest.mark.parametrize("order", [16, 20])
+    def test_hopf_s7_node_checks_at_high_orders(self, order):
+        # at orders 16 and 20 the torus rule's polar nodes come within 3e-13
+        # and 2.5e-14 of g's eigenvalues to 0 through the coordinate factors
+        # s_k^2 alone; the Jacobi-scaled metric stays near I
+        cfg = RunConfig(
+            "hopf-s7", quadrature_order=order, seed=1,
+            checks=("phwc", "tension", "energy", "criticality"),
+        )
+        assert run_checks(cfg)["all_verdicts_match"]
 
 
 def _clears_nothing(a, floor):
@@ -255,10 +295,10 @@ class TestChristoffel:
         assert np.max(np.abs(gam - np.swapaxes(gam, -1, -2))) < 1e-9
 
     def test_dual_vs_fd_modes(self, rng):
-        # the dual metric jet against the chart-step stencil of the metric value
+        # the dual metric jet against the fixed-step stencil of the metric value
         s2 = sphere2_chart(quad_orders=4)
         pts = s2.random_points(rng, 20)
-        h = s2.diff.fd_step
+        h = autodiff.FD_STEP
         gf = field_partials(lambda p: tensor_value(s2.metric_fn, p), pts, h)
         assert np.max(np.abs(s2.metric_jet(pts)[1] - gf)) < 10 * h**2
 

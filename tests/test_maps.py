@@ -112,16 +112,16 @@ class TestSecondFundamentalForm:
         expect = np.einsum("gij,i,j->g", nd, X.components, Y.components)
         assert np.allclose(out, expect)
 
-    def test_richardson_step_halving(self, hopf, rng):
+    def test_richardson_step_halving(self, hopf, rng, monkeypatch, cold_memo):
         # nabla dphi reads phi's exact second jet and the Christoffel symbols
-        # of the metric jets: halving the step of the scenario's stencils
-        # moves no bit of it (two builds, so no evaluation is shared)
+        # of the metric jets: halving the stencil step moves no bit of it
+        # (the memo is emptied in between, so no evaluation is shared)
         x = hopf.domain.random_points(rng, 20, margin=0.1)
         nds = []
         for step in (1e-4, 5e-5):
-            phi = build_scenario("hopf-s3", quad_order=8, validate=False, fd_step=step).map
-            assert phi.diff.fd_step == step
-            nds.append(second_fundamental_form_tensor(phi, x))
+            monkeypatch.setattr(autodiff, "FD_STEP", step)
+            cold_memo._memo_clear()
+            nds.append(second_fundamental_form_tensor(hopf.map, x))
         assert np.max(np.abs(nds[0])) > 0.1
         assert np.array_equal(nds[0], nds[1])
 
@@ -463,10 +463,9 @@ class TestExactFibreJets:
         assert np.max(metric_norms(sc.domain, p, mu)) <= 1e-14 * scale
 
     def test_no_stencil(self, fibred, monkeypatch):
-        # with F div F kept, mean_curvature_fibres and semiconformal_criticality
-        # difference nothing
+        # mean_curvature_fibres, F div F (from F's exact jet) and
+        # semiconformal_criticality difference nothing
         sc, p = fibred
-        f_div_f(induced_f_structure(sc.map, sc.J), p)
         real, calls = autodiff.field_partials, []
         for name, module in list(sys.modules.items()):
             if name.startswith("phwc_lab") and getattr(module, "field_partials", None) is real:
@@ -474,6 +473,7 @@ class TestExactFibreJets:
                     module, "field_partials", lambda f, x, h: calls.append(x) or real(f, x, h)
                 )
         mean_curvature_fibres(sc.map, p)
+        f_div_f(induced_f_structure(sc.map, sc.J), p)
         semiconformal_criticality(sc.map, sc.J, p)
         assert calls == []
 

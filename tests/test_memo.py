@@ -2,8 +2,9 @@
 
 Every metric, inverse, Christoffel symbol, map jet, horizontal projector and
 induced F is computed once per point set and handed out again, read-only.
-Reuse must not move a bit of a report, and a value that reads the stencil
-step is kept under it.  The memo lives as long as its scenario (a build empties it) and
+Reuse must not move a bit of a report.  A stencil reads ``autodiff.FD_STEP``
+when it is evaluated, so a test that changes the step empties the memo
+first.  The memo lives as long as its scenario (a build empties it) and
 holds at most ``_MEMO_BYTES``: a store past that bound empties it first, and
 a larger value is handed out without being kept.  Every test starts from an
 empty memo (the ``cold_memo`` fixture of conftest).
@@ -19,7 +20,7 @@ import pytest
 
 import phwc_lab
 from phwc_lab import autodiff, maps, scenarios
-from phwc_lab.autodiff import DiffConfig, tensor_second, tensor_value
+from phwc_lab.autodiff import tensor_second, tensor_value
 from phwc_lab.errors import DifferentiationFailure
 from phwc_lab.maps import SmoothMap, fibre_splitting, horizontal_projector
 from phwc_lab.report import RunConfig, report_json, run_checks, run_identities
@@ -64,30 +65,24 @@ def test_cold_and_warm_memo_give_the_same_body(sid, cold_memo):
     assert warm == cold
 
 
-def test_jets_are_keyed_by_the_differentiation_config(cold_memo):
-    def run(fd_step):
-        cfg = RunConfig("hopf-s3", checks=("criticality", "equivalence"), fd_step=fd_step)
-        return report_json(run_checks(cfg))
-
-    cold = run(1e-4)
-    cold_memo._memo_clear()
-    run(1e-5)
-    assert run(1e-4) == cold
-    # the step keys only the values that read it: the stencil partials of a
-    # J without an expression, not the exact ones of a J with one
+def test_a_stencil_jet_reads_the_step_when_evaluated(cold_memo, monkeypatch):
+    # the memo keys a value by its owner and points, not by a step: a J
+    # without an expression differences J_at at autodiff.FD_STEP when its jet
+    # is evaluated, so a changed step reaches it once the memo is emptied; the
+    # exact partials of a J with an expression read no step
     chart, J_field, J_expr = scenarios.s2_half_chart()
     stencil, exact = AlmostHermitianStructure(chart, J_field), AlmostHermitianStructure(
         chart, J_field, expr=J_expr
     )
     y = np.array([[0.9, 0.3], [1.7, -2.0]])
     d_fine, d_exact = stencil.J_jet(y)[1], exact.J_jet(y)[1]
-    chart.diff = DiffConfig(fd_step=1e-2)
+    monkeypatch.setattr(autodiff, "FD_STEP", 1e-2)
+    assert stencil.J_jet(y)[1] is d_fine
+    cold_memo._memo_clear()
     d_coarse = stencil.J_jet(y)[1]
     assert not np.array_equal(d_fine, d_coarse)
-    assert stencil.J_jet(y)[1] is d_coarse
-    assert exact.J_jet(y)[1] is d_exact
-    chart.diff = DiffConfig(fd_step=1e-5)
-    assert stencil.J_jet(y)[1] is d_fine
+    assert np.max(np.abs(d_coarse - d_exact)) > np.max(np.abs(d_fine - d_exact))
+    assert np.array_equal(exact.J_jet(y)[1], d_exact)
 
 
 def test_outputs_are_read_only():
@@ -119,9 +114,9 @@ def test_a_raising_compute_keeps_nothing(cold_memo):
         raise DifferentiationFailure("no value")
 
     with pytest.raises(DifferentiationFailure):
-        cold_memo._memo("test", owner, None, x, fails)
+        cold_memo._memo("test", owner, x, fails)
     assert len(cold_memo._MEMO) == 0 and _held(cold_memo) == (0, 0, 0)
-    value = cold_memo._memo("test", owner, None, x, lambda p: p.sum(axis=1))
+    value = cold_memo._memo("test", owner, x, lambda p: p.sum(axis=1))
     assert np.array_equal(value, [2.0, 2.0, 2.0])
 
     def ragged(c):
@@ -174,12 +169,12 @@ def test_a_store_past_the_bound_empties_the_memo_first(cold_memo, monkeypatch):
     size = 2 * x.nbytes  # the value p + k and the points
     monkeypatch.setattr(cold_memo, "_MEMO_BYTES", 3 * size)
     for k in range(3):
-        cold_memo._memo("test", owner, None, x + k, lambda p: p + k)
+        cold_memo._memo("test", owner, x + k, lambda p: p + k)
     assert _held(cold_memo) == (3 * size, 3 * size, size)
-    value = cold_memo._memo("test", owner, None, x + 3, lambda p: p + 3)
+    value = cold_memo._memo("test", owner, x + 3, lambda p: p + 3)
     assert _held(cold_memo) == (size, size, size)
     assert cold_memo._memo_stats()["flushes"] == 1
-    assert cold_memo._memo("test", owner, None, x + 3, None) is value  # kept
+    assert cold_memo._memo("test", owner, x + 3, None) is value  # kept
 
 
 def test_a_value_above_the_bound_is_read_only_and_not_kept(cold_memo, monkeypatch):
@@ -228,32 +223,31 @@ def test_hopf_s7_at_order_8_flushes_once(cold_memo, monkeypatch):
 
 
 def _count_evaluations(monkeypatch):
-    """Count every uncached evaluation by (evaluator, owner, config, point set);
-    an expression's jets take no config (None)."""
+    """Count every uncached evaluation by (evaluator, owner, point set)."""
     counts = Counter()
 
-    def counted(name, real, owner_config):
+    def counted(name, real, owner_points):
         def wrapped(*args):
-            owner, cfg, x = owner_config(*args)
-            key = (name, id(owner), cfg, np.shape(x), np.asarray(x, dtype=float).tobytes())
+            owner, x = owner_points(*args)
+            key = (name, id(owner), np.shape(x), np.asarray(x, dtype=float).tobytes())
             counts[key] += 1
             return real(*args)
 
         return wrapped
 
     monkeypatch.setattr(
-        autodiff, "_value", counted("value", autodiff._value, lambda fn, x: (fn, None, x))
+        autodiff, "_value", counted("value", autodiff._value, lambda fn, x: (fn, x))
     )
     monkeypatch.setattr(
-        autodiff, "_jet", counted("jet", autodiff._jet, lambda fn, x: (fn, None, x))
+        autodiff, "_jet", counted("jet", autodiff._jet, lambda fn, x: (fn, x))
     )
     monkeypatch.setattr(
-        autodiff, "_second", counted("second", autodiff._second, lambda fn, x: (fn, None, x))
+        autodiff, "_second", counted("second", autodiff._second, lambda fn, x: (fn, x))
     )
     monkeypatch.setattr(
         maps,
         "_projector",
-        counted("projector", maps._projector, lambda phi, x: (phi, None, x)),
+        counted("projector", maps._projector, lambda phi, x: (phi, x)),
     )
     return counts
 
@@ -274,7 +268,7 @@ def test_criticality_equivalence_evaluates_each_point_set_once(hopf_points, monk
     # their images (as the second jet gives them; a lookup now)
     images = np.ascontiguousarray(sc.map.second_jet(pts).y)
     for fn, x in ((sc.domain.metric_fn, pts), (sc.codomain.metric_fn, images)):
-        assert counts[("value", id(fn), None, x.shape, x.tobytes())] == 1
+        assert counts[("value", id(fn), x.shape, x.tobytes())] == 1
 
 
 def test_vertical_codifferential_formula_evaluates_each_point_set_once(
@@ -313,7 +307,7 @@ def test_the_contact_hessians_evaluate_each_point_set_once(call, monkeypatch):
     counts = _count_evaluations(monkeypatch)
     call(sc)
     assert counts and max(counts.values()) == 1
-    assert max(k[3][0] for k in counts) == 6 * 13824
+    assert max(k[2][0] for k in counts) == 6 * 13824
 
 
 @pytest.mark.parametrize("n_points", [60, 100])
@@ -347,7 +341,7 @@ def test_the_induced_rank_is_probed_once_per_map_and_structure(monkeypatch):
     probe = np.ascontiguousarray(sc.domain.node_rules[0].nodes[:1])
     at_probe = Counter()
     for key, n in counts.items():
-        if key[3:] == (probe.shape, probe.tobytes()):
+        if key[2:] == (probe.shape, probe.tobytes()):
             at_probe[key[0]] += n
     assert at_probe == {"jet": 1, "value": 1}  # the map jet and the domain metric
 

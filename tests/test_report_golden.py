@@ -23,7 +23,13 @@ sharing an evaluation between suites or checks moves no bit of a residual.
 Changing how a derivative is taken does: the hopf-s3, hopf-s5, hopf-s7 and
 warped-hopf tables were re-recorded (six rows each) when the suites moved
 from central-difference second derivatives of a copy of the map to the exact
-second jets of the scenario's own map, which the checks read.
+second jets of the scenario's own map, which the checks read.  The
+pushforward_parallelism, semiconformal_divergence, codifferential_expansion
+and tension_agreement rows of the six non-flat tables, and the run bodies'
+equivalence, semiconformal divergence_identity, tension_two_routes, weyl and
+stability cond_a/cond_b values, were re-recorded when the induced F's
+partials, delta(phi*Omega) and O'Neill's A became exact, and ``config``
+lost ``fd_step``: no run entry differentiates by a step.
 """
 
 import json

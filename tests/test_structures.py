@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from phwc_lab import autodiff
+from phwc_lab.autodiff import field_partials
 from phwc_lab.errors import ComplexChartMissing, NotPHWC
 from phwc_lab.geometry import Box, ChartManifold
 from phwc_lab.maps import SmoothMap
@@ -10,6 +12,7 @@ from phwc_lab.report import RunConfig, run_checks
 from phwc_lab.scenarios import build_scenario, flat_chart, standard_complex_structure
 from phwc_lab.structures import (
     AlmostHermitianStructure,
+    ContactMetricStructure,
     MetricFStructure,
     cond_b_residual,
     cond_div_residual,
@@ -282,7 +285,7 @@ class TestInducedStructureMemo:
         assert calls == {"g": 1, "h": 1, "J": 1}
         assert again is first
 
-    def test_stencil_is_evaluated_once(self, sc, pts, monkeypatch):
+    def test_f_is_evaluated_once_and_differentiated_exactly(self, sc, pts, monkeypatch):
         from phwc_lab import structures
 
         F = induced_f_structure(sc.map, sc.J)
@@ -292,27 +295,32 @@ class TestInducedStructureMemo:
             structures, "_commutator_norm", lambda *a: evals.append(1) or real_norm(*a)
         )
         first = f_div_f(F, pts)
-        assert len(evals) == 2  # the centre and one stencil batch
+        assert len(evals) == 1  # the centre; F's partials are exact
         assert np.array_equal(f_div_f(F, pts), first)
-        assert len(evals) == 2
+        assert len(evals) == 1
 
     def test_f_div_f_is_kept_for_phi_and_J(self, sc, pts, monkeypatch):
-        from phwc_lab import geometry
+        from phwc_lab import autodiff
 
         stencils = []
-        real = geometry.field_partials
+        real = autodiff._stencil
         monkeypatch.setattr(
-            geometry, "field_partials", lambda f, x, h: stencils.append(len(x)) or real(f, x, h)
+            autodiff, "_stencil", lambda f, x, h: stencils.append(len(x)) or real(f, x, h)
         )
         first = f_div_f(induced_f_structure(sc.map, sc.J), pts)
-        assert stencils == [len(pts)] and not first.flags.writeable
-        # another F of the same phi and J asks the memo; an F without a key computes
+        assert stencils == [] and not first.flags.writeable
+        # another F of the same phi and J asks the memo; an F without a key
+        # computes, from the same exact partials, or from a stencil of its
+        # values when it is given none
         assert f_div_f(induced_f_structure(sc.map, sc.J), pts) is first
-        assert stencils == [len(pts)]
         F = induced_f_structure(sc.map, sc.J)
-        plain = MetricFStructure(sc.domain, F.F_at, rank=F.rank)
-        assert np.array_equal(f_div_f(plain, pts), first)
-        assert stencils == [len(pts)] * 2
+        exact = MetricFStructure(sc.domain, F.F_at, rank=F.rank, partials=F.partials)
+        assert np.array_equal(f_div_f(exact, pts), first)
+        assert stencils == []
+        plain = f_div_f(MetricFStructure(sc.domain, F.F_at, rank=F.rank), pts)
+        assert stencils == [len(pts)]
+        # the Hopf F is cosymplectic: roundoff exactly, the stencil's truncation by differences
+        assert np.max(np.abs(first)) < 1e-12 < np.max(np.abs(plain)) < 1e-5
 
     def test_values_are_read_only(self, sc, pts):
         F = induced_f_structure(sc.map, sc.J)
@@ -354,6 +362,55 @@ class TestInducedStructureMemo:
         assert calls["g"] == 0
         F.F_at(sets[0])  # emptied with the rest
         assert calls["g"] == 1
+
+
+class TestExactJets:
+    """F's and xi's partials from exact jets against central differences of
+    their values at two steps: a gap that is the stencil's O(h^2) truncation
+    shrinks by (10/3)^2 ~ 11 from 1e-4 to 3e-5."""
+
+    @staticmethod
+    def _converges(exact, field, p):
+        gaps = [np.max(np.abs(exact - field_partials(field, p, h))) for h in (1e-4, 3e-5)]
+        assert gaps[1] < 3e-7 * np.max(np.abs(exact))
+        assert abs(gaps[0] / gaps[1] - (10 / 3) ** 2) < 1.5
+
+    @pytest.mark.parametrize("sid", ["hopf-s3-s2", "warped-hopf", "hopf-s5"])
+    def test_induced_f_partials(self, sid):
+        # hopf-s3-s2's J is not constant, warped-hopf's metric is not the
+        # round one, hopf-s5's Q = C^H g C has a kernel (rank 2 of 4)
+        sc = build_scenario(sid, validate=False)
+        F = induced_f_structure(sc.map, sc.J)
+        p = sc.domain.random_points(np.random.default_rng(0), 20, margin=0.05)
+        Fv, dF = F.F_jet(p)
+        assert np.array_equal(Fv, F.F_at(p))  # the values are F_at's
+        self._converges(dF, F.F_at, p)
+
+    @pytest.mark.parametrize("sid", ["hopf-s3", "hopf-s5"])
+    def test_catalog_xi_partials(self, sid):
+        # the catalog's xi is constant in the chart: its exact partials are
+        # the zeros the stencil gives too, bit for bit, at either step
+        sc = build_scenario(sid, validate=False)
+        p = sc.domain.random_points(np.random.default_rng(0), 20, margin=0.05)
+        xi, dxi = sc.contact.xi_jet(p)
+        assert np.array_equal(xi, sc.contact.xi_at(p)) and not np.any(dxi)
+        for h in (1e-4, 3e-5):
+            assert np.array_equal(dxi, field_partials(sc.contact.xi_at, p, h))
+
+    def test_a_varying_xi(self):
+        # with an expression the partials are exact; without one, xi_jet is
+        # the stencil at autodiff.FD_STEP
+        chart = build_scenario("hopf-s3", validate=False).domain
+
+        def xi(x):
+            return np.stack([np.sin(x[:, 0]), np.cos(x[:, 1]) * x[:, 2], x[:, 0] * x[:, 1]], axis=1)
+
+        p = chart.random_points(np.random.default_rng(0), 20, margin=0.05)
+        plain = ContactMetricStructure(chart, None, xi)
+        xi.expr = lambda c: [np.sin(c[0]), np.cos(c[1]) * c[2], c[0] * c[1]]
+        exact = ContactMetricStructure(chart, None, xi)
+        self._converges(exact.xi_jet(p)[1], xi, p)
+        assert np.array_equal(plain.xi_jet(p)[1], field_partials(xi, p, autodiff.FD_STEP))
 
 
 class TestHolomorphy:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from phwc_lab import autodiff, variational
 from phwc_lab.errors import DimensionTooSmall, NotPHWC, NotSemiconformal
 from phwc_lab.geometry import codifferential_two_form, two_form_norm2
 from phwc_lab.maps import SmoothMap
@@ -143,14 +144,16 @@ class TestZFieldAndEq7:
         assert np.max(np.abs(vert + 4.0)) < 1e-3
 
     @pytest.mark.parametrize("sid", ["warped-hopf", "hopf-s3-s2", "hopf-s5"])
-    def test_equals_the_codifferential_of_the_pullback_form(self, sid):
+    def test_equals_the_codifferential_of_the_pullback_form(self, sid, monkeypatch, cold_memo):
         # Z from exact jets against the central-difference codifferential of
         # phi*Omega: the gap is the differences' O(h^2) truncation and shrinks
         # by (10/3)^2 ~ 11 from 1e-4 to 3e-5 (measured 11.1); hopf-s3-s2's J
         # is not constant, warped-hopf's Z is not vertical
         gaps = []
+        sc = build_scenario(sid, quad_order=4, validate=False)
         for step in (1e-4, 3e-5):
-            sc = build_scenario(sid, quad_order=4, validate=False, fd_step=step)
+            monkeypatch.setattr(autodiff, "FD_STEP", step)
+            cold_memo._memo_clear()
             M, p = sc.domain, sc.domain.random_points(np.random.default_rng(0), 20, margin=0.05)
             ref = M.sharp(p, codifferential_two_form(M, pullback_two_form_field(sc.map, sc.J), p))
             z = z_field(sc.map, sc.J, p)
@@ -158,6 +161,22 @@ class TestZFieldAndEq7:
             assert np.array_equal(z_field(sc.map, sc.J, p[3]), z[3])
         assert gaps[1] < 2e-7
         assert abs(gaps[0] / gaps[1] - (10 / 3) ** 2) < 1.5
+
+    @pytest.mark.parametrize("sid", ["hopf-s3", "warped-hopf"])
+    def test_equivalence_reads_the_codifferential_of_z(self, sid, monkeypatch):
+        # criticality_equivalence's delta(phi*Omega) is z_field's, bit for bit:
+        # one exact helper builds both, and no step enters either
+        sc = build_scenario(sid, validate=False)
+        p = sc.domain.random_points(np.random.default_rng(4), 30, margin=0.05)
+        real, deltas = variational._pullback_codifferential, []
+        monkeypatch.setattr(
+            variational, "_pullback_codifferential", lambda *a: deltas.append(real(*a)) or deltas[-1]
+        )
+        rep = criticality_equivalence(sc.map, sc.J, p)
+        z = z_field(sc.map, sc.J, p)
+        assert len(deltas) == 2 and np.array_equal(deltas[0], deltas[1])
+        assert np.array_equal(z, sc.domain.sharp(p, deltas[0]))
+        assert np.array_equal(rep["criticality"], criticality_residual(sc.map, sc.J, p, z=z))
 
     def test_warped_noncritical_witness(self, warped, rng):
         p = warped.domain.random_points(rng, 60, margin=0.05)
