@@ -17,9 +17,9 @@ A coordinate expression is differentiated one way: exactly, by forward
 mode (Griewank & Walther, *Evaluating Derivatives*).  `tensor_jet` seeds
 `Dual` coordinates, `tensor_second` seeds `Jet2` coordinates; neither takes
 a step.  Central differences are for black-box batch fields only
-(`field_partials`): the FD oracles, the direct sides of the identity suites
-and a structure given without an expression.  They read their step from
-`FD_STEP` at call time; no check of a run differentiates by a step.
+(`field_partials`): the FD oracles and a structure given without an
+expression.  They read their step from `FD_STEP` at call time; no check of
+a run and no identity suite differentiates by a step.
 
 An expression returns a (nested) list or tuple of one common shape per
 level; every entry is a scalar, a (1,) array or an (N,) array over the N
@@ -343,18 +343,22 @@ def _check_finite(*arrays):
 # A value above _MEMO_BYTES on its own is handed out and not kept.
 _MEMO_BYTES = 32 << 20
 
-_MEMO = {}  # key -> (value, bytes of value and points)
+_MEMO = {}  # key -> (value, bytes it added: its points and the arrays not held before)
 _MEMO_COUNTS = {"hits": 0, "misses": 0, "held_bytes": 0, "flushes": 0}
+# the ids of the arrays the entries hold: an array that two entries share (a
+# jet that hands out a kept value again) is booked once, by the first
+_HELD = set()
 
 
 def _freeze(value):
-    """Make the arrays of a value (an array, or a tuple) read-only; return their bytes."""
-    if isinstance(value, tuple):
-        return sum(_freeze(v) for v in value)
-    if isinstance(value, np.ndarray):
-        value.flags.writeable = False
-        return value.nbytes
-    return 0
+    """Make the arrays of a value (an array, or a tuple of arrays and plain
+    values) read-only; return them by id, each once."""
+    arrays = {}
+    for a in value if isinstance(value, tuple) else (value,):
+        if isinstance(a, np.ndarray):
+            a.flags.writeable = False
+            arrays[id(a)] = a
+    return arrays
 
 
 def _memo(kind, owner, x, compute):
@@ -377,13 +381,20 @@ def _memo(kind, owner, x, compute):
         return entry[0]
     _MEMO_COUNTS["misses"] += 1
     value = compute(x)
-    size = _freeze(value) + x.nbytes
+    arrays = _freeze(value)
+    size = new = x.nbytes  # all of the value's bytes, and those not held yet
+    for k, a in arrays.items():
+        size += a.nbytes
+        if k not in _HELD:
+            new += a.nbytes
     if size <= _MEMO_BYTES:
-        if _MEMO_COUNTS["held_bytes"] + size > _MEMO_BYTES:
+        if _MEMO_COUNTS["held_bytes"] + new > _MEMO_BYTES:
             _memo_empty()
             _MEMO_COUNTS["flushes"] += 1
-        _MEMO[key] = (value, size)
-        _MEMO_COUNTS["held_bytes"] += size
+            new = size
+        _MEMO[key] = (value, new)
+        _MEMO_COUNTS["held_bytes"] += new
+        _HELD.update(arrays)
     return value
 
 
@@ -396,6 +407,7 @@ def _memo_stats():
 def _memo_empty():
     """Drop every entry; the counts stay."""
     _MEMO.clear()
+    _HELD.clear()
     _MEMO_COUNTS["held_bytes"] = 0
 
 
@@ -529,8 +541,8 @@ def field_partials(field, x, h):
     for x (N, m).  The stencil calls it once, on the 2m shifted copies of x
     stacked shift-major (K = 2m*N), so a field that carries per-point data
     must repeat that data for every shift.  Its callers pass ``FD_STEP``: the
-    FD oracles, the direct sides of the identity suites, and a structure or
-    field that comes without a coordinate expression.
+    FD oracles, and a structure or field that comes without a coordinate
+    expression.
     """
     x, squeeze = _points(x)
     out = _stencil(field, x, h)

@@ -488,7 +488,8 @@ def _nabla_two_tensor(M, T, x, Tv=None, dT=None):
     """(nabla_i T)_jk for a (0,2)-tensor field.
 
     Pass precomputed values/partials (``Tv``, ``dT`` with derivative index
-    last) to reuse a shared finite-difference stencil.
+    last), from an exact jet or a shared stencil; without ``dT`` the
+    partials are central differences.
     """
     gamma = M.christoffel_at(x)
     if Tv is None:
@@ -559,14 +560,19 @@ def endomorphism_divergence(M, F, x, extra_gamma=None, dF=None):
     return out[0] if squeeze else out
 
 
-def lie_bracket(M, X, Y, x):
-    """[X, Y]^k = X^i d_i Y^k - Y^i d_i X^k (chart computation)."""
+def lie_bracket(M, X, Y, x, dX=None, dY=None):
+    """[X, Y]^k = X^i d_i Y^k - Y^i d_i X^k (chart computation).
+
+    ``dX`` and ``dY`` pass precomputed partials of X and Y at the batch x
+    (derivative index last); without them they are central differences.
+    """
     xb, squeeze = _batch(x)
-    h = autodiff.FD_STEP
     Xv = np.asarray(X(xb), dtype=float)
     Yv = np.asarray(Y(xb), dtype=float)
-    dX = field_partials(lambda p: np.asarray(X(p), dtype=float), xb, h)
-    dY = field_partials(lambda p: np.asarray(Y(p), dtype=float), xb, h)
+    if dX is None:
+        dX = field_partials(lambda p: np.asarray(X(p), dtype=float), xb, autodiff.FD_STEP)
+    if dY is None:
+        dY = field_partials(lambda p: np.asarray(Y(p), dtype=float), xb, autodiff.FD_STEP)
     out = np.einsum("...i,...ki->...k", Xv, dY) - np.einsum("...i,...ki->...k", Yv, dX)
     return out[0] if squeeze else out
 

@@ -10,10 +10,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import autodiff
-from .autodiff import _memo, field_partials, tensor_jet, tensor_second, tensor_value
+from .autodiff import _memo, tensor_jet, tensor_second, tensor_value
 from .errors import OutOfChart, RankDeficient
-from .geometry import _apply_first, _batch, _cholesky_clears, gram_schmidt
+from .geometry import _apply_first, _batch, _cholesky_clears, _nabla_two_tensor, gram_schmidt
 
 __all__ = [
     "SmoothMap",
@@ -181,19 +180,54 @@ def pullback_metric(phi, x):
     return np.swapaxes(jet.dphi, -1, -2) @ h @ jet.dphi
 
 
+def _pullback_metric_jet(phi, x):
+    """phi^*h at the points x (N, m) and its partials (N, m, m, m), derivative
+    index last, from exact jets.
+
+    The product rule runs on phi's second jet and the codomain's metric jet
+    along phi: d_i (dphi^T h dphi) = (d_i dphi)^T h dphi + dphi^T h d_i dphi
+    + dphi^T (d_i h) dphi.  Read-only; one evaluation per point set.
+    """
+    return _memo("pullback_metric_jet", phi, x, lambda p: _pullback_metric_jet_eval(phi, p))
+
+
+def _pullback_metric_jet_eval(phi, x):
+    """_pullback_metric_jet at x, evaluated."""
+    jet = phi.second_jet(x)
+    dphi_t, ddphi = jet.dphi.swapaxes(-1, -2), np.moveaxis(jet.d2phi, -1, 0)
+    h, dh = phi.codomain.metric_jet(jet.y)
+    half = dphi_t @ (h @ ddphi)  # dphi^T h d_i dphi, derivative axis first
+    dT = half + half.swapaxes(-1, -2) + dphi_t @ _along(dh, jet.dphi) @ jet.dphi
+    return dphi_t @ h @ jet.dphi, np.moveaxis(dT, 0, -1)
+
+
+def _energy_density_partials(phi, x):
+    """The partials d_i ||dphi||^2 (N, m) at the points x (N, m), from exact jets.
+
+    ||dphi||^2 = tr(g^-1 T) with T = phi^*h (energy_density), so
+    d_i ||dphi||^2 = tr(g^-1 (d_i T - d_i g g^-1 T)), with d_i T from
+    ``_pullback_metric_jet`` and d_i g from the metric jet.
+    """
+    T, dT = _pullback_metric_jet(phi, x)
+    ginv = phi.domain.inverse_metric_at(x)
+    dg = np.moveaxis(phi.domain.metric_jet(x)[1], -1, 0)
+    inner = np.moveaxis(dT, -1, 0) - dg @ (ginv @ T)  # derivative axis first
+    return np.einsum("njk,inkj->ni", ginv, inner)
+
+
 def nabla_pullback_metric(phi, X, Y, Z, direct=False):
     """(nabla_X phi^*h)(Y, Z).
 
     Default: h(nabla dphi(X,Y), dphi Z) + h(dphi Y, nabla dphi(X,Z)).
-    ``direct=True``: covariant derivative of the tensor field phi^*h itself;
-    the two are exposed separately so the identity can be tested.
+    ``direct=True``: covariant derivative of the tensor field phi^*h itself,
+    from its exact jet (``_pullback_metric_jet``); the two are exposed
+    separately so the identity can be tested.
     """
     x = X.base_point
     if direct:
-        from .geometry import _nabla_two_tensor
-
         xb, squeeze = _batch(x)
-        nab = _nabla_two_tensor(phi.domain, lambda p: pullback_metric(phi, p), xb)
+        T, dT = _pullback_metric_jet(phi, xb)
+        nab = _nabla_two_tensor(phi.domain, None, xb, Tv=T, dT=dT)
         nab = nab[0] if squeeze else nab
         return np.einsum("...ijk,...i,...j,...k->...", nab, X.components, Y.components, Z.components)
     jet = phi.second_jet(x)
@@ -440,17 +474,19 @@ def stress_energy_residual(phi, x, Z=None):
     """Classical identity div S_phi(Z) = -h(tau, dphi Z) with S = e(phi) g - phi^*h.
 
     Returns |(1/2) d||dphi||^2 (Z) - (div phi^*h)(Z) + h(tau, dphi Z)|, used to
-    cross-validate the tension field.
+    cross-validate the tension field.  Both d||dphi||^2 and div phi^*h come
+    from the exact jet of phi^*h (``_pullback_metric_jet``); no step enters.
     """
-    from .geometry import divergence_two_tensor
-
+    M = phi.domain
     xb, squeeze = _batch(x)
     if Z is None:
-        Z = np.zeros((len(xb), phi.domain.dim))
+        Z = np.zeros((len(xb), M.dim))
         Z[:, 0] = 1.0
-    Z = np.broadcast_to(np.asarray(Z, float), (len(xb), phi.domain.dim))
-    de = field_partials(lambda p: energy_density(phi, p), xb, autodiff.FD_STEP)
-    divT = divergence_two_tensor(phi.domain, lambda p: pullback_metric(phi, p), xb)
+    Z = np.broadcast_to(np.asarray(Z, float), (len(xb), M.dim))
+    de = _energy_density_partials(phi, xb)
+    T, dT = _pullback_metric_jet(phi, xb)
+    nab = _nabla_two_tensor(M, None, xb, Tv=T, dT=dT)
+    divT = np.einsum("...ij,...ijk->...k", M.inverse_metric_at(xb), nab)
     jet = phi.second_jet(xb)
     tau = tension_field_direct(phi, xb)
     h = phi.codomain.metric_at(jet.y, check=False)

@@ -21,6 +21,7 @@ from .geometry import (
     _batch,
     codifferential_two_form,
     lie_bracket,
+    nabla_endomorphism,
     torus_offsets,
     two_form_norm2,
 )
@@ -36,8 +37,8 @@ from .scenarios import ambient_complex_rotation
 from .structures import cond_b_residual, induced_f_structure, j_adapted_frame
 from .variational import (
     _omega_dphi_jet,
+    _pullback_codifferential,
     criticality_residual,
-    pullback_two_form_field,
     z_field,
 )
 
@@ -693,20 +694,26 @@ def killing_reduced_hessian(phi, contact, J, v):
     return M.integrate(_reeb_terms(_reeb_context(phi, contact, nodes), Xv_field(nodes), dX, n))
 
 
-def bracket_identity_sasakian(contact, X, x):
-    """Both sides of [xi, X] = nabla_xi X + phi X (Sasakian identity)."""
+def bracket_identity_sasakian(contact, X, x, dX=None):
+    """Both sides of [xi, X] = nabla_xi X + phi X (Sasakian identity).
+
+    xi's partials come from ``xi_jet``.  ``dX`` passes the partials of X at
+    the batch x (derivative index last); without it they are central
+    differences, shared by both sides.
+    """
     if contact is None:
         raise NotSasakianScenario("scenario carries no contact metric structure")
     from .geometry import covariant_derivative_vector
 
     M = contact.base
-    lhs = lie_bracket(M, lambda p: contact.xi_at(p), X, x)
-    nab = covariant_derivative_vector(M, lambda p: contact.xi_at(p), X, x)
     xb, squeeze = _batch(x)
-    phiX = np.einsum("...ij,...j->...i", contact.phi_at(xb), np.asarray(X(xb), float))
-    if squeeze:
-        phiX = phiX[0]
-    return lhs, nab + phiX
+    Xv = np.asarray(X(xb), float)
+    if dX is None:
+        dX = field_partials(lambda p: np.asarray(X(p), float), xb, autodiff.FD_STEP)
+    lhs = lie_bracket(M, contact.xi_at, X, xb, dX=contact.xi_jet(xb)[1], dY=dX)
+    nab = covariant_derivative_vector(M, contact.xi_at, X, xb, dY=dX)
+    rhs = nab + np.einsum("...ij,...j->...i", contact.phi_at(xb), Xv)
+    return (lhs[0], rhs[0]) if squeeze else (lhs, rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -726,18 +733,28 @@ def vertical_codifferential_formula(phi, J, V, x, cluster_tol=1e-6):
     """Both sides of -delta(phi*Omega)(V) = sum_i lambda_i^2 g([E_i, F E_i], V).
 
     {E_i, F E_i} is an eigenframe of phi^*h restricted to the horizontal
-    space; eigenvalue clusters are handled through their (smooth) spectral
-    projectors.  A point is degenerate if one of its clusters is
-    odd-dimensional or not F-invariant.
+    space.  A point is degenerate if one of its eigenvalue clusters is
+    odd-dimensional or not F-invariant, as the clusters' spectral
+    projectors show.  Neither side takes a step.  The left side is the exact
+    delta(phi*Omega) (``variational._pullback_codifferential``).  The right
+    side needs no frame: over an F-adapted g-orthonormal basis {e_a} of a
+    cluster, sum_i [E_i, F E_i] = sum_a nabla_{e_a}(F e_a)
+    = sum_a (nabla_{e_a} F) e_a + F sum_a nabla_{e_a} e_a, whose last term
+    pairs to 0 with V as F is g-skew and F V = 0; and
+    sum_a lambda_a^2 e_a e_a^T = g^-1 T g^-1 for T = phi^*h, which vanishes
+    on the vertical space.  So
+
+        rhs = sum_ij (g^-1 T g^-1)^ij g((nabla_i F) d_j, V),
+
+    with nabla F from F's exact jet (``F_jet``).
 
     ``x`` and ``V`` are one point and its vector (m,), or N points and their
     vectors (N, m).  A single point returns two floats and raises
     EigenframeDegenerate if it is degenerate.  A batch returns ``lhs``,
     ``rhs`` of shape (N,), NaN at degenerate points, and raises nothing for
-    them.  The batch shares every node evaluation: points are grouped by
-    their cluster layout, degenerate points are found before any frame
-    stencil runs, and each cluster of a group costs one field_partials
-    stencil over the group's remaining points.
+    them.  The batch evaluates each point set once: points are grouped by
+    their cluster layout, and each cluster of a group costs one projector
+    over the group's remaining points.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim not in (1, 2):
@@ -747,68 +764,39 @@ def vertical_codifferential_formula(phi, J, V, x, cluster_tol=1e-6):
     M = phi.domain
     F = induced_f_structure(phi, J)
 
-    delta = codifferential_two_form(M, pullback_two_form_field(phi, J), xb)
-    lhs = -np.einsum("...i,...i->...", delta, Vb)
-    rhs = np.zeros(len(xb))
+    lhs = -np.einsum("...i,...i->...", _pullback_codifferential(phi, J, xb), Vb)
+    g = M.metric_at(xb, check=False)
+    ginv = M.inverse_metric_at(xb)
+    T = pullback_metric(phi, xb)
+    Fv, dF = F.F_jet(xb)
+    nab = nabla_endomorphism(M, F.F_at, xb, dF=dF)  # (nabla_i F)^k_j at [n, i, k, j]
+    gV = np.einsum("...kl,...l->...k", g, Vb)
+    rhs = np.einsum("...ij,...ij->...", ginv @ T @ ginv, np.einsum("...ikj,...k->...ij", nab, gV))
 
-    g0 = M.metric_at(xb, check=False)
-    H0 = horizontal_frame(phi, xb)
-    T0 = pullback_metric(phi, xb)
-    vals, _ = np.linalg.eigh(np.swapaxes(H0, -1, -2) @ T0 @ H0)
+    H = horizontal_frame(phi, xb)
+    vals, _ = np.linalg.eigh(np.swapaxes(H, -1, -2) @ T @ H)
     scale = np.maximum(1.0, np.max(np.abs(vals), axis=-1))
     # one row per cluster layout: True where a cluster ends after eigenvalue i
     ends = np.diff(vals, axis=-1) > cluster_tol * scale[:, None]
     layouts, group = np.unique(ends, axis=0, return_inverse=True)
-    Fv0 = np.asarray(F.F_at(xb), float)
-    F_scale = np.maximum(1.0, np.max(np.abs(Fv0), axis=(-2, -1)))
-
-    rng = np.random.default_rng(4242)
-    generic = rng.normal(size=(M.dim, M.dim)) + np.eye(M.dim) * M.dim
-
-    def cluster_projector(p, i0, i1):
-        gp = M.metric_at(p, check=False)
-        return _cluster_projector(horizontal_frame(phi, p), pullback_metric(phi, p), gp, i0, i1)
-
-    def frame_field(p, i0, i1):
-        Pp = cluster_projector(p, i0, i1)
-        gp = M.metric_at(p, check=False)
-        Fp = np.asarray(F.F_at(p), float)
-        seeds = Pp @ generic[:, : (i1 - i0) // 2]  # ...ij,jk->...ik
-        return j_adapted_frame(gp, Fp, (i1 - i0) // 2, seeds=seeds)
+    F_scale = np.maximum(1.0, np.max(np.abs(Fv), axis=(-2, -1)))
 
     why = {}  # degenerate point -> reason, from its first failing cluster
-    h = autodiff.FD_STEP
     for gi, layout in enumerate(layouts):
         bounds = [0, *(np.flatnonzero(layout) + 1), len(layout) + 1]
-        clusters = list(zip(bounds[:-1], bounds[1:]))
         keep = np.flatnonzero(group.ravel() == gi)
-        for i0, i1 in clusters:
+        for i0, i1 in zip(bounds[:-1], bounds[1:]):
             if not len(keep):
                 break
             if (i1 - i0) % 2:
                 odd = f"odd eigenvalue cluster (size {i1 - i0}) of the pullback metric"
                 why.update(dict.fromkeys(keep.tolist(), odd))
-                keep = keep[:0]
                 break
-            P0 = cluster_projector(xb[keep], i0, i1)
-            comm = P0 @ Fv0[keep] - Fv0[keep] @ P0
+            P = _cluster_projector(H[keep], T[keep], g[keep], i0, i1)
+            comm = P @ Fv[keep] - Fv[keep] @ P
             bad = np.max(np.abs(comm), axis=(-2, -1)) > 1e-6 * F_scale[keep]
-            not_inv = "eigenvalue cluster is not F-invariant"
-            why.update(dict.fromkeys(keep[bad].tolist(), not_inv))
+            why.update(dict.fromkeys(keep[bad].tolist(), "eigenvalue cluster is not F-invariant"))
             keep = keep[~bad]
-        if not len(keep):
-            continue
-        xk, gk, Vk = xb[keep], g0[keep], Vb[keep]
-        for i0, i1 in clusters:
-            lam2 = np.mean(vals[keep, i0:i1], axis=-1)
-            fr0 = frame_field(xk, i0, i1)
-            dfr = field_partials(lambda p: frame_field(p, i0, i1), xk, h)  # (K, m, k, m)
-            for j in range(0, i1 - i0, 2):
-                E, FE = fr0[:, :, j], fr0[:, :, j + 1]
-                dE, dFE = dfr[:, :, j, :], dfr[:, :, j + 1, :]
-                br = np.einsum("...ij,...j->...i", dFE, E)
-                br -= np.einsum("...ij,...j->...i", dE, FE)
-                rhs[keep] += lam2 * np.einsum("...i,...ij,...j->...", br, gk, Vk)
     if single:
         if why:
             raise EigenframeDegenerate(why[0])

@@ -2,14 +2,14 @@
 
 Each suite pits two independently computed sides of an identity against each
 other, so a pass certifies both code paths at once.  The suites run on the
-scenario's own map: its second jets are the exact ones the checks read, and
-they share the scenario's memo of evaluations by point set, so a point set
-the checks already asked for is a lookup.  Where both sides come from exact
-jets (the induced F's, delta(phi*Omega)) what remains of a residual is
-roundoff; where one side differences a field by a stencil
-(``autodiff.field_partials`` at ``autodiff.FD_STEP``: the direct side of
-pullback_metric_derivative, the eigenframes of vertical_codifferential,
-the energy density of stress_energy), it is that stencil's truncation.
+scenario's own map, at one point set: its second jets are the exact ones the
+checks read, and they share the scenario's memo of evaluations by point set,
+so a point set the checks or an earlier suite already asked for is a lookup.
+Both sides of every identity come from exact jets, and no suite takes a
+step: the direct sides of pullback_metric_derivative and stress_energy read
+the exact jet of phi^*h, vertical_codifferential's right side is a
+frame-free trace from the induced F's exact jet, and sasakian_bracket reads
+xi's exact jet.  What remains of a residual is roundoff.
 These back the `identities` CLI subcommand and the acceptance tests.
 """
 
@@ -113,11 +113,10 @@ def identity_suites(sc, n_points=100, seed=0, suites=None):
         emit("codifferential_expansion", np.max(rep["proof_identity"]))
 
     if wanted("vertical_codifferential"):
-        sub = pts[: min(n_points, 60)]  # plenty for a sup estimate
-        split = fibre_splitting(phi, sub)  # one batch of one rank
+        split = fibre_splitting(phi, pts)  # one batch of one rank
         worst, used, skipped = 0.0, 0, 0
         if split.rank < phi.domain.dim:  # else no vertical directions anywhere
-            lhs, rhs = vertical_codifferential_formula(phi, sc.J, split.vertical[..., 0], sub)
+            lhs, rhs = vertical_codifferential_formula(phi, sc.J, split.vertical[..., 0], pts)
             resid = np.abs(lhs - rhs)
             kept = ~np.isnan(resid)
             used, skipped = int(kept.sum()), int((~kept).sum())
@@ -131,9 +130,9 @@ def identity_suites(sc, n_points=100, seed=0, suites=None):
 
     if wanted("sasakian_bracket") and sc.contact is not None:
         Xc = rng.normal(size=pts.shape)
-        # row r of a stencil batch is a shifted copy of point r mod len(pts)
-        X = lambda p: Xc[np.arange(len(p)) % len(Xc)]
-        lhs, rhs = bracket_identity_sasakian(sc.contact, X, pts)
+        # X is constant in the chart, so its partials are exactly zero
+        dX = np.zeros(pts.shape + pts.shape[-1:])
+        lhs, rhs = bracket_identity_sasakian(sc.contact, lambda p: Xc, pts, dX=dX)
         emit("sasakian_bracket", np.max(np.abs(lhs - rhs)))
 
     if wanted("tension_agreement"):

@@ -17,6 +17,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import oracles
 from phwc_lab import autodiff, geometry, maps, scenarios, stability, structures, variational
 from phwc_lab.autodiff import field_partials, tensor_jet
 from phwc_lab.geometry import ChartManifold, gram_schmidt
@@ -273,9 +274,10 @@ def test_cluster_projector(rng):
 
 
 def test_vertical_codifferential_frame_seeds(rng, monkeypatch):
-    # frame_field's seeds: its cluster projector times the fixed generic matrix
+    # the eigenframe oracle's frame seeds: its cluster projector times the
+    # fixed generic matrix
     events = []
-    projector, adapted = stability._cluster_projector, stability.j_adapted_frame
+    projector, adapted = stability._cluster_projector, oracles.j_adapted_frame
 
     def logged_projector(*args):
         events.append(("P", projector(*args)))
@@ -286,10 +288,10 @@ def test_vertical_codifferential_frame_seeds(rng, monkeypatch):
         return adapted(g, F, pairs, seeds=seeds)
 
     monkeypatch.setattr(stability, "_cluster_projector", logged_projector)
-    monkeypatch.setattr(stability, "j_adapted_frame", logged_adapted)
+    monkeypatch.setattr(oracles, "j_adapted_frame", logged_adapted)
     sc = scenarios.build_scenario("hopf-s3", validate=False)
     x = sc.domain.random_points(rng, 3)
-    stability.vertical_codifferential_formula(sc.map, sc.J, rng.normal(size=x.shape), x)
+    oracles.eigenframe_bracket_rhs(sc.map, sc.J, rng.normal(size=x.shape), x, autodiff.FD_STEP)
     d = sc.domain.dim
     generic = np.random.default_rng(4242).normal(size=(d, d)) + np.eye(d) * d
     pairs = [(events[i - 1], e) for i, e in enumerate(events) if e[0] == "S"]

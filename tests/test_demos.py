@@ -1,9 +1,8 @@
-"""Smoke tests: every demo imports, and the quick demos run to completion.
+"""Smoke tests: every demo imports and runs to completion.
 
 Every demo is loaded without running its ``main``, so a library name a demo
-imports that no longer exists fails here.  The quick demos also run in their
-own interpreter, as a user would start them, and must exit with code 0.
-Demo 04 (~9 s) is not run, to keep tier-1 short.
+imports that no longer exists fails here.  Every demo also runs in its
+own interpreter, as a user would start it, and must exit with code 0.
 """
 
 import os
@@ -19,6 +18,7 @@ DEMOS = (
     "01_charts_and_quadrature.py",
     "02_hopf_map_geometry.py",
     "03_phwc_and_induced_structure.py",
+    "04_energies_and_criticality.py",
     "05_equivalences_and_weyl.py",
     "06_second_variation.py",
 )

@@ -12,8 +12,10 @@ from phwc_lab.geometry import Box, ChartManifold, TangentVector, gram_schmidt, m
 from phwc_lab.maps import (
     SVD_RANK_RTOL,
     SmoothMap,
+    _energy_density_partials,
     _log_dilation_partials,
     _projector_partials,
+    _pullback_metric_jet,
     _submersion_jet,
     adjoint_differential,
     dilation_hwc,
@@ -412,8 +414,8 @@ def _converges(gaps):
 
 
 class TestExactFibreJets:
-    """d P_H, mu and d ln lambda^2 from phi's second jet and the metric jets,
-    against central differences of the values."""
+    """d P_H, mu, d ln lambda^2, d(phi^*h) and d||dphi||^2 from phi's second
+    jet and the metric jets, against central differences of the values."""
 
     STEPS = (1e-4, 3e-5)
 
@@ -425,6 +427,27 @@ class TestExactFibreJets:
             fd = field_partials(lambda q: horizontal_projector(sc.map, q), p, h)
             gaps.append(np.max(np.abs(exact - fd)) / np.max(np.abs(fd)))
         _converges(gaps)
+
+    def test_pullback_metric_jet(self, fibred):
+        sc, p = fibred
+        T, dT = _pullback_metric_jet(sc.map, p)
+        assert np.max(np.abs(T - pullback_metric(sc.map, p))) <= 1e-14 * np.max(np.abs(T))
+        gaps = []
+        for h in self.STEPS:
+            fd = field_partials(lambda q: pullback_metric(sc.map, q), p, h)
+            gaps.append(np.max(np.abs(dT - fd)) / np.max(np.abs(fd)))
+        _converges(gaps)
+
+    def test_energy_density_partials(self, fibred):
+        sc, p = fibred
+        exact = _energy_density_partials(sc.map, p)
+        fds = [field_partials(lambda q: energy_density(sc.map, q), p, h) for h in self.STEPS]
+        if sc.id == "hopf-s5":
+            # a Riemannian submersion: ||dphi||^2 = 4, and the differences are roundoff
+            assert np.max(np.abs(exact)) <= 1e-13
+            assert all(np.max(np.abs(fd)) < 1e-9 for fd in fds)
+        else:
+            _converges([np.max(np.abs(exact - fd)) / np.max(np.abs(fd)) for fd in fds])
 
     def test_log_dilation_partials(self, fibred):
         sc, p = fibred

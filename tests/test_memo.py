@@ -35,7 +35,7 @@ from phwc_lab.stability import (
     variation_from_killing,
     vertical_codifferential_formula,
 )
-from phwc_lab.structures import AlmostHermitianStructure
+from phwc_lab.structures import AlmostHermitianStructure, induced_f_structure
 from phwc_lab.suites import identity_suites
 from phwc_lab.variational import (
     cond_1_1_residual,
@@ -175,6 +175,37 @@ def test_a_store_past_the_bound_empties_the_memo_first(cold_memo, monkeypatch):
     assert _held(cold_memo) == (size, size, size)
     assert cold_memo._memo_stats()["flushes"] == 1
     assert cold_memo._memo("test", owner, x + 3, None) is value  # kept
+
+
+def test_an_array_two_entries_share_is_booked_once(cold_memo, monkeypatch):
+    x = np.ones((4, 2))
+    owner = object()
+    a = cold_memo._memo("a", owner, x, lambda p: p + 1)
+    cold_memo._memo("b", owner, x, lambda p: (a, p + 2))  # hands out a again
+    assert _held(cold_memo)[:2] == (4 * x.nbytes, 4 * x.nbytes)
+    # a store past the bound empties the memo and books its value whole
+    monkeypatch.setattr(cold_memo, "_MEMO_BYTES", 4 * x.nbytes)
+    cold_memo._memo("c", owner, x, lambda p: (a, p + 3))
+    assert _held(cold_memo)[:2] == (3 * x.nbytes, 3 * x.nbytes)
+    assert cold_memo._memo_stats()["flushes"] == 1
+
+
+def test_the_induced_f_jet_books_f_once(cold_memo):
+    # F_jet hands out the F that F's own entry holds: the memo books the
+    # bytes of its keys' points and of each distinct array it holds
+    sc = build_scenario("hopf-s5", validate=False)
+    F = induced_f_structure(sc.map, sc.J)
+    pts = sc.domain.random_points(np.random.default_rng(0), 60, margin=0.05)
+    cold_memo._memo_empty()
+    Fv, _ = F.F_jet(pts)
+    assert Fv is F.F_at(pts)
+    arrays = {}
+    for value, _ in cold_memo._MEMO.values():
+        for a in value if isinstance(value, tuple) else (value,):
+            if isinstance(a, np.ndarray):
+                arrays[id(a)] = a
+    points = sum(len(key[3]) for key in cold_memo._MEMO)
+    assert cold_memo._memo_stats()["held_bytes"] == points + sum(a.nbytes for a in arrays.values())
 
 
 def test_a_value_above_the_bound_is_read_only_and_not_kept(cold_memo, monkeypatch):

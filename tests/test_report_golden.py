@@ -29,7 +29,11 @@ and tension_agreement rows of the six non-flat tables, and the run bodies'
 equivalence, semiconformal divergence_identity, tension_two_routes, weyl and
 stability cond_a/cond_b values, were re-recorded when the induced F's
 partials, delta(phi*Omega) and O'Neill's A became exact, and ``config``
-lost ``fd_step``: no run entry differentiates by a step.
+lost ``fd_step``: no run entry differentiates by a step.  The
+pullback_metric_derivative, vertical_codifferential and stress_energy rows of
+every table were re-recorded when the suites' last stencils went (the exact
+jet of phi^*h, the frame-free eigenframe trace, the exact delta(phi*Omega)),
+and vertical_codifferential went from the first 60 points to all 100.
 """
 
 import json

@@ -131,8 +131,7 @@ def test_builds_are_deterministic():
 def test_no_stencil_in_a_build_or_a_run(monkeypatch):
     # a validated build and every check of a run differentiate exactly, on
     # every catalog scenario: no central-difference stencil runs (56 ran,
-    # 27 878 rows, while runs took a step).  The FD oracles and the identity
-    # suites keep theirs.
+    # 27 878 rows, while runs took a step).  Only the FD oracles keep theirs.
     monkeypatch.setattr(scenarios, "_CACHE", {})
     real, rows = autodiff._stencil, []
     monkeypatch.setattr(

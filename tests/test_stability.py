@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+from oracles import eigenframe_bracket_rhs
 from phwc_lab.autodiff import field_partials
 from phwc_lab.errors import EigenframeDegenerate, NotCritical, NotSasakianScenario
 from phwc_lab.geometry import covariant_derivative_vector, torus_offsets, torus_rules
@@ -142,6 +143,16 @@ class TestBracketIdentity:
         nab = covariant_derivative_vector(hopf.domain, X, lambda p: hopf.contact.xi_at(p), pts)
         phiX = np.einsum("nij,nj->ni", hopf.contact.phi_at(pts), Xc)
         assert np.max(np.abs(phiX + nab)) < 1e-5
+
+    def test_exact_partials_are_the_stencil_zeros(self, hopf, rng):
+        # the catalog's xi is constant in the chart and so is a row-constant
+        # X: xi_jet's partials and dX = 0 are the zeros the stencils give,
+        # bit for bit
+        pts = hopf.domain.random_points(rng, 10, margin=0.05)
+        Xc = rng.normal(size=pts.shape)
+        stencil = bracket_identity_sasakian(hopf.contact, lambda p: Xc[np.arange(len(p)) % len(Xc)], pts)
+        exact = bracket_identity_sasakian(hopf.contact, lambda p: Xc, pts, dX=np.zeros((10, 3, 3)))
+        assert all(np.array_equal(a, b) for a, b in zip(stencil, exact))
 
     def test_requires_contact(self, rng):
         sc = build_scenario("flat-holo", validate=False)
@@ -739,6 +750,26 @@ class TestVerticalCodifferential:
         )
         assert np.max(np.abs(lhs - single[:, 0])) <= 1e-14
         assert np.max(np.abs(rhs - single[:, 1])) <= 1e-14
+
+    @pytest.mark.parametrize("sid", ["hopf-s3", "warped-hopf", "hopf-s5"])
+    def test_right_side_against_the_eigenframe_bracket_stencil(self, sid):
+        # the frame-free trace from F's exact jet against the brackets of an
+        # eigenframe field by central differences (tests/oracles.py): the gap
+        # is the stencil's O(h^2) truncation and shrinks by (10/3)^2 ~ 11
+        # from 1e-4 to 3e-5 (measured 11.10-11.11)
+        from phwc_lab.maps import fibre_splitting
+
+        sc = build_scenario(sid, validate=False)
+        pts = sc.domain.random_points(np.random.default_rng(2), 12, margin=0.05)
+        Vs = fibre_splitting(sc.map, pts).vertical[..., 0]
+        lhs, rhs = vertical_codifferential_formula(sc.map, sc.J, Vs, pts)
+        assert np.min(np.abs(rhs)) > 0.5 and np.max(np.abs(lhs - rhs)) < 1e-13
+        gaps = [
+            np.max(np.abs(eigenframe_bracket_rhs(sc.map, sc.J, Vs, pts, h) - rhs)) / np.max(np.abs(rhs))
+            for h in (1e-4, 3e-5)
+        ]
+        assert gaps[1] < 1e-7
+        assert abs(gaps[0] / gaps[1] - (10 / 3) ** 2) < 1.5
 
     def test_degenerate_points_nan_in_batch_raise_alone(self, hopf, rng):
         # a negative cluster tolerance splits every cluster into odd singletons

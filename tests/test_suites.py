@@ -1,23 +1,26 @@
 """Identity-suite rows pinned to their recorded values.
 
 The rows of ``run_identities`` for the five small catalog scenarios at seed 1
-and 100 points, as the per-point ``vertical_codifferential`` loop produced
-them.  A change to how a suite evaluates its points must keep every verdict,
-point count and note, and every ``max_residual`` within 1e-13 absolute.  The
-hopf-s3 and warped-hopf rows were re-recorded when the suites moved from
-central-difference second derivatives to the exact second jets of the
-scenario's own map, and the pushforward_parallelism, semiconformal_divergence,
-codifferential_expansion and tension_agreement rows when the induced F's
-partials and delta(phi*Omega) became exact: both sides of those identities
-now come from exact jets, and the rows read roundoff.
+and 100 points.  A change to how a suite evaluates its points must keep every
+verdict, point count and note, and every ``max_residual`` within 1e-13
+absolute.  The hopf-s3 and warped-hopf rows were re-recorded when the suites
+moved from central-difference second derivatives to the exact second jets of
+the scenario's own map, and the pushforward_parallelism,
+semiconformal_divergence, codifferential_expansion and tension_agreement rows
+when the induced F's partials and delta(phi*Omega) became exact.  The
+pullback_metric_derivative, vertical_codifferential and stress_energy rows
+were re-recorded when their last stencils went: the exact jet of phi^*h, the
+frame-free eigenframe trace and the exact delta(phi*Omega) on all 100 points
+(the vertical_codifferential row had read the first 60).  Both sides of every
+identity now come from exact jets, and the rows read roundoff.
 """
 
 import numpy as np
 import pytest
 
-from phwc_lab import autodiff
+from phwc_lab import autodiff, scenarios
 from phwc_lab.maps import fibre_splitting
-from phwc_lab.report import run_identities
+from phwc_lab.report import RunConfig, run_checks, run_identities
 from phwc_lab.scenarios import build_scenario, scenario_ids
 from phwc_lab.stability import vertical_codifferential_formula
 from phwc_lab.suites import SAMPLE_MARGIN, identity_suites
@@ -28,39 +31,39 @@ GOLDEN_ROWS = [
     ("pushforward_parallelism", "flat-holo", 100, 0.0, 0.0001, True, ""),
     ("semiconformal_divergence", "flat-holo", 100, 0.0, 0.0001, True, ""),
     ("codifferential_expansion", "flat-holo", 100, 0.0, 0.0001, True, ""),
-    ("vertical_codifferential", "flat-holo", 60, 0.0, 0.0001, True, ""),
+    ("vertical_codifferential", "flat-holo", 100, 0.0, 0.0001, True, ""),
     ("tension_agreement", "flat-holo", 100, 0.0, 0.0001, True, ""),
     ("stress_energy", "flat-holo", 100, 0.0, 0.0001, True, ""),
-    ("pullback_metric_derivative", "hopf-s3", 100, 9.45376332772696e-10, 0.0001, True, ""),
+    ("pullback_metric_derivative", "hopf-s3", 100, 4.363176486776865e-14, 0.0001, True, ""),
     ("pushforward_parallelism", "hopf-s3", 100, 4.740913939653304e-14, 0.0001, True, ""),
     ("semiconformal_divergence", "hopf-s3", 100, 4.082845198590155e-14, 0.0001, True, ""),
     ("codifferential_expansion", "hopf-s3", 100, 5.42008076923649e-14, 0.0001, True, ""),
-    ("vertical_codifferential", "hopf-s3", 60, 1.4169297735122655e-08, 0.0001, True, ""),
+    ("vertical_codifferential", "hopf-s3", 100, 2.220446049250313e-15, 0.0001, True, ""),
     ("sasakian_bracket", "hopf-s3", 100, 1.7763568394002505e-15, 0.0001, True, ""),
     ("tension_agreement", "hopf-s3", 100, 4.351619476672176e-14, 0.0001, True, ""),
-    ("stress_energy", "hopf-s3", 100, 1.0190685032903181e-10, 0.0001, True, ""),
-    ("pullback_metric_derivative", "hopf-s3-s2", 100, 9.090697083991017e-10, 0.0001, True, ""),
+    ("stress_energy", "hopf-s3", 100, 5.751132908746289e-15, 0.0001, True, ""),
+    ("pullback_metric_derivative", "hopf-s3-s2", 100, 8.881784197001252e-16, 0.0001, True, ""),
     ("pushforward_parallelism", "hopf-s3-s2", 100, 7.793832791651159e-15, 0.0001, True, ""),
     ("semiconformal_divergence", "hopf-s3-s2", 100, 7.882583474838611e-15, 0.0001, True, ""),
     ("codifferential_expansion", "hopf-s3-s2", 100, 7.564043896682558e-15, 0.0001, True, ""),
-    ("vertical_codifferential", "hopf-s3-s2", 60, 1.4169703188571248e-08, 0.0001, True, ""),
+    ("vertical_codifferential", "hopf-s3-s2", 100, 2.220446049250313e-15, 0.0001, True, ""),
     ("sasakian_bracket", "hopf-s3-s2", 100, 1.7763568394002505e-15, 0.0001, True, ""),
     ("tension_agreement", "hopf-s3-s2", 100, 7.993605777301127e-15, 0.0001, True, ""),
-    ("stress_energy", "hopf-s3-s2", 100, 3.099946335003176e-11, 0.0001, True, ""),
-    ("pullback_metric_derivative", "product-proj", 100, 9.896010237934178e-11, 0.0001, True, ""),
+    ("stress_energy", "hopf-s3-s2", 100, 2.303946991008372e-15, 0.0001, True, ""),
+    ("pullback_metric_derivative", "product-proj", 100, 4.5196971172523804e-17, 0.0001, True, ""),
     ("pushforward_parallelism", "product-proj", 100, 8.899063632419957e-15, 0.0001, True, ""),
     ("semiconformal_divergence", "product-proj", 100, 9.511749000407646e-15, 0.0001, True, ""),
     ("codifferential_expansion", "product-proj", 100, 1.0617986924076195e-14, 0.0001, True, ""),
-    ("vertical_codifferential", "product-proj", 60, 0.0, 0.0001, True, ""),
+    ("vertical_codifferential", "product-proj", 100, 0.0, 0.0001, True, ""),
     ("tension_agreement", "product-proj", 100, 9.511749000407646e-15, 0.0001, True, ""),
-    ("stress_energy", "product-proj", 100, 4.694853147218209e-10, 0.0001, True, ""),
-    ("pullback_metric_derivative", "warped-hopf", 100, 9.453764437949985e-10, 0.0001, True, ""),
+    ("stress_energy", "product-proj", 100, 4.2585450277779854e-16, 0.0001, True, ""),
+    ("pullback_metric_derivative", "warped-hopf", 100, 5.287437154777308e-14, 0.0001, True, ""),
     ("pushforward_parallelism", "warped-hopf", 100, 9.189605674370475e-14, 0.0001, True, ""),
     ("semiconformal_divergence", "warped-hopf", 100, 5.876542147720786e-14, 0.0001, True, ""),
     ("codifferential_expansion", "warped-hopf", 100, 1.5197479498302208e-13, 0.0001, True, ""),
-    ("vertical_codifferential", "warped-hopf", 60, 3.4420815531177595e-08, 0.0001, True, ""),
+    ("vertical_codifferential", "warped-hopf", 100, 4.440892098500626e-15, 0.0001, True, ""),
     ("tension_agreement", "warped-hopf", 100, 8.597182678683631e-14, 0.0001, True, ""),
-    ("stress_energy", "warped-hopf", 100, 5.46232836740046e-10, 0.0001, True, ""),
+    ("stress_energy", "warped-hopf", 100, 1.1102230246251565e-14, 0.0001, True, ""),
 ]
 
 SCENARIOS = ("flat-holo", "hopf-s3", "hopf-s3-s2", "product-proj", "warped-hopf")
@@ -106,7 +109,25 @@ def test_vertical_codifferential_splits_the_fibres_once(sid, monkeypatch):
     rows = suites.identity_suites(sc, n_points=100, seed=1)
     assert len(calls) == 1
     (row,) = [r for r in rows if r.suite == "vertical_codifferential"]
-    assert row.n_points == 60
+    assert row.n_points == 100
+
+
+def test_no_stencil_in_a_catalog_sweep_pass(monkeypatch):
+    # what one pass of the catalog-sweep benchmark runs: a validated build,
+    # every check and the identity suites at 100 points, on its five
+    # scenarios.  Every derivative is exact: no central-difference stencil
+    # runs (31 ran, 17 040 rows, while the suites differenced their direct
+    # sides and eigenframes)
+    monkeypatch.setattr(scenarios, "_CACHE", {})
+    real, rows = autodiff._stencil, []
+    monkeypatch.setattr(
+        autodiff, "_stencil", lambda f, x, h: rows.append(2 * np.size(x)) or real(f, x, h)
+    )
+    for sid in SCENARIOS:
+        build_scenario(sid, validate=True)
+        run_checks(RunConfig(sid, seed=1))
+        run_identities(sid, n_points=100, seed=1)
+    assert rows == []
 
 
 def test_the_suites_take_the_exact_second_jet_of_the_scenario_map(monkeypatch):
