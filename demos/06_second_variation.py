@@ -3,8 +3,10 @@
 The Hopf map S^3 -> CP^1 is weakly stable on the span of its polynomial
 variation fields: the Hessian is computed once as a matrix over that span,
 which gives every sampled field's ratio and the minimum over the whole span.
-It is integrated on the stability check's rule (stability.span_rule):
-Gauss-Legendre on the polar axis, a 5-node trapezoid rule on each theta.
+It comes from the stability check's forms (stability.span_forms): the
+Hessian on 12 nodes, Gauss-Legendre on the polar axis and one node on each
+theta, averaged over the torus the thetas parametrize, under which the map
+is equivariant (7 shifts an axis average the forms exactly).
 On S^5 and S^7 the variations generated by Killing fields orthogonal to the
 Reeb direction are exactly neutral (they flow along domain isometries),
 while the reduced integrand of the literature derivation alone would give
@@ -23,7 +25,7 @@ from phwc_lab.stability import (
     killing_span,
     polynomial_span,
     rayleigh_quotients,
-    span_rule,
+    span_forms,
     span_spectrum,
     stability_conditions,
 )
@@ -34,7 +36,7 @@ def main():
     sc = build_scenario("hopf-s3", quad_order=12, validate=False)
     rng = np.random.default_rng(0)
     span = polynomial_span(sc.map)
-    [(H, G, _, _)] = hessian_matrix(sc.map, sc.J, span, [span_rule(sc.domain, span)])
+    H, G, _, _ = span_forms(sc.map, sc.J, span)
     coeffs = span.random_coefficients(20, rng)
     ratios = np.sort(rayleigh_quotients(H, G, coeffs))
     print(f"20 seeded variation fields: Hess/|v|^2 in [{ratios[0]:.3f}, {ratios[-1]:.3f}]"

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,13 +31,12 @@ __all__ = [
     "QuadratureRule",
     "TangentVector",
     "ChartManifold",
+    "TorusAction",
     "TORUS_OFFSETS",
     "torus_offsets",
     "torus_rules",
     "gram_schmidt",
     "covariant_derivative_vector",
-    "divergence_vector_field",
-    "divergence_two_tensor",
     "codifferential_two_form",
     "nabla_endomorphism",
     "endomorphism_divergence",
@@ -97,6 +97,33 @@ class QuadratureRule:
     weights: np.ndarray  # (K,)
     total_measure: float
     density: np.ndarray  # (K,)
+
+
+class TorusAction(NamedTuple):
+    """A linear action, by rotations of R^dim, of the torus of a chart's periodic axes.
+
+    Shifting the periodic axes by s (one angle each) turns the coordinate
+    plane ``planes[p]`` = (re, im) by the angle sum_k weights[p][k] s_k, as
+    z -> e^(i angle) z does; the other coordinates stay.
+    """
+
+    dim: int
+    planes: tuple  # (re, im) index pairs
+    weights: tuple  # per plane, one integer weight per periodic axis
+
+    def matrices(self, s):
+        """The action at the shifts s (S, P): (S, dim, dim)."""
+        ang = np.asarray(s, dtype=float) @ np.asarray(self.weights, dtype=float).T
+        c, sn = np.cos(ang), np.sin(ang)
+        out = np.zeros((len(ang), self.dim, self.dim)) + np.eye(self.dim)
+        re, im = np.asarray(self.planes).T
+        out[:, re, re] = out[:, im, im] = c
+        out[:, im, re], out[:, re, im] = sn, -sn
+        return out
+
+    def degree(self):
+        """The Fourier degree of the matrices along each periodic axis: (P,)."""
+        return np.max(np.abs(self.weights), axis=0)
 
 
 @cache
@@ -216,6 +243,9 @@ class ChartManifold:
         oracles, Killing-field machinery and ambient-polynomial sections.
     complex_pairs : sequence of (re, im) index pairs, optional
         Declares a complex chart z^a = x[re] + i x[im].
+    torus_action : TorusAction, optional
+        How shifts of the periodic axes act on the embedding:
+        e(x + s) = R(s) e(x).
     """
 
     def __init__(
@@ -230,12 +260,14 @@ class ChartManifold:
         embedding=None,
         complex_pairs=None,
         sample_box=None,
+        torus_action=None,
     ):
         self.name = name
         self.metric_fn = metric
         self.box = box
         self.dim = box.dim
         self.embedding = embedding
+        self.torus_action = torus_action
         self.complex_pairs = tuple(complex_pairs) if complex_pairs else None
         self.sample_box = sample_box or (box if box.finite() else None)
         self.param_box = param_box or box
@@ -474,16 +506,6 @@ def covariant_derivative_vector(M, X, Y, x, dY=None):
     return out[0] if squeeze else out
 
 
-def divergence_vector_field(M, X, x):
-    """div X = sum_a g(nabla_{e_a} X, e_a) = d_k X^k + Gamma^k_kj X^j."""
-    xb, squeeze = _batch(x)
-    gamma = M.christoffel_at(xb)
-    Xv = np.asarray(X(xb), dtype=float)
-    dX = field_partials(lambda p: np.asarray(X(p), dtype=float), xb, autodiff.FD_STEP)
-    out = np.einsum("...kk->...", dX) + np.einsum("...kkj,...j->...", gamma, Xv)
-    return out[0] if squeeze else out
-
-
 def _nabla_two_tensor(M, T, x, Tv=None, dT=None):
     """(nabla_i T)_jk for a (0,2)-tensor field.
 
@@ -500,15 +522,6 @@ def _nabla_two_tensor(M, T, x, Tv=None, dT=None):
     corr1 = _contract_first(gamma, Tv)  # ...lij,...lk->...ijk
     corr2 = _apply_first(Tv, gamma).swapaxes(-3, -2)  # ...lik,...jl->...ijk
     return dT - corr1 - corr2
-
-
-def divergence_two_tensor(M, T, x):
-    """(div T)(Z) = sum_a (nabla_{e_a} T)(e_a, Z); returns the covector."""
-    xb, squeeze = _batch(x)
-    nab = _nabla_two_tensor(M, T, xb)
-    ginv = M.inverse_metric_at(xb)
-    out = np.einsum("...ij,...ijk->...k", ginv, nab)
-    return out[0] if squeeze else out
 
 
 def codifferential_two_form(M, omega, x, rotation=None, omega_values=None, omega_partials=None):

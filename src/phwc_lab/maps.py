@@ -22,7 +22,6 @@ __all__ = [
     "energy_density",
     "dilation_hwc",
     "second_fundamental_form_tensor",
-    "second_fundamental_form",
     "tension_field_direct",
     "pullback_metric",
     "nabla_pullback_metric",
@@ -62,13 +61,19 @@ class FibreSplitting:
 
 
 class SmoothMap:
-    """Coordinate expression of a map between chart manifolds."""
+    """Coordinate expression of a map between chart manifolds.
 
-    def __init__(self, name, domain, codomain, expr):
+    ``torus_action`` (a geometry.TorusAction on codomain coordinates), if
+    given, declares the map equivariant under the torus of the domain's
+    periodic axes: phi(x + s) = A(s) phi(x).
+    """
+
+    def __init__(self, name, domain, codomain, expr, torus_action=None):
         self.name = name
         self.domain = domain
         self.codomain = codomain
         self.expr = expr
+        self.torus_action = torus_action
         self._rank_profile = None
         self._f_ranks = {}  # rank of the induced F of each J (structures.induced_f_structure)
 
@@ -156,14 +161,6 @@ def second_fundamental_form_tensor(phi, x):
     gn_dphi = (gn.reshape(gn.shape[:-3] + (n * n, n)) @ dphi).reshape(gn.shape[:-1] + (m,))
     term_n = dphi.swapaxes(-1, -2)[..., None, :, :] @ gn_dphi  # ...gab,...ai,...bj->...gij
     return jet.d2phi - term_m + term_n
-
-
-def second_fundamental_form(phi, X, Y):
-    """nabla dphi(X, Y) for tangent vectors based at the same point."""
-    if not np.allclose(X.base_point, Y.base_point):
-        raise ValueError("X and Y must be based at the same point")
-    nd = second_fundamental_form_tensor(phi, X.base_point)
-    return np.einsum("...gij,...i,...j->...g", nd, X.components, Y.components)
 
 
 def tension_field_direct(phi, x):

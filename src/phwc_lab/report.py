@@ -78,8 +78,8 @@ class RunConfig:
     sample_points: int = 60
     tolerances: dict = dc_field(default_factory=dict)
     stability_fields: int = 50
-    # Gauss-Legendre order of the stability check's rule on the non-periodic
-    # axes (the periodic ones take the span's trapezoid rule); None: min(12, domain's)
+    # Gauss-Legendre order of the stability forms on the non-periodic axes
+    # (stability.span_forms); None: stability.default_stability_order, min(12, domain's)
     stability_order: int | None = None
     hessian_generators: int = 2  # Killing generators per hessian check; 0 = all
 
@@ -140,13 +140,15 @@ class RunConfig:
         return cls(**data)
 
     def effective_stability_order(self, sc):
-        """The Gauss-Legendre order of the stability check's rule on the
-        non-periodic axes (``stability.span_rule``): as given, else on a
-        stable-sampled scenario min(12, the domain's largest order)."""
+        """The Gauss-Legendre order of the stability forms on the non-periodic
+        axes (``stability.span_forms``): as given, else on a stable-sampled
+        scenario ``stability.default_stability_order``, the order its probe reads."""
+        from .stability import default_stability_order
+
         sampled = sc.expected.get("stability_class") == "stable-sampled"
         if self.stability_order is not None or not sampled:
             return self.stability_order
-        return int(min(12, np.max(sc.domain.quad_orders)))
+        return default_stability_order(sc.domain)
 
     def effective(self, sc):
         """Every field as the run used it: the derived values filled in."""
@@ -438,10 +440,9 @@ def _check_hessian(sc, cfg, pts):
 
 def _check_stability(sc, cfg, pts):
     from .stability import (
-        hessian_matrix,
         polynomial_span,
         rayleigh_quotients,
-        span_rule,
+        span_forms,
         span_spectrum,
         stability_conditions,
     )
@@ -457,7 +458,7 @@ def _check_stability(sc, cfg, pts):
         rng = np.random.default_rng(cfg.seed)
         span = polynomial_span(sc.map)
         coeffs = span.random_coefficients(cfg.stability_fields, rng)
-        [(H, G, _, _)] = hessian_matrix(sc.map, sc.J, span, [span_rule(sc.domain, span, order)])
+        H, G, _, _ = span_forms(sc.map, sc.J, span, order)
         worst = float(np.min(rayleigh_quotients(H, G, coeffs)))
         res["sampled_nonnegativity"] = _residual_entry(
             sc, cfg, "hessian_floor", -worst, inclusive=True

@@ -21,7 +21,7 @@ import numpy as np
 
 from .autodiff import _memo_empty, tensor_jet
 from .errors import UnknownScenario
-from .geometry import Box, ChartManifold
+from .geometry import Box, ChartManifold, TorusAction
 from .maps import SmoothMap
 from .structures import (
     AlmostHermitianStructure,
@@ -117,12 +117,16 @@ def hopf_sphere_chart(n, quad_orders, warp=None, name=None):
         tuple([np.pi / 2] * n + [2 * np.pi] * (n + 1)),
         periodic=tuple(range(n, m)),
     )
+    # theta_k turns the ambient plane (Re z_k, Im z_k)
+    k = n + 1
+    action = TorusAction(2 * k, tuple((j, k + j) for j in range(k)), tuple(np.eye(k, dtype=int)))
     return ChartManifold(
         name or f"S{2 * n + 1}",
         metric,
         box,
         quad_orders=quad_orders,
         embedding=embedding,
+        torus_action=action,
     )
 
 
@@ -206,6 +210,13 @@ def hopf_map_expr(n):
     return expr
 
 
+def hopf_map_action(n):
+    """The Hopf map's torus equivariance: w_k turns by theta_k - theta_0."""
+    weights = np.eye(n, n + 1, 1, dtype=int)
+    weights[:, 0] = -1
+    return TorusAction(2 * n, tuple((a, n + a) for a in range(n)), tuple(weights))
+
+
 def ambient_complex_rotation(n):
     """J0 = multiplication by i on C^(n+1) = R^(2n+2), (x, y) block layout."""
     k = n + 1
@@ -278,7 +289,7 @@ def s2_half_chart(quad_orders=24):
 def _hopf_family(n, quad_order, warp=None, sid=None):
     dom = hopf_sphere_chart(n, quad_order, warp=warp, name=None if warp is None else "S3-warped")
     cod = fs_chart(n, quad_orders=8)
-    phi = SmoothMap(sid or f"hopf-s{2 * n + 1}", dom, cod, hopf_map_expr(n))
+    phi = SmoothMap(sid or f"hopf-s{2 * n + 1}", dom, cod, hopf_map_expr(n), hopf_map_action(n))
     J = AlmostHermitianStructure(cod, standard_complex_structure(2 * n), name=f"J-CP{n}")
     contact = None if warp is not None else sasakian_structure(dom, n)
     return dom, cod, phi, J, contact

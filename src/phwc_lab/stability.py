@@ -44,17 +44,18 @@ from .variational import (
 
 __all__ = [
     "VariationField",
-    "variation_from_killing",
     "VariationSpan",
     "polynomial_span",
     "killing_span",
-    "random_variation_fields",
     "variation_l2_norm2",
     "hessian",
     "hessian_suite",
     "SpanForms",
     "hessian_matrix",
     "span_rule",
+    "torus_average",
+    "default_stability_order",
+    "span_forms",
     "rayleigh_quotients",
     "span_spectrum",
     "sasakian_hessian",
@@ -62,8 +63,6 @@ __all__ = [
     "vertical_codifferential_formula",
     "killing_fields_sphere",
     "KillingFamily",
-    "ambient_killing_field",
-    "killing_lie_residual",
     "bracket_identity_sasakian",
     "stability_conditions",
 ]
@@ -100,31 +99,8 @@ class VariationField:
 # variation-field constructions
 
 
-def ambient_killing_field(M, A):
-    """Chart components of p -> A p for a chart with an isometric embedding."""
-    A = np.asarray(A, dtype=float)
-
-    def X(x):
-        e, Je = tensor_jet(M.embedding, x)
-        return _killing_components(e, Je, M.metric_at(x, check=False), A[None])[..., 0, :]
-
-    return X
-
-
-def _killing_components(e, Je, g, A):
-    """Chart components of p -> A p from the embedding jet (e, Je) and the metric g.
-
-    A is a stack of K generators (K, d, d); e (..., d), Je (..., d, m) and
-    g (..., m, m) are the values at the points.  Each metric is factored
-    once for the K right-hand sides.  Returns (..., K, m).
-    """
-    Ap = (e @ A.reshape(-1, A.shape[-1]).T).reshape(e.shape[:-1] + A.shape[:2])
-    rhs = Je.swapaxes(-1, -2) @ Ap.swapaxes(-1, -2)  # kef,...f->...ek; ...ei,...ek->...ik
-    return np.linalg.solve(g, rhs).swapaxes(-1, -2)
-
-
 def _killing_jet(e, Je, He, g, dg, A):
-    """X_k = g^-1 Je^T A_k e (``_killing_components``) for a stack A (K, d, d)
+    """X_k = g^-1 Je^T A_k e, p -> A_k p in chart components, for a stack A (K, d, d)
     and the partials of X_k, from the embedding's second jet (e, Je, He) and
     the metric jet (g, dg), derivative index last.
 
@@ -148,40 +124,6 @@ def _killing_jet(e, Je, He, g, dg, A):
     return X.swapaxes(-1, -2), dX.swapaxes(-1, -2)
 
 
-def _killing_variation(dphi, e, Je, g, A):
-    """v_k = dphi(X_(A_k)) for a stack A (K, d, d) from the map differential,
-    the embedding jet and the metric: (..., K, dim N)."""
-    return _killing_components(e, Je, g, A) @ dphi.swapaxes(-1, -2)  # ...ai,...ki->...ka
-
-
-def killing_lie_residual(M, A, x):
-    """max |(L_X g)_ij| for X = Ap; zero for isometry generators."""
-    X = ambient_killing_field(M, A)
-    xb, _ = _batch(x)
-    Xv = np.asarray(X(xb), dtype=float)
-    dX = field_partials(X, xb, autodiff.FD_STEP)
-    g, dg = M.metric_jet(xb)
-    lie = (
-        np.einsum("...k,...ijk->...ij", Xv, dg)
-        + dX.swapaxes(-1, -2) @ g  # ...kj,...ki->...ij
-        + g @ dX  # ...ik,...kj->...ij
-    )
-    return np.max(np.abs(lie), axis=(-1, -2))
-
-
-def variation_from_killing(phi, A):
-    """v = dphi(X_A) for the ambient Killing field X_A(p) = A p."""
-    M = phi.domain
-    A = np.asarray(A, dtype=float)
-
-    def v_fn(p):
-        dphi = phi.jet(p).dphi
-        e, Je = tensor_jet(M.embedding, p)
-        return _killing_variation(dphi, e, Je, M.metric_at(p, check=False), A[None])[..., 0, :]
-
-    return VariationField(map_id=phi.name, v_fn=v_fn)
-
-
 @dataclass(frozen=True)
 class VariationSpan:
     """The linear span of K basis sections b_k along a map.
@@ -192,20 +134,22 @@ class VariationSpan:
     coefficient array c of ``shape`` (K entries, flat index k) names the
     section sum_k c_k b_k.  ``bandwidth`` B, if declared, bounds the Fourier
     modes of the sections' products along every periodic axis of the domain:
-    none has |k| > B.  B bounds the forms' integrands, so B + 1 trapezoid
-    nodes a period integrate them exactly (``span_rule``) for a map that is
-    equivariant under the torus the periodic axes parametrize, as the
-    catalog's Hopf maps are.  The map's factors in the integrands (dphi, h,
-    Omega, Gamma at phi(x)) do depend on theta; equivariance is what holds:
-    the T = 5 rule matched the 7-shift torus average of the one-node forms
-    within 3e-14 on hopf-s5 and hopf-s7.  Nothing checks B at run time yet
-    (ROADMAP item 4(b)).
+    none has |k| > B, so B + 1 trapezoid nodes a period integrate the forms
+    exactly (``span_rule``) for a map equivariant under the torus of the
+    periodic axes, as the catalog's Hopf maps are; the map's factors in the
+    integrands (dphi, h, Omega, Gamma at phi(x)) depend on theta.  ``rho``,
+    if declared, is that equivariance on coefficients: rho(s) (S, K, K) at the
+    shifts s (S, P) of the periodic axes, of Fourier degree ``rho_degree`` on
+    each, so that the forms on a rule shifted by s are rho(s)^T F rho(s)
+    (``span_forms``).
     """
 
     map_id: str
     section_jet: object
     shape: tuple
     bandwidth: int | None = None
+    rho: object = None
+    rho_degree: int | None = None
 
     @property
     def dim(self):
@@ -270,7 +214,33 @@ def polynomial_span(phi, degree=2):
         return out.reshape(N, n * F, n), dout.reshape(M.dim, N, n * F, n)
 
     n_feat = features(M.node_rules[0].nodes[:1])[0].shape[1]
-    return VariationSpan(phi.name, section_jet, (n, n_feat), bandwidth=2 * degree)
+    R, A = M.torus_action, phi.torus_action
+    if R is None or A is None:
+        return VariationSpan(phi.name, section_jet, (n, n_feat), bandwidth=2 * degree)
+
+    def rho(s):
+        """kron(A(s)^-1, rho_f(s)^T), rho_f(s) the ambient rotation R(s) on the features."""
+        a_inv, rf = A.matrices(s).swapaxes(-1, -2), _feature_action(R.matrices(s), degree)
+        S, K = len(a_inv), n * n_feat
+        kron = a_inv[:, :, None, :, None] * rf.swapaxes(-1, -2)[:, None, :, None]
+        return kron.reshape(S, K, K)
+
+    rho_degree = int(np.max(degree * R.degree() + A.degree()))
+    return VariationSpan(phi.name, section_jet, (n, n_feat), 2 * degree, rho, rho_degree)
+
+
+def _feature_action(R, degree):
+    """rho_f with features(R e) = rho_f features(e) for the features [1, e_i,
+    e_i e_j (i <= j)] of polynomial_span and rotations R (S, d, d)."""
+    S, d, _ = R.shape
+    i, j = np.triu_indices(d) if degree == 2 else (np.zeros(0, int),) * 2
+    Ri, Rj = R[:, i], R[:, j]
+    out = np.zeros((S, 1 + d + len(i), 1 + d + len(i)))
+    out[:, 0, 0] = 1.0
+    out[:, 1 : d + 1, 1 : d + 1] = R
+    # (R e)_i (R e)_j = sum_(p <= q) (R_ip R_jq + [p != q] R_iq R_jp) e_p e_q
+    out[:, d + 1 :, d + 1 :] = Ri[:, :, i] * Rj[:, :, j] + (i != j) * Ri[:, :, j] * Rj[:, :, i]
+    return out
 
 
 def killing_span(phi, gens):
@@ -292,12 +262,6 @@ def killing_span(phi, gens):
         return X @ dphi_t, dX @ dphi_t + X @ d_dphi_t
 
     return VariationSpan(phi.name, section_jet, (len(gens),))
-
-
-def random_variation_fields(phi, count, rng, degree=2):
-    """Seeded random sections of polynomial_span(phi, degree)."""
-    span = polynomial_span(phi, degree)
-    return [span.field(c) for c in span.random_coefficients(count, rng)]
 
 
 def variation_l2_norm2(phi, v):
@@ -549,19 +513,57 @@ def hessian_matrix(phi, J, span, rules=None, contact=None):
 
 
 def span_rule(M, span, orders=None):
-    """The rule of chart M on which hessian_matrix integrates ``span``.
+    """The rule of chart M on which hessian_matrix integrates ``span`` exactly.
 
     On a chart with periodic axes and a span that declares its bandwidth B:
     Gauss-Legendre at ``orders`` (default the chart's) on the other axes and
     B + 1 trapezoid nodes on each periodic axis, at the offsets of the first
     torus rule.  It is exact along theta for a map equivariant under the
-    torus of the periodic axes (see VariationSpan), although the factors the
-    map brings into the integrands depend on theta.  Otherwise Gauss-Legendre
+    torus of the periodic axes (see VariationSpan).  Otherwise Gauss-Legendre
     at ``orders`` on every axis.
     """
     if span.bandwidth is None:
         return M.rule(orders)
     return M.rule(orders, torus_offsets(M)[0], span.bandwidth + 1)
+
+
+def torus_average(M, forms, rho, degree):
+    """The Haar average over the torus of chart M's periodic axes of SpanForms
+    that a shift s of the axes takes to rho(s)^T F rho(s).
+
+    rho(s) (S, K, K) at the shifts s (S, P) is a representation of Fourier
+    degree ``degree`` on each axis.  The torus is abelian, so the average
+    runs axis after axis (Broecker & tom Dieck), over 2 * degree + 1 equally
+    spaced shifts of the period, which average the conjugated forms, of
+    degree 2 * degree, exactly (Trefethen & Weideman, SIAM Review 56, 2014).
+    """
+    T, P = 2 * degree + 1, len(M.box.periodic)
+    for k, i in enumerate(M.box.periodic):
+        s = np.zeros((T, P))
+        s[:, k] = (M.param_box.upper[i] - M.param_box.lower[i]) * np.arange(T) / T
+        R = rho(s)
+        forms = [f if f is None else np.mean(R.swapaxes(-1, -2) @ f @ R, axis=0) for f in forms]
+    return SpanForms(*(f if f is None else 0.5 * (f + f.T) for f in forms))
+
+
+def default_stability_order(M):
+    """The default order of the stability forms on chart M, which the
+    stability check and its probe both read: min(12, M's largest order)."""
+    return int(min(12, np.max(M.quad_orders)))
+
+
+def span_forms(phi, J, span, order=None):
+    """The SpanForms of ``span`` at Gauss-Legendre ``order`` (default
+    ``default_stability_order``): with a declared ``span.rho``, the torus
+    average of the forms on the one-node rule at the first torus offsets
+    (12 nodes on hopf-s3); else the forms on span_rule.
+    """
+    M = phi.domain
+    order = default_stability_order(M) if order is None else order
+    if span.rho is None:
+        return hessian_matrix(phi, J, span, [span_rule(M, span, order)])[0]
+    [forms] = hessian_matrix(phi, J, span, [M.rule(order, torus_offsets(M)[0])])
+    return torus_average(M, forms, span.rho, span.rho_degree)
 
 
 def rayleigh_quotients(H, G, coeffs):
@@ -774,7 +776,7 @@ def vertical_codifferential_formula(phi, J, V, x, cluster_tol=1e-6):
     rhs = np.einsum("...ij,...ij->...", ginv @ T @ ginv, np.einsum("...ikj,...k->...ij", nab, gV))
 
     H = horizontal_frame(phi, xb)
-    vals, _ = np.linalg.eigh(np.swapaxes(H, -1, -2) @ T @ H)
+    vals, vec = np.linalg.eigh(np.swapaxes(H, -1, -2) @ T @ H)
     scale = np.maximum(1.0, np.max(np.abs(vals), axis=-1))
     # one row per cluster layout: True where a cluster ends after eigenvalue i
     ends = np.diff(vals, axis=-1) > cluster_tol * scale[:, None]
@@ -792,7 +794,9 @@ def vertical_codifferential_formula(phi, J, V, x, cluster_tol=1e-6):
                 odd = f"odd eigenvalue cluster (size {i1 - i0}) of the pullback metric"
                 why.update(dict.fromkeys(keep.tolist(), odd))
                 break
-            P = _cluster_projector(H[keep], T[keep], g[keep], i0, i1)
+            # _cluster_projector, from the eigenvectors of the batch
+            cols = H[keep] @ vec[keep, :, i0:i1]
+            P = cols @ (cols.swapaxes(-1, -2) @ g[keep])
             comm = P @ Fv[keep] - Fv[keep] @ P
             bad = np.max(np.abs(comm), axis=(-2, -1)) > 1e-6 * F_scale[keep]
             why.update(dict.fromkeys(keep[bad].tolist(), "eigenvalue cluster is not F-invariant"))

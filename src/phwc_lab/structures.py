@@ -28,7 +28,7 @@ from .geometry import (
     metric_norms,
     nabla_endomorphism,
 )
-from .maps import _adjoint_jet, _along, adjoint_differential, horizontal_frame
+from .maps import _adjoint_jet, _along, adjoint_differential
 
 
 def _field(fn, x):
@@ -83,9 +83,7 @@ __all__ = [
     "induced_f_structure",
     "holomorphy_residual",
     "f_div_f",
-    "phh_residual",
     "cond_b_residual",
-    "cond_div_residual",
     "PHWC_GATE_TOL",
 ]
 
@@ -542,22 +540,6 @@ def f_div_f(F, x):
     return _memo("f_div_f", F.memo_key, x, compute)
 
 
-def phh_residual(phi, J, x):
-    """max over horizontal orthonormal X, Y of |F((nabla_X F) Y)|_g."""
-    F = induced_f_structure(phi, J)
-    xb, squeeze = _batch(x)
-    H = horizontal_frame(phi, xb)
-    Fv, dF = F.F_jet(xb)
-    nab = nabla_endomorphism(phi.domain, F.F_at, xb, dF=dF)
-    # F((nabla_{H_a} F) H_b) for all horizontal pairs: ...kl,...ia,...ilj,...jb->...kab
-    HnH = H.swapaxes(-1, -2)[..., None, :, :] @ nab.swapaxes(-3, -2) @ H[..., None, :, :]
-    v = _apply_first(Fv, HnH)
-    g = phi.domain.metric_at(xb, check=False)
-    norms = np.sqrt(np.einsum("...kab,...kl,...lab->...ab", v, g, v))
-    out = np.max(norms, axis=(-1, -2))
-    return out[0] if squeeze else out
-
-
 def _im_f_basis(F, x, g):
     """Deterministic orthonormal basis of (Ker F)^perp = im F, batched."""
     Fv = np.asarray(F.F_at(x), dtype=float)
@@ -602,6 +584,3 @@ def cond_b_residual(F, x):
     return _cond_b_norms(F, x, apply_F=False)
 
 
-def cond_div_residual(F, x):
-    """Same expression with F applied, sampled over Ker(F^2 + I)."""
-    return _cond_b_norms(F, x, apply_F=True)

@@ -1,11 +1,13 @@
 """Registration-time validation, the tolerance table and the shared residuals.
 
-Pointwise expectations run at seeded interior samples; the stability class
-is probed over a reduced-order rule (``PROBE_ORDERS``) of the scenario's
-own domain so construction stays cheap.  The residuals behind the scenario
-expectations (``RESIDUALS``) are the same functions the ``run`` checks
-evaluate on their node sets, and every tolerance either side compares
-against is declared once, in ``TOLERANCES``.
+Pointwise expectations run at seeded interior samples.  A stable-sampled
+scenario is probed on the stability check's own forms
+(``stability.span_forms`` at ``default_stability_order``), so the check's
+evaluations are memo hits; a killing-neutral one on a reduced-order rule
+(``PROBE_ORDERS``) so construction stays cheap.  The residuals behind the
+scenario expectations (``RESIDUALS``) are the same functions the ``run``
+checks evaluate on their node sets, and every tolerance either side
+compares against is declared once, in ``TOLERANCES``.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ __all__ = [
     "SUITE_TOLERANCES", "RESIDUALS", "tolerance",
 ]
 
-PROBE_ORDERS = {"hopf-s3": 8, "hopf-s5": 5, "hopf-s7": 4}
+PROBE_ORDERS = {"hopf-s5": 5, "hopf-s7": 4}
 PROBE_FIELDS = 4
 
 # Identity suites (``suites.identity_suites``): one row each, in run order.
@@ -237,7 +239,7 @@ def _probe_stability(sc, problems):
         killing_span,
         polynomial_span,
         rayleigh_quotients,
-        span_rule,
+        span_forms,
         stability_conditions,
     )
 
@@ -255,11 +257,10 @@ def _probe_stability(sc, problems):
             )
         return
 
-    order = PROBE_ORDERS.get(sc.id, 6)
     if cls == "stable-sampled":
         rng = np.random.default_rng(0)
         span = polynomial_span(sc.map)
-        [(H, G, _, _)] = hessian_matrix(sc.map, sc.J, span, [span_rule(sc.domain, span, order)])
+        H, G, _, _ = span_forms(sc.map, sc.J, span)
         floor = tolerance("hessian_floor", sc)
         coeffs = span.random_coefficients(PROBE_FIELDS, rng)
         worst = float(np.min(rayleigh_quotients(H, G, coeffs)))
@@ -267,6 +268,7 @@ def _probe_stability(sc, problems):
             problems.append(f"sampled Hess/|v|^2 {worst:.3e} < -{floor:g}")
     elif cls == "killing-neutral":
         span = killing_span(sc.map, killing_fields_sphere(sc.n_complex).perpendicular()[:1])
+        order = PROBE_ORDERS.get(sc.id, 6)
         rule = sc.domain.rule(order, offsets=torus_offsets(sc.domain)[0])
         [forms] = hessian_matrix(sc.map, sc.J, span, [rule], sc.contact)
         hv, n2, red, _ = (float(f[0, 0]) for f in forms)

@@ -46,7 +46,6 @@ from .autodiff import _check_finite
 __all__ = [
     "EnergyReport",
     "pullback_two_form",
-    "pullback_two_form_field",
     "dirichlet_energy",
     "fh_energy",
     "fh_infinity_energy",
@@ -86,10 +85,6 @@ def pullback_two_form(phi, J, x):
     jet = phi.jet(x)
     om = J.omega_at(jet.y)
     return np.swapaxes(jet.dphi, -1, -2) @ om @ jet.dphi
-
-
-def pullback_two_form_field(phi, J):
-    return lambda p: pullback_two_form(phi, J, p)
 
 
 def dirichlet_energy(phi, rule=None):

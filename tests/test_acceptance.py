@@ -17,6 +17,7 @@ import time
 import numpy as np
 import pytest
 
+from oracles import random_variation_fields, variation_from_killing
 from phwc_lab import autodiff
 from phwc_lab.autodiff import field_partials
 from phwc_lab.geometry import torus_rules, two_form_norm2
@@ -28,8 +29,6 @@ from phwc_lab.stability import (
     hessian_suite,
     killing_fields_sphere,
     killing_span,
-    random_variation_fields,
-    variation_from_killing,
 )
 from phwc_lab.structures import phwc_residual
 from phwc_lab.suites import identity_suites

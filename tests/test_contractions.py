@@ -216,10 +216,10 @@ def _killing_refs(rng, batch):
 @pytest.mark.parametrize("batch", [(N,), ()])
 def test_killing_components_and_variation(rng, batch):
     args, X = _killing_refs(rng, batch)
-    _assert_close(stability._killing_components(*args), X)
+    _assert_close(oracles.killing_components(*args), X)
     dphi = rng.normal(size=batch + (n, m))
     e, Je, g, A = args
-    new = stability._killing_variation(dphi, e, Je, g, A)
+    new = oracles.killing_variation(dphi, e, Je, g, A)
     _assert_close(new, np.einsum("...ai,...ki->...ka", dphi, X))
 
 
@@ -244,7 +244,7 @@ def test_killing_lie_residual(rng):
     M = _hopf_chart()
     A = rng.normal(size=(4, 4))  # not skew: the residual is O(1)
     x = M.random_points(rng, N)
-    X = stability.ambient_killing_field(M, A)
+    X = oracles.ambient_killing_field(M, A)
     Xv, dX = X(x), field_partials(X, x, autodiff.FD_STEP)
     g, dg = M.metric_jet(x)
     lie = (
@@ -252,7 +252,7 @@ def test_killing_lie_residual(rng):
         + np.einsum("...kj,...ki->...ij", g, dX)
         + np.einsum("...ik,...kj->...ij", g, dX)
     )
-    _assert_close(stability.killing_lie_residual(M, A, x), np.max(np.abs(lie), axis=(-1, -2)))
+    _assert_close(oracles.killing_lie_residual(M, A, x), np.max(np.abs(lie), axis=(-1, -2)))
 
 
 def test_contact_frame_seeds(rng, monkeypatch):
@@ -424,13 +424,13 @@ def test_phh_residual(rng, monkeypatch):
     Fv, H, nab = rng.normal(size=(N, m, m)), rng.normal(size=(N, m, 4)), rng.normal(size=(N, m, m, m))
     g = _spd(rng, N, m, m)
     F = SimpleNamespace(F_at=lambda p: Fv, F_jet=lambda p: (Fv, None))
-    monkeypatch.setattr(structures, "induced_f_structure", lambda phi, J: F)
-    monkeypatch.setattr(structures, "horizontal_frame", lambda phi, x: H)
-    monkeypatch.setattr(structures, "nabla_endomorphism", lambda M, F, x, dF: nab)
+    monkeypatch.setattr(oracles, "induced_f_structure", lambda phi, J: F)
+    monkeypatch.setattr(oracles, "horizontal_frame", lambda phi, x: H)
+    monkeypatch.setattr(oracles, "nabla_endomorphism", lambda M, F, x, dF: nab)
     phi = SimpleNamespace(domain=SimpleNamespace(metric_at=lambda x, check=False: g))
     v = np.einsum("...kl,...ia,...ilj,...jb->...kab", Fv, H, nab, H)
     norms = np.sqrt(np.einsum("...kab,...kl,...lab->...ab", v, g, v))
-    _assert_close(structures.phh_residual(phi, None, np.zeros((N, m))), np.max(norms, axis=(-1, -2)))
+    _assert_close(oracles.phh_residual(phi, None, np.zeros((N, m))), np.max(norms, axis=(-1, -2)))
 
 
 def test_im_f_basis(rng, monkeypatch):

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import phwc_lab
+from oracles import divergence_two_tensor, divergence_vector_field
 from phwc_lab import autodiff, geometry, maps
 from phwc_lab.autodiff import field_partials, tensor_value
 from phwc_lab.errors import DegenerateMetric, NonFiniteIntegrand, OutOfChart
@@ -20,8 +21,6 @@ from phwc_lab.geometry import (
     _cholesky_clears,
     codifferential_two_form,
     covariant_derivative_vector,
-    divergence_two_tensor,
-    divergence_vector_field,
     gram_schmidt,
     torus_rules,
     two_form_norm2,

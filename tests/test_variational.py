@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from oracles import pullback_two_form_field
 from phwc_lab import autodiff, variational
 from phwc_lab.errors import DimensionTooSmall, NotPHWC, NotSemiconformal
 from phwc_lab.geometry import codifferential_two_form, two_form_norm2
@@ -20,7 +21,6 @@ from phwc_lab.variational import (
     p_energy,
     criticality_equivalence,
     pullback_two_form,
-    pullback_two_form_field,
     semiconformal_criticality,
     tension_phwc,
     weyl_compat_residual,
