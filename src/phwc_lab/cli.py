@@ -57,7 +57,6 @@ def _parser():
     run.add_argument("--order", type=int, default=None, help="quadrature nodes per axis")
     run.add_argument("--seed", type=int, default=None, help="RNG seed for sample points")
     run.add_argument("--sample-points", type=int, default=None)
-    run.add_argument("--stability-fields", type=int, default=None)
     run.add_argument(
         "--tol", action="append", default=[], metavar="NAME=VALUE",
         help="tolerance override (repeatable)",
@@ -99,7 +98,6 @@ def _build_config(args):
         ("order", "quadrature_order"),
         ("seed", "seed"),
         ("sample_points", "sample_points"),
-        ("stability_fields", "stability_fields"),
     ]:
         val = getattr(args, flag)
         if val is not None:

@@ -476,7 +476,7 @@ def scenario_ids():
     return sorted(_BUILDERS)
 
 
-def build_scenario(scenario_id, quad_order=None, validate=True, seed=0):
+def build_scenario(scenario_id, quad_order=None, validate=True):
     """Construct (and by default validate) a catalog scenario.
 
     Validation re-derives the declared "expected" block with the checking
@@ -489,7 +489,7 @@ def build_scenario(scenario_id, quad_order=None, validate=True, seed=0):
             f"unknown scenario {scenario_id!r}; known: {', '.join(scenario_ids())}"
         )
     order = quad_order or _DEFAULT_ORDERS[scenario_id]
-    key = (scenario_id, order, validate, seed)
+    key = (scenario_id, order, validate)
     if key in _CACHE:
         return _CACHE[key]
     _memo_empty()
@@ -497,6 +497,6 @@ def build_scenario(scenario_id, quad_order=None, validate=True, seed=0):
     if validate:
         from .validation import validate_scenario
 
-        validate_scenario(sc, seed=seed)
+        validate_scenario(sc)
     _CACHE[key] = sc
     return sc

@@ -56,7 +56,6 @@ __all__ = [
     "torus_average",
     "default_stability_order",
     "span_forms",
-    "rayleigh_quotients",
     "span_spectrum",
     "sasakian_hessian",
     "killing_reduced_hessian",
@@ -154,23 +153,6 @@ class VariationSpan:
     @property
     def dim(self):
         return int(np.prod(self.shape))
-
-    def sections(self, p):
-        """Every b_k at the points p: (N, K, dim N)."""
-        return self.section_jet(p)[0]
-
-    def field(self, c):
-        """The section with coefficients c."""
-        c = np.asarray(c, dtype=float).reshape(self.dim)
-
-        def v_fn(p):
-            return np.einsum("k,nka->na", c, self.sections(p))
-
-        return VariationField(map_id=self.map_id, v_fn=v_fn)
-
-    def random_coefficients(self, count, rng):
-        """Seeded coefficient arrays (count, *shape), entries N(0, 1/shape[-1])."""
-        return rng.normal(size=(count, *self.shape)) / np.sqrt(self.shape[-1])
 
 
 def polynomial_span(phi, degree=2):
@@ -564,14 +546,6 @@ def span_forms(phi, J, span, order=None):
         return hessian_matrix(phi, J, span, [span_rule(M, span, order)])[0]
     [forms] = hessian_matrix(phi, J, span, [M.rule(order, torus_offsets(M)[0])])
     return torus_average(M, forms, span.rho, span.rho_degree)
-
-
-def rayleigh_quotients(H, G, coeffs):
-    """c.H.c / c.G.c for each coefficient array c of coeffs (S, *span.shape) or (S, K)."""
-    coeffs = np.asarray(coeffs, dtype=float).reshape(len(coeffs), -1)
-    hv = np.einsum("sk,kl,sl->s", coeffs, H, coeffs)
-    n2 = np.einsum("sk,kl,sl->s", coeffs, G, coeffs)
-    return hv / n2
 
 
 def span_spectrum(H, G):

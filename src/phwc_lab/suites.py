@@ -67,7 +67,7 @@ class SuiteResult:
         }
 
 
-def identity_suites(sc, n_points=100, seed=0, suites=None):
+def identity_suites(sc, n_points=100, seed=0):
     """Run the applicable identity suites for one scenario."""
     rng = np.random.default_rng(seed)
     phi = sc.map
@@ -90,59 +90,50 @@ def identity_suites(sc, n_points=100, seed=0, suites=None):
             )
         )
 
-    wanted = lambda name: suites is None or name in suites
+    X, Y, Z = (
+        TangentVector(pts, rng.normal(size=pts.shape)) for _ in range(3)
+    )
+    lhs = nabla_pullback_metric(phi, X, Y, Z, direct=True)
+    rhs = nabla_pullback_metric(phi, X, Y, Z, direct=False)
+    emit("pullback_metric_derivative", np.max(np.abs(lhs - rhs)))
 
-    if wanted("pullback_metric_derivative"):
-        X, Y, Z = (
-            TangentVector(pts, rng.normal(size=pts.shape)) for _ in range(3)
-        )
-        lhs = nabla_pullback_metric(phi, X, Y, Z, direct=True)
-        rhs = nabla_pullback_metric(phi, X, Y, Z, direct=False)
-        emit("pullback_metric_derivative", np.max(np.abs(lhs - rhs)))
+    _, ident = cond_1_1_residual(phi, sc.J, pts)
+    emit("pushforward_parallelism", np.max(ident))
 
-    if wanted("pushforward_parallelism"):
-        _, ident = cond_1_1_residual(phi, sc.J, pts)
-        emit("pushforward_parallelism", np.max(ident))
+    _, ident = semiconformal_criticality(phi, sc.J, pts)
+    emit("semiconformal_divergence", np.max(ident))
 
-    if wanted("semiconformal_divergence"):
-        _, ident = semiconformal_criticality(phi, sc.J, pts)
-        emit("semiconformal_divergence", np.max(ident))
+    rep = criticality_equivalence(phi, sc.J, pts)
+    emit("codifferential_expansion", np.max(rep["proof_identity"]))
 
-    if wanted("codifferential_expansion"):
-        rep = criticality_equivalence(phi, sc.J, pts)
-        emit("codifferential_expansion", np.max(rep["proof_identity"]))
+    split = fibre_splitting(phi, pts)  # one batch of one rank
+    worst, used, skipped = 0.0, 0, 0
+    if split.rank < phi.domain.dim:  # else no vertical directions anywhere
+        lhs, rhs = vertical_codifferential_formula(phi, sc.J, split.vertical[..., 0], pts)
+        resid = np.abs(lhs - rhs)
+        kept = ~np.isnan(resid)
+        used, skipped = int(kept.sum()), int((~kept).sum())
+        worst = float(np.max(resid[kept], initial=0.0))
+    emit(
+        "vertical_codifferential",
+        worst,
+        n=used,
+        note=f"{skipped} degenerate points skipped" if skipped else "",
+    )
 
-    if wanted("vertical_codifferential"):
-        split = fibre_splitting(phi, pts)  # one batch of one rank
-        worst, used, skipped = 0.0, 0, 0
-        if split.rank < phi.domain.dim:  # else no vertical directions anywhere
-            lhs, rhs = vertical_codifferential_formula(phi, sc.J, split.vertical[..., 0], pts)
-            resid = np.abs(lhs - rhs)
-            kept = ~np.isnan(resid)
-            used, skipped = int(kept.sum()), int((~kept).sum())
-            worst = float(np.max(resid[kept], initial=0.0))
-        emit(
-            "vertical_codifferential",
-            worst,
-            n=used,
-            note=f"{skipped} degenerate points skipped" if skipped else "",
-        )
-
-    if wanted("sasakian_bracket") and sc.contact is not None:
+    if sc.contact is not None:
         Xc = rng.normal(size=pts.shape)
         # X is constant in the chart, so its partials are exactly zero
         dX = np.zeros(pts.shape + pts.shape[-1:])
         lhs, rhs = bracket_identity_sasakian(sc.contact, lambda p: Xc, pts, dX=dX)
         emit("sasakian_bracket", np.max(np.abs(lhs - rhs)))
 
-    if wanted("tension_agreement"):
-        tau_a = tension_field_direct(phi, pts)
-        tau_b = tension_phwc(phi, sc.J, pts)
-        gap = metric_norms(phi.codomain, phi.value(pts), tau_a - tau_b)
-        emit("tension_agreement", np.max(gap))
+    tau_a = tension_field_direct(phi, pts)
+    tau_b = tension_phwc(phi, sc.J, pts)
+    gap = metric_norms(phi.codomain, phi.value(pts), tau_a - tau_b)
+    emit("tension_agreement", np.max(gap))
 
-    if wanted("stress_energy"):
-        Z = rng.normal(size=pts.shape)
-        emit("stress_energy", np.max(stress_energy_residual(phi, pts, Z=Z)))
+    Z = rng.normal(size=pts.shape)
+    emit("stress_energy", np.max(stress_energy_residual(phi, pts, Z=Z)))
 
     return out

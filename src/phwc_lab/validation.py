@@ -1,7 +1,8 @@
 """Registration-time validation, the tolerance table and the shared residuals.
 
-Pointwise expectations run at seeded interior samples.  A stable-sampled
-scenario is probed on the stability check's own forms
+Pointwise expectations run at seeded interior samples, which the
+sufficient stability conditions of a stable-conditions scenario read too.
+A stable-sampled scenario is probed on the stability check's own forms
 (``stability.span_forms`` at ``default_stability_order``), so the check's
 evaluations are memo hits; a killing-neutral one on a reduced-order rule
 (``PROBE_ORDERS``) so construction stays cheap.  The residuals behind the
@@ -28,7 +29,6 @@ __all__ = [
 ]
 
 PROBE_ORDERS = {"hopf-s5": 5, "hopf-s7": 4}
-PROBE_FIELDS = 4
 
 # Identity suites (``suites.identity_suites``): one row each, in run order.
 SUITE_TOLERANCES = {
@@ -146,9 +146,9 @@ RESIDUALS = {
 }
 
 
-def validate_scenario(sc, samples=40, seed=0):
-    rng = np.random.default_rng(seed)
-    pts = sc.domain.random_points(rng, samples, margin=0.03)
+def validate_scenario(sc):
+    """ScenarioValidationError unless every declared expectation of ``sc`` re-derives."""
+    pts = sc.domain.random_points(np.random.default_rng(0), 40, margin=0.03)
     problems = []
 
     # charts: positive definiteness along the way
@@ -193,7 +193,7 @@ def validate_scenario(sc, samples=40, seed=0):
                 )
 
     try:
-        _probe_stability(sc, problems)
+        _probe_stability(sc, pts, problems)
     except NotCritical as exc:
         problems.append(f"stability probe: {exc}")
 
@@ -232,14 +232,15 @@ def _check_sasakian(sc, pts, problems):
     _require_below(sc, "metric_split", r, "g = phi^*h + eta@eta", problems)
 
 
-def _probe_stability(sc, problems):
+def _probe_stability(sc, pts, problems):
+    """The scenario's stability class re-derived; ``pts`` are registration's samples."""
     from .stability import (
         hessian_matrix,
         killing_fields_sphere,
         killing_span,
         polynomial_span,
-        rayleigh_quotients,
         span_forms,
+        span_spectrum,
         stability_conditions,
     )
 
@@ -247,8 +248,6 @@ def _probe_stability(sc, problems):
     if cls is None:
         return
     if cls == "stable-conditions":
-        rng = np.random.default_rng(0)
-        pts = sc.domain.random_points(rng, 12, margin=0.05)
         rep = stability_conditions(sc.map, sc.J, pts)
         if not rep["weakly_stable_sufficient"]:
             problems.append(
@@ -258,14 +257,11 @@ def _probe_stability(sc, problems):
         return
 
     if cls == "stable-sampled":
-        rng = np.random.default_rng(0)
-        span = polynomial_span(sc.map)
-        H, G, _, _ = span_forms(sc.map, sc.J, span)
+        H, G, _, _ = span_forms(sc.map, sc.J, polynomial_span(sc.map))
         floor = tolerance("hessian_floor", sc)
-        coeffs = span.random_coefficients(PROBE_FIELDS, rng)
-        worst = float(np.min(rayleigh_quotients(H, G, coeffs)))
-        if worst < -floor:
-            problems.append(f"sampled Hess/|v|^2 {worst:.3e} < -{floor:g}")
+        low = float(span_spectrum(H, G)[0])
+        if low < -floor:
+            problems.append(f"span minimum of Hess/|v|^2 {low:.3e} < -{floor:g}")
     elif cls == "killing-neutral":
         span = killing_span(sc.map, killing_fields_sphere(sc.n_complex).perpendicular()[:1])
         order = PROBE_ORDERS.get(sc.id, 6)

@@ -9,10 +9,10 @@ of that field.  ``stability.vertical_codifferential_formula`` takes the same
 sum frame-free from F's exact jet.
 
 The rest are single-field or stencil routes: Killing variations and seeded
-polynomial fields (``stability.VariationField``), the Lie-derivative
-residual of an ambient Killing field, the phh and divergence conditions of
-the induced f-structure, and stencil divergences and the second
-fundamental form on tangent vectors.
+polynomial fields (``stability.VariationField``, from a span's sections and
+coefficients), the Lie-derivative residual of an ambient Killing field, the
+phh and divergence conditions of the induced f-structure, and stencil
+divergences and the second fundamental form on tangent vectors.
 """
 
 import numpy as np
@@ -112,10 +112,30 @@ def variation_from_killing(phi, A):
     return stability.VariationField(map_id=phi.name, v_fn=v_fn)
 
 
+def span_sections(span, p):
+    """Every basis section b_k of a VariationSpan at the points p: (N, K, dim N)."""
+    return span.section_jet(p)[0]
+
+
+def span_field(span, c):
+    """The section sum_k c_k b_k of a VariationSpan as a VariationField."""
+    c = np.asarray(c, dtype=float).reshape(span.dim)
+
+    def v_fn(p):
+        return np.einsum("k,nka->na", c, span_sections(span, p))
+
+    return stability.VariationField(map_id=span.map_id, v_fn=v_fn)
+
+
+def random_coefficients(span, count, rng):
+    """Seeded coefficient arrays (count, *span.shape), entries N(0, 1/shape[-1])."""
+    return rng.normal(size=(count, *span.shape)) / np.sqrt(span.shape[-1])
+
+
 def random_variation_fields(phi, count, rng, degree=2):
     """Seeded random sections of polynomial_span(phi, degree)."""
     span = stability.polynomial_span(phi, degree)
-    return [span.field(c) for c in span.random_coefficients(count, rng)]
+    return [span_field(span, c) for c in random_coefficients(span, count, rng)]
 
 
 def killing_lie_residual(M, A, x):

@@ -166,11 +166,29 @@ class TestRun:
         code = run_cli(["run", "--scenario", "flat-holo", "--config", str(cfg), "--seed", "4"])
         assert code == 0
 
-    @pytest.mark.parametrize("order", [-2, "6"])
-    def test_config_bad_stability_order_exit_2(self, tmp_path, capsys, order):
+    @pytest.mark.parametrize("key", ["stability_fields", "stability_order"])
+    def test_config_removed_stability_key_exit_2(self, tmp_path, capsys, key):
+        # the span spectrum at the default order is the one stability
+        # criterion: no sample count and no order to set
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"checks": ["stability"], "stability_order": order}))
+        cfg.write_text(json.dumps({"checks": ["stability"], key: 10}))
         assert run_cli(["run", "--scenario", "flat-holo", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == f"configuration error: unknown config keys: {key}\n"
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["run", "--scenario", "flat-holo", "--" + key.replace("_", "-"), "10"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_every_run_flag_reaches_a_config_field(self):
+        # a flag that no longer sets a RunConfig field would be dangling
+        run = next(a for a in cli._parser()._actions if a.dest == "command").choices["run"]
+        others = {"--scenario", "--checks", "--tol", "--config", "--json", "--csv", "--help"}
+        flags = [a.option_strings[-1] for a in run._actions if a.option_strings[-1] not in others]
+        assert flags
+        default = cli._build_config(run.parse_args(["--scenario", "flat-holo"]))
+        for flag in flags:
+            cfg = cli._build_config(run.parse_args(["--scenario", "flat-holo", flag, "5"]))
+            assert cfg != default, flag
 
     def test_config_unknown_key_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -275,9 +293,7 @@ class TestRunConfig:
     @pytest.mark.parametrize(
         "key,value",
         [("quadrature_order", 1), ("seed", -1), ("alpha", -1.0), ("p", 0.5),
-         ("sample_points", 1), ("stability_fields", 0), ("stability_order", 0),
-         ("stability_order", 1), ("stability_order", 2.5), ("stability_order", -2),
-         ("stability_order", 65)],
+         ("sample_points", 1)],
     )
     def test_range_validation(self, key, value):
         with pytest.raises(ConfigError):
@@ -309,17 +325,12 @@ class TestRunConfig:
             assert set(RunConfig(scenario_id=sid).effective(sc)) == names, sid
 
     def test_effective_stability_order(self):
-        from phwc_lab.scenarios import build_scenario
-
-        # stable-sampled: the order the span Hessian runs at, as a plain int
-        sampled = build_scenario("hopf-s3")
-        order = RunConfig(scenario_id="hopf-s3").effective(sampled)["stability_order"]
+        # stable-sampled: the stability verdicts record the order the span
+        # Hessian runs at, as a plain int; the config has no such field
+        body = run_checks(RunConfig(scenario_id="hopf-s3", checks=("stability",)))
+        order = body["checks"]["stability"]["verdicts"]["stability_order"]
         assert order == 12 and type(order) is int
-        assert RunConfig(scenario_id="hopf-s3", stability_order=6).effective(sampled)[
-            "stability_order"] == 6
-        # elsewhere no stability rule is built: the value as given
-        flat = build_scenario("flat-holo")
-        assert RunConfig(scenario_id="flat-holo").effective(flat)["stability_order"] is None
+        assert "stability_order" not in body["config"]
 
 
 class TestToleranceOverrides:
@@ -334,8 +345,7 @@ class TestToleranceOverrides:
         "tension": ("flat-holo", "tension", {"tension_nodes": 1}),
         "criticality": ("flat-holo", "criticality", {"criticality_nodes": 1}),
         "mean_curvature": ("flat-holo", "semiconformal", {"mean_curvature": 1}),
-        "hessian_floor": ("hopf-s3", "stability",
-                          {"sampled_nonnegativity": 1, "span_nonnegativity": 1}),
+        "hessian_floor": ("hopf-s3", "stability", {"span_nonnegativity": 1}),
         "criticality_witness": ("warped-hopf", "criticality", {}),
     }
 
@@ -348,8 +358,7 @@ class TestToleranceOverrides:
     def test_override_reaches_body(self, name):
         scenario, check, entries = self.CASES[name]
         value = 1e6 if name == "criticality_witness" else 0.125
-        cfg = RunConfig(scenario_id=scenario, checks=(check,), tolerances={name: value},
-                        stability_order=6, stability_fields=4)
+        cfg = RunConfig(scenario_id=scenario, checks=(check,), tolerances={name: value})
         out = run_checks(cfg)["checks"][check]
         assert out["residuals"] and out["verdicts"]
         for entry, scale in entries.items():

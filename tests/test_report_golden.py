@@ -34,6 +34,9 @@ pullback_metric_derivative, vertical_codifferential and stress_energy rows of
 every table were re-recorded when the suites' last stencils went (the exact
 jet of phi^*h, the frame-free eigenframe trace, the exact delta(phi*Omega)),
 and vertical_codifferential went from the first 60 points to all 100.
+``config`` lost ``stability_fields`` and ``stability_order``, and hopf-s3's
+``stability`` lost ``sampled_nonnegativity`` and ``sampled_fields``, when
+the span spectrum became the one stability criterion; no other value moved.
 """
 
 import json

@@ -1,5 +1,6 @@
 """Catalog construction, registration validation, chart geometry oracles."""
 
+import dataclasses
 import sys
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 from phwc_lab import autodiff, scenarios
 from phwc_lab.errors import OutOfChart, UnknownScenario
+from phwc_lab.geometry import ChartManifold
 from phwc_lab.maps import SmoothMap, pullback_metric
 from phwc_lab.report import RunConfig, run_checks
 from phwc_lab.scenarios import (
@@ -108,12 +110,33 @@ class TestScenarioValidationCatchesLies:
         with pytest.raises(ScenarioValidationError, match="structure_invariants residual"):
             validate_scenario(sc)
 
+    def test_span_probe_refuses_a_minimum_below_the_floor(self):
+        # a floor of -1 asks Hess/|v|^2 >= 1 on the whole polynomial span;
+        # its minimum is 3.6e-15 (a neutral direction), so the probe refuses
+        sc = build_scenario("hopf-s3", validate=False)
+        sc = dataclasses.replace(sc, tolerances={"hessian_floor": -1.0})
+        with pytest.raises(ScenarioValidationError, match="span minimum of Hess"):
+            validate_scenario(sc)
+
     def test_map_leaving_codomain_detected(self):
         dom = flat_chart(2)
         cod = flat_chart(2, half=0.5)
         phi = SmoothMap("big", dom, cod, lambda x: [2.0 * x[0], x[1]])
         with pytest.raises(OutOfChart):
             phi.require_in_codomain(dom.node_rules[0].nodes)
+
+
+@pytest.mark.parametrize("sid", ["flat-holo", "product-proj"])
+def test_registration_draws_one_sample_set(sid, monkeypatch):
+    # the stable-conditions probe reads registration's own samples
+    monkeypatch.setattr(scenarios, "_CACHE", {})
+    real, counts = ChartManifold.random_points, []
+    monkeypatch.setattr(
+        ChartManifold, "random_points",
+        lambda self, rng, count, margin=0.02: counts.append(count) or real(self, rng, count, margin),
+    )
+    build_scenario(sid)
+    assert counts == [40]
 
 
 def test_builds_are_deterministic():
